@@ -131,8 +131,9 @@ type summary struct {
 }
 
 // paymentsConfig records the dedicated workload the payments_* paths run
-// on: exact-critical pricing re-solves the allocation per probe, so the
-// sweep-scale defaults (T=50, K=20) would take hours on the eager seed.
+// on: the frozen seed's exact-critical pricing re-solves the allocation
+// per probe, so the sweep-scale defaults (T=50, K=20) would take hours on
+// the eager seed.
 type paymentsConfig struct {
 	Clients int     `json:"clients"`
 	T       int     `json:"t"`

@@ -44,8 +44,7 @@ type BidSet struct {
 
 	// cls caches the lazily built shape-class index of the class-based
 	// selection fast path (see classsel.go). compile attaches a fresh
-	// holder; withPrices views drop it, keeping probes on the per-bid
-	// path.
+	// holder.
 	cls *classHolder
 }
 
@@ -145,20 +144,6 @@ func (s *BidSet) Bids() []Bid {
 func (s *BidSet) siblings(i int) []int {
 	r := s.sibRow[i]
 	return s.sibOrder[s.sibStart[r]:s.sibStart[r+1]]
-}
-
-// withPrices returns a shallow view of the set with the price column
-// replaced — every other column and the sibling index are shared with the
-// receiver. It is the probe instrument of exact-critical pricing: a
-// bisection rewrites one entry of its private price column per probe
-// instead of mirroring the whole population.
-func (s *BidSet) withPrices(price []float64) *BidSet {
-	v := *s
-	v.price = price
-	// The class index orders members by the ORIGINAL price column; a
-	// probe view must not inherit it.
-	v.cls = nil
-	return &v
 }
 
 // minTg is the columnar MinTg: T_0 = ⌈1/(1−θ_min)⌉ over the theta column,

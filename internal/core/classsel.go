@@ -37,16 +37,14 @@ import (
 // in empirically.
 //
 // The class path is engaged only by the sweep (solveEnv.classes, see
-// sweepSegment): pricing probes rewrite a private price column, which
-// invalidates the compile-time price order of the class members, and
-// session repair pre-commits coverage (base != nil), so both keep the
-// fully general per-bid heaps.
+// sweepSegment): pricing's held-out runs leave one bid out of the
+// candidate heap, which a class head cannot express, and session repair
+// pre-commits coverage (base != nil), so both keep the fully general
+// per-bid heaps.
 
 // classHolder caches the lazily built classIndex of one compiled
 // population. compile attaches a fresh holder, so engine-pool rebuilds
-// invalidate the cache; price-view copies (withPrices) drop it to nil
-// instead, since the index's price-sorted member order is meaningless
-// under a probe's rewritten column.
+// invalidate the cache.
 type classHolder struct {
 	once sync.Once
 	idx  classIndex
@@ -54,8 +52,7 @@ type classHolder struct {
 
 // classes returns the population's shape-class index, building it on
 // first use (concurrent sweep segments share one build via the holder's
-// Once). It returns nil on price views, which must not use the class
-// path.
+// Once). It returns nil for a zero BidSet, which was never compiled.
 func (s *BidSet) classes() *classIndex {
 	h := s.cls
 	if h == nil {

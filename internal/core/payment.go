@@ -19,9 +19,11 @@ const (
 	RuleCritical PaymentRule = iota
 	// RuleExactCritical pays each winner the exact critical value of its
 	// bid: the supremum claimed price at which the bid still wins, found
-	// by bisection over re-runs of the (price-monotone) greedy
-	// allocation. It makes the mechanism exactly truthful in the claimed
-	// price at the cost of O(log(1/ε)) extra solver runs per winner.
+	// by bisection over the (price-monotone) greedy allocation. It makes
+	// the mechanism exactly truthful in the claimed price at the cost of
+	// O(log(1/ε)) probes per winner, answered without re-solving: one
+	// allocation-only greedy run with the winner held out, plus one per
+	// distinct step at which the probes select it (see pricer.wins).
 	//
 	// Since pricing is lazy, a full sweep bisects only the winners of the
 	// selected T̂_g (see priceWinners); standalone SolveWDP calls still
@@ -56,11 +58,10 @@ func bisectTol(x float64) float64 { return 1e-12 * math.Max(1, x) }
 // Engine.SolveWDP, RunAuctionEager); the lazy sweep path prices only the
 // selected T̂_g through priceWinners instead. RuleCritical payments were
 // already computed during the greedy run. env carries whatever
-// price-independent precomputed structure the caller holds (the slot CSR;
-// never a ψ column, since bisection probes rewrite prices). base is the
-// pre-committed coverage of the solve (nil for a full market); probes
-// must replay the same residual market or the bisection would price the
-// wrong instance.
+// precomputed structure the caller holds; the held-out pricing runs read
+// only its slot CSR. base is the pre-committed coverage of the solve (nil
+// for a full market); probes must replay the same residual market or the
+// bisection would price the wrong instance.
 func applyPaymentRule(set *BidSet, qualified []int, tg int, cfg Config, env solveEnv, base []int, res *WDPResult) {
 	switch cfg.PaymentRule {
 	case RulePayBid:
@@ -71,22 +72,23 @@ func applyPaymentRule(set *BidSet, qualified []int, tg int, cfg Config, env solv
 		if len(res.Winners) == 0 {
 			return
 		}
-		pr := newPricer(set, tg)
+		pr := newPricer(set, qualified, tg, cfg, env, base)
 		defer pr.release()
 		for i := range res.Winners {
 			// A Background context cannot be canceled, so the error is
 			// structurally nil here.
-			pay, _, _ := exactCriticalPayment(context.Background(), set, qualified, tg, cfg, env, base, res.Winners[i], pr)
+			pay, _, _ := exactCriticalPayment(context.Background(), pr, res.Winners[i])
 			res.Winners[i].Payment = pay
 		}
 	}
 }
 
 // exactCriticalPayment bisects for the supremum price at which the
-// winner's bid still wins the WDP, holding every other bid fixed. The
-// allocation is monotone in a bid's price (lowering the price can only
-// move its selection to an earlier greedy round), so the winning region is
-// an interval [0, c*) and the bisection is exact up to tolerance.
+// winner's bid still wins the WDP of pr's market, holding every other
+// bid fixed. The allocation is monotone in a bid's price (lowering the
+// price can only move its selection to an earlier greedy round), so the
+// winning region is an interval [0, c*) and the bisection is exact up to
+// tolerance.
 //
 // win.Payment must carry the Algorithm 3 payment of the greedy run: the
 // locally critical value never undercuts the claimed price and usually
@@ -97,50 +99,37 @@ func applyPaymentRule(set *BidSet, qualified []int, tg int, cfg Config, env solv
 // When the bid wins at any price (no competing supply), the Algorithm 3
 // payment — its own claimed price, by the fallback of A_payment — is kept.
 //
-// The caller owns pr; probes mutate only pr's buffers plus the winner's
-// own probe slot (restored on return), so distinct pricers may bisect
-// distinct winners concurrently. probes reports the number of full greedy
-// re-solves consumed. A canceled ctx abandons the search mid-bisection
-// with an ErrCanceled-wrapping error.
-func exactCriticalPayment(ctx context.Context, set *BidSet, qualified []int, tg int, cfg Config, env solveEnv, base []int, win Winner, pr *pricer) (pay float64, probes int, err error) {
-	probeCfg := cfg
-	probeCfg.PaymentRule = RuleCritical // probes only need the allocation
-	probeQual := qualified
-	if cfg.ExcludeOwnBids {
-		// Drop the winner's sibling bids from the probe instance so a
-		// multi-minded client cannot move its own critical value by
-		// re-pricing its other bids. (The shared sibling CSR may still
-		// list them; pruning a bid outside the qualified set is a no-op.)
-		probeQual = pr.qual[:0]
-		for _, idx := range qualified {
-			if idx == win.BidIndex || set.client[idx] != win.Bid.Client {
-				probeQual = append(probeQual, idx)
-			}
-		}
-		pr.qual = probeQual[:0]
+// A probe does not re-solve the WDP: pr.hold records one held-out greedy
+// run of the winner's probe instance, and pr.wins answers each probe from
+// it with what a full solve at that price would return (see
+// bisectCritical for the search itself). The caller owns pr, whose
+// buffers are the only state a bisection writes, so distinct pricers may
+// bisect distinct winners concurrently. A canceled ctx abandons the
+// search mid-bisection with an ErrCanceled-wrapping error.
+func exactCriticalPayment(ctx context.Context, pr *pricer, win Winner) (pay float64, probes int, err error) {
+	if ctx.Err() != nil {
+		return 0, 0, canceledErr(ctx)
 	}
-	// pr.probe shares every column of set except its private price column,
-	// which already mirrors set's; each probe rewrites only the winner's
-	// own entry and the deferred restore hands the next winner a clean
-	// mirror again.
-	probe := pr.probe
-	defer func() { probe.price[win.BidIndex] = set.price[win.BidIndex] }()
-	wins := func(price float64) (bool, error) {
+	pr.hold(win)
+	return bisectCritical(win, pr.cfg.ReservePrice, func(price float64) (bool, error) {
 		if ctx.Err() != nil {
 			return false, canceledErr(ctx)
 		}
-		probes++
-		probe.price[win.BidIndex] = price
-		res := solveWDP(probe, probeQual, tg, probeCfg, pr.sc, base, env)
-		if !res.Feasible {
-			return false, nil
+		return pr.wins(price), nil
+	})
+}
+
+// bisectCritical is the search of exactCriticalPayment over the probe
+// predicate probe(price), which reports whether the winner still wins
+// with its price rewritten to price. probes counts the answered probes;
+// the first probe error aborts the search and is returned.
+func bisectCritical(win Winner, reserve float64, probe func(price float64) (bool, error)) (pay float64, probes int, err error) {
+	wins := func(price float64) (bool, error) {
+		w, err := probe(price)
+		if err == nil {
+			probes++
 		}
-		for _, w := range res.Winners {
-			if w.BidIndex == win.BidIndex {
-				return true, nil
-			}
-		}
-		return false, nil
+		return w, err
 	}
 	lo := win.Bid.Price
 	w, err := wins(lo)
@@ -155,7 +144,7 @@ func exactCriticalPayment(ctx context.Context, set *BidSet, qualified []int, tg 
 	}
 	hi := math.Inf(1)
 	if seed := win.Payment; seed > lo && !math.IsInf(seed, 1) &&
-		(cfg.ReservePrice <= 0 || seed < cfg.ReservePrice) {
+		(reserve <= 0 || seed < reserve) {
 		// Probe the Algorithm 3 payment and one tolerance step above it:
 		// when the locally critical value is the exact threshold (the
 		// common case), the search ends here.
@@ -189,18 +178,18 @@ func exactCriticalPayment(ctx context.Context, set *BidSet, qualified []int, tg 
 		}
 	}
 	if math.IsInf(hi, 1) {
-		if cfg.ReservePrice > 0 {
+		if reserve > 0 {
 			// With a reserve, prices above it are disqualified, so the
 			// threshold lives in [lo, reserve]. An essential winner is paid
 			// the reserve itself — a bid-independent value.
-			w, err = wins(cfg.ReservePrice)
+			w, err = wins(reserve)
 			if err != nil {
 				return 0, probes, err
 			}
 			if w {
-				return cfg.ReservePrice, probes, nil
+				return reserve, probes, nil
 			}
-			hi = cfg.ReservePrice
+			hi = reserve
 		} else {
 			// Geometric doubling from a positive floor, so a zero-price
 			// winner's bracket still grows (hi *= 2 from 0 never would).

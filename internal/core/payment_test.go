@@ -22,9 +22,9 @@ func exactPaymentFixture(t *testing.T, ctx context.Context, bids []Bid, tg int, 
 	if !res.Feasible || len(res.Winners) == 0 {
 		t.Fatalf("fixture WDP infeasible: %+v", res)
 	}
-	pr := newPricer(set, tg)
+	pr := newPricer(set, qualified, tg, cfg, solveEnv{}, nil)
 	defer pr.release()
-	pay, probes, err := exactCriticalPayment(ctx, set, qualified, tg, cfg, solveEnv{}, nil, res.Winners[0], pr)
+	pay, probes, err := exactCriticalPayment(ctx, pr, res.Winners[0])
 	if ctx.Err() == nil && err != nil {
 		t.Fatalf("exactCriticalPayment: %v", err)
 	}

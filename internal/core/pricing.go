@@ -8,34 +8,160 @@ import (
 	"github.com/fedauction/afl/internal/obs"
 )
 
-// pricer bundles the per-worker state of an exact-critical pricing pass:
-// one pooled scratch arena serving every probe solve, one probe view of
-// the market's BidSet with a private price column (each bisection probe
-// rewrites only the priced winner's own entry, restored when the winner
-// is done — every other column and the sibling index stay shared), and
-// one reusable qualification buffer for the ExcludeOwnBids sibling
-// pruning. A pricer is single-goroutine state; concurrent workers each
-// hold their own.
+// pricer bundles the per-worker state of an exact-critical pricing pass
+// over one market: the market itself (fixed for the pricer's life), one
+// pooled scratch arena serving every held-out greedy run, the
+// ExcludeOwnBids qualification buffer, and the record of the winner
+// being priced (see hold and wins). A pricer is single-goroutine state;
+// concurrent workers each hold their own.
 type pricer struct {
-	sc    *wdpScratch
-	probe *BidSet
-	qual  []int
+	set       *BidSet
+	qualified []int
+	tg        int
+	cfg       Config
+	env       solveEnv
+	base      []int
+
+	sc *wdpScratch
+
+	// The probe instance of the winner being priced: its bid and its
+	// qualified set (qualified itself, or the sibling-pruned copy in qual
+	// under ExcludeOwnBids).
+	bid       int
+	probeQual []int
+	qual      []int
+
+	// steps records the winner's held-out run (see heldOut).
+	steps []heldStep
 }
 
-// newPricer returns a pricer for the given market, with the probe price
-// column populated. Pair with release.
-func newPricer(set *BidSet, tg int) *pricer {
-	price := make([]float64, set.n)
-	copy(price, set.price)
+// heldStep is one selection step of a held-out run at which the held
+// winner is still selectable: the entry the greedy selects without it
+// (bid −1 when supply ran out), the winner's marginal utility r > 0, and
+// the memo of whether the run covers the demand when the winner is
+// selected at this step instead (0 unknown, 1 yes, −1 no).
+type heldStep struct {
+	sel      heapEntry
+	r        int
+	feasible int8
+}
+
+// newPricer returns a pricer for the market (set, qualified, tg, cfg,
+// env, base) of one solve. Pair with release.
+func newPricer(set *BidSet, qualified []int, tg int, cfg Config, env solveEnv, base []int) *pricer {
 	return &pricer{
-		sc:    acquireScratch(set.n, tg),
-		probe: set.withPrices(price),
-		qual:  make([]int, 0, set.n),
+		set: set, qualified: qualified, tg: tg, cfg: cfg, env: env, base: base,
+		sc: acquireScratch(set.n, tg),
 	}
 }
 
 // release returns the pricer's scratch arena to the pool.
 func (pr *pricer) release() { releaseScratch(pr.sc) }
+
+// hold prepares the probes of winner win: it fixes the probe instance and
+// records the winner's held-out run. Under ExcludeOwnBids the instance
+// drops the winner's sibling bids, so a multi-minded client cannot move
+// its own critical value by re-pricing its other bids. (The shared
+// sibling CSR may still list them; pruning a bid outside the qualified
+// set is a no-op.)
+func (pr *pricer) hold(win Winner) {
+	pr.bid = win.BidIndex
+	pr.probeQual = pr.qualified
+	if pr.cfg.ExcludeOwnBids {
+		if pr.qual == nil {
+			pr.qual = make([]int, 0, len(pr.qualified))
+		}
+		q := pr.qual[:0]
+		for _, idx := range pr.qualified {
+			if idx == win.BidIndex || pr.set.client[idx] != win.Bid.Client {
+				q = append(q, idx)
+			}
+		}
+		pr.qual = q
+		pr.probeQual = q
+	}
+	pr.steps = pr.steps[:0]
+	pr.heldOut(-1)
+}
+
+// wins reports whether the held winner wins its probe instance with its
+// price rewritten to price: what solveWDP on that instance would answer,
+// without running it. popValid always returns the (key, bid)-argmin of
+// the valid candidates, so the probe's greedy follows the held-out run
+// until the first recorded step at which the winner's own entry sorts
+// before the held-out selection, or supply ran out; the winner is
+// selected there. From then on the run no longer reads the price, so
+// whether it covers the demand depends on the step alone and is
+// memoized. Without such a step the winner loses.
+func (pr *pricer) wins(price float64) bool {
+	for k := range pr.steps {
+		s := &pr.steps[k]
+		own := heapEntry{key: price / float64(s.r), bid: pr.bid}
+		if s.sel.bid >= 0 && !own.before(s.sel) {
+			continue
+		}
+		if s.feasible == 0 {
+			s.feasible = -1
+			if pr.heldOut(k) {
+				s.feasible = 1
+			}
+		}
+		return s.feasible > 0
+	}
+	return false
+}
+
+// heldOut runs the allocation-only greedy on the held winner's probe
+// instance — the same qualified set, base coverage and slot rows — with
+// the winner left out of the candidate heap but its m count maintained.
+//
+// With force < 0 it records pr.steps: one step per selection while the
+// winner's client is still in C and its marginal utility is positive,
+// ending when either stops holding (neither comes back), when supply
+// runs out, or when the demand is covered. With force = k it selects the
+// winner at step k in place of the held-out choice and reports whether
+// the run then covers the demand.
+func (pr *pricer) heldOut(force int) bool {
+	w := pr.sc.begin(pr.set, pr.probeQual, pr.tg, pr.cfg, pr.base, pr.env)
+	extSlots := pr.env.slotStart != nil
+	for _, idx := range pr.probeQual {
+		w.inC[idx] = true
+		e := w.admit(idx, pr.base, extSlots)
+		if idx != pr.bid {
+			pr.sc.heapC = append(pr.sc.heapC, e)
+		}
+	}
+	pr.sc.heapC.init()
+	// takeRep selects idx with its representative schedule.
+	takeRep := func(idx int) {
+		slots := w.repCandidates(idx, w.sc.cand)
+		w.sc.cand = slots[:0]
+		w.take(idx, slots)
+	}
+	target := pr.cfg.K * pr.tg
+	for k := 0; w.covered < target; k++ {
+		if k == force {
+			takeRep(pr.bid)
+			continue
+		}
+		// inC[bid] falls with the first selected sibling.
+		if force < 0 && (!w.inC[pr.bid] || w.marginal(pr.bid) == 0) {
+			return false
+		}
+		e, ok := w.popValid(&pr.sc.heapC, w.inC)
+		if force < 0 {
+			if !ok {
+				e.bid = -1
+			}
+			pr.steps = append(pr.steps, heldStep{sel: e, r: w.marginal(pr.bid)})
+		}
+		if !ok {
+			return false
+		}
+		takeRep(e.bid)
+	}
+	return true
+}
 
 // priceWinners is the lazy payment stage: it applies cfg.PaymentRule to
 // the winners of one already-solved WDP — the selected T̂_g of a sweep,
@@ -112,14 +238,14 @@ func priceWinners(ctx context.Context, set *BidSet, qualified []int, tg int, cfg
 // priceSeq bisects every winner inline on the calling goroutine with one
 // pricer. Cancellation is honored mid-bisection by exactCriticalPayment.
 func priceSeq(ctx context.Context, set *BidSet, qualified []int, tg int, cfg Config, env solveEnv, base []int, winners []Winner, pays []float64, obsv obs.Observer, now func() time.Time) error {
-	pr := newPricer(set, tg)
+	pr := newPricer(set, qualified, tg, cfg, env, base)
 	defer pr.release()
 	for i := range winners {
 		var t0 time.Time
 		if obsv != nil {
 			t0 = now()
 		}
-		pay, probes, err := exactCriticalPayment(ctx, set, qualified, tg, cfg, env, base, winners[i], pr)
+		pay, probes, err := exactCriticalPayment(ctx, pr, winners[i])
 		if err != nil {
 			return err
 		}
@@ -149,7 +275,7 @@ func pricePar(ctx context.Context, set *BidSet, qualified []int, tg int, cfg Con
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pr := newPricer(set, tg)
+			pr := newPricer(set, qualified, tg, cfg, env, base)
 			defer pr.release()
 			for i := range next {
 				if ctx.Err() != nil {
@@ -159,7 +285,7 @@ func pricePar(ctx context.Context, set *BidSet, qualified []int, tg int, cfg Con
 				if obsv != nil {
 					t0 = now()
 				}
-				pay, probes, err := exactCriticalPayment(ctx, set, qualified, tg, cfg, env, base, winners[i], pr)
+				pay, probes, err := exactCriticalPayment(ctx, pr, winners[i])
 				if err != nil {
 					continue // canceled mid-bisection; keep draining
 				}

@@ -125,34 +125,7 @@ func (e *Engine) RepairCtx(ctx context.Context, req RepairRequest, opts RunOptio
 		}()
 	}
 
-	// Build the residual bid population: losing bids clamped to the
-	// remaining horizon. Rounds caps to the clamped window so the bids
-	// stay internally valid.
-	residual := make([]Bid, 0, set.Len())
-	orig := make([]int, 0, set.Len())
-	for idx := 0; idx < set.Len(); idx++ {
-		b := set.Bid(idx)
-		if req.Exclude[b.Client] {
-			continue
-		}
-		lo, hi := b.Start, b.End
-		if lo < req.From {
-			lo = req.From
-		}
-		if hi > req.Tg {
-			hi = req.Tg
-		}
-		if lo > hi {
-			continue // window entirely in the past or beyond the horizon
-		}
-		rb := b
-		rb.Start, rb.End = lo, hi
-		if n := hi - lo + 1; rb.Rounds > n {
-			rb.Rounds = n
-		}
-		residual = append(residual, rb)
-		orig = append(orig, idx)
-	}
+	residual, orig := residualBids(set, req)
 	if len(residual) == 0 {
 		return res, nil
 	}
@@ -181,4 +154,37 @@ func (e *Engine) RepairCtx(ctx context.Context, req RepairRequest, opts RunOptio
 		res.Winners[i].BidIndex = orig[res.Winners[i].BidIndex]
 	}
 	return res, nil
+}
+
+// residualBids builds the residual bid population of a repair: the bids
+// of clients req does not exclude, windows clamped to [req.From, req.Tg]
+// and rounds capped to the clamped window so the bids stay internally
+// valid. orig[i] is residual bid i's index in set.
+func residualBids(set *BidSet, req RepairRequest) (residual []Bid, orig []int) {
+	residual = make([]Bid, 0, set.Len())
+	orig = make([]int, 0, set.Len())
+	for idx := 0; idx < set.Len(); idx++ {
+		b := set.Bid(idx)
+		if req.Exclude[b.Client] {
+			continue
+		}
+		lo, hi := b.Start, b.End
+		if lo < req.From {
+			lo = req.From
+		}
+		if hi > req.Tg {
+			hi = req.Tg
+		}
+		if lo > hi {
+			continue // window entirely in the past or beyond the horizon
+		}
+		rb := b
+		rb.Start, rb.End = lo, hi
+		if n := hi - lo + 1; rb.Rounds > n {
+			rb.Rounds = n
+		}
+		residual = append(residual, rb)
+		orig = append(orig, idx)
+	}
+	return residual, orig
 }

@@ -135,8 +135,8 @@ func (ax *auctionContext) priceChosen(ctx context.Context, res *Result, workers 
 		return nil
 	}
 	wdp := &res.WDPs[res.Tg-ax.t0]
-	// Pricing probes rewrite bid prices, so the env carries the slot CSR
-	// (price-independent) but never a ψ column.
+	// The held-out pricing runs read only the env's slot CSR: no ψ column
+	// or class index is attached.
 	return priceWinners(ctx, ax.set, ax.qualifiedAt(res.Tg), res.Tg, ax.cfg, ax.env(), nil, wdp, workers, obsv, now)
 }
 
@@ -182,11 +182,11 @@ func (ax *auctionContext) sweepSegmentMask(ctx context.Context, lo, hi int, out 
 	defer releaseScratch(sc)
 	env := ax.env()
 	// Engage the class-based selection fast path (classsel.go): the
-	// sweep's solves share one compile-time class index, and — unlike
-	// the pricing probes, which rewrite prices — never invalidate its
-	// (price, bid) member order. The index is built once per population
-	// (concurrent segments share it through the holder's Once) and is
-	// reused by every auction warm-started on the same BidSet.
+	// sweep's solves share one compile-time class index, whose
+	// (price, bid) member order they never invalidate. The index is
+	// built once per population (concurrent segments share it through
+	// the holder's Once) and is reused by every auction warm-started on
+	// the same BidSet.
 	if cls := set.classes(); cls != nil {
 		env.classes = cls
 		env.enterTg = ax.enterTg

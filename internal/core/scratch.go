@@ -12,12 +12,14 @@ import "sync"
 // O(winners + T̂_g) instead of O(I·J).
 //
 // Correct reuse relies on every field being (re)initialized by
-// wdpScratch.init before it is read: gamma, the φ/ψ accumulators and the
-// per-slot bid lists are reset for t ∈ [1, tg]; m, inC and inG are
-// (re)written for exactly the qualified bid indices, which are the only
-// indices the solver ever reads (heap entries, slot lists and the
-// candidate pruning all range over qualified bids; stale values at
-// unqualified indices are dead). Nothing is cleared on release.
+// wdpScratch.init (for a pricing replay, by begin and admit, which write
+// the allocation state alone) before it is read: gamma, the φ/ψ
+// accumulators and the per-slot bid lists are reset for t ∈ [1, tg]; m,
+// inC and inG are (re)written for exactly the qualified bid indices,
+// which are the only indices the solver ever reads (heap entries, slot
+// lists and the candidate pruning all range over qualified bids; stale
+// values at unqualified indices are dead). Nothing is cleared on
+// release.
 type wdpScratch struct {
 	// state is the embedded solver state, reused so a solve performs no
 	// per-call wdpState allocation.

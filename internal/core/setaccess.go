@@ -27,8 +27,8 @@ func (s *BidSet) WindowAt(i int) (start, end, rounds int) {
 
 // ShapeClassCount returns the number of distinct availability-window
 // shapes (start, end, rounds) in the population, building the class index
-// on first use. It returns 0 on price views (pricing probes), whose
-// rewritten price column invalidates the index's member order.
+// on first use. It returns 0 for a zero BidSet, which was never
+// compiled.
 func (s *BidSet) ShapeClassCount() int {
 	ci := s.classes()
 	if ci == nil {

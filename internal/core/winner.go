@@ -11,7 +11,8 @@ import (
 // solveEnv carries optional precomputed structure into solveWDP. A zero
 // solveEnv means "build everything per solve" — the fully general
 // standalone path, valid for arbitrary qualified sets. The sweep and the
-// pricing probes attach the auction context's shared structure instead:
+// held-out pricing runs attach the auction context's shared structure
+// instead:
 //
 //   - slotStart/slotElems, when non-nil, are the context's full-horizon
 //     slot CSR (see auctionContext.slotStart). Per-solve slot-index
@@ -29,9 +30,9 @@ import (
 //     fast path (see classsel.go): the greedy heaps hold one entry per
 //     availability-window shape class instead of one per bid, with
 //     bit-identical selection order. Only the sweep attaches them —
-//     pricing probes rewrite prices (breaking the compile-time class
-//     order) and repair pre-commits coverage (base != nil), so both run
-//     the fully general per-bid heaps.
+//     pricing's held-out runs leave one bid out of the candidate heap
+//     and repair pre-commits coverage (base != nil), so both run the
+//     fully general per-bid heaps.
 type solveEnv struct {
 	slotStart, slotElems []int
 	psi                  []float64
@@ -75,8 +76,8 @@ func SolveWDP(bids []Bid, qualified []int, tg int, cfg Config) WDPResult {
 
 // solveWDP is the engine behind SolveWDP: the same greedy, payments and
 // dual bookkeeping, operating on the columnar BidSet with caller-provided
-// scratch (reused across the T̂_g sweep and across payment-probe re-runs)
-// and optional precomputed structure in env.
+// scratch (reused across the T̂_g sweep) and optional precomputed
+// structure in env.
 //
 // base, when non-nil, pre-commits base[t-1] units of coverage to
 // iteration t before the greedy starts — the residual market of a
@@ -195,6 +196,62 @@ type wdpState struct {
 // read, which is what makes pooled reuse safe without any clearing on
 // release.
 func (sc *wdpScratch) init(set *BidSet, qualified []int, tg int, cfg Config, base []int, env solveEnv) *wdpState {
+	w := sc.begin(set, qualified, tg, cfg, base, env)
+	w.inG = sc.inG
+	w.phiMax = sc.phiMax[:tg]
+	w.phiMin = sc.phiMin[:tg]
+	w.phiPrime = sc.phiPrime[:tg]
+	w.psiMax = sc.psiMax[:tg]
+	extPsi := env.psi != nil
+	if extPsi {
+		w.psiMax = env.psi[:tg]
+	}
+	for t := 0; t < tg; t++ {
+		w.phiMax[t] = 0
+		w.phiMin[t] = math.Inf(1)
+		w.phiPrime[t] = math.Inf(1)
+		if !extPsi {
+			w.psiMax[t] = 0
+		}
+	}
+	sc.heapG = sc.heapG[:0]
+	// The class path replaces the per-bid heaps and m bookkeeping with
+	// class-level structure (see classsel.go); the membership flags and
+	// any per-solve ψ accumulation stay per-bid.
+	classes := env.classes != nil && base == nil
+	for _, idx := range qualified {
+		if !extPsi {
+			lo, hi := w.windowOf(idx)
+			p := set.price[idx]
+			for t := lo; t <= hi; t++ {
+				if p > w.psiMax[t-1] {
+					w.psiMax[t-1] = p
+				}
+			}
+		}
+		w.inC[idx] = true
+		w.inG[idx] = true
+		if classes {
+			continue
+		}
+		e := w.admit(idx, base, env.slotStart != nil)
+		sc.heapC = append(sc.heapC, e)
+		sc.heapG = append(sc.heapG, e)
+	}
+	if classes {
+		w.initClasses(env)
+	} else {
+		sc.heapC.init()
+		sc.heapG.init()
+	}
+	return w
+}
+
+// begin resets the allocation state every greedy run shares — coverage
+// (pre-committed from base), the slot-index rows and an empty candidate
+// heap — and leaves the per-bid entries to the caller: init for a full
+// solve, pricer.heldOut for a pricing replay.
+func (sc *wdpScratch) begin(set *BidSet, qualified []int, tg int, cfg Config, base []int, env solveEnv) *wdpState {
 	w := &sc.state
 	*w = wdpState{
 		set:       set,
@@ -205,15 +262,6 @@ func (sc *wdpScratch) init(set *BidSet, qualified []int, tg int, cfg Config, bas
 		gamma:     sc.gamma[:tg],
 		m:         sc.m,
 		inC:       sc.inC,
-		inG:       sc.inG,
-		phiMax:    sc.phiMax[:tg],
-		phiMin:    sc.phiMin[:tg],
-		phiPrime:  sc.phiPrime[:tg],
-		psiMax:    sc.psiMax[:tg],
-	}
-	extPsi := env.psi != nil
-	if extPsi {
-		w.psiMax = env.psi[:tg]
 	}
 	// Owned rows and borrowed CSR rows live in separate scratch arrays:
 	// sc.slotBids rows are append-grown and reset with [:0], which must
@@ -240,77 +288,39 @@ func (sc *wdpScratch) init(set *BidSet, qualified []int, tg int, cfg Config, bas
 		} else {
 			w.slotBids[t] = w.slotBids[t][:0]
 		}
-		w.phiMax[t] = 0
-		w.phiMin[t] = math.Inf(1)
-		w.phiPrime[t] = math.Inf(1)
-		if !extPsi {
-			w.psiMax[t] = 0
-		}
 	}
 	sc.heapC = sc.heapC[:0]
-	sc.heapG = sc.heapG[:0]
-	earliest := cfg.ScheduleRule == ScheduleEarliest
-	// The class path replaces the per-bid heaps and m bookkeeping with
-	// class-level structure (see classsel.go); the membership flags and
-	// any per-solve ψ accumulation stay per-bid.
-	classes := env.classes != nil && base == nil
-	for _, idx := range qualified {
-		lo := set.start[idx]
-		hi := set.end[idx]
-		if hi > tg {
-			hi = tg
-		}
-		if !extPsi {
-			p := set.price[idx]
-			for t := lo; t <= hi; t++ {
-				if p > w.psiMax[t-1] {
-					w.psiMax[t-1] = p
-				}
-			}
-		}
-		w.inC[idx] = true
-		w.inG[idx] = true
-		if classes {
-			continue
-		}
-		// m counts the still-available iterations the bid's representative
-		// schedule can draw from: the whole window under the paper's
-		// least-covered rule, only the fixed earliest-fit slots otherwise.
-		shi := hi
-		if earliest {
-			if e := lo + set.rounds[idx] - 1; e < shi {
-				shi = e
-			}
-		}
-		if base == nil {
-			w.m[idx] = shi - lo + 1
-		} else {
-			// Pre-committed coverage consumes slot capacity before the
-			// greedy starts: m counts only the still-open iterations.
-			n := 0
-			for t := lo; t <= shi; t++ {
-				if w.gamma[t-1] < cfg.K {
-					n++
-				}
-			}
-			w.m[idx] = n
-		}
-		if !extSlots {
-			for t := lo; t <= shi; t++ {
-				w.slotBids[t-1] = append(w.slotBids[t-1], idx)
-			}
-		}
-		e := w.entryFor(idx)
-		sc.heapC = append(sc.heapC, e)
-		sc.heapG = append(sc.heapG, e)
-	}
-	if classes {
-		w.initClasses(env)
-	} else {
-		sc.heapC.init()
-		sc.heapG.init()
-	}
 	return w
+}
+
+// admit enters qualified bid idx into the per-bid allocation state: its
+// m count and, unless the slot rows are borrowed from the context's CSR
+// (extSlots), its slot-index rows. It returns the bid's candidate-heap
+// entry.
+func (w *wdpState) admit(idx int, base []int, extSlots bool) heapEntry {
+	// m counts the still-available iterations the bid's representative
+	// schedule can draw from: the whole window under the paper's
+	// least-covered rule, only the fixed earliest-fit slots otherwise.
+	lo, shi := w.slotRangeOf(idx)
+	if base == nil {
+		w.m[idx] = shi - lo + 1
+	} else {
+		// Pre-committed coverage consumes slot capacity before the
+		// greedy starts: m counts only the still-open iterations.
+		n := 0
+		for t := lo; t <= shi; t++ {
+			if w.gamma[t-1] < w.cfg.K {
+				n++
+			}
+		}
+		w.m[idx] = n
+	}
+	if !extSlots {
+		for t := lo; t <= shi; t++ {
+			w.slotBids[t-1] = append(w.slotBids[t-1], idx)
+		}
+	}
+	return w.entryFor(idx)
 }
 
 // windowOf returns bid idx's effective availability window [lo, hi]
@@ -514,13 +524,6 @@ func (w *wdpState) selectWinner(e heapEntry) {
 		}
 	}
 
-	// Lines 13-14: C drops every bid of the winning client; G drops only
-	// the selected schedule.
-	for _, sib := range w.set.siblings(idx) {
-		w.inC[sib] = false
-	}
-	w.inG[idx] = false
-
 	w.winners = append(w.winners, Winner{
 		BidIndex: idx,
 		Bid:      w.set.Bid(idx),
@@ -531,8 +534,22 @@ func (w *wdpState) selectWinner(e heapEntry) {
 		phi:      phi,
 	})
 
-	// Update coverage; when an iteration fills up, shrink m for every bid
-	// whose window contains it.
+	// Line 14: G drops only the selected schedule; take drops the whole
+	// client from C and covers the schedule's slots.
+	w.inG[idx] = false
+	w.take(idx, slots)
+}
+
+// take commits bid idx with its representative schedule slots (in any
+// order) to the allocation: C drops every bid of the winning client
+// (line 13 of Algorithm 2) and coverage grows over slots, shrinking m for
+// every bid whose slot range holds an iteration that fills up. It is the
+// allocation half of selectWinner, shared with the held-out pricing run
+// (see pricer.heldOut), which needs nothing of a selection beyond it.
+func (w *wdpState) take(idx int, slots []int) {
+	for _, sib := range w.set.siblings(idx) {
+		w.inC[sib] = false
+	}
 	for _, t := range slots {
 		if w.gamma[t-1] < w.cfg.K {
 			w.covered++
@@ -671,17 +688,21 @@ type heapEntry struct {
 	mSnap int     // m value at push time; staleness marker
 }
 
+// before reports whether e sorts before o in the greedy's selection
+// order: lower average cost first, ties to the lower bid index.
+func (e heapEntry) before(o heapEntry) bool {
+	if e.key != o.key {
+		return e.key < o.key
+	}
+	return e.bid < o.bid
+}
+
 // entryHeap is a min-heap of heapEntry ordered by (key, bid).
 type entryHeap []heapEntry
 
-func (h entryHeap) Len() int { return len(h) }
-func (h entryHeap) Less(a, b int) bool {
-	if h[a].key != h[b].key {
-		return h[a].key < h[b].key
-	}
-	return h[a].bid < h[b].bid
-}
-func (h entryHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
+func (h entryHeap) Len() int           { return len(h) }
+func (h entryHeap) Less(a, b int) bool { return h[a].before(h[b]) }
+func (h entryHeap) Swap(a, b int)      { h[a], h[b] = h[b], h[a] }
 
 // The typed heap operations below replicate container/heap verbatim on
 // the concrete element type. heap.Push/heap.Pop box every heapEntry in an

@@ -2,6 +2,7 @@ package marketd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"strconv"
@@ -99,11 +100,16 @@ func TestHandlerErrorTable(t *testing.T) {
 			name: "saturated market is 503 with retry advice",
 			setup: func(t *testing.T) http.Handler {
 				gate := make(chan struct{})
-				t.Cleanup(func() { close(gate) })
 				gated := marketInstances(t, 1)[0]
 				gated.Cfg.LocalIters = func(float64) float64 { <-gate; return 1 }
 				m := openMarket(t, Config{Workers: 1, Queue: 8, MaxPending: 1})
-				if _, err := m.Submit(t.Context(), "seed", gated); err != nil {
+				// Cleanups run last in, first out: registered after
+				// openMarket's, the gate opens before m.Close waits on the
+				// gated solve.
+				t.Cleanup(func() { close(gate) })
+				ctx, cancel := context.WithCancel(context.Background())
+				t.Cleanup(cancel)
+				if _, err := m.Submit(ctx, "seed", gated); err != nil {
 					t.Fatal(err)
 				}
 				return Handler(m)
@@ -177,7 +183,9 @@ func TestInvalidBidAcknowledgedThenFailed(t *testing.T) {
 	if rr.Code != http.StatusOK {
 		t.Fatalf("invalid-bid submit = %d, want 200 (ack-then-fail); body %s", rr.Code, rr.Body.String())
 	}
-	rec, err := m.Wait(t.Context(), ack.Seq)
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	rec, err := m.Wait(ctx, ack.Seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,10 +200,15 @@ func TestInvalidBidAcknowledgedThenFailed(t *testing.T) {
 // openMarket opens a market bound to the test's lifetime.
 func openMarket(t *testing.T, cfg Config) *Market {
 	t.Helper()
-	m, err := Open(t.Context(), cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	m, err := Open(ctx, cfg)
 	if err != nil {
+		cancel()
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m.Close() })
+	// Registered after Close, so it runs first: the market's context is
+	// canceled before Close waits, as the test's own context would be.
+	t.Cleanup(cancel)
 	return m
 }

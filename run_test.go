@@ -359,6 +359,41 @@ func TestPricingAllocGuard(t *testing.T) {
 	t.Skip("no payments_lazy baseline for this population size")
 }
 
+// TestPricingAllocBound bounds exact-critical pricing without a baseline
+// file: the run may allocate only a per-winner constant more than the
+// same run under RuleCritical, whose Algorithm 3 payments come out of the
+// greedy itself. Replayed probes allocate nothing per probe; what the
+// pricing stage adds is per pass (the staged payments, the pricer and
+// the growth of its step record), measured at 5–7 allocations, 0.6–0.8
+// per winner, across 50–1000 clients with and without ExcludeOwnBids. A
+// full re-solve per probe costs hundreds of allocations per winner.
+func TestPricingAllocBound(t *testing.T) {
+	const perWinner = 2
+	bids, cfg := testWorkload(t, 200, 10, 4)
+	cfg.ExcludeOwnBids = true
+	cfg.ReservePrice = 10 * afl.DefaultWorkloadParams().CostHi
+	ctx := context.Background()
+	allocs := func(rule afl.PaymentRule) (float64, int) {
+		c := cfg
+		c.PaymentRule = rule
+		res, err := afl.Run(ctx, bids, c, afl.WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return minAllocsPerRun(5, 5, func() {
+			if _, err := afl.Run(ctx, bids, c, afl.WithWorkers(1)); err != nil {
+				t.Error(err)
+			}
+		}), len(res.Winners)
+	}
+	critical, winners := allocs(afl.RuleCritical)
+	exact, _ := allocs(afl.RuleExactCritical)
+	if limit := critical + perWinner*float64(winners); exact > limit {
+		t.Fatalf("exact-critical run allocates %.0f/op, RuleCritical %.0f; limit %.0f (%d per winner × %d winners)",
+			exact, critical, limit, perWinner, winners)
+	}
+}
+
 // TestNilObserverAllocGuard asserts the zero-cost-when-nil guarantee of
 // the observability redesign: the context-aware RunCtx path with no
 // observer allocates no more than the pre-redesign Engine.Run hot path,
