@@ -198,6 +198,11 @@ type Market struct {
 	killedFlag   atomic.Bool
 	killCh       chan struct{}
 	consumerDone chan struct{}
+	// commits counts group commits waiting on the WAL with mu released.
+	// Added to under mu; kill and Close wait for it before they stop the
+	// log, so a record whose commit has started either becomes durable
+	// and acknowledged or is never acknowledged at all.
+	commits sync.WaitGroup
 
 	mu       sync.Mutex
 	closed   bool
@@ -545,13 +550,17 @@ func (m *Market) crashLocked(point string, seq int) bool {
 // killLocked is the in-process SIGKILL: stop the workers, wake every
 // blocked caller, and close the WAL file without flushing its buffer —
 // whatever the commit protocol had durably written stays, everything
-// else is gone. Caller holds m.mu.
+// else is gone. Group commits already in flight finish first: the kill
+// lands just after their fsync, never inside it, so whether such a
+// record survives does not depend on which goroutine reached the log
+// first. Caller holds m.mu.
 func (m *Market) killLocked() {
 	m.killOnce.Do(func() {
 		m.killedFlag.Store(true)
 		m.cancel()
 		close(m.killCh)
 		if m.log != nil {
+			m.commits.Wait()
 			m.log.Abort()
 		}
 	})
@@ -655,8 +664,11 @@ func (m *Market) submitAll(ctx context.Context, client string, insts []batch.Ins
 		// Wait for the covering fsync outside the lock, so concurrent
 		// submitters and the consumer's commits pile onto the same group
 		// commit instead of queueing behind this one's disk latency.
+		m.commits.Add(1)
 		m.mu.Unlock()
-		if err := m.log.Commit(); err != nil {
+		err := m.log.Commit()
+		m.commits.Done()
+		if err != nil {
 			m.mu.Lock()
 			m.killLocked() // acknowledged nothing; a failing log is a dead market
 			for _, seq := range seqs {
@@ -763,8 +775,11 @@ func (m *Market) commit(oc batch.Outcome) bool {
 			// Make the whole commit group durable before installing,
 			// waiting outside the lock so concurrent Submits coalesce onto
 			// the same fsync instead of serializing behind it.
+			m.commits.Add(1)
 			m.mu.Unlock()
-			if err := m.log.Commit(); err != nil {
+			err := m.log.Commit()
+			m.commits.Done()
+			if err != nil {
 				m.mu.Lock()
 				m.killLocked()
 				m.mu.Unlock()
@@ -1022,6 +1037,7 @@ func (m *Market) Close() error {
 		delete(m.waiters, seq)
 	}
 	if m.log != nil && !m.killedFlag.Load() {
+		m.commits.Wait()
 		return m.log.Close()
 	}
 	return nil

@@ -61,9 +61,17 @@ func (a *Agent) recvTimeout() time.Duration {
 
 // Run participates in one session over the connection and returns the
 // agent's view of it. It returns when the server says goodbye, the
-// connection closes, or a receive times out.
+// connection closes, or a receive times out. A reply that finds the
+// connection already closed is not an error: the server has ended the
+// session, and the agent drains what was delivered before the close.
 func (a *Agent) Run(conn Conn) (AgentReport, error) {
 	report := AgentReport{}
+	send := func(m Message) error {
+		if err := conn.Send(m); err != nil && err != ErrClosed {
+			return err
+		}
+		return nil
+	}
 	// sent caches the update produced for each iteration so duplicated or
 	// retried round requests (the server re-sends after a timeout, and a
 	// faulty network may duplicate messages outright) are answered
@@ -83,7 +91,7 @@ func (a *Agent) Run(conn Conn) (AgentReport, error) {
 			if a.Behavior.Silent {
 				continue
 			}
-			if err := conn.Send(Message{Type: MsgBids, ClientID: a.ID, Bids: a.Bids}); err != nil {
+			if err := send(Message{Type: MsgBids, ClientID: a.ID, Bids: a.Bids}); err != nil {
 				return report, fmt.Errorf("agent %d: submit bids: %w", a.ID, err)
 			}
 		case MsgAward:
@@ -100,7 +108,7 @@ func (a *Agent) Run(conn Conn) (AgentReport, error) {
 				continue
 			}
 			if u, ok := sent[msg.Round.Iteration]; ok {
-				if err := conn.Send(Message{Type: MsgUpdate, ClientID: a.ID, Update: u}); err != nil {
+				if err := send(Message{Type: MsgUpdate, ClientID: a.ID, Update: u}); err != nil {
 					return report, fmt.Errorf("agent %d: resend update: %w", a.ID, err)
 				}
 				continue
@@ -116,7 +124,7 @@ func (a *Agent) Run(conn Conn) (AgentReport, error) {
 				AchievedTheta: achieved,
 			}
 			sent[msg.Round.Iteration] = update
-			if err := conn.Send(Message{Type: MsgUpdate, ClientID: a.ID, Update: update}); err != nil {
+			if err := send(Message{Type: MsgUpdate, ClientID: a.ID, Update: update}); err != nil {
 				return report, fmt.Errorf("agent %d: send update: %w", a.ID, err)
 			}
 		case MsgPayment:

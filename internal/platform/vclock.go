@@ -17,6 +17,20 @@ import (
 // waiter whose message materializes exactly at its deadline receives the
 // message, which keeps timeout races deterministic.
 //
+// Both decisions are taken only at quiescence, so neither depends on how
+// many CPUs run the parties or in which order the scheduler wakes them:
+//
+//   - Virtual time stays frozen until the driver calls Wait. Parties
+//     started one by one with Go may run (and block) before the rest are
+//     registered; none of them can make time pass until all have joined.
+//   - A deadline fires only when nothing else can happen at the current
+//     instant: every party is blocked and no delivery is consumable. All
+//     waiters whose deadlines have been reached then time out together,
+//     and the verdict is final. A message sent at that instant before
+//     quiescence is therefore always delivered in time, and one sent
+//     afterwards by a party that has just timed out is left for the
+//     receiver's next Recv.
+//
 // Only registered parties may block on the clock; the driving test
 // goroutine observes the simulation through Wait.
 //
@@ -27,6 +41,9 @@ type VirtualClock struct {
 	now     time.Time
 	parties int
 	blocked int
+	// driving is true while the driver is inside Wait; time is frozen
+	// otherwise.
+	driving bool
 	waiters map[*vWaiter]struct{}
 	// alarms holds future event times the clock may advance to (delayed
 	// message deliveries); stale entries are dropped lazily.
@@ -41,6 +58,8 @@ type vWaiter struct {
 	deadline    time.Time
 	hasDeadline bool
 	ready       func() bool
+	// expired is the clock's final timeout verdict, set at quiescence.
+	expired bool
 }
 
 // NewVirtualClock returns a virtual clock starting at the Unix epoch.
@@ -71,7 +90,9 @@ func (c *VirtualClock) Sleep(d time.Duration) {
 }
 
 // Go registers fn as a simulation party and runs it on its own
-// goroutine. The party stays registered until fn returns.
+// goroutine. The party stays registered until fn returns. Parties may
+// start further parties; the driver starts the first ones and then calls
+// Wait, before which virtual time does not pass.
 func (c *VirtualClock) Go(fn func()) {
 	c.mu.Lock()
 	c.parties++
@@ -87,21 +108,27 @@ func (c *VirtualClock) Go(fn func()) {
 	}()
 }
 
-// Wait blocks the caller — which must NOT be a registered party — until
-// every party started with Go has returned.
+// Wait releases virtual time and blocks the caller — which must NOT be a
+// registered party — until every party started with Go has returned.
+// Time freezes again when Wait returns, so the clock can drive several
+// simulations one after another.
 func (c *VirtualClock) Wait() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.driving = true
+	c.cond.Broadcast() // parties already blocked re-check for quiescence
 	for c.parties > 0 {
 		c.cond.Wait()
 	}
-	c.mu.Unlock()
+	c.driving = false
 }
 
 // wait blocks the calling party until ready reports true or timeout of
 // virtual time elapses (timeout < 0 waits without deadline). It returns
-// whether ready fired before the deadline. ready is evaluated under the
-// clock lock and must be pure; the caller consumes whatever made it true
-// after wait returns, which is race-free as long as each consumable
+// whether ready fired before the deadline; false is the clock's final
+// verdict even if ready has turned true since. ready is evaluated under
+// the clock lock and must be pure; the caller consumes whatever made it
+// true after wait returns, which is race-free as long as each consumable
 // resource has a single consumer (true for VirtualPipe endpoints).
 func (c *VirtualClock) wait(timeout time.Duration, ready func() bool) bool {
 	c.mu.Lock()
@@ -118,11 +145,11 @@ func (c *VirtualClock) wait(timeout time.Duration, ready func() bool) bool {
 		c.blocked--
 	}()
 	for {
+		if w.expired {
+			return false
+		}
 		if w.ready != nil && w.ready() {
 			return true
-		}
-		if w.hasDeadline && !c.now.Before(w.deadline) {
-			return false
 		}
 		if !c.advanceLocked() {
 			c.cond.Wait()
@@ -135,31 +162,41 @@ func (c *VirtualClock) addAlarmLocked(at time.Time) {
 	c.alarms = append(c.alarms, at)
 }
 
-// advanceLocked advances virtual time when the simulation is quiescent:
-// every registered party is blocked, no waiter can consume a delivery,
-// and no waiter has already expired (an expired waiter is about to
-// return and act — advancing past it would make the jump target depend
-// on goroutine wake-up order). Time then jumps to the earliest pending
-// alarm or waiter deadline and every waiter is woken to re-check.
-// Reports whether time moved.
+// advanceLocked moves the simulation on when it is quiescent: the driver
+// is in Wait, every registered party is blocked, no waiter can consume a
+// delivery and no timeout verdict is still waiting for its owner to
+// return. If some deadlines have been reached, every such waiter is
+// marked expired at once. Otherwise time jumps to the earliest pending
+// alarm or waiter deadline. Every waiter is then woken to re-check.
+// Reports whether anything changed.
 func (c *VirtualClock) advanceLocked() bool {
-	if c.parties == 0 || c.blocked < c.parties {
+	if !c.driving || c.parties == 0 || c.blocked < c.parties {
 		return false
 	}
 	var next time.Time
-	have := false
+	have, due := false, false
 	for w := range c.waiters {
-		if w.ready != nil && w.ready() {
-			return false // a delivery is consumable: its owner runs first
+		if w.expired || (w.ready != nil && w.ready()) {
+			return false // its owner runs first
 		}
 		if w.hasDeadline {
 			if !c.now.Before(w.deadline) {
-				return false // an expired waiter has not returned yet
+				due = true
+				continue
 			}
 			if !have || w.deadline.Before(next) {
 				next, have = w.deadline, true
 			}
 		}
+	}
+	if due {
+		for w := range c.waiters {
+			if w.hasDeadline && !c.now.Before(w.deadline) {
+				w.expired = true
+			}
+		}
+		c.cond.Broadcast()
+		return true
 	}
 	keep := c.alarms[:0]
 	for _, at := range c.alarms {

@@ -135,3 +135,85 @@ func TestVirtualPipeCloseDrainsThenFails(t *testing.T) {
 		t.Fatalf("send on closed pipe: want ErrClosed, got %v", err)
 	}
 }
+
+// TestVirtualClockFrozenUntilWait registers parties one at a time, as
+// session drivers do, and lets the first block before the second joins.
+// Time must not pass on the first party's deadline alone: the second
+// party's message reaches it at the start instant.
+func TestVirtualClockFrozenUntilWait(t *testing.T) {
+	for range 20 {
+		clk := NewVirtualClock()
+		a, b := VirtualPipe(clk)
+		var got Message
+		var err error
+		clk.Go(func() { got, err = b.Recv(time.Second) })
+		for {
+			clk.mu.Lock()
+			settled := clk.blocked == 1 || clk.parties == 0
+			clk.mu.Unlock()
+			if settled {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		clk.Go(func() { _ = a.Send(Message{Type: MsgBye}) })
+		clk.Wait()
+		if err != nil || got.Type != MsgBye {
+			t.Fatalf("early party timed out before the rest joined: (%v, %v)", got.Type, err)
+		}
+		if d := clk.Now().Sub(time.Unix(0, 0)); d != 0 {
+			t.Fatalf("clock moved %v before the message was sent", d)
+		}
+	}
+}
+
+// TestVirtualClockSameInstantReplyBeatsDeadline wakes one party by a
+// delivery at the very instant another party's receive deadline falls.
+// The woken party's reply is sent at that instant, before quiescence, so
+// it must be delivered rather than lose a race with the deadline.
+func TestVirtualClockSameInstantReplyBeatsDeadline(t *testing.T) {
+	for range 50 {
+		clk := NewVirtualClock()
+		in, relay := VirtualPipe(clk)
+		out, sink := VirtualPipe(clk)
+		_ = in.(DelayedSender).SendDelayed(Message{Type: MsgBye}, time.Second)
+		var err error
+		clk.Go(func() {
+			if _, rerr := relay.Recv(time.Minute); rerr == nil {
+				_ = out.Send(Message{Type: MsgBye})
+			}
+		})
+		clk.Go(func() { _, err = sink.Recv(time.Second) })
+		clk.Wait()
+		if err != nil {
+			t.Fatalf("reply sent at the deadline instant was not delivered: %v", err)
+		}
+	}
+}
+
+// TestVirtualClockSimultaneousTimeoutsAreFinal expires two waits at the
+// same instant. Both time out together; a message one party sends right
+// after its own timeout is left for the other's next receive instead of
+// racing the other's verdict.
+func TestVirtualClockSimultaneousTimeoutsAreFinal(t *testing.T) {
+	for range 50 {
+		clk := NewVirtualClock()
+		a, b := VirtualPipe(clk)
+		var first, second error
+		clk.Go(func() {
+			clk.Sleep(time.Second)
+			_ = a.Send(Message{Type: MsgBye})
+		})
+		clk.Go(func() {
+			_, first = b.Recv(time.Second)
+			_, second = b.Recv(time.Second)
+		})
+		clk.Wait()
+		if !errors.Is(first, ErrTimeout) || second != nil {
+			t.Fatalf("want (timeout, delivery), got (%v, %v)", first, second)
+		}
+		if d := clk.Now().Sub(time.Unix(0, 0)); d != time.Second {
+			t.Fatalf("clock ended at +%v, want +1s", d)
+		}
+	}
+}

@@ -101,13 +101,15 @@ func (c *virtualConn) deliverableLocked() int {
 // with the clock's Go.
 func (c *virtualConn) Recv(timeout time.Duration) (Message, error) {
 	clk := c.p.clk
-	clk.wait(timeout, func() bool {
+	if !clk.wait(timeout, func() bool {
 		return c.deliverableLocked() >= 0 || c.p.closed
-	})
+	}) {
+		// The clock's verdict is final: a message sent after the deadline
+		// fired waits for the next Recv.
+		return Message{}, ErrTimeout
+	}
 	// Consume under the lock. Single-receiver discipline makes this safe:
-	// nothing else can have taken the message between wait and here, and
-	// re-checking delivery before the timeout verdict is what gives
-	// delivery priority over an equal-time deadline.
+	// nothing else can have taken the message between wait and here.
 	clk.mu.Lock()
 	defer clk.mu.Unlock()
 	if i := c.deliverableLocked(); i >= 0 {
@@ -116,10 +118,7 @@ func (c *virtualConn) Recv(timeout time.Duration) (Message, error) {
 		c.p.q[c.dir] = append(q[:i], q[i+1:]...)
 		return m, nil
 	}
-	if c.p.closed {
-		return Message{}, ErrClosed
-	}
-	return Message{}, ErrTimeout
+	return Message{}, ErrClosed
 }
 
 // Close implements Conn. Closing either endpoint closes the pair.
