@@ -59,9 +59,9 @@ fuzz:
 
 # Kill/restart harness for the durable market daemon: crash-point matrix,
 # WAL fault injection, rate-limit and admission-control contracts, run
-# under the race detector with a flake screen.
+# under the race detector on one and two cores with a flake screen.
 market-e2e:
-	$(GO) test -race -count=3 ./test/e2e/ ./internal/wal/ ./internal/marketd/
+	$(GO) test -race -cpu 1,2 -count=3 ./test/e2e/ ./internal/wal/ ./internal/marketd/
 
 # Adversarial fleet: 1000 seeded strategic sessions against the in-process
 # market; exits non-zero if any population empirically beats truthtelling

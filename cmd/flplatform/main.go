@@ -80,7 +80,6 @@ func main() {
 	workers := flag.Int("workers", 0, "market/marketd: service worker pool width (0 = GOMAXPROCS)")
 	queueN := flag.Int("queue", 0, "market/marketd: submission queue bound (0 = twice the workers)")
 	walDir := flag.String("wal", "", "marketd: durability directory for the event log (empty = volatile)")
-	syncEvery := flag.Int("sync-every", 1, "marketd: fsync the event log every n appends")
 	groupCommit := flag.Bool("group-commit", false, "marketd: coalesce concurrent commits into shared fsyncs")
 	syncInterval := flag.Duration("sync-interval", 0, "marketd: group-commit linger to collect larger fsync batches (0 = sync when free)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "marketd: checkpoint+prune the WAL every n committed auctions (0 = never)")
@@ -127,7 +126,7 @@ func main() {
 	case "marketd":
 		runMarketd(marketdFlags{
 			addr: *addr, walDir: *walDir, workers: *workers, queue: *queueN,
-			syncEvery: *syncEvery, groupCommit: *groupCommit, syncInterval: *syncInterval,
+			groupCommit: *groupCommit, syncInterval: *syncInterval,
 			checkpointEvery: *checkpointEvery, segmentBytes: *segmentBytes, retain: *retain,
 			tailWarn: *tailWarn, rate: *rate, burst: *burst, maxPending: *maxPending,
 		})
@@ -398,7 +397,6 @@ func runMarket(jobs, clients, workers, queue int, seed int64) {
 type marketdFlags struct {
 	addr, walDir      string
 	workers, queue    int
-	syncEvery         int
 	groupCommit       bool
 	syncInterval      time.Duration
 	checkpointEvery   int
@@ -421,7 +419,6 @@ func runMarketd(f marketdFlags) {
 	opts := []afl.Option{
 		afl.WithDurability(f.walDir),
 		afl.WithWorkers(f.workers), afl.WithQueue(f.queue),
-		afl.WithSyncEvery(f.syncEvery),
 		afl.WithCheckpointEvery(f.checkpointEvery),
 		afl.WithSegmentBytes(f.segmentBytes),
 		afl.WithRetainOutcomes(f.retain),

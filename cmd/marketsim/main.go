@@ -22,8 +22,8 @@
 //	          [-out BENCH_market.json] [-report path]
 //
 // -durability adds the fast-path tables to the bench artifact:
-// sustained fully durable ingest (SyncEvery=1) with and without group
-// commit, and cold-restart recovery time against history length with
+// sustained fully durable ingest (every commit fsynced before its ack)
+// with and without group commit, and cold-restart recovery time against history length with
 // and without checkpoints. -quick shrinks it for CI smoke;
 // -sessions 0 skips the fleet and emits just those tables.
 //

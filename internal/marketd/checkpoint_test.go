@@ -6,8 +6,10 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/fedauction/afl/internal/batch"
+	"github.com/fedauction/afl/internal/obs"
 )
 
 // runMarket opens a market with cfg (Dir filled by the caller), submits
@@ -95,10 +97,10 @@ func TestCheckpointMidTailRecovery(t *testing.T) {
 	if info.LastCheckpointSeq != 6 {
 		t.Fatalf("LastCheckpointSeq = %d, want 6", info.LastCheckpointSeq)
 	}
-	// Two committed auctions after the checkpoint, one winner each or
-	// more: tail = their pay+outcome records. At minimum 2 outcomes.
-	if info.TailReplayed < 2 || info.TailReplayed > 12 {
-		t.Fatalf("TailReplayed = %d, want the small post-checkpoint tail", info.TailReplayed)
+	// Two committed auctions after the checkpoint: tail = their bid and
+	// outcome records.
+	if info.TailReplayed != 4 {
+		t.Fatalf("TailReplayed = %d, want 4 (bid+outcome of seqs 6 and 7)", info.TailReplayed)
 	}
 }
 
@@ -242,12 +244,43 @@ func TestRetentionPrunesOutcomes(t *testing.T) {
 // survives restart byte-identically, and fsyncs fewer times than it
 // writes records. Seq assignment races between submitters, so outcomes
 // are checked per instance rather than against the ordered golden.
+//
+// The sharing is forced, not left to the scheduler: the observer holds
+// the syncer inside its first group commit until all eight bid records
+// are appended, so the next fsync covers every bid not yet durable.
+// Every later fsync covers at least one new outcome record (the syncer
+// skips wake-ups that find everything durable), which bounds the fsyncs
+// at 1 + 1 + 8 = 10, below the 16 of one fsync per record.
 func TestGroupCommitMarket(t *testing.T) {
 	insts := marketInstances(t, 8)
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Workers: 2, GroupCommit: true}
+	var (
+		m    *Market
+		hold sync.Once
+	)
+	allBidsAppended := func() bool {
+		next, _, _, _ := m.Counts()
+		return next == len(insts)
+	}
+	observer := obs.ObserverFunc(func(e obs.Event) {
+		if e.Kind != obs.EvGroupCommit {
+			return
+		}
+		hold.Do(func() {
+			deadline := time.Now().Add(10 * time.Second)
+			for !allBidsAppended() {
+				if time.Now().After(deadline) {
+					t.Errorf("bid records never all appended while the first group commit was held")
+					return
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+		})
+	})
+	cfg := Config{Dir: dir, Workers: 2, GroupCommit: true, Observer: observer}
 
-	m, err := Open(context.Background(), cfg)
+	var err error
+	m, err = Open(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +316,11 @@ func TestGroupCommitMarket(t *testing.T) {
 		assertRecordEqual(t, rec, solveRecord(t, seq, insts[i]))
 	}
 	info := m.WALInfo()
-	// 8 bids + ≥8 outcomes + pay records: well above 16 records. Group
-	// commit must have coalesced at least some fsyncs.
+	// 8 bid + 8 outcome records. Group commit must have coalesced at
+	// least some fsyncs.
+	if info.Records != 16 {
+		t.Fatalf("WAL holds %d records, want 16 (8 bids + 8 outcomes)", info.Records)
+	}
 	if info.Syncs >= 16 {
 		t.Fatalf("group commit did not coalesce: %d fsyncs", info.Syncs)
 	}

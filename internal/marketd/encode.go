@@ -15,11 +15,9 @@ import (
 // TestEncodeDifferential), but append into a caller-owned buffer, so a
 // committed auction costs a small constant number of allocations
 // instead of one tree of them per record. The commit path reuses one
-// scratch buffer per market under m.mu; replay reuses one decoder
-// scratch. Field order, omitempty semantics (including the pay_client
-// quirk: a zero client index is omitted) and float formatting all
-// mirror encoding/json so that logs written by either implementation
-// replay identically.
+// scratch buffer per market under m.mu. Field order, omitempty
+// semantics and float formatting all mirror encoding/json so that logs
+// written by either implementation replay identically.
 
 const hexDigits = "0123456789abcdef"
 
@@ -297,30 +295,6 @@ func appendBidRecord(dst []byte, seq int, client string, inst batch.Instance) ([
 	return append(dst, '}'), nil
 }
 
-// appendPayRecord appends the wire form of one per-winner payment
-// record. The omitempty quirks of the json-tagged original carry over:
-// a zero client index, bid index or amount is omitted.
-func appendPayRecord(dst []byte, seq int, w WinnerRecord) ([]byte, error) {
-	var err error
-	dst = append(dst, `{"type":"pay","seq":`...)
-	dst = strconv.AppendInt(dst, int64(seq), 10)
-	if w.Client != 0 {
-		dst = append(dst, `,"pay_client":`...)
-		dst = strconv.AppendInt(dst, int64(w.Client), 10)
-	}
-	if w.BidIndex != 0 {
-		dst = append(dst, `,"bid_index":`...)
-		dst = strconv.AppendInt(dst, int64(w.BidIndex), 10)
-	}
-	if w.Payment != 0 {
-		dst = append(dst, `,"amount":`...)
-		if dst, err = appendJSONFloat(dst, w.Payment); err != nil {
-			return dst, err
-		}
-	}
-	return append(dst, '}'), nil
-}
-
 // appendOutcomeRecord appends the wire form of a commit marker.
 func appendOutcomeRecord(dst []byte, rec *OutcomeRecord) ([]byte, error) {
 	dst = append(dst, `{"type":"outcome","seq":`...)
@@ -335,12 +309,12 @@ func appendOutcomeRecord(dst []byte, rec *OutcomeRecord) ([]byte, error) {
 
 // --- envelope peeking -------------------------------------------------
 //
-// Replay does not need to fully decode every record. Pay records are
-// consumed for their sequence number alone (the ledger is rebuilt from
-// the outcome's embedded winners), and bid bodies only matter for
-// submissions still pending at the end of the log. peekEnvelope scans a
-// payload for just the top-level "type" and "seq" keys, skipping every
-// other value, so the common record costs zero decode allocations.
+// Replay does not need to fully decode every record. Bid bodies only
+// matter for submissions still pending at the end of the log, and the
+// pay records of older logs are skipped on their type alone.
+// peekEnvelope scans a payload for just the top-level "type" and "seq"
+// keys, skipping every other value, so the common record costs zero
+// decode allocations.
 
 var errBadEnvelope = fmt.Errorf("marketd: undecodable WAL record envelope")
 

@@ -9,17 +9,19 @@
 // bookkeeping across crashes:
 //
 //   - Submit assigns a sequence number, appends a bid record to the WAL
-//     (the acknowledgment is the durability point), then enqueues the
-//     instance under that sequence via Service.SubmitSeq;
-//   - the consumer drains Service.Results and commits each outcome:
-//     per-winner pay records, then a self-contained outcome record —
-//     the commit marker — and only then installs the outcome and its
-//     ledger effects in memory;
+//     and commits it (the acknowledgment waits for that durability
+//     point), then enqueues the instance under that sequence via
+//     Service.SubmitSeq;
+//   - the consumer drains Service.Results and commits each outcome as
+//     one self-contained outcome record — the commit marker, carrying
+//     every winner's payment — and only once it is durable installs the
+//     outcome and its ledger effects in memory;
 //   - Open replays the log: committed outcomes are restored verbatim
-//     (never re-solved, so payments can never drift), orphan pay
-//     records without a commit marker are discarded, duplicate records
-//     are dropped by sequence number, and bid records with no commit
-//     marker are re-submitted under their original sequence numbers.
+//     (never re-solved, so payments can never drift), duplicate records
+//     are dropped by sequence number, the per-winner pay records of logs
+//     written by the older protocol are skipped, and bid records with
+//     no commit marker are re-submitted under their original sequence
+//     numbers.
 //
 // Because the solver is deterministic, a re-solved pending bid commits
 // the byte-identical outcome record the lost solve would have written;
@@ -37,10 +39,11 @@
 //     pending submissions — then prunes the covered segments. Recovery
 //     opens at the newest checkpoint and replays only the tail, so
 //     restart cost is O(tail), not O(history);
-//   - group commit (Config.GroupCommit): appends buffer and a dedicated
-//     syncer coalesces concurrent Submit/commit durability waits into
-//     one fsync, so SyncEvery=1 durability no longer serializes
-//     producers on disk latency;
+//   - group commit (Config.GroupCommit): the WAL's Commit is the
+//     market's only durability call, one per Submit (or SubmitBatch) and
+//     one per outcome, so an auction costs two fsyncs; with group commit
+//     a dedicated syncer coalesces concurrent Commits into one fsync, so
+//     full durability no longer serializes producers on disk latency;
 //   - append-style record encoding (encode.go): the per-record
 //     json.Marshal trees on the append and replay paths are replaced by
 //     pooled byte-identical encoders, dropping allocations per
@@ -73,15 +76,9 @@ const (
 	// appended, before it reaches the solve queue.
 	CrashBidLogged = "bid_logged"
 	// CrashOutcomeSolved fires after the solver produced an outcome,
-	// before any of its ledger records are appended.
+	// before its commit marker is appended.
 	CrashOutcomeSolved = "outcome_solved"
-	// CrashLedgerPartial fires after the first pay record of a multi-
-	// winner outcome, leaving the ledger write-ahead torn mid-group.
-	CrashLedgerPartial = "ledger_partial"
-	// CrashPreCommit fires after every pay record, before the outcome
-	// commit marker.
-	CrashPreCommit = "pre_commit"
-	// CrashPostCommit fires after the commit marker is appended and the
+	// CrashPostCommit fires after the commit marker is durable and the
 	// outcome installed — the crash that must change nothing on replay.
 	CrashPostCommit = "post_commit"
 	// CrashCheckpointRotated fires between the rotation into a fresh
@@ -120,17 +117,14 @@ type Config struct {
 	// GOMAXPROCS) and submission queue bound (0 selects twice the
 	// workers).
 	Workers, Queue int
-	// SyncEvery batches WAL fsyncs (see wal.Options); 0 or 1 syncs every
-	// record, which makes every acknowledged submission durable. Ignored
-	// under GroupCommit, where durability is per commit, not per record.
-	SyncEvery int
-	// NoSync disables fsync (tests only).
+	// NoSync disables fsync (tests and benchmarks only).
 	NoSync bool
-	// GroupCommit enables cross-request fsync coalescing: appends buffer
-	// and a dedicated syncer goroutine batches every in-flight Submit and
-	// outcome commit into one fsync, so full durability no longer
-	// serializes producers on disk latency. Acknowledgments still happen
-	// only after the covering fsync returns.
+	// GroupCommit enables cross-request fsync coalescing: a dedicated
+	// syncer goroutine batches every in-flight Submit and outcome commit
+	// into one fsync, so full durability no longer serializes producers
+	// on disk latency. Without it each Submit and each outcome commit
+	// fsyncs inline. Either way acknowledgments happen only after the
+	// covering fsync returns.
 	GroupCommit bool
 	// SyncInterval caps group-commit latency trading it for batch size:
 	// the syncer waits up to this long for more commits to pile onto the
@@ -198,10 +192,10 @@ type Market struct {
 	killedFlag   atomic.Bool
 	killCh       chan struct{}
 	consumerDone chan struct{}
-	// commits counts group commits waiting on the WAL with mu released.
-	// Added to under mu; kill and Close wait for it before they stop the
-	// log, so a record whose commit has started either becomes durable
-	// and acknowledged or is never acknowledged at all.
+	// commits counts WAL commits in flight with mu released. Added to
+	// under mu; kill and Close wait for it before they stop the log, so a
+	// record whose commit has started either becomes durable and
+	// acknowledged or is never acknowledged at all.
 	commits sync.WaitGroup
 
 	mu       sync.Mutex
@@ -231,9 +225,10 @@ type Market struct {
 // Open starts (or restarts) a market. With a durability directory it
 // replays the WAL first: committed outcomes and the ledger are restored
 // verbatim, torn tails and duplicate records are absorbed (counted in
-// RecoveredFaults), and logged-but-uncommitted bids are re-submitted
-// under their original sequence numbers before Open returns. ctx bounds
-// the market's lifetime; cancel it or call Close.
+// RecoveredFaults), pay records of logs written before outcome records
+// carried the whole commit are skipped, and logged-but-uncommitted bids
+// are re-submitted under their original sequence numbers before Open
+// returns. ctx bounds the market's lifetime; cancel it or call Close.
 func Open(ctx context.Context, cfg Config) (*Market, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -311,21 +306,16 @@ func Open(ctx context.Context, cfg Config) (*Market, error) {
 // every later record the tail. Replay peeks each record's envelope and
 // fully decodes only what it must — outcome bodies (installed), the
 // checkpoint (restored), and the bid bodies of submissions that are
-// still pending when the log ends; pay records and superseded bids
-// never pay for a decode. Runs before the consumer starts, so no
-// locking is needed.
+// still pending when the log ends; superseded bids never pay for a
+// decode, and the pay records older logs carry are skipped unread.
+// Runs before the consumer starts, so no locking is needed.
 func (m *Market) recover() (map[int]batch.Instance, error) {
 	pendingInst := make(map[int]batch.Instance)
 	pendingRaw := make(map[int][]byte) // seq -> retained bid payload
-	stagedPays := make(map[int]int)    // seq -> pay records seen before its commit
 	first := true
 	replay := func(payload []byte) error {
 		typ, seq, err := peekEnvelope(payload)
 		if err != nil {
-			// Fall back to the full decoder for its error message.
-			if _, derr := decodeRecord(payload); derr != nil {
-				return derr
-			}
 			return err
 		}
 		wasFirst := first
@@ -370,15 +360,8 @@ func (m *Market) recover() (map[int]batch.Instance, error) {
 			}
 			return nil
 		case recPay:
-			if seq < m.base {
-				m.fault("dup_record", float64(seq))
-				return nil
-			}
-			if _, done := m.outcomes[seq]; done {
-				m.fault("dup_record", float64(seq))
-				return nil
-			}
-			stagedPays[seq]++
+			// The per-winner write-ahead older logs carry; the outcome
+			// record holds every payment, so there is nothing to replay.
 			return nil
 		case recOutcome:
 			if seq < m.base {
@@ -399,7 +382,6 @@ func (m *Market) recover() (map[int]batch.Instance, error) {
 			m.installLocked(*r.Outcome)
 			delete(pendingInst, seq)
 			delete(pendingRaw, seq)
-			delete(stagedPays, seq)
 			if seq >= m.next {
 				m.next = seq + 1
 			}
@@ -449,18 +431,6 @@ func (m *Market) recover() (map[int]batch.Instance, error) {
 	for seq, inst := range pendingInst {
 		m.pending[seq] = inst
 	}
-
-	// Pay records whose commit marker never reached disk: the ledger
-	// write-ahead of a solve that will be re-done. Discarded — their
-	// seqs are still in pendingInst, so the re-solve re-writes them.
-	orphans := make([]int, 0, len(stagedPays))
-	for seq := range stagedPays {
-		orphans = append(orphans, seq)
-	}
-	sort.Ints(orphans)
-	for _, seq := range orphans {
-		m.fault("orphan_payment", float64(seq))
-	}
 	return pendingInst, nil
 }
 
@@ -468,7 +438,6 @@ func (m *Market) recover() (map[int]batch.Instance, error) {
 // options, wiring rotation and group-commit telemetry to the observer.
 func (m *Market) walOptions() wal.DirOptions {
 	opts := wal.DirOptions{
-		SyncEvery:      m.cfg.SyncEvery,
 		NoSync:         m.cfg.NoSync,
 		SegmentBytes:   m.cfg.SegmentBytes,
 		SegmentRecords: m.cfg.SegmentRecords,
@@ -575,7 +544,7 @@ func (m *Market) Killed() bool { return m.killedFlag.Load() }
 func (m *Market) Dead() <-chan struct{} { return m.killCh }
 
 // RecoveredFaults returns the number of WAL anomalies (torn tail,
-// duplicate records, orphan payments) absorbed during recovery.
+// duplicate records) absorbed during recovery.
 func (m *Market) RecoveredFaults() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -583,12 +552,12 @@ func (m *Market) RecoveredFaults() int {
 }
 
 // Submit acknowledges one auction submission and returns its sequence
-// number. On a durable market the bid record is appended to the WAL
-// before the acknowledgment — under SyncEvery <= 1 an acked submission
-// survives any crash — and client names the submitter for the audit
-// trail (it does not affect the auction). Submit then blocks under the
-// service's queue backpressure until the instance is enqueued, ctx is
-// done, or the market closes. A non-nil error with a valid sequence
+// number. On a durable market the bid record is committed to the WAL
+// before the acknowledgment — an acked submission survives any crash —
+// and client names the submitter for the audit trail (it does not
+// affect the auction). Submit then blocks under the service's queue
+// backpressure until the instance is enqueued, ctx is done, or the
+// market closes. A non-nil error with a valid sequence
 // number (>= 0) means the submission is durably logged but was not
 // queued in this process's lifetime; it will be solved on the next
 // Open.
@@ -602,10 +571,10 @@ func (m *Market) Submit(ctx context.Context, client string, inst batch.Instance)
 
 // SubmitBatch acknowledges several submissions at once, assigning them
 // consecutive sequence numbers. All bid records ride one durability
-// point — under group commit, a single coalesced fsync — which is what
-// makes batched ingest cheaper than a loop of Submits. On error the
-// returned slice still carries a valid sequence number (>= 0) for every
-// submission that was durably acknowledged.
+// point — a single fsync, shared with concurrent commits under group
+// commit — which is what makes batched ingest cheaper than a loop of
+// Submits. On error the returned slice still carries a valid sequence
+// number (>= 0) for every submission that was durably acknowledged.
 func (m *Market) SubmitBatch(ctx context.Context, client string, insts []batch.Instance) ([]int, error) {
 	return m.submitAll(ctx, client, insts)
 }
@@ -639,45 +608,45 @@ func (m *Market) submitAll(ctx context.Context, client string, insts []batch.Ins
 		return nil, ErrClosed
 	}
 	seqs := make([]int, len(insts))
-	for i, inst := range insts {
+	var appendErr error
+	n := 0 // submissions whose bid record is appended
+	for ; n < len(insts); n++ {
 		seq := m.next
 		if m.log != nil {
-			payload, err := appendBidRecord(m.enc[:0], seq, client, inst)
+			payload, err := appendBidRecord(m.enc[:0], seq, client, insts[n])
 			m.enc = payload[:0]
 			if err == nil {
 				err = m.log.Append(payload)
 			}
 			if err != nil {
-				m.mu.Unlock()
-				for j := i; j < len(seqs); j++ {
-					seqs[j] = -1
-				}
-				return seqs, err
+				appendErr = err
+				break
 			}
 		}
 		m.next = seq + 1
-		m.pending[seq] = inst
-		seqs[i] = seq
+		m.pending[seq] = insts[n]
+		seqs[n] = seq
 	}
-	group := m.log != nil && m.cfg.GroupCommit
-	if group {
+	if m.log != nil && n > 0 {
 		// Wait for the covering fsync outside the lock, so concurrent
-		// submitters and the consumer's commits pile onto the same group
-		// commit instead of queueing behind this one's disk latency.
-		m.commits.Add(1)
-		m.mu.Unlock()
-		err := m.log.Commit()
-		m.commits.Done()
-		if err != nil {
-			m.mu.Lock()
+		// submitters and the consumer's commits can append (and, under
+		// group commit, share the fsync) instead of queueing behind this
+		// one's disk latency.
+		if err := m.commitLocked(); err != nil {
 			m.killLocked() // acknowledged nothing; a failing log is a dead market
-			for _, seq := range seqs {
+			for _, seq := range seqs[:n] {
 				delete(m.pending, seq)
 			}
 			m.mu.Unlock()
 			return nil, err
 		}
-		m.mu.Lock()
+	}
+	if appendErr != nil {
+		m.mu.Unlock()
+		for j := n; j < len(seqs); j++ {
+			seqs[j] = -1
+		}
+		return seqs, appendErr
 	}
 	crashed := false
 	for _, seq := range seqs {
@@ -699,6 +668,19 @@ func (m *Market) submitAll(ctx context.Context, client string, insts []batch.Ins
 		}
 	}
 	return seqs, nil
+}
+
+// commitLocked makes every record appended so far durable. It waits for
+// the fsync with mu released, so concurrent submitters and the consumer
+// keep appending meanwhile, and holds mu again on return. Caller holds
+// m.mu and m.log is non-nil.
+func (m *Market) commitLocked() error {
+	m.commits.Add(1)
+	m.mu.Unlock()
+	err := m.log.Commit()
+	m.commits.Done()
+	m.mu.Lock()
+	return err
 }
 
 // consume drains the service's outcomes and commits each one.
@@ -741,55 +723,24 @@ func (m *Market) commit(oc batch.Outcome) bool {
 		return false
 	}
 	if m.log != nil {
-		for i, w := range rec.Winners {
-			payload, err := appendPayRecord(m.enc[:0], rec.Seq, w)
-			m.enc = payload[:0]
-			if err == nil {
-				err = m.log.Append(payload)
-			}
-			if err != nil {
-				m.killLocked() // a failing log is a dead market, not a silent one
-				m.mu.Unlock()
-				return false
-			}
-			if i == 0 && m.crashLocked(CrashLedgerPartial, rec.Seq) {
-				m.mu.Unlock()
-				return false
-			}
-		}
-		if m.crashLocked(CrashPreCommit, rec.Seq) {
-			m.mu.Unlock()
-			return false
-		}
+		// The outcome record is the whole commit: make it durable before
+		// installing, waiting outside the lock like Submit does.
 		payload, err := appendOutcomeRecord(m.enc[:0], &rec)
 		m.enc = payload[:0]
 		if err == nil {
 			err = m.log.Append(payload)
 		}
+		if err == nil {
+			err = m.commitLocked()
+		}
 		if err != nil {
-			m.killLocked()
+			m.killLocked() // a failing log is a dead market, not a silent one
 			m.mu.Unlock()
 			return false
 		}
-		if m.cfg.GroupCommit {
-			// Make the whole commit group durable before installing,
-			// waiting outside the lock so concurrent Submits coalesce onto
-			// the same fsync instead of serializing behind it.
-			m.commits.Add(1)
+		if _, dup := m.outcomes[rec.Seq]; dup {
 			m.mu.Unlock()
-			err := m.log.Commit()
-			m.commits.Done()
-			if err != nil {
-				m.mu.Lock()
-				m.killLocked()
-				m.mu.Unlock()
-				return false
-			}
-			m.mu.Lock()
-			if _, dup := m.outcomes[rec.Seq]; dup {
-				m.mu.Unlock()
-				return true
-			}
+			return true
 		}
 	}
 	m.installLocked(rec)
@@ -826,10 +777,10 @@ func (m *Market) checkpointLocked() bool {
 	}
 	payload, err := m.encodeCheckpointLocked()
 	if err == nil {
-		err = m.log.AppendDeferred(payload)
+		err = m.log.Append(payload)
 	}
 	if err == nil {
-		err = m.log.Sync()
+		err = m.log.Commit()
 	}
 	if err != nil {
 		m.killLocked()

@@ -4,18 +4,21 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"github.com/fedauction/afl/internal/batch"
+	"github.com/fedauction/afl/internal/core"
 	"github.com/fedauction/afl/internal/wal"
 	"github.com/fedauction/afl/internal/workload"
 )
 
 // marketInstances draws n differently-seeded auction instances. The
-// seed base is chosen so every instance is feasible with a non-empty
-// winner set — the crash matrix needs real pay records to tear.
+// seed base is chosen so the instances used by the crash matrix are
+// feasible with non-empty winner sets, so every commit moves the ledger.
 func marketInstances(t testing.TB, n int) []batch.Instance {
 	t.Helper()
 	insts := make([]batch.Instance, n)
@@ -160,10 +163,7 @@ func TestCrashPointsRecover(t *testing.T) {
 	insts := marketInstances(t, 4)
 	golden := goldenSnapshot(t, insts)
 
-	points := []string{
-		CrashBidLogged, CrashOutcomeSolved, CrashLedgerPartial,
-		CrashPreCommit, CrashPostCommit,
-	}
+	points := []string{CrashBidLogged, CrashOutcomeSolved, CrashPostCommit}
 	for _, point := range points {
 		t.Run(point, func(t *testing.T) {
 			dir := t.TempDir()
@@ -221,28 +221,15 @@ func TestCrashPointsRecover(t *testing.T) {
 	}
 }
 
-// TestRecoveryDiscardsOrphanPayments hand-crafts the exact torn state a
-// pre_commit crash leaves behind — bid record plus pay records with no
-// commit marker — and pins that replay counts the orphans, drops their
-// ledger effects, and re-solves the bid to the same committed outcome.
-func TestRecoveryDiscardsOrphanPayments(t *testing.T) {
-	insts := marketInstances(t, 1)
-	golden := goldenSnapshot(t, insts)
-
-	dir := t.TempDir()
-	log, _, err := wal.Open(filepath.Join(dir, WALFileName), wal.Options{}, func([]byte) error { return nil })
+// appendRecords appends payloads to the market log in dir and commits
+// them, the way a crashed market would have left them.
+func appendRecords(t testing.TB, dir string, payloads ...[]byte) {
+	t.Helper()
+	log, _, err := wal.OpenDir(filepath.Join(dir, WALFileName), wal.DirOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bid, err := encodeBidRecord(0, "crafted", insts[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	pay, err := encodePayRecord(0, WinnerRecord{Client: 3, BidIndex: 7, Payment: 99.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, payload := range [][]byte{bid, pay, pay} {
+	for _, payload := range payloads {
 		if err := log.Append(payload); err != nil {
 			t.Fatal(err)
 		}
@@ -250,23 +237,42 @@ func TestRecoveryDiscardsOrphanPayments(t *testing.T) {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRecoverySkipsLegacyPayRecords hand-crafts the torn state the older
+// commit protocol left when it died between a submission's pay records
+// and its outcome record — bid record plus pay records with no commit
+// marker — and pins that replay skips the pay records without counting
+// a fault, keeps them out of the ledger, and re-solves the bid to the
+// same committed outcome.
+func TestRecoverySkipsLegacyPayRecords(t *testing.T) {
+	insts := marketInstances(t, 1)
+	golden := goldenSnapshot(t, insts)
+
+	dir := t.TempDir()
+	bid, err := encodeBidRecord(0, "crafted", insts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pay := []byte(`{"type":"pay","seq":0,"pay_client":3,"bid_index":7,"amount":99.5}`)
+	appendRecords(t, dir, bid, pay, pay)
 
 	m, err := Open(context.Background(), Config{Dir: dir, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if faults := m.RecoveredFaults(); faults != 1 {
-		t.Fatalf("RecoveredFaults() = %d, want 1 (one orphaned seq)", faults)
+	if faults := m.RecoveredFaults(); faults != 0 {
+		t.Fatalf("RecoveredFaults() = %d, want 0 (pay records are skipped, not faults)", faults)
 	}
 	if _, err := m.Wait(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if snap := m.Snapshot(); !bytes.Equal(snap, golden) {
-		t.Fatalf("orphan recovery diverged:\n got %s\nwant %s", snap, golden)
+		t.Fatalf("legacy pay-record recovery diverged:\n got %s\nwant %s", snap, golden)
 	}
 	if pay := m.Ledger()[3]; pay > 200 {
-		t.Fatalf("orphan payment leaked into ledger: client 3 paid %v", pay)
+		t.Fatalf("uncommitted pay record leaked into ledger: client 3 paid %v", pay)
 	}
 }
 
@@ -294,10 +300,6 @@ func TestRecoveryDropsDuplicateRecords(t *testing.T) {
 	}
 
 	// Duplicate the whole committed group: bid, then the commit marker.
-	log, _, err := wal.Open(filepath.Join(dir, WALFileName), wal.Options{}, func([]byte) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
 	dupBid, err := encodeBidRecord(0, "c", insts[0])
 	if err != nil {
 		t.Fatal(err)
@@ -306,14 +308,7 @@ func TestRecoveryDropsDuplicateRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, payload := range [][]byte{dupBid, dupOutcome} {
-		if err := log.Append(payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
+	appendRecords(t, dir, dupBid, dupOutcome)
 
 	m2, err := Open(context.Background(), Config{Dir: dir, Workers: 1})
 	if err != nil {
@@ -325,6 +320,51 @@ func TestRecoveryDropsDuplicateRecords(t *testing.T) {
 	}
 	if snap := m2.Snapshot(); !bytes.Equal(snap, golden) {
 		t.Fatalf("duplicate replay diverged:\n got %s\nwant %s", snap, golden)
+	}
+}
+
+// TestSubmitBatchAckedPrefixIsDurable: when a batch's bid record fails
+// to encode part-way, SubmitBatch acknowledges the submissions before it
+// and fails the rest, and the acknowledged ones are on disk before it
+// returns. A kill that drops the log's unflushed buffer must not lose
+// them, with or without group commit.
+func TestSubmitBatchAckedPrefixIsDurable(t *testing.T) {
+	for _, group := range []bool{false, true} {
+		t.Run(fmt.Sprintf("group=%v", group), func(t *testing.T) {
+			insts := marketInstances(t, 2)
+			golden := goldenSnapshot(t, insts[:1])
+			bad := insts[1]
+			bad.Bids = append([]core.Bid(nil), bad.Bids...)
+			bad.Bids[0].Price = math.NaN() // has no JSON form
+
+			dir := t.TempDir()
+			m1, err := Open(context.Background(), Config{Dir: dir, Workers: 1, GroupCommit: group})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The failed batch is never queued, so nothing else appends or
+			// commits before the kill.
+			seqs, err := m1.SubmitBatch(context.Background(), "c", []batch.Instance{insts[0], bad})
+			if err == nil || len(seqs) != 2 || seqs[0] != 0 || seqs[1] != -1 {
+				t.Fatalf("SubmitBatch = %v, %v; want [0 -1] and an encode error", seqs, err)
+			}
+			m1.mu.Lock()
+			m1.killLocked()
+			m1.mu.Unlock()
+			m1.Close()
+
+			m2, err := Open(context.Background(), Config{Dir: dir, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m2.Close()
+			if _, err := m2.Wait(context.Background(), 0); err != nil {
+				t.Fatalf("acknowledged seq 0 lost by the kill: %v", err)
+			}
+			if snap := m2.Snapshot(); !bytes.Equal(snap, golden) {
+				t.Fatalf("recovered state diverged:\n got %s\nwant %s", snap, golden)
+			}
+		})
 	}
 }
 

@@ -11,15 +11,15 @@ import (
 
 // WAL record vocabulary. A submission's life in the log is
 //
-//	bid(seq) … pay(seq, winner)* … outcome(seq)
+//	bid(seq) … outcome(seq)
 //
-// where the outcome record is the commit marker: replay applies a
-// submission's ledger effects only when its outcome record is present,
-// so a crash anywhere between the solve and the final append re-solves
-// the bid instead of half-paying it. Payment records are the
-// write-ahead of the per-winner ledger mutations; payment records whose
-// commit marker never made it to disk are orphans and are discarded
-// (and re-written, bit-identically, when the re-solve commits).
+// where the outcome record is the commit marker and carries every
+// winner's payment: replay applies a submission's ledger effects only
+// when its outcome record is present, so a crash anywhere between the
+// solve and that one append re-solves the bid instead of half-paying
+// it. Logs written before the outcome record was the whole commit also
+// hold one pay(seq) record per winner between the two; replay
+// recognises and skips them.
 const (
 	recBid     = "bid"
 	recPay     = "pay"
@@ -73,7 +73,7 @@ func (c ConfigWire) ToConfig() core.Config {
 // WinnerRecord is the committed view of one accepted bid: identity,
 // schedule, and remuneration. It is embedded in OutcomeRecord, so the
 // commit marker is self-contained — replay rebuilds the ledger from it
-// without re-reading the pay records.
+// alone.
 type WinnerRecord struct {
 	BidIndex int     `json:"bid_index"`
 	Client   int     `json:"client"`
@@ -159,53 +159,19 @@ type walRecord struct {
 	Cfg    *ConfigWire `json:"cfg,omitempty"`
 	Solver string      `json:"solver,omitempty"`
 
-	// recPay fields.
-	PayClient int     `json:"pay_client,omitempty"`
-	BidIndex  int     `json:"bid_index,omitempty"`
-	Amount    float64 `json:"amount,omitempty"`
-
 	// recOutcome field.
 	Outcome *OutcomeRecord `json:"outcome,omitempty"`
 }
 
-// The json.Marshal-based encoders below are the reference
-// implementation: the hot paths use the append-style encoders in
-// encode.go, which TestEncodeDifferential pins byte-for-byte against
-// these. Tests and tools may keep using them where allocation does not
-// matter.
-
-func encodeBidRecord(seq int, client string, inst batch.Instance) ([]byte, error) {
-	cw, err := FromConfig(inst.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	sv := ""
-	if inst.Solver != core.SolverExact {
-		sv = inst.Solver.String()
-	}
-	return json.Marshal(walRecord{
-		Type: recBid, Seq: seq, Client: client, Bids: inst.Bids, Cfg: &cw, Solver: sv,
-	})
-}
-
-func encodePayRecord(seq int, w WinnerRecord) ([]byte, error) {
-	return json.Marshal(walRecord{
-		Type: recPay, Seq: seq,
-		PayClient: w.Client, BidIndex: w.BidIndex, Amount: w.Payment,
-	})
-}
-
-func encodeOutcomeRecord(rec OutcomeRecord) ([]byte, error) {
-	return json.Marshal(walRecord{Type: recOutcome, Seq: rec.Seq, Outcome: &rec})
-}
-
+// decodeRecord fully decodes a bid or outcome record; replay calls it
+// only after peekEnvelope has classified the payload.
 func decodeRecord(payload []byte) (walRecord, error) {
 	var r walRecord
 	if err := json.Unmarshal(payload, &r); err != nil {
 		return r, fmt.Errorf("marketd: undecodable WAL record: %w", err)
 	}
 	switch r.Type {
-	case recBid, recPay, recOutcome:
+	case recBid, recOutcome:
 		return r, nil
 	default:
 		return r, fmt.Errorf("marketd: unknown WAL record type %q", r.Type)

@@ -17,9 +17,8 @@ import (
 )
 
 // IngestRow is one cell of the sustained-ingest table: N concurrent
-// submitters pushing auctions through a durable market at SyncEvery=1
-// (every commit fully durable before its ack), with and without group
-// commit.
+// submitters pushing auctions through a fully durable market (every
+// commit fsynced before its ack), with and without group commit.
 type IngestRow struct {
 	Mode           string  `json:"mode"` // "serial-fsync" | "group-commit"
 	Submitters     int     `json:"submitters"`
@@ -163,7 +162,7 @@ func runIngest(ctx context.Context, inst batch.Instance, opts DurabilityOptions,
 	defer os.RemoveAll(dir)
 
 	mode := "serial-fsync"
-	cfg := marketd.Config{Dir: dir, Workers: opts.Submitters, SyncEvery: 1}
+	cfg := marketd.Config{Dir: dir, Workers: opts.Submitters}
 	if group {
 		mode = "group-commit"
 		cfg.GroupCommit = true

@@ -274,7 +274,6 @@ type Metrics struct {
 	recoveries, replayed         *Counter
 	resubmitted                  *Counter
 	walTornTails, walDupRecords  *Counter
-	walOrphanPayments            *Counter
 	rateLimited                  *Counter
 	admissionRejected            *Counter
 	certificates                 *Counter
@@ -345,7 +344,6 @@ func NewMetrics(reg *Registry) *Metrics {
 		resubmitted:          reg.Counter("afl_market_resubmitted_total"),
 		walTornTails:         reg.Counter("afl_wal_torn_tails_total"),
 		walDupRecords:        reg.Counter("afl_wal_dup_records_total"),
-		walOrphanPayments:    reg.Counter("afl_wal_orphan_payments_total"),
 		rateLimited:          reg.Counter("afl_rate_limited_total"),
 		admissionRejected:    reg.Counter("afl_admission_rejected_total"),
 		certificates:         reg.Counter("afl_certificates_total"),
@@ -462,8 +460,6 @@ func (m *Metrics) Observe(e Event) {
 			m.walTornTails.Inc()
 		case "dup_record":
 			m.walDupRecords.Inc()
-		case "orphan_payment":
-			m.walOrphanPayments.Inc()
 		}
 	case EvRateLimited:
 		m.rateLimited.Inc()

@@ -108,7 +108,7 @@ const (
 	// tail, no duplicate records).
 	EvMarketRecovered
 	// EvWALFault marks one anomaly absorbed during WAL replay. Label is
-	// the fault class ("torn_tail", "dup_record", "orphan_payment");
+	// the fault class ("torn_tail", "dup_record");
 	// Value is the dropped byte count for torn tails, otherwise the
 	// affected sequence number.
 	EvWALFault

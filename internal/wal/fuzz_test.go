@@ -7,15 +7,16 @@ import (
 	"testing"
 )
 
-// FuzzWALRecord throws arbitrary bytes at the frame decoder and the
-// file-level recovery scan. The invariants under fuzz:
+// FuzzWALRecord throws arbitrary bytes at the frame decoder and at the
+// recovery scan of a one-segment log. The invariants under fuzz:
 //
 //  1. DecodeFrame never panics, and when it accepts a frame the frame
 //     re-encodes to exactly the bytes it consumed (decode∘encode = id);
-//  2. Open on an arbitrary file never panics and never errors on
-//     corrupt data (corruption ends the valid prefix, it is not an I/O
-//     failure), and recovery is deterministic: scanning the same bytes
-//     twice yields the same records and the same truncation point;
+//  2. OpenDir on an arbitrary segment-0 file never panics and never
+//     errors on corrupt data (corruption ends the valid prefix, it is
+//     not an I/O failure), and recovery is deterministic: scanning the
+//     same bytes twice yields the same records and the same truncation
+//     point;
 //  3. after recovery the file is clean: reopening recovers the same
 //     records with zero dropped bytes.
 func FuzzWALRecord(f *testing.F) {
@@ -49,17 +50,17 @@ func FuzzWALRecord(f *testing.F) {
 			t.Fatal(err)
 		}
 		var first [][]byte
-		l, stats1, err := Open(path, Options{NoSync: true}, func(p []byte) error {
+		l, stats1, err := OpenDir(path, DirOptions{NoSync: true}, func(p []byte) error {
 			first = append(first, append([]byte(nil), p...))
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("Open on fuzzed bytes: %v", err)
+			t.Fatalf("OpenDir on fuzzed bytes: %v", err)
 		}
 		l.Close()
 
 		var second [][]byte
-		l2, stats2, err := Open(path, Options{NoSync: true}, func(p []byte) error {
+		l2, stats2, err := OpenDir(path, DirOptions{NoSync: true}, func(p []byte) error {
 			second = append(second, append([]byte(nil), p...))
 			return nil
 		})

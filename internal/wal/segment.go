@@ -1,14 +1,14 @@
 package wal
 
-// This file is the segmented layer over the single-file frame format of
-// wal.go: a DirLog is a directory of Log-format segment files with
-// size/record-count rotation, checkpoint-flagged segments that bound
-// recovery to the tail since the last checkpoint, pruning of fully
-// checkpointed history, and an optional group-commit syncer that
-// coalesces concurrent Commit callers into one fsync.
+// This file is the segmented log: a DirLog is a directory of segment
+// files in the frame format of wal.go, with size/record-count rotation,
+// checkpoint-flagged segments that bound recovery to the tail since the
+// last checkpoint, pruning of fully checkpointed history, and an
+// optional group-commit syncer that coalesces concurrent Commit callers
+// into one fsync.
 //
 // Layout. Segment 0 is the base file the caller names (for the market,
-// "market.wal" — byte-compatible with a pre-segmentation log). Rotated
+// "market.wal"); a log that never rotated is that one file. Rotated
 // segments live next to it as "<stem>-000001.wal", and a segment opened
 // to hold a checkpoint as "<stem>-000001.ckpt.wal". Indices only grow;
 // gaps (from pruning) are fine. A completed segment is flushed, fsynced
@@ -23,23 +23,22 @@ package wal
 // to the previous checkpoint (or segment 0) — the crash between
 // "rotate" and "checkpoint durable" loses nothing, because pruning only
 // ever runs after the checkpoint record is on disk. Within the replayed
-// range the single-file rules apply per segment: the scan stops at the
-// first invalid frame, the segment is truncated there, and any later
-// segments are deleted, so the directory as a whole recovers to one
-// deterministic valid prefix.
+// range the scan stops at the first invalid frame of any segment: that
+// segment is truncated there and every later segment is deleted, so the
+// directory as a whole recovers to one deterministic valid prefix.
 //
-// Group commit. With Options.GroupCommit a dedicated syncer goroutine
-// owns fsync: Append never syncs inline, and Commit blocks until a group
-// fsync covers the caller's records. Concurrent committers that arrive
-// while a sync is in flight are coalesced into the next one (bounded by
-// SyncInterval), so at SyncEvery=1 durability the disk pays one fsync
-// per batch of concurrent producers instead of one per record.
+// Durability. Append never makes its record durable; Commit does. Without
+// group commit, Commit flushes and fsyncs inline. With
+// DirOptions.GroupCommit a dedicated syncer goroutine owns fsync, and
+// Commit blocks until a group fsync covers the caller's records.
+// Concurrent committers that arrive while a sync is in flight are
+// coalesced into the next one (bounded by SyncInterval), so the disk
+// pays one fsync per batch of concurrent producers instead of one per
+// commit.
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -51,19 +50,19 @@ import (
 
 // DirOptions configures a segmented log.
 type DirOptions struct {
-	// SyncEvery and NoSync follow Options: the per-append fsync policy of
-	// the non-group-commit path.
-	SyncEvery int
-	NoSync    bool
+	// NoSync disables fsync entirely (tests and benchmarks: CI
+	// filesystems make fsync the dominant cost of a differential run).
+	// Crash durability is then whatever the OS page cache provides.
+	NoSync bool
 	// SegmentBytes rotates the active segment before an append would push
 	// it past this many bytes. 0 disables size rotation.
 	SegmentBytes int64
 	// SegmentRecords rotates the active segment once it holds this many
 	// records. 0 disables record-count rotation.
 	SegmentRecords int
-	// GroupCommit enables the dedicated syncer goroutine: Append never
-	// fsyncs inline (SyncEvery is ignored), Commit blocks until a group
-	// fsync covers the caller's appends.
+	// GroupCommit enables the dedicated syncer goroutine: Commit blocks
+	// until a group fsync covers the caller's appends instead of
+	// fsyncing inline.
 	GroupCommit bool
 	// SyncInterval is the group-commit coalescing window: the syncer
 	// waits this long after the first pending commit before fsyncing, so
@@ -95,8 +94,8 @@ type SegmentInfo struct {
 	Size int64
 }
 
-// DirStats extends RecoverStats with the directory-level recovery
-// picture; Stats returns it updated with appends since open.
+// DirStats is the directory-level recovery picture; Stats returns it
+// updated with appends since open.
 type DirStats struct {
 	// Records is the number of records replayed at open plus records
 	// appended since.
@@ -126,10 +125,9 @@ type DirStats struct {
 	Syncs int64
 }
 
-// DirLog is a segmented single-writer append-only log. Append,
-// AppendDeferred, Commit, Rotate, Prune, Sync and Close are safe for
-// concurrent use (unlike the single-file Log, because group commit
-// makes concurrent committers the point).
+// DirLog is a segmented single-writer append-only log. Append, Commit,
+// Rotate, Prune, Close and Abort are safe for concurrent use: group
+// commit makes concurrent committers the point.
 type DirLog struct {
 	dir  string
 	stem string // base path without the ".wal" suffix
@@ -144,7 +142,6 @@ type DirLog struct {
 	openStats     DirStats
 	records       int64 // appended since open
 	synced        int64 // appended records covered by an fsync
-	unsynced      int   // appends since the last sync (legacy policy)
 	activeRecords int   // records in the active segment
 	syncs         int64
 	totalBytes    int64
@@ -167,9 +164,6 @@ type DirLog struct {
 // checkpoint record first and only the tail after it. The returned
 // stats describe what recovery found.
 func OpenDir(path string, opts DirOptions, fn func(payload []byte) error) (*DirLog, DirStats, error) {
-	if opts.SyncEvery <= 0 {
-		opts.SyncEvery = 1
-	}
 	l := &DirLog{
 		dir:  filepath.Dir(path),
 		stem: strings.TrimSuffix(path, ".wal"),
@@ -305,17 +299,17 @@ func (l *DirLog) recoverSegments(segs []SegmentInfo, fn func([]byte) error) (Dir
 			f.Close()
 			return stats, err
 		}
-		stats.Records += st.Records
-		counts[i] = st.Records
-		if i == start && stats.StartCheckpoint && st.Records > 0 {
+		stats.Records += st.records
+		counts[i] = st.records
+		if i == start && stats.StartCheckpoint && st.records > 0 {
 			// The checkpoint record itself is not tail.
 			stats.TailRecords -= 1
 		}
-		stats.TailRecords += st.Records
-		segs[i].Size = st.ValidBytes
-		if st.DroppedBytes > 0 {
-			stats.DroppedBytes += st.DroppedBytes
-			if err := f.Truncate(st.ValidBytes); err != nil {
+		stats.TailRecords += st.records
+		segs[i].Size = st.valid
+		if st.dropped > 0 {
+			stats.DroppedBytes += st.dropped
+			if err := f.Truncate(st.valid); err != nil {
 				f.Close()
 				return stats, fmt.Errorf("wal: truncate torn tail of %s: %w", segs[i].Path, err)
 			}
@@ -418,26 +412,12 @@ func (l *DirLog) segPath(idx int, checkpoint bool) string {
 	return fmt.Sprintf("%s-%06d.wal", l.stem, idx)
 }
 
-// Append writes one record under the configured fsync policy: in
-// group-commit mode durability always waits for Commit; otherwise the
-// record syncs inline once SyncEvery appends accumulate.
+// Append writes one record through the log's buffer, rotating first
+// when the active segment is full. The payload is copied; the caller may
+// reuse it. The record is not durable until a Commit covers it.
 func (l *DirLog) Append(payload []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.appendLocked(payload, false)
-}
-
-// AppendDeferred writes one record without any inline fsync, whatever
-// the policy; the caller makes it durable with Commit (or Sync). It is
-// the multi-record atomic-batch primitive: append the group deferred,
-// then Commit once.
-func (l *DirLog) AppendDeferred(payload []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendLocked(payload, true)
-}
-
-func (l *DirLog) appendLocked(payload []byte, deferred bool) error {
 	if l.closed {
 		return ErrClosed
 	}
@@ -455,20 +435,15 @@ func (l *DirLog) appendLocked(payload []byte, deferred bool) error {
 		return err
 	}
 	l.records++
-	l.unsynced++
 	l.activeRecords++
 	l.segs[len(l.segs)-1].Size += frameLen
 	l.totalBytes += frameLen
-	if !deferred && !l.opts.GroupCommit && l.unsynced >= l.opts.SyncEvery {
-		return l.syncNowLocked()
-	}
 	return nil
 }
 
 // writeFrame writes one frame through w using scratch for the header.
 func writeFrame(w *bufio.Writer, scratch, payload []byte) error {
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(scratch[4:8], crc32.Checksum(payload, castagnoli))
+	putFrameHeader(scratch, payload)
 	if _, err := w.Write(scratch[:frameHeaderLen]); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
@@ -489,19 +464,13 @@ func (l *DirLog) shouldRotateLocked(frameLen int64) bool {
 	if active.Size == 0 {
 		return false
 	}
-	if n := l.opts.SegmentRecords; n > 0 && l.segRecordsLocked() >= n {
+	if n := l.opts.SegmentRecords; n > 0 && l.activeRecords >= n {
 		return true
 	}
 	if b := l.opts.SegmentBytes; b > 0 && active.Size+frameLen > b {
 		return true
 	}
 	return false
-}
-
-// segRecordsLocked counts the records in the active segment. Tracked
-// lazily: only needed when SegmentRecords rotation is configured.
-func (l *DirLog) segRecordsLocked() int {
-	return l.activeRecords
 }
 
 // Rotate closes the active segment (flushing and fsyncing it) and opens
@@ -547,7 +516,7 @@ func (l *DirLog) rotateLocked(checkpoint bool) error {
 
 // Prune deletes every segment older than the newest checkpoint segment
 // — history the checkpoint's snapshot fully covers. Call it only after
-// the checkpoint record is durable (Commit/Sync returned). Returns the
+// the checkpoint record is durable (Commit returned). Returns the
 // number of segments removed.
 func (l *DirLog) Prune() (int, error) {
 	l.mu.Lock()
@@ -576,10 +545,11 @@ func (l *DirLog) Prune() (int, error) {
 	return cut, nil
 }
 
-// Commit makes every record appended so far durable. In group-commit
-// mode it joins the syncer's next batch and blocks until an fsync
-// covers the caller's appends; otherwise it is an inline flush+fsync
-// (a no-op when nothing is unsynced).
+// Commit makes every record appended so far durable; it is the log's
+// only durability call. In group-commit mode it joins the syncer's next
+// batch and blocks until an fsync covers the caller's appends;
+// otherwise it is an inline flush+fsync (a no-op when every append is
+// already covered).
 func (l *DirLog) Commit() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -587,7 +557,7 @@ func (l *DirLog) Commit() error {
 		return ErrClosed
 	}
 	if !l.opts.GroupCommit {
-		if l.unsynced > 0 {
+		if l.synced < l.records {
 			return l.syncNowLocked()
 		}
 		return l.syncErr
@@ -605,16 +575,6 @@ func (l *DirLog) Commit() error {
 		l.waitCond.Wait()
 	}
 	return l.syncErr
-}
-
-// Sync flushes and fsyncs inline, whatever the mode.
-func (l *DirLog) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	return l.syncNowLocked()
 }
 
 // syncNowLocked flushes the buffer and fsyncs under the lock, first
@@ -639,7 +599,6 @@ func (l *DirLog) syncNowLocked() error {
 	}
 	l.syncs++
 	l.synced = l.records
-	l.unsynced = 0
 	l.waitCond.Broadcast()
 	return nil
 }
@@ -668,6 +627,11 @@ func (l *DirLog) syncLoop() {
 				return
 			}
 			l.pendingSync = false
+		}
+		if l.synced == l.records {
+			// Every record is already durable: the request came from a
+			// committer whose record the previous fsync covered.
+			continue
 		}
 		start := time.Now()
 		if err := l.w.Flush(); err != nil {
@@ -751,8 +715,10 @@ func (l *DirLog) Close() error {
 }
 
 // Abort closes the file descriptor without flushing the write buffer —
-// the crash-simulation primitive (see Log.Abort): whatever the last
-// fsync covered stays, buffered records are gone.
+// the crash-simulation primitive: records still sitting in the buffer
+// are lost exactly as they would be if the process had been killed, and
+// whatever the last flush wrote stays. Production code should always
+// Close.
 func (l *DirLog) Abort() error {
 	l.mu.Lock()
 	if l.closed {

@@ -27,8 +27,8 @@ func openDir(t *testing.T, path string, opts DirOptions) (*DirLog, DirStats, [][
 func payloadN(i int) []byte { return []byte(fmt.Sprintf(`{"rec":%d}`, i)) }
 
 // TestDirLogSingleSegmentCompat pins that a DirLog with no rotation
-// options behaves exactly like the single-file Log: one file, same
-// bytes, and wal.Open can read what DirLog wrote (and vice versa).
+// options is one file of plain frames: the bytes EncodeFrame produces,
+// replayed clean by a reopen, with no sibling segment files.
 func TestDirLogSingleSegmentCompat(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "market.wal")
@@ -43,7 +43,7 @@ func TestDirLogSingleSegmentCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Byte-identical to the single-file writer.
+	// Byte-identical to the frame codec.
 	var want []byte
 	for i := 0; i < 10; i++ {
 		want = EncodeFrame(want, payloadN(i))
@@ -53,18 +53,14 @@ func TestDirLogSingleSegmentCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("DirLog file diverges from Log frame format")
+		t.Fatalf("DirLog file diverges from the frame format")
 	}
 
-	// The single-file reader replays it.
-	n := 0
-	sl, st, err := Open(path, Options{NoSync: true}, func(p []byte) error { n++; return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	sl.Close()
-	if n != 10 || st.Records != 10 || st.DroppedBytes != 0 {
-		t.Fatalf("wal.Open replayed %d records (stats %+v), want 10 clean", n, st)
+	// A reopen replays it.
+	l2, st, replayed := openDir(t, path, DirOptions{NoSync: true})
+	l2.Close()
+	if len(replayed) != 10 || st.Records != 10 || st.DroppedBytes != 0 {
+		t.Fatalf("reopen replayed %d records (stats %+v), want 10 clean", len(replayed), st)
 	}
 
 	// And no sibling segment files appeared.
@@ -170,7 +166,7 @@ func TestDirLogCheckpointRecoveryStartsAtTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	ckpt := []byte(`{"ckpt":true}`)
-	if err := l.AppendDeferred(ckpt); err != nil {
+	if err := l.Append(ckpt); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Commit(); err != nil {
@@ -477,5 +473,33 @@ func TestDirLogSyncIntervalCoalesces(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDirLogCommitIsTheOnlySync: Append never fsyncs, with or without
+// group commit. Commit fsyncs once for everything appended before it,
+// and a Commit with nothing new appended costs no further fsync.
+func TestDirLogCommitIsTheOnlySync(t *testing.T) {
+	for _, group := range []bool{false, true} {
+		t.Run(fmt.Sprintf("group=%v", group), func(t *testing.T) {
+			l, _, _ := openDir(t, filepath.Join(t.TempDir(), "market.wal"), DirOptions{GroupCommit: group})
+			defer l.Close()
+			for i := 0; i < 3; i++ {
+				if err := l.Append(payloadN(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if s := l.Stats().Syncs; s != 0 {
+				t.Fatalf("%d fsyncs after 3 appends, want 0", s)
+			}
+			for i := 0; i < 2; i++ {
+				if err := l.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				if s := l.Stats().Syncs; s != 1 {
+					t.Fatalf("commit %d: %d fsyncs, want 1", i, s)
+				}
+			}
+		})
 	}
 }

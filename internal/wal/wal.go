@@ -1,35 +1,35 @@
-// Package wal is the durability layer of the market daemon: a
-// single-writer append-only event log with checksummed, length-prefixed
-// JSON records, fsync batching, and deterministic torn-tail recovery.
+// Package wal is the durability layer of the market daemon: a segmented,
+// single-writer, append-only event log (DirLog) of checksummed,
+// length-prefixed JSON records, with checkpoints, group commit and
+// deterministic torn-tail recovery.
 //
 // The market's whole crash story reduces to one invariant: a record that
-// Append has synced is never lost, and a record the log did not finish
-// writing is never half-applied. The frame format makes both checkable
-// byte-by-byte:
+// Commit has made durable is never lost, and a record the log did not
+// finish writing is never half-applied. The frame format makes both
+// checkable byte-by-byte:
 //
 //	[4B little-endian payload length][4B CRC32-C of payload][payload]['\n']
 //
-// The payload is one JSON document (the file is valid "length-prefixed
-// JSONL": strip the 8-byte headers and it reads as a line-per-record
-// text log). The trailing newline is part of the frame — a frame whose
-// terminator is missing is torn by definition.
+// The payload is one JSON document (a segment file is valid
+// "length-prefixed JSONL": strip the 8-byte headers and it reads as a
+// line-per-record text log). The trailing newline is part of the frame —
+// a frame whose terminator is missing is torn by definition.
 //
-// Recovery (Open) scans frames from the start and stops at the first
-// invalid one: a header that runs past EOF, a payload shorter than its
-// length prefix, a CRC mismatch, or a missing terminator. Everything
+// Recovery scans each segment's frames from the start and stops at the
+// first invalid one: a header that runs past EOF, a payload shorter than
+// its length prefix, a CRC mismatch, or a missing terminator. Everything
 // before the invalid frame is intact (single writer, append only), so
 // everything from it onward is the debris of the write that was in
-// flight when the process died; Open truncates the file back to the last
-// valid frame boundary and reports the dropped bytes in RecoverStats.
-// The scan is deterministic: the same file bytes always recover to the
-// same record sequence, which is what lets the market replay
-// bit-identically.
+// flight when the process died. The scan is deterministic: the same file
+// bytes always recover to the same record sequence, which is what lets
+// the market replay bit-identically.
 //
-// Durability is batched: Append writes through a buffer and fsyncs every
-// SyncEvery records (Sync forces an immediate flush+fsync). A crash can
-// therefore lose up to SyncEvery-1 tail records — callers that
-// acknowledge writes externally (the market acks a bid submission over
-// HTTP) must Sync before acking, or run with SyncEvery=1.
+// Durability has one entry point. Append only writes a record through
+// the log's buffer; Commit makes every record appended so far durable,
+// either with an inline fsync or, with group commit, by joining the
+// syncer's next coalesced fsync. Callers that acknowledge writes
+// externally (the market acks a bid submission over HTTP) ack only
+// after Commit returns.
 package wal
 
 import (
@@ -60,113 +60,49 @@ var ErrClosed = errors.New("wal: log closed")
 // ErrTooLarge is returned by Append for payloads over MaxRecordLen.
 var ErrTooLarge = errors.New("wal: record exceeds MaxRecordLen")
 
-// RecoverStats reports what Open found in an existing log file.
-type RecoverStats struct {
-	// Records is the number of valid records recovered.
-	Records int
-	// ValidBytes is the file offset of the last valid frame boundary.
-	ValidBytes int64
-	// DroppedBytes is the length of the torn/corrupt tail that Open
-	// truncated away (zero for a clean log).
-	DroppedBytes int64
+// scanStats reports what scan found in one segment file.
+type scanStats struct {
+	records int   // valid records
+	valid   int64 // offset of the last valid frame boundary
+	dropped int64 // torn/corrupt bytes after it
 }
 
-// Options configures a log.
-type Options struct {
-	// SyncEvery fsyncs the file after every n-th Append. 1 (or 0, the
-	// default) syncs every record — the safe setting; larger values batch
-	// records between fsyncs and trade a bounded window of unacknowledged
-	// tail loss for throughput.
-	SyncEvery int
-	// NoSync disables fsync entirely (tests only: CI filesystems make
-	// per-record fsync the dominant cost of a 200-auction differential
-	// run). Crash durability is then whatever the OS page cache provides.
-	NoSync bool
-}
-
-// Log is a single-writer append-only record log. Append/Sync/Close are
-// safe for use from one goroutine at a time (the market serializes
-// appends under its own lock); Open performs recovery eagerly so a
-// freshly opened log is always positioned at a valid frame boundary.
-type Log struct {
-	f        *os.File
-	w        *bufio.Writer
-	opts     Options
-	stats    RecoverStats
-	unsynced int
-	closed   bool
-	scratch  [frameHeaderLen]byte
-}
-
-// Open opens (creating if absent) the log at path, scans and validates
-// every frame, truncates any torn or corrupt tail, and positions the
-// log for appending. fn, when non-nil, is called once per recovered
-// payload in append order; an error from fn aborts the open. The
-// returned stats describe what the scan found.
-func Open(path string, opts Options, fn func(payload []byte) error) (*Log, RecoverStats, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, RecoverStats{}, fmt.Errorf("wal: open %s: %w", path, err)
-	}
-	stats, err := scan(f, fn)
-	if err != nil {
-		f.Close()
-		return nil, stats, err
-	}
-	if stats.DroppedBytes > 0 {
-		if err := f.Truncate(stats.ValidBytes); err != nil {
-			f.Close()
-			return nil, stats, fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
-		}
-	}
-	if _, err := f.Seek(stats.ValidBytes, io.SeekStart); err != nil {
-		f.Close()
-		return nil, stats, fmt.Errorf("wal: seek %s: %w", path, err)
-	}
-	l := &Log{f: f, w: bufio.NewWriter(f), opts: opts, stats: stats}
-	if l.opts.SyncEvery <= 0 {
-		l.opts.SyncEvery = 1
-	}
-	return l, stats, nil
-}
-
-// scan validates frames from the start of f and reports the last valid
-// boundary. It never fails on corrupt data — corruption just ends the
-// valid prefix — only on I/O errors or a callback error.
-func scan(f *os.File, fn func([]byte) error) (RecoverStats, error) {
-	var stats RecoverStats
+// scan validates frames from the start of f, calling fn (when non-nil)
+// once per valid payload, and reports the last valid boundary. It never
+// fails on corrupt data — corruption just ends the valid prefix — only
+// on I/O errors or a callback error.
+func scan(f *os.File, fn func([]byte) error) (scanStats, error) {
+	var st scanStats
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
-		return stats, fmt.Errorf("wal: size: %w", err)
+		return st, fmt.Errorf("wal: size: %w", err)
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return stats, fmt.Errorf("wal: rewind: %w", err)
+		return st, fmt.Errorf("wal: rewind: %w", err)
 	}
 	r := bufio.NewReader(f)
 	var (
-		off    int64
 		header [frameHeaderLen]byte
 		buf    []byte
 	)
 	for {
-		rec, n, ok, err := readFrame(r, size-off, header[:], &buf)
+		rec, n, ok, err := readFrame(r, size-st.valid, header[:], &buf)
 		if err != nil {
-			return stats, err
+			return st, err
 		}
 		if !ok {
 			break
 		}
 		if fn != nil {
 			if err := fn(rec); err != nil {
-				return stats, err
+				return st, err
 			}
 		}
-		off += n
-		stats.Records++
+		st.valid += n
+		st.records++
 	}
-	stats.ValidBytes = off
-	stats.DroppedBytes = size - off
-	return stats, nil
+	st.dropped = size - st.valid
+	return st, nil
 }
 
 // readFrame reads one frame. remaining bounds the bytes left in the
@@ -202,84 +138,11 @@ func readFrame(r *bufio.Reader, remaining int64, header []byte, buf *[]byte) (pa
 	return b[:n], frameHeaderLen + int64(n) + 1, true, nil
 }
 
-// Append writes one record. The payload is copied into the frame
-// immediately; the caller may reuse it. Durability follows the fsync
-// policy: the record is on disk once the SyncEvery batch it belongs to
-// has synced (or after an explicit Sync).
-func (l *Log) Append(payload []byte) error {
-	if l.closed {
-		return ErrClosed
-	}
-	if len(payload) > MaxRecordLen {
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
-	}
-	binary.LittleEndian.PutUint32(l.scratch[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(l.scratch[4:8], crc32.Checksum(payload, castagnoli))
-	if _, err := l.w.Write(l.scratch[:]); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	if _, err := l.w.Write(payload); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	if err := l.w.WriteByte('\n'); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	l.stats.Records++
-	l.stats.ValidBytes += frameHeaderLen + int64(len(payload)) + 1
-	l.unsynced++
-	if l.unsynced >= l.opts.SyncEvery {
-		return l.Sync()
-	}
-	return nil
+// putFrameHeader fills h with the frame header of payload.
+func putFrameHeader(h, payload []byte) {
+	binary.LittleEndian.PutUint32(h[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(h[4:8], crc32.Checksum(payload, castagnoli))
 }
-
-// Sync flushes buffered frames to the OS and fsyncs the file, making
-// every appended record durable.
-func (l *Log) Sync() error {
-	if l.closed {
-		return ErrClosed
-	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: flush: %w", err)
-	}
-	if !l.opts.NoSync {
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: fsync: %w", err)
-		}
-	}
-	l.unsynced = 0
-	return nil
-}
-
-// Close syncs and closes the log. Idempotent.
-func (l *Log) Close() error {
-	if l.closed {
-		return nil
-	}
-	err := l.Sync()
-	l.closed = true
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// Abort closes the file descriptor without flushing the write buffer —
-// the crash-simulation path: records still sitting in the buffer are
-// lost exactly as they would be if the process had been killed. Tests
-// use it to exercise the unsynced-tail recovery; production code should
-// always Close.
-func (l *Log) Abort() error {
-	if l.closed {
-		return nil
-	}
-	l.closed = true
-	return l.f.Close()
-}
-
-// Stats returns the log's current extent: recovered records plus
-// appends so far, and the valid byte length.
-func (l *Log) Stats() RecoverStats { return l.stats }
 
 // DecodeFrame parses a single frame from b, returning the payload and
 // the total frame length. ok is false when b does not start with a
@@ -313,8 +176,7 @@ func DecodeFrame(b []byte) (payload []byte, frameLen int, ok bool) {
 // and for tests that craft WAL files byte-by-byte.
 func EncodeFrame(dst, payload []byte) []byte {
 	var header [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(header[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(header[4:8], crc32.Checksum(payload, castagnoli))
+	putFrameHeader(header[:], payload)
 	dst = append(dst, header[:]...)
 	dst = append(dst, payload...)
 	return append(dst, '\n')

@@ -9,18 +9,9 @@ import (
 	"testing"
 )
 
-func openCollect(t *testing.T, path string, opts Options) (*Log, [][]byte, RecoverStats) {
-	t.Helper()
-	var got [][]byte
-	l, stats, err := Open(path, opts, func(p []byte) error {
-		got = append(got, append([]byte(nil), p...))
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Open(%s): %v", path, err)
-	}
-	return l, got, stats
-}
+// These tests pin the frame format and the per-segment recovery scan on
+// a log that never rotates: segment 0 is one file of frames, exactly the
+// format every later segment uses.
 
 func TestAppendRecoverRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log.wal")
@@ -30,7 +21,7 @@ func TestAppendRecoverRoundtrip(t *testing.T) {
 		[]byte(``), // empty payloads are legal frames
 		[]byte(`{"type":"outcome","seq":0}`),
 	}
-	l, got, stats := openCollect(t, path, Options{})
+	l, stats, got := openDir(t, path, DirOptions{})
 	if len(got) != 0 || stats.Records != 0 {
 		t.Fatalf("fresh log recovered %d records", len(got))
 	}
@@ -43,7 +34,7 @@ func TestAppendRecoverRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, got, stats := openCollect(t, path, Options{})
+	l2, stats, got := openDir(t, path, DirOptions{})
 	defer l2.Close()
 	if stats.Records != len(want) || stats.DroppedBytes != 0 {
 		t.Fatalf("recover stats = %+v, want %d records, 0 dropped", stats, len(want))
@@ -62,7 +53,7 @@ func TestAppendRecoverRoundtrip(t *testing.T) {
 // clean file contents.
 func appendRecords(t *testing.T, path string, n int) []byte {
 	t.Helper()
-	l, _, _ := openCollect(t, path, Options{})
+	l, _, _ := openDir(t, path, DirOptions{})
 	for i := 0; i < n; i++ {
 		if err := l.Append([]byte(fmt.Sprintf(`{"seq":%d,"body":"record-%d"}`, i, i))); err != nil {
 			t.Fatal(err)
@@ -92,7 +83,7 @@ func TestTornTailTruncated(t *testing.T) {
 		if err := os.WriteFile(path, torn, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, got, stats := openCollect(t, path, Options{})
+		l, stats, got := openDir(t, path, DirOptions{})
 		if len(got) != 4 {
 			t.Fatalf("cut %d: recovered %d records, want 4", cut, len(got))
 		}
@@ -110,7 +101,7 @@ func TestTornTailTruncated(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		_, got, _ = openCollect(t, path, Options{})
+		_, _, got = openDir(t, path, DirOptions{})
 		if len(got) != 5 || string(got[4]) != `{"seq":4,"body":"rewritten"}` {
 			t.Fatalf("cut %d: post-repair log has %d records, tail %q", cut, len(got), got[len(got)-1])
 		}
@@ -131,7 +122,7 @@ func TestCRCCorruptTailTruncated(t *testing.T) {
 		if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, got, stats := openCollect(t, path, Options{})
+		l, stats, got := openDir(t, path, DirOptions{})
 		l.Close()
 		if len(got) != 2 {
 			t.Fatalf("flip %d: recovered %d records, want 2", flip, len(got))
@@ -157,7 +148,7 @@ func TestMidLogCorruptionDropsSuffix(t *testing.T) {
 	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, got, stats := openCollect(t, path, Options{})
+	l, stats, got := openDir(t, path, DirOptions{})
 	l.Close()
 	if len(got) != 2 {
 		t.Fatalf("recovered %d records, want 2", len(got))
@@ -180,7 +171,7 @@ func TestDuplicateFrameReplaysTwice(t *testing.T) {
 	if err := os.WriteFile(path, dup, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, got, stats := openCollect(t, path, Options{})
+	l, stats, got := openDir(t, path, DirOptions{})
 	l.Close()
 	if len(got) != 3 || stats.DroppedBytes != 0 {
 		t.Fatalf("recovered %d records (%d dropped), want 3 (0)", len(got), stats.DroppedBytes)
@@ -202,7 +193,7 @@ func TestAbsurdLengthPrefixRejected(t *testing.T) {
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, got, stats := openCollect(t, path, Options{})
+	l, stats, got := openDir(t, path, DirOptions{})
 	l.Close()
 	if len(got) != 2 {
 		t.Fatalf("recovered %d records, want 2", len(got))
@@ -213,25 +204,31 @@ func TestAbsurdLengthPrefixRejected(t *testing.T) {
 }
 
 func TestSyncBatching(t *testing.T) {
-	// With SyncEvery=4, records reach the OS (and survive an Abort) only
-	// at batch boundaries: Abort after 6 appends keeps exactly 4.
+	// Append never syncs: records reach the file (and survive an Abort)
+	// only at a Commit. Abort after 4 committed and 2 uncommitted
+	// appends keeps exactly 4.
 	path := filepath.Join(t.TempDir(), "log.wal")
-	l, _, _ := openCollect(t, path, Options{SyncEvery: 4})
+	l, _, _ := openDir(t, path, DirOptions{})
 	for i := 0; i < 6; i++ {
 		if err := l.Append([]byte(fmt.Sprintf(`{"seq":%d}`, i))); err != nil {
 			t.Fatal(err)
+		}
+		if i == 3 {
+			if err := l.Commit(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := l.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	_, got, _ := openCollect(t, path, Options{})
+	_, _, got := openDir(t, path, DirOptions{})
 	if len(got) != 4 {
-		t.Fatalf("abort after 6 appends at SyncEvery=4 kept %d records, want 4", len(got))
+		t.Fatalf("abort after 4 committed + 2 uncommitted appends kept %d records, want 4", len(got))
 	}
 
-	// Close, by contrast, flushes the partial batch.
-	l2, _, _ := openCollect(t, path, Options{SyncEvery: 4})
+	// Close, by contrast, flushes the uncommitted appends.
+	l2, _, _ := openDir(t, path, DirOptions{})
 	for i := 0; i < 6; i++ {
 		if err := l2.Append([]byte(fmt.Sprintf(`{"extra":%d}`, i))); err != nil {
 			t.Fatal(err)
@@ -240,7 +237,7 @@ func TestSyncBatching(t *testing.T) {
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, got, _ = openCollect(t, path, Options{})
+	_, _, got = openDir(t, path, DirOptions{})
 	if len(got) != 10 {
 		t.Fatalf("close kept %d records, want 10", len(got))
 	}
@@ -248,15 +245,15 @@ func TestSyncBatching(t *testing.T) {
 
 func TestAppendAfterCloseFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log.wal")
-	l, _, _ := openCollect(t, path, Options{})
+	l, _, _ := openDir(t, path, DirOptions{})
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append([]byte("x")); err != ErrClosed {
 		t.Fatalf("Append after Close = %v, want ErrClosed", err)
 	}
-	if err := l.Sync(); err != ErrClosed {
-		t.Fatalf("Sync after Close = %v, want ErrClosed", err)
+	if err := l.Commit(); err != ErrClosed {
+		t.Fatalf("Commit after Close = %v, want ErrClosed", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("second Close = %v, want nil (idempotent)", err)
@@ -265,7 +262,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 
 func TestStatsTrackAppends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log.wal")
-	l, _, stats := openCollect(t, path, Options{})
+	l, stats, _ := openDir(t, path, DirOptions{})
 	if stats.Records != 0 {
 		t.Fatal("fresh log has records")
 	}
@@ -279,8 +276,8 @@ func TestStatsTrackAppends(t *testing.T) {
 			t.Fatalf("after %d appends Stats().Records = %d", i, s.Records)
 		}
 		want := int64(i) * int64(frameHeaderLen+len(payload)+1)
-		if s.ValidBytes != want {
-			t.Fatalf("after %d appends ValidBytes = %d, want %d", i, s.ValidBytes, want)
+		if s.TotalBytes != want {
+			t.Fatalf("after %d appends TotalBytes = %d, want %d", i, s.TotalBytes, want)
 		}
 	}
 	l.Close()

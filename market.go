@@ -10,10 +10,10 @@ import (
 
 // Durable market types, re-exported from the implementation package.
 // The market layer is the daemon surface of the module: a Service that
-// remembers. Submitted bids, solved outcomes and per-winner payments
-// are written to an append-only checksummed event log (WithDurability)
-// and replayed bit-identically on the next OpenMarket, so a crashed
-// daemon restarts with zero lost or duplicated auctions.
+// remembers. Submitted bids and solved outcomes, each carrying every
+// winner's payment, are written to an append-only checksummed event log
+// (WithDurability) and replayed bit-identically on the next OpenMarket,
+// so a crashed daemon restarts with zero lost or duplicated auctions.
 type (
 	// Market is a durable auction market: submissions are acknowledged
 	// only once logged, outcomes commit atomically (the commit-marker
@@ -44,21 +44,13 @@ var (
 )
 
 // WithDurability gives the market an append-only event log in dir
-// (created on first use): every acknowledged submission survives
-// process death and is re-solved or restored on the next OpenMarket.
+// (created on first use): every submission is fsynced before it is
+// acknowledged, so it survives process death and power loss and is
+// re-solved or restored on the next OpenMarket.
 // Omitting the option runs the market volatile — a plain Service with
 // the market's query surface.
 func WithDurability(dir string) Option {
 	return func(rc *runConfig) { rc.walDir = dir }
-}
-
-// WithSyncEvery batches the log's fsyncs: the file is synced every n
-// appends instead of every append. n <= 1 (the default) syncs every
-// record — the strongest guarantee: an acknowledged submission is
-// durable against power loss, not just process death. Larger n trades
-// the tail of the durability window for append throughput.
-func WithSyncEvery(n int) Option {
-	return func(rc *runConfig) { rc.syncEvery = n }
 }
 
 // WithRateLimit applies a per-client token bucket at the market's HTTP
@@ -121,14 +113,14 @@ func WithRetainOutcomes(n int) Option {
 // OpenMarket starts (or, with WithDurability, restarts) a market. With
 // a durability directory the event log is replayed before OpenMarket
 // returns: committed outcomes and the payment ledger are restored
-// verbatim — never re-solved, so payments cannot drift — torn tails,
-// duplicate records and orphaned payments are absorbed and counted
-// (Market.RecoveredFaults), and logged-but-uncommitted submissions are
-// re-queued under their original sequence numbers. ctx bounds the
-// market's lifetime; cancel it or call Market.Close.
+// verbatim — never re-solved, so payments cannot drift — torn tails and
+// duplicate records are absorbed and counted (Market.RecoveredFaults),
+// and logged-but-uncommitted submissions are re-queued under their
+// original sequence numbers. ctx bounds the market's lifetime; cancel
+// it or call Market.Close.
 //
-// The recognized options are WithDurability, WithSyncEvery,
-// WithGroupCommit, WithCheckpointEvery, WithSegmentBytes,
+// The recognized options are WithDurability, WithGroupCommit,
+// WithCheckpointEvery, WithSegmentBytes,
 // WithRetainOutcomes, WithWorkers (0 or negative selects GOMAXPROCS),
 // WithQueue, WithRateLimit, WithMaxPending, WithObserver, WithNow,
 // WithPaymentRule and WithSolver (both applied to every submission
@@ -142,7 +134,6 @@ func OpenMarket(ctx context.Context, opts ...Option) (*Market, error) {
 		Dir:             rc.walDir,
 		Workers:         rc.workers,
 		Queue:           rc.queue,
-		SyncEvery:       rc.syncEvery,
 		GroupCommit:     rc.groupCommit,
 		SyncInterval:    rc.syncInterval,
 		CheckpointEvery: rc.checkpointEvery,

@@ -27,7 +27,6 @@ type runConfig struct {
 
 	// Market-only knobs (see OpenMarket).
 	walDir          string
-	syncEvery       int
 	ratePerSec      float64
 	rateBurst       int
 	maxPending      int

@@ -114,7 +114,7 @@ func TestMarketPersistsSolverTier(t *testing.T) {
 	ctx := context.Background()
 
 	m, err := afl.OpenMarket(ctx, afl.WithDurability(dir),
-		afl.WithSolver(afl.SolverCoarseFine), afl.WithSyncEvery(1))
+		afl.WithSolver(afl.SolverCoarseFine))
 	if err != nil {
 		t.Fatal(err)
 	}

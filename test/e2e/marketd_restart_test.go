@@ -34,9 +34,7 @@ type script struct {
 
 var (
 	crashPoints = []string{
-		marketd.CrashBidLogged, marketd.CrashOutcomeSolved,
-		marketd.CrashLedgerPartial, marketd.CrashPreCommit,
-		marketd.CrashPostCommit,
+		marketd.CrashBidLogged, marketd.CrashOutcomeSolved, marketd.CrashPostCommit,
 	}
 	tailFaults = []string{"none", "torn", "dup"}
 )
@@ -180,21 +178,11 @@ func TestKillRestartBitIdenticalRecovery(t *testing.T) {
 			sc := genScript(seed)
 			insts := scriptInstances(t, seed, sc.actions)
 			golden := goldenRun(t, insts)
-			gst := decodeSnapshot(t, golden)
-
-			// ledger_partial fires inside the pay-record loop; an
-			// infeasible crash target has no winners, so the point could
-			// never fire and the market would outlive the script.
-			// Remap deterministically (the golden run knows).
-			point := sc.point
-			if point == marketd.CrashLedgerPartial && len(gst.Outcomes[sc.crashSeq].Winners) == 0 {
-				point = marketd.CrashPreCommit
-			}
 
 			dir := t.TempDir()
 			m1, err := marketd.Open(context.Background(), marketd.Config{
 				Dir: dir, Workers: 2,
-				Crash: func(p string, seq int) bool { return p == point && seq == sc.crashSeq },
+				Crash: func(p string, seq int) bool { return p == sc.point && seq == sc.crashSeq },
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -256,7 +244,7 @@ func TestKillRestartBitIdenticalRecovery(t *testing.T) {
 			snap := m2.Snapshot()
 			if !bytes.Equal(snap, golden) {
 				t.Fatalf("recovered state diverged from golden (point %s, tail %s):\n got %s\nwant %s",
-					point, sc.tail, snap, golden)
+					sc.point, sc.tail, snap, golden)
 			}
 			st := decodeSnapshot(t, snap)
 			if len(st.Outcomes) != sc.actions {
@@ -300,7 +288,7 @@ func TestRestartIdempotentAcrossRepeatedKills(t *testing.T) {
 
 	m1, err := marketd.Open(context.Background(), marketd.Config{
 		Dir: dir, Workers: 1,
-		Crash: func(p string, seq int) bool { return p == marketd.CrashPreCommit && seq == 1 },
+		Crash: func(p string, seq int) bool { return p == marketd.CrashOutcomeSolved && seq == 1 },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -482,29 +470,38 @@ func TestKillRestartCheckpointMatrix(t *testing.T) {
 	}
 }
 
-// TestKillRestartSegmentedMatrix reruns the original crash-point matrix
-// on a fully configured fast-path market — segment rotation, periodic
-// checkpoints, group commit — so the legacy commit-protocol crash
-// points stay byte-identical under the new machinery too.
+// TestKillRestartSegmentedMatrix reruns the commit-protocol crash-point
+// matrix on a fully configured fast-path market — segment rotation,
+// periodic checkpoints, and even seeds with group commit — so every
+// crash point stays byte-identical under that machinery too, with and
+// without group commit.
 func TestKillRestartSegmentedMatrix(t *testing.T) {
-	for seed := int64(21); seed <= 24; seed++ {
+	const firstSeed, lastSeed = 21, 31
+	covered := map[string]bool{}
+	for seed := int64(firstSeed); seed <= lastSeed; seed++ {
+		covered[fmt.Sprintf("%s/group=%v", genScript(seed).point, seed%2 == 0)] = true
+	}
+	for _, point := range crashPoints {
+		for _, group := range []bool{false, true} {
+			if !covered[fmt.Sprintf("%s/group=%v", point, group)] {
+				t.Fatalf("seeds %d..%d never run crash point %s with group commit %v",
+					firstSeed, lastSeed, point, group)
+			}
+		}
+	}
+	for seed := int64(firstSeed); seed <= lastSeed; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			sc := genScript(seed)
 			insts := scriptInstances(t, seed, sc.actions)
 			golden := goldenRun(t, insts)
-			gst := decodeSnapshot(t, golden)
-			point := sc.point
-			if point == marketd.CrashLedgerPartial && len(gst.Outcomes[sc.crashSeq].Winners) == 0 {
-				point = marketd.CrashPreCommit
-			}
 
 			dir := t.TempDir()
 			cfg := marketd.Config{
 				Dir: dir, Workers: 2,
 				CheckpointEvery: 2, SegmentRecords: 6, GroupCommit: seed%2 == 0,
-				Crash: func(p string, seq int) bool { return p == point && seq == sc.crashSeq },
+				Crash: func(p string, seq int) bool { return p == sc.point && seq == sc.crashSeq },
 			}
 			m1, err := marketd.Open(context.Background(), cfg)
 			if err != nil {
@@ -552,7 +549,7 @@ func TestKillRestartSegmentedMatrix(t *testing.T) {
 				}
 			}
 			if snap := m2.Snapshot(); !bytes.Equal(snap, golden) {
-				t.Fatalf("recovered state diverged from golden (point %s):\n got %s\nwant %s", point, snap, golden)
+				t.Fatalf("recovered state diverged from golden (point %s):\n got %s\nwant %s", sc.point, snap, golden)
 			}
 		})
 	}
