@@ -101,35 +101,6 @@ var (
 	ErrUnderCoverage = core.ErrUnderCoverage
 )
 
-// RunAuction executes the full A_FL auction (Algorithm 1 of the paper):
-// it enumerates the feasible numbers of global iterations, solves a
-// winner-determination problem for each, and returns the minimum-cost
-// solution with schedules, critical-value payments, and the dual
-// certificate bounding its distance from optimal.
-//
-// Deprecated: use Run, which adds context cancellation, functional
-// options and the sentinel error surface. RunAuction(bids, cfg) behaves
-// exactly like Run(context.Background(), bids, cfg) except that an
-// infeasible auction returns (Result{Feasible: false}, nil) here and
-// (Result, ErrInfeasible) from Run. Results are bit-identical.
-func RunAuction(bids []Bid, cfg Config) (Result, error) {
-	return core.RunAuction(bids, cfg)
-}
-
-// RunAuctionConcurrent is RunAuction with the independent per-T̂_g
-// winner-determination problems fanned out over a worker pool
-// (workers ≤ 0 selects GOMAXPROCS). Results are bit-identical to
-// RunAuction.
-//
-// Deprecated: use Run with WithWorkers, which adds context cancellation
-// and the sentinel error surface. RunAuctionConcurrent(bids, cfg, n)
-// matches Run(context.Background(), bids, cfg, WithWorkers(n)) for n > 0
-// and WithWorkers(-1) for n ≤ 0, modulo the infeasibility convention
-// described on RunAuction. Results are bit-identical.
-func RunAuctionConcurrent(bids []Bid, cfg Config, workers int) (Result, error) {
-	return core.RunAuctionConcurrent(bids, cfg, workers)
-}
-
 // RunWDP qualifies bids for a fixed T̂_g and solves that single
 // winner-determination problem with A_winner (Algorithm 2).
 func RunWDP(bids []Bid, tg int, cfg Config) (WDPResult, error) {
@@ -139,8 +110,7 @@ func RunWDP(bids []Bid, tg int, cfg Config) (WDPResult, error) {
 // NewEngine validates the bid population and precomputes the shared
 // incremental-auction context. Use it when the same population is solved
 // more than once (what-if sweeps, re-pricing studies, serving layers);
-// Engine.Run and Engine.RunConcurrent return results bit-identical to
-// RunAuction and RunAuctionConcurrent.
+// Engine.RunCtx returns results bit-identical to Run.
 func NewEngine(bids []Bid, cfg Config) (*Engine, error) {
 	return core.NewEngine(bids, cfg)
 }

@@ -86,8 +86,7 @@ func BenchmarkRunAuctionI1000(b *testing.B) {
 	bids, cfg := paperBids(b, 1000, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := afl.RunAuction(bids, cfg)
-		if err != nil || !res.Feasible {
+		if _, err := afl.Run(context.Background(), bids, cfg); err != nil {
 			b.Fatalf("auction failed: %v", err)
 		}
 	}
@@ -99,8 +98,7 @@ func BenchmarkRunAuctionI9000(b *testing.B) {
 	bids, cfg := paperBids(b, 9000, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := afl.RunAuction(bids, cfg)
-		if err != nil || !res.Feasible {
+		if _, err := afl.Run(context.Background(), bids, cfg); err != nil {
 			b.Fatalf("auction failed: %v", err)
 		}
 	}
@@ -112,8 +110,7 @@ func BenchmarkRunAuctionConcurrent(b *testing.B) {
 	bids, cfg := paperBids(b, 1000, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := afl.RunAuctionConcurrent(bids, cfg, 0)
-		if err != nil || !res.Feasible {
+		if _, err := afl.Run(context.Background(), bids, cfg, afl.WithWorkers(-1)); err != nil {
 			b.Fatalf("auction failed: %v", err)
 		}
 	}
@@ -202,11 +199,11 @@ func BenchmarkSweepSeed(b *testing.B) {
 }
 
 // BenchmarkSweepIncremental is the shared-context sequential sweep behind
-// RunAuction.
+// Run.
 func BenchmarkSweepIncremental(b *testing.B) {
 	benchSweep(b, func(bids []afl.Bid, cfg afl.Config) bool {
-		res, err := afl.RunAuction(bids, cfg)
-		return err == nil && res.Feasible
+		_, err := afl.Run(context.Background(), bids, cfg)
+		return err == nil
 	})
 }
 
@@ -214,8 +211,8 @@ func BenchmarkSweepIncremental(b *testing.B) {
 // GOMAXPROCS workers on the shared context.
 func BenchmarkSweepIncrementalConcurrent(b *testing.B) {
 	benchSweep(b, func(bids []afl.Bid, cfg afl.Config) bool {
-		res, err := afl.RunAuctionConcurrent(bids, cfg, 0)
-		return err == nil && res.Feasible
+		_, err := afl.Run(context.Background(), bids, cfg, afl.WithWorkers(-1))
+		return err == nil
 	})
 }
 
@@ -232,8 +229,8 @@ func BenchmarkSweepEngineReuse(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if !eng.Run().Feasible {
-					b.Fatal("sweep infeasible")
+				if _, err := eng.RunCtx(context.Background(), afl.RunOptions{}); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})
@@ -254,8 +251,8 @@ func BenchmarkWorkloadGenerate(b *testing.B) {
 
 // BenchmarkExactCriticalPricing compares the exact-critical payment
 // paths on the benchcore payments configuration (I=200, J=5, T=10, K=4):
-// eager_reference prices every candidate T̂_g (the retained
-// RunAuctionEager), lazy prices only the chosen T̂_g sequentially, and
+// eager_reference prices every candidate T̂_g (seedwdp.RunEager), lazy
+// prices only the chosen T̂_g sequentially, and
 // parallel fans the per-winner bisections over GOMAXPROCS workers. The
 // differential suite guarantees all three return bit-identical payments,
 // so the ratios measure pure pricing work.
@@ -276,7 +273,7 @@ func BenchmarkExactCriticalPricing(b *testing.B) {
 	b.Run("eager_reference", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := core.RunAuctionEager(bids, cfg)
+			res, err := seedwdp.RunEager(bids, cfg)
 			if err != nil || !res.Feasible {
 				b.Fatalf("eager auction failed: %v", err)
 			}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"github.com/fedauction/afl"
@@ -26,7 +27,7 @@ func FuzzBidJSON(f *testing.F) {
 		if err := afl.ValidateBids(bids, maxT, k); err != nil {
 			return
 		}
-		res, err := afl.RunAuction(bids, afl.Config{T: maxT, K: k})
+		res, err := afl.Run(context.Background(), bids, afl.Config{T: maxT, K: k})
 		if err != nil {
 			return
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -16,8 +17,8 @@ func TestAuctionOutputJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := afl.RunAuction(bids, p.Config())
-	if err != nil || !res.Feasible {
+	res, err := afl.Run(context.Background(), bids, p.Config())
+	if err != nil {
 		t.Fatalf("auction failed: %v", err)
 	}
 	out := auctionOutput(res)

@@ -11,9 +11,9 @@
 //
 // A second group of payments_* paths benchmarks the exact-critical
 // pricing stage on a dedicated workload: the frozen eager-serial seed
-// (prices every candidate T̂_g), the retained in-tree eager reference,
-// and the lazy engine pricing only the chosen T̂_g sequentially and in
-// parallel.
+// (prices every candidate T̂_g), the eager reference on the current
+// engine (seedwdp.RunEager), and the lazy engine pricing only the chosen
+// T̂_g sequentially and in parallel.
 //
 // A third group measures the columnar (BidSet) hot path. sweep_w<n> rows
 // form the multi-worker scaling table: one warm columnar engine per
@@ -50,7 +50,6 @@ import (
 	"math/rand"
 
 	"github.com/fedauction/afl"
-	"github.com/fedauction/afl/internal/core"
 	"github.com/fedauction/afl/internal/lp"
 	"github.com/fedauction/afl/internal/obs"
 	"github.com/fedauction/afl/internal/seedwdp"
@@ -232,6 +231,7 @@ func main() {
 		K:           p.K,
 	}
 
+	ctx := context.Background()
 	seqPaths := []struct {
 		name string
 		run  func(bids []afl.Bid, cfg afl.Config) func() bool
@@ -244,14 +244,14 @@ func main() {
 		}},
 		{"incremental", func(bids []afl.Bid, cfg afl.Config) func() bool {
 			return func() bool {
-				res, err := afl.RunAuction(bids, cfg)
-				return err == nil && res.Feasible
+				_, err := afl.Run(ctx, bids, cfg)
+				return err == nil
 			}
 		}},
 		{"incremental_concurrent", func(bids []afl.Bid, cfg afl.Config) func() bool {
 			return func() bool {
-				res, err := afl.RunAuctionConcurrent(bids, cfg, 0)
-				return err == nil && res.Feasible
+				_, err := afl.Run(ctx, bids, cfg, afl.WithWorkers(-1))
+				return err == nil
 			}
 		}},
 		{"engine_reuse", func(bids []afl.Bid, cfg afl.Config) func() bool {
@@ -259,12 +259,14 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			return func() bool { return eng.Run().Feasible }
+			return func() bool {
+				_, err := eng.RunCtx(ctx, afl.RunOptions{})
+				return err == nil
+			}
 		}},
 	}
 
 	perPath := map[string]measurement{} // at the largest size
-	ctx := context.Background()
 
 	// sweepScaling appends the sweep_w<n> scaling rows for one population:
 	// a warm columnar engine, the T̂_g sweep fanned over each requested
@@ -280,8 +282,8 @@ func main() {
 			r := testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if !eng.RunConcurrent(w).Feasible {
-						b.Fatal("sweep infeasible")
+					if _, err := eng.RunCtx(ctx, afl.RunOptions{Workers: w}); err != nil {
+						b.Fatal(err)
 					}
 				}
 			})
@@ -544,8 +546,8 @@ func main() {
 	//
 	// payments_seed is the pre-lazification baseline: internal/seedwdp
 	// prices every candidate T̂_g eagerly with the blind-doubling bracket.
-	// payments_eager is the retained in-tree eager reference
-	// (core.RunAuctionEager, seeded brackets), payments_lazy prices only
+	// payments_eager is the eager reference on the current engine
+	// (seedwdp.RunEager, seeded brackets), payments_lazy prices only
 	// the chosen T̂_g sequentially, and payments_parallel fans the
 	// per-winner bisections over GOMAXPROCS workers.
 	pp := workload.NewDefaultParams()
@@ -567,7 +569,7 @@ func main() {
 	// paths must reproduce the eager reference's chosen-T̂_g payments
 	// bit-for-bit (the differential suite proves this over a corpus; this
 	// guards the exact instance being benchmarked).
-	eagerRes, err := core.RunAuctionEager(pbids, pcfg)
+	eagerRes, err := seedwdp.RunEager(pbids, pcfg)
 	if err != nil || !eagerRes.Feasible {
 		fatal(fmt.Errorf("payments workload infeasible under the eager reference: %v", err))
 	}
@@ -590,7 +592,7 @@ func main() {
 			return err == nil && res.Feasible
 		}},
 		{"payments_eager", func() bool {
-			res, err := core.RunAuctionEager(pbids, pcfg)
+			res, err := seedwdp.RunEager(pbids, pcfg)
 			return err == nil && res.Feasible
 		}},
 		{"payments_lazy", func() bool {

@@ -1,11 +1,10 @@
 // Command flplatform runs the networked auction marketplace over real TCP
-// sockets in six modes:
+// sockets in five modes:
 //
 //	flplatform -mode demo                  # server + agents in one process
 //	flplatform -mode server -addr :7001 -agents 6
 //	flplatform -mode client -addr host:7001 -id 3
 //	flplatform -mode chaos -seed 42 -drop 0.1 -crash 2:3
-//	flplatform -mode market -jobs 64 -clients 60 -workers 4 -queue 8
 //	flplatform -mode marketd -addr :7080 -wal /var/lib/afl -rate 5 -burst 10
 //
 // The server announces the FL job, collects sealed bids, runs A_FL,
@@ -13,16 +12,12 @@
 // payments; each client process holds a private synthetic shard and bids
 // from its own resource profile. Chaos mode replays one deterministic
 // fault schedule on a virtual clock and checks the session invariants.
-// Market mode exercises the cross-auction throughput layer: it streams
-// -jobs independently drawn auction instances (one per hypothetical FL
-// job) through a long-lived afl.Service with a bounded submission queue,
-// and reports the realized auctions/sec; combine with -metrics or -pprof
-// to watch the queue-depth gauge and per-auction latency histogram.
-// Marketd mode is the durable daemon: a long-lived HTTP/JSON market
-// whose submissions, outcomes and payments are logged to -wal and
-// replayed bit-identically on restart, with per-client token-bucket
+// Marketd mode is the market daemon: a long-lived HTTP/JSON market over
+// the cross-auction batch service (-workers, -queue) whose submissions,
+// outcomes and payments are logged to -wal and replayed bit-identically
+// on restart; without -wal it is a volatile demo. Per-client token-bucket
 // rate limiting (-rate/-burst) and queue-depth admission control
-// (-maxpending) at the edge. The fast-path knobs shape the WAL:
+// (-maxpending) guard the edge. The fast-path knobs shape the WAL:
 // -group-commit (with -sync-interval) coalesces concurrent commits
 // into shared fsyncs, -checkpoint-every and -segment-bytes bound
 // restart replay to the post-checkpoint tail, and -retain bounds the
@@ -61,7 +56,7 @@ var (
 )
 
 func main() {
-	mode := flag.String("mode", "demo", "demo, server, client, chaos, market, or marketd")
+	mode := flag.String("mode", "demo", "demo, server, client, chaos, or marketd")
 	addr := flag.String("addr", "127.0.0.1:7001", "listen/dial address")
 	agents := flag.Int("agents", 6, "number of agents (demo/server/chaos)")
 	id := flag.Int("id", 0, "client id (client mode)")
@@ -75,10 +70,8 @@ func main() {
 	delay := flag.Float64("delay", 0, "chaos: per-message delay probability")
 	dup := flag.Float64("dup", 0, "chaos: per-message duplication probability")
 	crash := flag.String("crash", "", "chaos: comma-separated client:round crash points, e.g. 2:3,5:1")
-	jobs := flag.Int("jobs", 64, "market: number of auction instances to stream through the service")
-	clients := flag.Int("clients", 60, "market: bidders per auction instance")
-	workers := flag.Int("workers", 0, "market/marketd: service worker pool width (0 = GOMAXPROCS)")
-	queueN := flag.Int("queue", 0, "market/marketd: submission queue bound (0 = twice the workers)")
+	workers := flag.Int("workers", 0, "marketd: service worker pool width (0 = GOMAXPROCS)")
+	queueN := flag.Int("queue", 0, "marketd: submission queue bound (0 = twice the workers)")
 	walDir := flag.String("wal", "", "marketd: durability directory for the event log (empty = volatile)")
 	groupCommit := flag.Bool("group-commit", false, "marketd: coalesce concurrent commits into shared fsyncs")
 	syncInterval := flag.Duration("sync-interval", 0, "marketd: group-commit linger to collect larger fsync batches (0 = sync when free)")
@@ -121,8 +114,6 @@ func main() {
 		runClient(*addr, *id, *seed, *maxT, *dim)
 	case "chaos":
 		runChaos(*agents, *seed, *maxT, *k, *dim, retry, *drop, *delay, *dup, *crash)
-	case "market":
-		runMarket(*jobs, *clients, *workers, *queueN, *seed)
 	case "marketd":
 		runMarketd(marketdFlags{
 			addr: *addr, walDir: *walDir, workers: *workers, queue: *queueN,
@@ -320,77 +311,6 @@ func runChaos(agents int, seed int64, maxT, k, dim int, retry afl.RetryPolicy, d
 		os.Exit(1)
 	}
 	fmt.Println("all session invariants hold")
-}
-
-// runMarket streams jobs auction instances through a long-lived
-// afl.Service — the marketplace daemon's serving loop, minus the
-// network: a producer submits one sealed-bid population per FL job
-// (blocking when the bounded queue fills, which is the backpressure), a
-// consumer drains outcomes, and the run reports the realized throughput.
-// SIGINT/SIGTERM stops the producer, not the solver: already-submitted
-// auctions are drained and the partial results printed before exit.
-func runMarket(jobs, clients, workers, queue int, seed int64) {
-	// The service lives on the background context; only the submission
-	// loop is bound to the signal, so an interrupt stops new work while
-	// Close drains everything already accepted.
-	svc := afl.NewService(context.Background(),
-		afl.WithWorkers(workers), afl.WithQueue(queue), afl.WithObserver(observer))
-	submitCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var solved, feasible int
-	var infeasible []int
-	go func() {
-		defer wg.Done()
-		for o := range svc.Results() {
-			solved++
-			if o.Err == nil {
-				feasible++
-			} else {
-				infeasible = append(infeasible, o.Index)
-			}
-		}
-	}()
-
-	start := time.Now()
-	submitted := 0
-	for i := 0; i < jobs; i++ {
-		p := afl.DefaultWorkloadParams()
-		p.Clients = clients
-		// The paper's K=20 needs a deep bid pool; scale the coverage
-		// requirement down with the population so small demo markets stay
-		// mostly feasible (infeasible jobs are reported, not fatal).
-		if k := clients / 20; k < p.K {
-			p.K = max(k, 2)
-		}
-		p.Seed = seed + int64(i)*1000003
-		bids, err := afl.GenerateWorkload(p)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if _, err := svc.Submit(submitCtx, afl.Instance{Bids: bids, Cfg: p.Config()}); err != nil {
-			if submitCtx.Err() != nil {
-				fmt.Fprintf(os.Stderr, "market: interrupted after %d submissions, draining\n", submitted)
-				break
-			}
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		submitted++
-	}
-	svc.Close()
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	fmt.Printf("market: %d auctions solved (%d feasible) in %v — %.1f auctions/s\n",
-		solved, feasible, elapsed.Round(time.Millisecond),
-		float64(solved)/elapsed.Seconds())
-	for _, idx := range infeasible {
-		fmt.Printf("  job %d: no feasible schedule at this K\n", idx)
-	}
 }
 
 // marketdFlags carries the -mode marketd flag set into runMarketd.

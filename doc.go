@@ -13,7 +13,7 @@
 // T_g ≥ 1/(1−θ_max)), the winning bids, each winner's schedule, and
 // truthful critical-value payments, approximately minimizing social cost.
 //
-// The root package is the public facade: the auction itself (RunAuction,
+// The root package is the public facade: the auction itself (Run,
 // RunWDP, CheckSolution), the paper's §VII-A workload generator
 // (GenerateWorkload), the comparison baselines (FCFS, Greedy, AOnline),
 // a federated-learning simulator that executes the winning schedule
@@ -33,28 +33,18 @@
 //
 // # Migrating from RunAuction / RunAuctionConcurrent
 //
-// Run supersedes both one-shot entry points. The mapping is mechanical —
-// results are bit-identical for every worker count:
+// Both one-shot entry points are gone; Run replaces them with
+// bit-identical results, but reports an infeasible auction as
+// ErrInfeasible (with the full Result) instead of a nil error:
 //
 //	RunAuction(bids, cfg)               → Run(ctx, bids, cfg)
-//	RunAuctionConcurrent(bids, cfg, n)  → Run(ctx, bids, cfg, WithWorkers(n))   // n > 0
-//	RunAuctionConcurrent(bids, cfg, 0)  → Run(ctx, bids, cfg, WithWorkers(-1))  // GOMAXPROCS
-//
-// Two behavioural upgrades come with the move:
-//
-//   - Cancellation: Run honors ctx mid-sweep. A canceled run abandons the
-//     remaining winner-determination problems and returns an error
-//     matching both ErrCanceled and the context cause under errors.Is.
-//   - Sentinel errors: an infeasible auction — which RunAuction reported
-//     as (Result{Feasible: false}, nil) — surfaces as ErrInfeasible from
-//     Run, with the Result still carrying every per-T̂_g WDP outcome.
-//     Validation failures keep their sentinels (ErrNoBids et al.).
+//	RunAuctionConcurrent(bids, cfg, n)  → Run(ctx, bids, cfg, WithWorkers(n))  // n ≤ 0: WithWorkers(-1)
 //
 // Further options: WithObserver streams structured phase events (see
 // Observer, Trace, Metrics) at zero cost when omitted, WithNow injects a
 // deterministic clock for golden-testing traces, and WithPaymentRule
-// overrides cfg.PaymentRule for one call. Engines offer the same surface
-// via Engine.RunCtx and Engine.Observe.
+// overrides cfg.PaymentRule for one call. Engines take the same settings
+// through Engine.RunCtx and RunOptions.
 //
 // # Migrating from []Bid to BidSet
 //

@@ -1,24 +1,25 @@
 package afl_test
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/fedauction/afl"
 )
 
-// ExampleRunAuction runs A_FL on the paper's §V-B worked example bids:
+// ExampleRun runs A_FL on the paper's §V-B worked example bids:
 // T = 3 global iterations, K = 1 participant per iteration, and three
 // single-bid clients B1($2,[1,2],1), B2($6,[2,3],2), B3($5,[1,3],2).
 // The paper solves the fixed T̂_g = 3 WDP (see ExampleRunWDP); the full
 // enumeration discovers that T̂_g = 2 achieves the same cost 7 with the
 // same winners and prefers the smaller horizon.
-func ExampleRunAuction() {
+func ExampleRun() {
 	bids := []afl.Bid{
 		{Client: 0, Price: 2, Theta: 0.5, Start: 1, End: 2, Rounds: 1},
 		{Client: 1, Price: 6, Theta: 0.5, Start: 2, End: 3, Rounds: 2},
 		{Client: 2, Price: 5, Theta: 0.5, Start: 1, End: 3, Rounds: 2},
 	}
-	res, err := afl.RunAuction(bids, afl.Config{T: 3, K: 1})
+	res, err := afl.Run(context.Background(), bids, afl.Config{T: 3, K: 1})
 	if err != nil {
 		panic(err)
 	}

@@ -9,6 +9,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"log"
 
@@ -56,12 +58,12 @@ func main() {
 	}
 
 	cfg := afl.Config{T: maxT, K: coverageK, TMax: 60}
-	res, err := afl.RunAuction(bids, cfg)
+	res, err := afl.Run(context.Background(), bids, cfg)
+	if errors.Is(err, afl.ErrInfeasible) {
+		log.Fatal("auction infeasible: relax K or extend T")
+	}
 	if err != nil {
 		log.Fatalf("auction: %v", err)
-	}
-	if !res.Feasible {
-		log.Fatal("auction infeasible: relax K or extend T")
 	}
 	fmt.Printf("auction: T_g*=%d, %d winners, social cost %.1f, payments %.1f (ratio bound %.2f)\n",
 		res.Tg, len(res.Winners), res.Cost, res.TotalPayment(), res.Dual.RatioBound)

@@ -5,6 +5,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"log"
 
@@ -27,12 +29,12 @@ func main() {
 	}
 	cfg := params.Config()
 
-	res, err := afl.RunAuction(bids, cfg)
+	res, err := afl.Run(context.Background(), bids, cfg)
+	if errors.Is(err, afl.ErrInfeasible) {
+		log.Fatal("no feasible schedule: not enough supply")
+	}
 	if err != nil {
 		log.Fatalf("auction: %v", err)
-	}
-	if !res.Feasible {
-		log.Fatal("no feasible schedule: not enough supply")
 	}
 
 	fmt.Printf("A_FL auction over %d bids from %d clients\n", len(bids), params.Clients)

@@ -8,6 +8,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"log"
 
@@ -37,13 +39,13 @@ func main() {
 	for _, r := range []int{0, 1, 2, 3, 5} {
 		cfg := params.Config()
 		cfg.K = params.K + r
-		res, err := afl.RunAuction(bids, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !res.Feasible {
+		res, err := afl.Run(context.Background(), bids, cfg)
+		if errors.Is(err, afl.ErrInfeasible) {
 			fmt.Printf("%10d  insufficient supply\n", r)
 			continue
+		}
+		if err != nil {
+			log.Fatal(err)
 		}
 		// Monte Carlo: per round, scheduled participants drop out i.i.d.;
 		// the job succeeds when every round keeps ≥ K survivors.

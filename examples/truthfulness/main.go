@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,8 +39,8 @@ func main() {
 	// Pick a client that wins under truthful bidding so the sweep is
 	// interesting.
 	baseCfg := params.Config()
-	baseRes, err := afl.RunAuction(bids, baseCfg)
-	if err != nil || !baseRes.Feasible || len(baseRes.Winners) == 0 {
+	baseRes, err := afl.Run(context.Background(), bids, baseCfg)
+	if err != nil || len(baseRes.Winners) == 0 {
 		log.Fatalf("base auction failed: %v", err)
 	}
 	victim := baseRes.Winners[0].BidIndex
@@ -84,8 +85,8 @@ func utility(bids []afl.Bid, victim int, claimed float64, cfg afl.Config) float6
 	mod := make([]afl.Bid, len(bids))
 	copy(mod, bids)
 	mod[victim].Price = claimed
-	res, err := afl.RunAuction(mod, cfg)
-	if err != nil || !res.Feasible {
+	res, err := afl.Run(context.Background(), mod, cfg)
+	if err != nil {
 		return 0
 	}
 	if w, ok := res.WinnerByClient(bids[victim].Client); ok {

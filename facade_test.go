@@ -2,6 +2,7 @@ package afl_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"testing"
@@ -53,11 +54,12 @@ func TestFacadeConcurrentAuction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := afl.RunAuction(bids, p.Config())
+	ctx := context.Background()
+	seq, err := afl.Run(ctx, bids, p.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := afl.RunAuctionConcurrent(bids, p.Config(), 2)
+	par, err := afl.Run(ctx, bids, p.Config(), afl.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +77,8 @@ func TestFacadeRoundSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := afl.RunAuction(bids, p.Config())
-	if err != nil || !res.Feasible {
+	res, err := afl.Run(context.Background(), bids, p.Config())
+	if err != nil {
 		t.Fatalf("auction failed: %v", err)
 	}
 	sim, err := afl.SimulateRounds(res, p.K, afl.RoundSimOptions{TMax: p.TMax, Jitter: 0.1, Seed: 1})
@@ -89,7 +91,7 @@ func TestFacadeRoundSimulation(t *testing.T) {
 }
 
 func TestFacadeErrNoBids(t *testing.T) {
-	if _, err := afl.RunAuction(nil, afl.Config{T: 3, K: 1}); err == nil {
+	if _, err := afl.Run(context.Background(), nil, afl.Config{T: 3, K: 1}); err == nil {
 		t.Fatal("expected error")
 	}
 	if afl.ErrNoBids == nil {
@@ -179,8 +181,8 @@ func TestResultJSONRoundTrip(t *testing.T) {
 		{Client: 1, Price: 6, Theta: 0.5, Start: 2, End: 3, Rounds: 2},
 		{Client: 2, Price: 5, Theta: 0.5, Start: 1, End: 3, Rounds: 2},
 	}
-	res, err := afl.RunAuction(bids, afl.Config{T: 3, K: 1})
-	if err != nil || !res.Feasible {
+	res, err := afl.Run(context.Background(), bids, afl.Config{T: 3, K: 1})
+	if err != nil {
 		t.Fatalf("auction failed: %v", err)
 	}
 	data, err := json.Marshal(res)

@@ -5,6 +5,7 @@ package afl_test
 // session — the pipeline a downstream user runs.
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -26,12 +27,9 @@ func TestPublicAuctionPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := p.Config()
-	res, err := afl.RunAuction(bids, cfg)
+	res, err := afl.Run(context.Background(), bids, cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Feasible {
-		t.Fatal("default-shaped instance should be feasible")
+		t.Fatalf("default-shaped instance should be feasible: %v", err)
 	}
 	if err := afl.CheckSolution(bids, res, cfg); err != nil {
 		t.Fatal(err)
@@ -62,8 +60,8 @@ func TestPublicBaselinesComparable(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := p.Config()
-	res, err := afl.RunAuction(bids, cfg)
-	if err != nil || !res.Feasible {
+	res, err := afl.Run(context.Background(), bids, cfg)
+	if err != nil {
 		t.Fatalf("A_FL failed: %v", err)
 	}
 	for _, m := range []afl.Mechanism{afl.FCFS{}, afl.Greedy{}, afl.AOnline{}} {
@@ -95,8 +93,8 @@ func TestPublicAuctionToTraining(t *testing.T) {
 		learners[c] = &afl.FLClient{ID: c, Data: shards[c], Theta: theta, LR: 0.5}
 	}
 	cfg := afl.Config{T: 10, K: 4, TMax: 60}
-	res, err := afl.RunAuction(bids, cfg)
-	if err != nil || !res.Feasible {
+	res, err := afl.Run(context.Background(), bids, cfg)
+	if err != nil {
 		t.Fatalf("auction failed: %v", err)
 	}
 	schedule := afl.ScheduleFromResult(res)

@@ -14,10 +14,10 @@
 //     round-robin onto per-worker shards; a worker drains its own shard
 //     from the front and steals from the back of its neighbours' when
 //     idle, so skewed instance costs cannot strand a worker;
-//   - pooled engines: each instance is solved on a core.AcquireEngine
-//     engine whose qualification arena is recycled through shape-keyed
-//     pools, so steady-state batch solves allocate little beyond what
-//     escapes into their Results;
+//   - pooled engines: each instance is solved on a pooled engine
+//     (core.ReacquireEngineSet) whose qualification arena is recycled
+//     through shape-keyed pools, so steady-state batch solves allocate
+//     little beyond the row compile and what escapes into their Results;
 //   - a bounded submission queue with backpressure (Service) for
 //     long-lived serving processes, with mid-flight context cancellation
 //     that surfaces partial results per instance and leaks no goroutines.
@@ -25,7 +25,8 @@
 // Each instance's sweep runs sequentially (Workers: 1 inside the
 // engine): across-instance parallelism already saturates the pool, and
 // per-instance fan-out on top of it would oversubscribe the scheduler —
-// the exact failure mode this package exists to remove. Results are
+// the exact failure mode this package exists to remove. A one-worker Run
+// solves every instance on the calling goroutine. Results are
 // bit-identical to running each instance through afl.Run serially.
 package batch
 
@@ -53,7 +54,8 @@ import (
 // under an equivalent Cfg warm-start from the previous solve's engine
 // (validation and the whole qualification rebuild are skipped, see
 // core.ReacquireEngineSet). Bids is the row-oriented compat form,
-// compiled on acquisition; the two yield bit-identical Outcomes.
+// compiled per instance when a worker picks it up; the two yield
+// bit-identical Outcomes.
 type Instance struct {
 	// Bids is the instance's sealed-bid population in row form. Ignored
 	// when Set is non-nil.
@@ -201,18 +203,16 @@ func Run(ctx context.Context, instances []Instance, opts Options) ([]Outcome, er
 	sched := newShards(len(instances), workers)
 	var queued atomic.Int64
 	queued.Store(int64(len(instances)))
-	if workers == 1 {
-		// Inline fast path: a single-width batch is a plain loop on the
-		// calling goroutine. Spawning the one worker would hand every
-		// solve to a fresh goroutine for no concurrency in return — on a
-		// single-core runner that handoff costs several percent of
-		// throughput. The event stream is identical: one worker drains
-		// the lone shard in submission order.
+	core.FanOut(workers, func(self int) {
+		// The worker keeps its engine across instances: same-class
+		// auctions rebind the held arena in place, so a GC flushing the
+		// shape pools mid-batch never forces reconstruction.
 		var eng *core.Engine
+		defer func() { eng.Release() }()
 		for {
-			idx, ok := sched.next(0)
+			idx, ok := sched.next(self)
 			if !ok {
-				break
+				return
 			}
 			depth := queued.Add(-1)
 			if obsv != nil {
@@ -223,47 +223,12 @@ func Run(ctx context.Context, instances []Instance, opts Options) ([]Outcome, er
 			}
 			out[idx], eng = solveOne(ctx, idx, instances[idx], obsv, now, lpc, eng)
 		}
-		eng.Release()
-		return finishRun(ctx, out, len(instances), obsv, now, start)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(self int) {
-			defer wg.Done()
-			// The worker keeps its engine across instances: same-class
-			// auctions rebind the held arena in place, so a GC flushing
-			// the shape pools mid-batch never forces reconstruction.
-			var eng *core.Engine
-			defer func() { eng.Release() }()
-			for {
-				idx, ok := sched.next(self)
-				if !ok {
-					return
-				}
-				depth := queued.Add(-1)
-				if obsv != nil {
-					obsv.Observe(obs.Event{
-						Kind: obs.EvAuctionDequeued, Client: -1, Bid: idx,
-						Value: float64(depth),
-					})
-				}
-				out[idx], eng = solveOne(ctx, idx, instances[idx], obsv, now, lpc, eng)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return finishRun(ctx, out, len(instances), obsv, now, start)
-}
-
-// finishRun emits the closing batch event and maps a canceled context to
-// the sentinel error; shared by the inline and pooled paths of Run.
-func finishRun(ctx context.Context, out []Outcome, n int, obsv obs.Observer, now func() time.Time, start time.Time) ([]Outcome, error) {
+	})
 	err := ctx.Err()
 	if obsv != nil {
 		obsv.Observe(obs.Event{
 			Kind: obs.EvBatchDone, Client: -1, Bid: -1,
-			Value: float64(n), OK: err == nil, Dur: now().Sub(start),
+			Value: float64(len(instances)), OK: err == nil, Dur: now().Sub(start),
 		})
 	}
 	if err != nil {
@@ -272,25 +237,24 @@ func finishRun(ctx context.Context, out []Outcome, n int, obsv obs.Observer, now
 	return out, nil
 }
 
-// solveOne runs a single instance on a pooled engine, rebinding the
-// worker's held engine in place when the shape class matches (prev may be
-// nil). The rebound engine is returned for the worker's next instance —
-// nil after a validation error, so the next call falls back to a fresh
-// acquisition. Cancellation is checked before touching the engine so a
-// canceled batch drains its remaining instances in microseconds.
+// solveOne runs a single instance on a pooled engine, compiling a row
+// instance first and rebinding the worker's held engine in place when the
+// shape class matches (prev may be nil). The rebound engine is returned
+// for the worker's next instance — nil after a validation error, so the
+// next call falls back to a fresh acquisition. Cancellation is checked
+// before touching the engine so a canceled batch drains its remaining
+// instances in microseconds.
 func solveOne(ctx context.Context, idx int, inst Instance, obsv obs.Observer, now func() time.Time, lpc core.LPCertifier, prev *core.Engine) (Outcome, *core.Engine) {
 	o := Outcome{Index: idx}
 	if ctx.Err() != nil {
 		o.Err = canceledErr(ctx)
 		return o, prev
 	}
-	var eng *core.Engine
-	var err error
-	if inst.Set != nil {
-		eng, err = core.ReacquireEngineSet(prev, inst.Set, inst.Cfg)
-	} else {
-		eng, err = core.ReacquireEngine(prev, inst.Bids, inst.Cfg)
+	set := inst.Set
+	if set == nil {
+		set = core.CompileBids(inst.Bids)
 	}
+	eng, err := core.ReacquireEngineSet(prev, set, inst.Cfg)
 	if err != nil {
 		o.Err = err
 		return o, nil

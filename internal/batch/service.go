@@ -92,7 +92,7 @@ func (s *Service) worker() {
 	defer s.wg.Done()
 	// Held across submissions like a Run worker's engine: same-class
 	// auctions rebind the arena in place. While the worker idles the
-	// arena pins the last instance's bid slice; Close or cancellation
+	// arena pins the last instance's BidSet; Close or cancellation
 	// releases it.
 	var eng *core.Engine
 	defer func() { eng.Release() }()

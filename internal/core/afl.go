@@ -1,30 +1,25 @@
 package core
 
-// RunAuction executes the full A_FL auction (Algorithm 1): it derives the
+import "context"
+
+// Run executes the full A_FL auction (Algorithm 1): it derives the
 // feasible range [T_0, T] for the number of global iterations from the
 // bids' local accuracies, forms the qualified bid set and solves the
 // winner-determination problem for every T̂_g in the range, and returns the
-// minimum-social-cost solution with its schedules, critical-value payments
-// and dual certificate.
+// minimum-social-cost solution with its schedules, payments and dual
+// certificate.
 //
-// The sweep runs on the incremental WDP engine: one shared immutable
-// auction context (monotone qualification delta lists, client groupings)
-// and one pooled scratch arena serve every candidate T̂_g, so per-T̂_g
-// work is proportional to the solve itself, not to rebuilding state.
-// Results are bit-identical to solving each WDP independently from
-// scratch (the differential harness in differential_test.go enforces
-// this against a frozen copy of the pre-engine solver).
-//
-// The returned Result is infeasible (Feasible == false) when no T̂_g admits
-// K participants in every global iteration.
-func RunAuction(bids []Bid, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+// Run is NewEngine followed by Engine.RunCtx, so it shares RunCtx's
+// options and error surface: a canceled ctx returns an ErrCanceled-wrapping
+// error, and an auction in which no T̂_g admits K participants in every
+// global iteration returns ErrInfeasible with the Result still carrying
+// every per-T̂_g WDP outcome.
+func Run(ctx context.Context, bids []Bid, cfg Config, opts RunOptions) (Result, error) {
+	eng, err := NewEngine(bids, cfg)
+	if err != nil {
 		return Result{}, err
 	}
-	if err := ValidateBids(bids, cfg.T, cfg.K); err != nil {
-		return Result{}, err
-	}
-	return newAuctionContext(CompileBids(bids), cfg).run(), nil
+	return eng.RunCtx(ctx, opts)
 }
 
 // RunWDP is a convenience wrapper that qualifies bids for a fixed T̂_g and

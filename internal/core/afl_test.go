@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -76,12 +77,12 @@ func TestRunAuctionValidation(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := RunAuction(tc.bids, tc.cfg); err == nil {
+			if _, err := Run(context.Background(), tc.bids, tc.cfg, RunOptions{}); err == nil {
 				t.Fatal("expected a validation error")
 			}
 		})
 	}
-	if _, err := RunAuction(nil, Config{T: 5, K: 1}); !errors.Is(err, ErrNoBids) {
+	if _, err := Run(context.Background(), nil, Config{T: 5, K: 1}, RunOptions{}); !errors.Is(err, ErrNoBids) {
 		t.Fatalf("want ErrNoBids, got %v", err)
 	}
 }
@@ -95,12 +96,9 @@ func TestRunAuctionPicksCheapestTg(t *testing.T) {
 		{Client: 2, Price: 100, Theta: 0.4, Start: 1, End: 3, Rounds: 3},
 	}
 	cfg := Config{T: 3, K: 1}
-	res, err := RunAuction(bids, cfg)
+	res, err := Run(context.Background(), bids, cfg, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !res.Feasible {
-		t.Fatal("auction infeasible")
 	}
 	if res.Tg != 2 {
 		t.Fatalf("T_g* = %d, want 2", res.Tg)
@@ -121,12 +119,9 @@ func TestRunAuctionRespectsThetaCoupling(t *testing.T) {
 		{Client: 2, Price: 50, Theta: 0.4, Start: 1, End: 3, Rounds: 2},
 	}
 	cfg := Config{T: 3, K: 1}
-	res, err := RunAuction(bids, cfg)
+	res, err := Run(context.Background(), bids, cfg, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !res.Feasible {
-		t.Fatal("auction infeasible")
 	}
 	for _, w := range res.Winners {
 		if w.Bid.Client == 0 {
@@ -144,9 +139,9 @@ func TestRunAuctionInfeasible(t *testing.T) {
 		{Client: 0, Price: 1, Theta: 0.5, Start: 1, End: 4, Rounds: 3},
 		{Client: 0, Price: 2, Theta: 0.5, Start: 1, End: 4, Rounds: 2},
 	}
-	res, err := RunAuction(bids, Config{T: 4, K: 2})
-	if err != nil {
-		t.Fatal(err)
+	res, err := Run(context.Background(), bids, Config{T: 4, K: 2}, RunOptions{})
+	if !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("want ErrInfeasible, got %v", err)
 	}
 	if res.Feasible {
 		t.Fatalf("expected infeasible result, got %+v", res)
@@ -161,12 +156,12 @@ func TestRunAuctionRandomFeasibility(t *testing.T) {
 	cfg := Config{T: 12, K: 2, TMax: 60}
 	for trial := 0; trial < 40; trial++ {
 		bids := randomAuctionBids(rng, cfg.T, 12)
-		res, err := RunAuction(bids, cfg)
+		res, err := Run(context.Background(), bids, cfg, RunOptions{})
+		if errors.Is(err, ErrInfeasible) {
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !res.Feasible {
-			continue
 		}
 		if err := CheckSolution(bids, res, cfg); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -229,12 +224,9 @@ func randomAuctionBids(rng *stats.RNG, maxT, clients int) []Bid {
 func TestResultHelpers(t *testing.T) {
 	bids := exampleBids()
 	cfg := Config{T: 3, K: 1}
-	res, err := RunAuction(bids, cfg)
+	res, err := Run(context.Background(), bids, cfg, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !res.Feasible {
-		t.Fatal("infeasible")
 	}
 	if got := res.TotalPayment(); got <= 0 {
 		t.Fatalf("TotalPayment = %v", got)

@@ -163,7 +163,7 @@ func (ci *capacityIndex) lowerBound(ax *auctionContext, tg int) float64 {
 	return math.Inf(1)
 }
 
-// sweepApprox is the approximate counterpart of sweepSeq: an adaptive
+// sweepApprox is the approximate counterpart of sweepPar: an adaptive
 // coarse pass over the candidate range, refinement around the coarse
 // argmin until its immediate neighbours are solved, the optional
 // LP-guided tightening and rounding of SolverLPRound, and the

@@ -51,27 +51,15 @@ type BidSet struct {
 // CompileBids builds the columnar form of bids. The input slice is read
 // once and not retained; len(bids) == 0 yields a valid empty set.
 func CompileBids(bids []Bid) *BidSet {
-	s := &BidSet{}
-	s.compile(bids)
-	return s
-}
-
-// compile (re)derives the columns and the sibling index in place, reusing
-// whatever column capacity the receiver already holds — the engine-pool
-// rebuild path for the []Bid compat wrappers.
-func (s *BidSet) compile(bids []Bid) {
 	n := len(bids)
-	s.n = n
-	s.price = growF(s.price, n)
-	s.trueCost = growF(s.trueCost, n)
-	s.theta = growF(s.theta, n)
-	s.comp = growF(s.comp, n)
-	s.comm = growF(s.comm, n)
-	s.start = growI(s.start, n)
-	s.end = growI(s.end, n)
-	s.rounds = growI(s.rounds, n)
-	s.client = growI(s.client, n)
-	s.index = growI(s.index, n)
+	s := &BidSet{
+		n:     n,
+		price: make([]float64, n), trueCost: make([]float64, n), theta: make([]float64, n),
+		comp: make([]float64, n), comm: make([]float64, n),
+		start: make([]int, n), end: make([]int, n), rounds: make([]int, n),
+		client: make([]int, n), index: make([]int, n),
+		cls: &classHolder{},
+	}
 	for i, b := range bids {
 		s.price[i], s.trueCost[i], s.theta[i] = b.Price, b.TrueCost, b.Theta
 		s.comp[i], s.comm[i] = b.CompTime, b.CommTime
@@ -79,14 +67,13 @@ func (s *BidSet) compile(bids []Bid) {
 		s.client[i], s.index[i] = b.Client, b.Index
 	}
 	s.buildSiblings()
-	// Any previously built class index described the old population.
-	s.cls = &classHolder{}
+	return s
 }
 
 // buildSiblings computes the client-sibling CSR from the client column.
 func (s *BidSet) buildSiblings() {
 	n := s.n
-	s.sibOrder = growI(s.sibOrder, n)
+	s.sibOrder = make([]int, n)
 	for i := range s.sibOrder {
 		s.sibOrder[i] = i
 	}
@@ -99,8 +86,7 @@ func (s *BidSet) buildSiblings() {
 		}
 		return a - b
 	})
-	s.sibRow = growI(s.sibRow, n)
-	s.sibStart = s.sibStart[:0]
+	s.sibRow = make([]int, n)
 	for k := 0; k < n; k++ {
 		if k == 0 || s.client[s.sibOrder[k]] != s.client[s.sibOrder[k-1]] {
 			s.sibStart = append(s.sibStart, k)
@@ -203,14 +189,6 @@ func ValidateBidSet(s *BidSet, maxT, k int) error {
 		}
 	}
 	return nil
-}
-
-// growF returns s resized to n, reusing capacity when possible.
-func growF(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }
 
 // growI returns s resized to n, reusing capacity when possible.

@@ -5,11 +5,13 @@ package core_test
 // rows field-for-field, including non-finite floats and out-of-range
 // windows — and the set-accepting entry points (NewEngineSet,
 // AcquireEngineSet, ReacquireEngineSet) promise bit-identical results to
-// their []Bid twins. Both claims are locked here; FuzzCompileBids extends
+// the []Bid entry points (NewEngine, Run). Both claims are locked here; FuzzCompileBids extends
 // them to arbitrary byte-derived populations with a checked-in seed
 // corpus (testdata/fuzz/FuzzCompileBids).
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -126,26 +128,26 @@ func TestEngineSetPathsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: NewEngine: %v", seed, err)
 		}
-		want := rowEng.Run()
+		want := sweepEngine(t, rowEng, core.RunOptions{})
 
 		set := core.CompileBids(bids)
 		setEng, err := core.NewEngineSet(set, cfg)
 		if err != nil {
 			t.Fatalf("seed %d: NewEngineSet: %v", seed, err)
 		}
-		if got := setEng.Run(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: NewEngineSet.Run diverged from NewEngine.Run", seed)
+		if got := sweepEngine(t, setEng, core.RunOptions{}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: NewEngineSet diverged from NewEngine", seed)
 		}
-		if got := setEng.RunConcurrent(4); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: NewEngineSet.RunConcurrent(4) diverged", seed)
+		if got := sweepEngine(t, setEng, core.RunOptions{Workers: 4}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: NewEngineSet over 4 workers diverged", seed)
 		}
 
 		pooled, err := core.AcquireEngineSet(set, cfg)
 		if err != nil {
 			t.Fatalf("seed %d: AcquireEngineSet: %v", seed, err)
 		}
-		if got := pooled.Run(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: AcquireEngineSet.Run diverged", seed)
+		if got := sweepEngine(t, pooled, core.RunOptions{}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: AcquireEngineSet diverged", seed)
 		}
 		// Warm start: same set, equivalent config — the rebind must hand
 		// back an engine that still reproduces the result exactly.
@@ -153,7 +155,7 @@ func TestEngineSetPathsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: ReacquireEngineSet warm: %v", seed, err)
 		}
-		if got := warm.Run(); !reflect.DeepEqual(got, want) {
+		if got := sweepEngine(t, warm, core.RunOptions{}); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: warm-started engine diverged", seed)
 		}
 		// Changed config: the rebind must rebuild, not reuse, and the
@@ -168,7 +170,7 @@ func TestEngineSetPathsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: NewEngineSet cfg2: %v", seed, err)
 		}
-		if got, want2 := rebound.Run(), cold.Run(); !reflect.DeepEqual(got, want2) {
+		if got, want2 := sweepEngine(t, rebound, core.RunOptions{}), sweepEngine(t, cold, core.RunOptions{}); !reflect.DeepEqual(got, want2) {
 			t.Fatalf("seed %d: rebound engine diverged from cold engine under new config", seed)
 		}
 		rebound.Release()
@@ -182,7 +184,7 @@ func TestEngineSetPathsBitIdentical(t *testing.T) {
 //   - ValidateBidSet agrees with ValidateBids — same decision, same
 //     message — on every population;
 //   - populations both validators accept solve identically through the
-//     row path (RunAuction) and the set path (NewEngineSet), serial and
+//     row path (Run) and the set path (NewEngineSet), serial and
 //     concurrent.
 func FuzzCompileBids(f *testing.F) {
 	f.Add([]byte{1, 16, 100, 9, 12, 3, 50, 50, 0}, uint8(12), uint8(2))
@@ -213,18 +215,18 @@ func FuzzCompileBids(f *testing.F) {
 			return
 		}
 		cfg := core.Config{T: maxT, K: k}
-		rows, err := core.RunAuction(bids, cfg)
-		if err != nil {
+		rows, err := core.Run(context.Background(), bids, cfg, core.RunOptions{})
+		if err != nil && !errors.Is(err, core.ErrInfeasible) {
 			return // ErrNoBids on empty populations
 		}
 		eng, err := core.NewEngineSet(set, cfg)
 		if err != nil {
 			t.Fatalf("NewEngineSet rejected a validated set: %v", err)
 		}
-		if got := eng.Run(); !reflect.DeepEqual(rows, got) {
+		if got := sweepEngine(t, eng, core.RunOptions{}); !reflect.DeepEqual(rows, got) {
 			t.Fatal("set path diverged from row path")
 		}
-		if got := eng.RunConcurrent(2); !reflect.DeepEqual(rows, got) {
+		if got := sweepEngine(t, eng, core.RunOptions{Workers: 2}); !reflect.DeepEqual(rows, got) {
 			t.Fatal("concurrent set path diverged from row path")
 		}
 	})

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"sort"
-)
+import "sort"
 
 // auctionContext is the shared immutable per-auction state of the
 // incremental WDP engine. It is built once per auction over the columnar
@@ -80,7 +77,7 @@ func newAuctionContext(set *BidSet, cfg Config) *auctionContext {
 
 // rebuild (re)derives the full context for a new bid population in place,
 // reusing whatever slice capacity the receiver already holds. This is the
-// engine pool's steady-state path (see AcquireEngine): after the first
+// engine pool's steady-state path (see AcquireEngineSet): after the first
 // few rebuilds of a given shape, qualification costs zero allocations
 // beyond what escapes into results. The qualification predicate is
 // evaluated with exactly the expressions and tolerances of Qualified, so
@@ -250,13 +247,4 @@ func (ax *auctionContext) qualifiedAt(tg int) []int {
 	}
 	n := ax.qualCount[tg]
 	return ax.qualOrder[:n:n]
-}
-
-// run executes the sequential incremental T̂_g sweep: one pooled scratch
-// arena, one shared context, qualification by prefix extension. It is a
-// convenience wrapper over sweep with default options (sequential,
-// uninstrumented, background context).
-func (ax *auctionContext) run() Result {
-	res, _ := ax.sweep(context.Background(), RunOptions{})
-	return res
 }

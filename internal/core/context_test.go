@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -109,8 +111,8 @@ func TestScratchReuseIsClean(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		cfg := Config{T: 4 + rng.Intn(8), K: 1 + rng.Intn(3)}
 		bids := randomBids(rng, 5+rng.Intn(25), 2+rng.Intn(8), cfg.T)
-		res, err := RunAuction(bids, cfg)
-		if err != nil {
+		res, err := Run(context.Background(), bids, cfg, RunOptions{})
+		if err != nil && !errors.Is(err, ErrInfeasible) {
 			t.Fatal(err)
 		}
 		instances = append(instances, instance{bids, cfg, res})
@@ -120,8 +122,8 @@ func TestScratchReuseIsClean(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		for _, i := range rng.Perm(len(instances)) {
 			in := instances[i]
-			got, err := RunAuction(in.bids, in.cfg)
-			if err != nil {
+			got, err := Run(context.Background(), in.bids, in.cfg, RunOptions{})
+			if err != nil && !errors.Is(err, ErrInfeasible) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, in.want) {
@@ -141,13 +143,14 @@ func TestEngineReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := eng.Run()
+	ctx := context.Background()
+	want, _ := eng.RunCtx(ctx, RunOptions{})
 	for i := 0; i < 3; i++ {
-		if got := eng.Run(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Run %d diverged from first Run", i)
+		if got, _ := eng.RunCtx(ctx, RunOptions{}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("RunCtx %d diverged from the first run", i)
 		}
-		if got := eng.RunConcurrent(3); !reflect.DeepEqual(got, want) {
-			t.Fatalf("RunConcurrent %d diverged from Run", i)
+		if got, _ := eng.RunCtx(ctx, RunOptions{Workers: 3}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("RunCtx(Workers: 3) %d diverged from the first run", i)
 		}
 	}
 	for tg := 1; tg <= cfg.T; tg++ {

@@ -2,8 +2,8 @@ package core_test
 
 // Differential-testing harness for the incremental WDP engine.
 //
-// Every workload is solved four ways through the live code — RunAuction,
-// RunAuctionConcurrent, Engine.Run and Engine.RunConcurrent — and once
+// Every workload is solved four ways through the live code — Run and
+// Engine.RunCtx, each at one worker and over a pool — and once
 // through internal/seedwdp, a frozen verbatim copy of the pre-engine
 // solver. The four live paths must agree byte-for-byte (reflect.DeepEqual
 // on the full Result, including unexported dual bookkeeping), and the
@@ -22,7 +22,7 @@ package core_test
 // oracle's blind-doubling search but not to the same last bit. The exact
 // bit-level claim for the lazy path lives in
 // TestDifferentialLazyPricingVsEagerReference, which compares against the
-// retained eager-serial reference RunAuctionEager (same search, applied
+// eager-serial reference seedwdp.RunEager (same search, applied
 // eagerly).
 //
 // This is the correctness lock that lets the engine share qualification
@@ -33,6 +33,8 @@ package core_test
 // single-slot windows, uniform prices, boundary accuracies).
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -258,6 +260,27 @@ func assertSeedWinnersEqual(t *testing.T, where string, got []core.Winner, want 
 	}
 }
 
+// sweep runs the auction through Run with opts. An infeasible auction is
+// a Result here, not a failure; any other error fails the test.
+func sweep(t testing.TB, bids []core.Bid, cfg core.Config, opts core.RunOptions) core.Result {
+	t.Helper()
+	res, err := core.Run(context.Background(), bids, cfg, opts)
+	if err != nil && !errors.Is(err, core.ErrInfeasible) {
+		t.Fatalf("Run: %v", err)
+	}
+	return res
+}
+
+// sweepEngine is sweep on a prepared engine.
+func sweepEngine(t testing.TB, eng *core.Engine, opts core.RunOptions) core.Result {
+	t.Helper()
+	res, err := eng.RunCtx(context.Background(), opts)
+	if err != nil && !errors.Is(err, core.ErrInfeasible) {
+		t.Fatalf("RunCtx: %v", err)
+	}
+	return res
+}
+
 // TestDifferentialEngineVsSeed is the harness entry point: ~200 seeded
 // workloads, four live paths, one frozen oracle, full bit-identity.
 func TestDifferentialEngineVsSeed(t *testing.T) {
@@ -269,26 +292,19 @@ func TestDifferentialEngineVsSeed(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			seq, err := core.RunAuction(tc.bids, tc.cfg)
-			if err != nil {
-				t.Fatalf("RunAuction: %v", err)
-			}
-			conc, err := core.RunAuctionConcurrent(tc.bids, tc.cfg, 3)
-			if err != nil {
-				t.Fatalf("RunAuctionConcurrent: %v", err)
-			}
-			if !reflect.DeepEqual(seq, conc) {
-				t.Fatal("RunAuctionConcurrent diverged from RunAuction")
+			seq := sweep(t, tc.bids, tc.cfg, core.RunOptions{})
+			if conc := sweep(t, tc.bids, tc.cfg, core.RunOptions{Workers: 3}); !reflect.DeepEqual(seq, conc) {
+				t.Fatal("Run over 3 workers diverged from Run")
 			}
 			eng, err := core.NewEngine(tc.bids, tc.cfg)
 			if err != nil {
 				t.Fatalf("NewEngine: %v", err)
 			}
-			if got := eng.Run(); !reflect.DeepEqual(seq, got) {
-				t.Fatal("Engine.Run diverged from RunAuction")
+			if got := sweepEngine(t, eng, core.RunOptions{}); !reflect.DeepEqual(seq, got) {
+				t.Fatal("Engine.RunCtx diverged from Run")
 			}
-			if got := eng.RunConcurrent(2); !reflect.DeepEqual(seq, got) {
-				t.Fatal("Engine.RunConcurrent diverged from RunAuction")
+			if got := sweepEngine(t, eng, core.RunOptions{Workers: 2}); !reflect.DeepEqual(seq, got) {
+				t.Fatal("Engine.RunCtx over 2 workers diverged from Run")
 			}
 			oracle, err := seedwdp.RunAuction(tc.bids, tc.cfg)
 			if err != nil {
@@ -373,20 +389,14 @@ func TestLazyPaymentSemanticsPinned(t *testing.T) {
 		cfg := p.Config()
 		cfg.PaymentRule = core.RuleExactCritical
 		cfg.ExcludeOwnBids = true
-		lazy, err := core.RunAuction(bids, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		lazy := sweep(t, bids, cfg, core.RunOptions{})
 		if !lazy.Feasible {
 			t.Fatalf("seed %d: workload infeasible, fixture needs winners", seed)
 		}
 		cfgA3 := cfg
 		cfgA3.PaymentRule = core.RuleCritical
-		a3, err := core.RunAuction(bids, cfgA3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eager, err := core.RunAuctionEager(bids, cfg)
+		a3 := sweep(t, bids, cfgA3, core.RunOptions{})
+		eager, err := seedwdp.RunEager(bids, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,7 +423,7 @@ func TestLazyPaymentSemanticsPinned(t *testing.T) {
 // TestDifferentialLazyPricingVsEagerReference forces RuleExactCritical on
 // the whole workload corpus and holds the lazy pricing path — serial and
 // over a 4-worker pool — to byte-identity with the retained eager-serial
-// reference RunAuctionEager on the selected T̂_g: winners, payments,
+// reference seedwdp.RunEager on the selected T̂_g: winners, payments,
 // schedules, cost and dual, via reflect.DeepEqual with no tolerance. Both
 // sides run the identical seeded bisection on identical inputs, so
 // lazification must change where pricing happens, never what it computes.
@@ -425,15 +435,12 @@ func TestDifferentialLazyPricingVsEagerReference(t *testing.T) {
 			t.Parallel()
 			cfg := tc.cfg
 			cfg.PaymentRule = core.RuleExactCritical
-			eager, err := core.RunAuctionEager(tc.bids, cfg)
+			eager, err := seedwdp.RunEager(tc.bids, cfg)
 			if err != nil {
-				t.Fatalf("RunAuctionEager: %v", err)
+				t.Fatalf("RunEager: %v", err)
 			}
 			for _, workers := range []int{1, 4} {
-				lazy, err := core.RunAuctionConcurrent(tc.bids, cfg, workers)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
+				lazy := sweep(t, tc.bids, cfg, core.RunOptions{Workers: workers})
 				if lazy.Feasible != eager.Feasible || lazy.Tg != eager.Tg ||
 					lazy.Cost != eager.Cost || lazy.TotalPayment() != eager.TotalPayment() {
 					t.Fatalf("workers=%d: outcome {%v %d %v %v} diverged from eager reference {%v %d %v %v}",
@@ -476,15 +483,11 @@ func TestDifferentialColumnar10kVsSeed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngineSet: %v", err)
 	}
-	w1 := eng.Run()
-	if got := eng.RunConcurrent(8); !reflect.DeepEqual(w1, got) {
+	w1 := sweepEngine(t, eng, core.RunOptions{})
+	if got := sweepEngine(t, eng, core.RunOptions{Workers: 8}); !reflect.DeepEqual(w1, got) {
 		t.Fatal("workers=8 diverged from workers=1 on the columnar path")
 	}
-	rows, err := core.RunAuction(bids, cfg)
-	if err != nil {
-		t.Fatalf("RunAuction: %v", err)
-	}
-	if !reflect.DeepEqual(rows, w1) {
+	if rows := sweep(t, bids, cfg, core.RunOptions{}); !reflect.DeepEqual(rows, w1) {
 		t.Fatal("[]Bid compat wrapper diverged from the columnar path")
 	}
 	oracle, err := seedwdp.RunAuction(bids, cfg)

@@ -16,7 +16,7 @@
 //     least K participants, and
 //   - truthful critical-value payments.
 //
-// The entry point is RunAuction (Algorithm 1, A_FL). It enumerates T̂_g,
+// The entry point is Run (Algorithm 1, A_FL). It enumerates T̂_g,
 // filters the qualified bid set for each candidate value, and solves the
 // resulting winner-determination problem with SolveWDP (Algorithm 2,
 // A_winner), which also produces the dual variables (g(t), λ, ω, H_{T̂_g})

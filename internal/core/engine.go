@@ -1,11 +1,6 @@
 package core
 
-import (
-	"context"
-	"time"
-
-	"github.com/fedauction/afl/internal/obs"
-)
+import "context"
 
 // Engine is the reusable incremental A_FL solver. It wraps the shared
 // immutable auction context — the columnar bid store, per-bid
@@ -13,28 +8,18 @@ import (
 // Algorithm 1 in T̂_g), the full-horizon slot rows, and the feasible
 // sweep range [T_0, T] — so a caller that runs the same bid population
 // several times (re-pricing studies, what-if sweeps, serving layers) pays
-// the precomputation once.
-//
-// RunAuction and RunAuctionConcurrent are one-shot wrappers over exactly
-// this engine; constructing an Engine yields bit-identical results to
-// them on every method.
+// the precomputation once. RunCtx runs the sweep and RepairCtx re-awards
+// coverage after dropouts; Run is the one-shot form.
 //
 // The Engine retains (and never mutates) the bids passed to NewEngine or
 // the BidSet passed to NewEngineSet; callers must not mutate them while
 // the Engine is in use. All methods are safe for concurrent use: the
-// context is read-only, all mutable solver state lives in pooled per-call
-// scratch arenas, and the attached observer (see Observe) is required to
-// be concurrency-safe.
+// context is read-only and all mutable solver state lives in pooled
+// per-call scratch arenas.
 type Engine struct {
 	ax *auctionContext
-	// obsv receives phase events from Run/RunConcurrent/RunCtx (unless
-	// overridden per call) and from Repair. Nil disables instrumentation.
-	obsv obs.Observer
-	// now supplies timestamps for phase latencies; nil means time.Now.
-	now func() time.Time
-	// arena is non-nil only on engines handed out by AcquireEngine; it is
-	// what Release recycles. Observe copies deliberately drop it so only
-	// the original owner can return the arena to its pool.
+	// arena is non-nil only on engines handed out by AcquireEngineSet or
+	// ReacquireEngineSet; it is what Release recycles.
 	arena *engineArena
 }
 
@@ -64,55 +49,20 @@ func NewEngineSet(set *BidSet, cfg Config) (*Engine, error) {
 	return &Engine{ax: newAuctionContext(set, cfg)}, nil
 }
 
-// Observe returns a copy of the engine that reports phase events to o,
-// timing phases with now (nil selects time.Now). The copy shares the
-// precomputed auction context with the receiver, so it costs nothing to
-// create; the receiver itself is unchanged, which keeps engines shared
-// across goroutines race-free. Passing a nil o returns an
-// un-instrumented copy. o must be safe for concurrent use.
-func (e *Engine) Observe(o obs.Observer, now func() time.Time) *Engine {
-	return &Engine{ax: e.ax, obsv: o, now: now}
-}
-
 // T0 returns T_0 = ⌈1/(1−θ_min)⌉, the smallest candidate number of
 // global iterations of the sweep.
 func (e *Engine) T0() int { return e.ax.t0 }
 
-// Run executes the full A_FL sweep sequentially on the shared context.
-func (e *Engine) Run() Result {
-	res, _ := e.ax.sweep(context.Background(), RunOptions{Observer: e.obsv, Now: e.now})
-	return res
-}
-
-// RunConcurrent executes the sweep with the independent per-T̂_g WDPs
-// fanned out over a worker pool (workers ≤ 0 selects GOMAXPROCS; counts
-// beyond the number of candidate T̂_g values are clamped).
-func (e *Engine) RunConcurrent(workers int) Result {
-	if workers <= 0 {
-		workers = -1
-	}
-	res, _ := e.ax.sweep(context.Background(), RunOptions{Workers: workers, Observer: e.obsv, Now: e.now})
-	return res
-}
-
-// RunCtx executes the sweep honoring ctx and opts. An unset
-// opts.Observer falls back to the engine's attached observer. RunCtx
-// maps outcomes onto the sentinel error surface:
+// RunCtx executes the sweep honoring ctx and opts, and maps outcomes
+// onto the sentinel error surface:
 //
 //   - ctx canceled mid-sweep: partial work is abandoned and the error
 //     matches both ErrCanceled and the context cause under errors.Is;
 //   - sweep complete but no T̂_g admits full coverage: ErrInfeasible,
 //     with the returned Result still carrying every per-T̂_g WDP outcome;
-//   - otherwise nil, with a Result bit-identical to Run (and to the
-//     deprecated RunAuction/RunAuctionConcurrent) for every Workers
-//     setting.
+//   - otherwise nil, with a Result that is bit-identical for every
+//     Workers setting.
 func (e *Engine) RunCtx(ctx context.Context, opts RunOptions) (Result, error) {
-	if opts.Observer == nil {
-		opts.Observer = e.obsv
-		if opts.Now == nil {
-			opts.Now = e.now
-		}
-	}
 	res, err := e.ax.sweep(ctx, opts)
 	if err != nil {
 		return res, err

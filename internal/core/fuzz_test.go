@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -69,26 +71,22 @@ func FuzzValidateBids(f *testing.F) {
 		if rawRule&8 != 0 {
 			cfg.ReservePrice = 100
 		}
-		seq, err := core.RunAuction(bids, cfg)
-		if err != nil {
+		seq, err := core.Run(context.Background(), bids, cfg, core.RunOptions{})
+		if err != nil && !errors.Is(err, core.ErrInfeasible) {
 			return // ErrNoBids on empty populations
 		}
 		if err := core.CheckSolution(bids, seq, cfg); err != nil {
 			t.Fatalf("accepted bids produced an invalid solution: %v", err)
 		}
-		conc, err := core.RunAuctionConcurrent(bids, cfg, 2)
-		if err != nil {
-			t.Fatalf("concurrent errored where sequential succeeded: %v", err)
-		}
-		if !reflect.DeepEqual(seq, conc) {
+		if conc := sweep(t, bids, cfg, core.RunOptions{Workers: 2}); !reflect.DeepEqual(seq, conc) {
 			t.Fatal("concurrent result diverged from sequential")
 		}
 		eng, err := core.NewEngine(bids, cfg)
 		if err != nil {
 			t.Fatalf("NewEngine rejected validated bids: %v", err)
 		}
-		if got := eng.Run(); !reflect.DeepEqual(seq, got) {
-			t.Fatal("Engine result diverged from RunAuction")
+		if got := sweepEngine(t, eng, core.RunOptions{}); !reflect.DeepEqual(seq, got) {
+			t.Fatal("Engine result diverged from Run")
 		}
 	})
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"github.com/fedauction/afl/internal/stats"
@@ -308,12 +310,12 @@ func TestAuctionIndividualRationality(t *testing.T) {
 	cfg := Config{T: 10, K: 2, TMax: 60}
 	for trial := 0; trial < 40; trial++ {
 		bids := randomAuctionBids(rng, cfg.T, 10)
-		res, err := RunAuction(bids, cfg)
+		res, err := Run(context.Background(), bids, cfg, RunOptions{})
+		if errors.Is(err, ErrInfeasible) {
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !res.Feasible {
-			continue
 		}
 		for _, w := range res.Winners {
 			if w.Payment < w.Bid.Price-1e-9 {

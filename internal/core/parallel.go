@@ -2,54 +2,15 @@ package core
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"github.com/fedauction/afl/internal/obs"
 )
 
-// RunAuctionConcurrent is RunAuction with the T̂_g enumeration fanned out
-// over a worker pool. The winner-determination problems of Algorithm 1
-// are independent across T̂_g values, so they parallelize perfectly; the
-// result is bit-identical to the sequential RunAuction (the same
-// deterministic per-WDP greedy, the same minimum-cost tie-breaking by
-// smaller T̂_g).
-//
-// All workers read the same immutable auction context — qualification is
-// a prefix of one shared array, slot rows and sibling groups are computed
-// once — and each worker holds one pooled scratch arena for the segment
-// it owns.
-//
-// workers ≤ 0 selects GOMAXPROCS; requests beyond the number of
-// candidate T̂_g values are clamped (see ClampWorkers).
-//
-// Deprecated: new code should use the afl.Run facade (or Engine.RunCtx)
-// with WithWorkers, which adds context cancellation and observability.
-// This wrapper is kept for compatibility and returns bit-identical
-// results.
-func RunAuctionConcurrent(bids []Bid, cfg Config, workers int) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := ValidateBids(bids, cfg.T, cfg.K); err != nil {
-		return Result{}, err
-	}
-	return newAuctionContext(CompileBids(bids), cfg).runConcurrent(workers), nil
-}
-
-// runConcurrent adapts the historical workers convention (≤ 0 means
-// GOMAXPROCS) onto the unified sweep.
-func (ax *auctionContext) runConcurrent(workers int) Result {
-	if workers <= 0 {
-		workers = -1
-	}
-	res, _ := ax.sweep(context.Background(), RunOptions{Workers: workers})
-	return res
-}
-
 // sweepPar shards the candidate range into one contiguous T̂_g segment
-// per worker and runs the segments concurrently. workers has already been
-// clamped to [1, tasks].
+// per worker and runs the segments concurrently, the calling goroutine
+// solving the first. workers has already been clamped to [1, tasks]; at
+// one worker the single segment spans [T_0, T] and no goroutine starts.
 //
 // Contiguous segments replace the historical one-T̂_g-at-a-time task
 // channel for two reasons. First, ascending T̂_g order inside a segment
@@ -70,20 +31,14 @@ func (ax *auctionContext) runConcurrent(workers int) Result {
 // next between-solves check and the partial results are discarded — no
 // goroutine outlives the call.
 func (ax *auctionContext) sweepPar(ctx context.Context, res *Result, workers int, obsv obs.Observer, now func() time.Time) error {
-	lo, hi := ax.t0, ax.cfg.T
-	wdps := make([]WDPResult, hi-lo+1)
+	lo := ax.t0
+	wdps := make([]WDPResult, ax.cfg.T-lo+1)
 	bounds := ax.segmentBounds(workers)
-	var wg sync.WaitGroup
-	for s := 0; s+1 < len(bounds); s++ {
+	FanOut(len(bounds)-1, func(s int) {
 		segLo, segHi := bounds[s], bounds[s+1]-1
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// The only segment error is cancellation, reported once below.
-			_ = ax.sweepSegment(ctx, segLo, segHi, wdps[segLo-lo:segHi-lo+1], obsv, now)
-		}()
-	}
-	wg.Wait()
+		// The only segment error is cancellation, reported once below.
+		_ = ax.sweepSegment(ctx, segLo, segHi, wdps[segLo-lo:segHi-lo+1], obsv, now)
+	})
 	if ctx.Err() != nil {
 		return canceledErr(ctx)
 	}

@@ -1,24 +1,30 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"github.com/fedauction/afl/internal/stats"
 )
 
+// TestRunAuctionConcurrentMatchesSequential holds the sharded sweep to
+// the one-worker sweep: every width must return the same argmin, winners,
+// payments and per-T̂_g trace.
 func TestRunAuctionConcurrentMatchesSequential(t *testing.T) {
+	ctx := context.Background()
 	rng := stats.NewRNG(515)
 	cfg := Config{T: 12, K: 2, TMax: 60}
 	for trial := 0; trial < 25; trial++ {
 		bids := randomAuctionBids(rng, cfg.T, 14)
-		seq, err := RunAuction(bids, cfg)
-		if err != nil {
+		seq, err := Run(ctx, bids, cfg, RunOptions{})
+		if err != nil && !errors.Is(err, ErrInfeasible) {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 3, 0} {
-			par, err := RunAuctionConcurrent(bids, cfg, workers)
-			if err != nil {
+		for _, workers := range []int{1, 3, -1} {
+			par, err := Run(ctx, bids, cfg, RunOptions{Workers: workers})
+			if err != nil && !errors.Is(err, ErrInfeasible) {
 				t.Fatal(err)
 			}
 			if par.Feasible != seq.Feasible {
@@ -45,14 +51,5 @@ func TestRunAuctionConcurrentMatchesSequential(t *testing.T) {
 					trial, workers, len(par.WDPs), len(seq.WDPs))
 			}
 		}
-	}
-}
-
-func TestRunAuctionConcurrentValidation(t *testing.T) {
-	if _, err := RunAuctionConcurrent(nil, Config{T: 5, K: 1}, 2); err == nil {
-		t.Fatal("expected validation error")
-	}
-	if _, err := RunAuctionConcurrent([]Bid{{Client: 0, Price: 1, Theta: 0.5, Start: 1, End: 2, Rounds: 1}}, Config{T: 0, K: 1}, 2); err == nil {
-		t.Fatal("expected config error")
 	}
 }

@@ -54,8 +54,8 @@ func bisectTol(x float64) float64 { return 1e-12 * math.Max(1, x) }
 
 // applyPaymentRule post-processes the payments of a feasible WDP result
 // according to cfg.PaymentRule. It is the eager entry point, used where a
-// fully priced WDPResult must come back from a single call (SolveWDP,
-// Engine.SolveWDP, RunAuctionEager); the lazy sweep path prices only the
+// fully priced WDPResult must come back from a single call (SolveWDPSet,
+// Engine.SolveWDP); the lazy sweep path prices only the
 // selected T̂_g through priceWinners instead. RuleCritical payments were
 // already computed during the greedy run. env carries whatever
 // precomputed structure the caller holds; the held-out pricing runs read

@@ -105,7 +105,7 @@ func TestExactCriticalPaymentsGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: NewEngine: %v", label, err)
 			}
-			res := eng.Run()
+			res := sweepEngine(t, eng, core.RunOptions{})
 			hashWinners(h, label, res.Feasible, res.Winners)
 			priced += len(res.Winners)
 			req, ok := repairRequest(res, cfg.K)

@@ -5,15 +5,15 @@ import (
 	"sync"
 )
 
-// Engine pooling for cross-auction throughput. A one-shot NewEngine pays
-// the full precomputation allocation — the columnar compile, the
-// qualification order, the slot CSR — on every auction. A batch layer
-// solving thousands of instances per second would spend most of its
-// cycles re-growing those structures, so AcquireEngine hands out engines
-// whose backing arenas are recycled through shape-keyed sync.Pools: a
-// released arena keeps every slice it has grown, and the next acquisition
-// of a similar shape rebuilds qualification into that capacity with close
-// to zero fresh allocation.
+// Engine pooling for cross-auction throughput. A one-shot NewEngineSet
+// pays the full precomputation allocation — the qualification order, the
+// slot CSR — on every auction. A batch layer solving thousands of
+// instances per second would spend most of its cycles re-growing those
+// structures, so AcquireEngineSet hands out engines whose backing arenas
+// are recycled through shape-keyed sync.Pools: a released arena keeps
+// every slice it has grown, and the next acquisition of a similar shape
+// rebuilds qualification into that capacity with close to zero fresh
+// allocation.
 //
 // Pools are keyed by the instance's shape class — bid count and horizon
 // rounded up to powers of two — so wildly different instance sizes do not
@@ -26,18 +26,15 @@ import (
 // entire context rebuild — the adjacent instance's qualification order,
 // entry points and slot rows are reused as-is, so re-running a million-bid
 // population under the same market rules costs nothing between solves.
+// Row populations are compiled at the edge (CompileBids) before they
+// reach the pool.
 
-// engineArena bundles a reusable Engine with the auction context it wraps
-// and the columnar store backing the []Bid compat path. All three are
-// recycled together.
+// engineArena bundles a reusable Engine with the auction context it
+// wraps; the two are recycled together.
 type engineArena struct {
-	eng Engine
-	ax  auctionContext
-	// ownSet is the arena-owned columnar store that []Bid acquisitions
-	// compile into; BidSet acquisitions bypass it and bind the caller's
-	// set directly.
-	ownSet BidSet
-	shape  shapeKey
+	eng   Engine
+	ax    auctionContext
+	shape shapeKey
 }
 
 // shapeKey is an arena pool key: the power-of-two capacity class of the
@@ -69,32 +66,16 @@ func poolFor(k shapeKey) *sync.Pool {
 	return p.(*sync.Pool)
 }
 
-// AcquireEngine validates the bid population and returns a pooled Engine
-// for it. It is semantically identical to NewEngine — every method of the
-// returned engine yields bit-identical results — but the bids are
-// compiled into a recycled columnar arena and the qualification
-// structures rebuilt into recycled capacity, so steady-state batch
-// traffic acquires engines almost allocation-free. Call Release when the
-// engine (and every Result obtained from it) no longer needs the shared
-// qualification order; the arena then returns to its pool.
-//
-// The engine retains the bid slice until Release, and must not be used
+// AcquireEngineSet validates the population and returns a pooled Engine
+// bound to it. It is semantically identical to NewEngineSet — every
+// method of the returned engine yields bit-identical results — but the
+// qualification structures are rebuilt into recycled capacity, so
+// steady-state batch traffic acquires engines almost allocation-free.
+// The caller's BidSet is bound directly (no copy) and retained until the
+// next Reacquire or Release. Call Release when the engine (and every
+// Result obtained from it) no longer needs the shared qualification
+// order; the arena then returns to its pool. The engine must not be used
 // after Release (reuse would race with the next acquirer's rebuild).
-func AcquireEngine(bids []Bid, cfg Config) (*Engine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := ValidateBids(bids, cfg.T, cfg.K); err != nil {
-		return nil, err
-	}
-	ar := poolFor(shapeOf(len(bids), cfg.T)).Get().(*engineArena)
-	ar.bind(bids, cfg)
-	return &ar.eng, nil
-}
-
-// AcquireEngineSet is AcquireEngine for a pre-compiled population: the
-// caller's BidSet is bound directly (no compile, no copy) and retained
-// until the next Reacquire or Release.
 func AcquireEngineSet(set *BidSet, cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -107,64 +88,32 @@ func AcquireEngineSet(set *BidSet, cfg Config) (*Engine, error) {
 	return &ar.eng, nil
 }
 
-// bind compiles bids into the arena's own columnar store and rebuilds the
-// context around it.
-func (ar *engineArena) bind(bids []Bid, cfg Config) {
-	ar.ownSet.compile(bids)
-	ar.ax.rebuild(&ar.ownSet, cfg)
-	ar.eng = Engine{ax: &ar.ax, arena: ar}
-}
-
 // bindSet rebuilds the context around a caller-owned BidSet.
 func (ar *engineArena) bindSet(set *BidSet, cfg Config) {
 	ar.ax.rebuild(set, cfg)
 	ar.eng = Engine{ax: &ar.ax, arena: ar}
 }
 
-// ReacquireEngine rebinds a previously acquired engine to a new instance,
-// recompiling and rebuilding into the arena it already holds when the
-// shape class matches. This is the worker-local fast path of the batch
-// layer: a worker that keeps its engine across same-class auctions never
-// touches the pool between instances, so a GC cycle mid-batch — which is
-// free to flush pooled arenas — cannot force it back to full
-// reconstruction. A nil prev, an arena-less prev (NewEngine), or a shape
-// mismatch falls back to Release + AcquireEngine. On a validation error
-// prev is released and the returned engine is nil, so the idiomatic
-// `eng, err = ReacquireEngine(eng, ...)` never leaks an arena.
-//
-// Like AcquireEngine, the returned engine retains bids until the next
-// Reacquire or Release, and prev must not be used after the call (its
-// arena now backs the returned engine).
-func ReacquireEngine(prev *Engine, bids []Bid, cfg Config) (*Engine, error) {
-	var ar *engineArena
-	if prev != nil {
-		ar = prev.arena
-	}
-	if ar == nil || ar.shape != shapeOf(len(bids), cfg.T) {
-		prev.Release()
-		return AcquireEngine(bids, cfg)
-	}
-	if err := cfg.Validate(); err != nil {
-		prev.Release()
-		return nil, err
-	}
-	if err := ValidateBids(bids, cfg.T, cfg.K); err != nil {
-		prev.Release()
-		return nil, err
-	}
-	ar.bind(bids, cfg)
-	return &ar.eng, nil
-}
-
 // ReacquireEngineSet rebinds a previously acquired engine to a new
-// columnar instance. Its fast path is the cross-auction warm start: when
-// prev is already bound to the same *BidSet under an equivalent Config,
-// the population was validated and its context derived on the first
-// acquisition and neither depends on anything else, so the rebind returns
-// prev unchanged — no validation, no rebuild, every precomputed structure
-// (entry points, qualification order, slot CSR) carried over to seed the
-// next instance's sweep. Otherwise it behaves like ReacquireEngine with
-// the columnar validation path.
+// instance. This is the worker-local fast path of the batch layer: a
+// worker that keeps its engine across same-class auctions never touches
+// the pool between instances, so a GC cycle mid-batch — which is free to
+// flush pooled arenas — cannot force it back to full reconstruction.
+//
+// Its fastest path is the cross-auction warm start: when prev is already
+// bound to the same *BidSet under an equivalent Config, the population
+// was validated and its context derived on the first acquisition and
+// neither depends on anything else, so the rebind returns prev unchanged
+// — no validation, no rebuild, every precomputed structure (entry points,
+// qualification order, slot CSR) carried over to seed the next
+// instance's sweep. Otherwise, when the shape class matches, the context
+// is rebuilt into the arena prev already holds. A nil prev, an arena-less
+// prev (NewEngine) or a shape mismatch falls back to Release +
+// AcquireEngineSet. On a validation error prev is released and the
+// returned engine is nil, so the idiomatic
+// `eng, err = ReacquireEngineSet(eng, ...)` never leaks an arena. prev
+// must not be used after the call (its arena now backs the returned
+// engine).
 func ReacquireEngineSet(prev *Engine, set *BidSet, cfg Config) (*Engine, error) {
 	var ar *engineArena
 	if prev != nil {
@@ -209,10 +158,10 @@ func cfgEqualForReuse(a, b Config) bool {
 }
 
 // Release returns the engine's arena to its shape pool. It is a no-op on
-// a nil engine, on engines built by NewEngine and on Observe copies (only
-// the engine handed out by AcquireEngine owns the arena). The arena drops
-// its BidSet reference so pooled memory never pins caller data; the grown
-// column and qualification capacity is what the pool exists to keep.
+// a nil engine and on engines built by NewEngine or NewEngineSet (only
+// pooled engines own an arena). The arena drops its BidSet reference so
+// pooled memory never pins caller data; the grown qualification capacity
+// is what the pool exists to keep.
 func (e *Engine) Release() {
 	if e == nil {
 		return

@@ -26,10 +26,10 @@ func poolWorkload(t *testing.T, seed int64, clients, maxT, k int) ([]core.Bid, c
 }
 
 // TestAcquireEngineMatchesNewEngine runs a sequence of differently-seeded
-// populations through one recycled arena chain (acquire → run → release,
-// so each acquisition after the first reuses the previous instance's
-// arena) and requires bit-identity with a fresh NewEngine on every
-// instance. Any state bleeding across rebuilds — a stale qualification
+// populations through one recycled arena chain (compile → acquire → run →
+// release, so each acquisition after the first reuses the previous
+// instance's arena) and requires bit-identity with a fresh NewEngine on
+// every instance. Any state bleeding across rebuilds — a stale qualification
 // prefix, a leftover client-group entry — shows up as a Result diff.
 func TestAcquireEngineMatchesNewEngine(t *testing.T) {
 	ctx := context.Background()
@@ -41,7 +41,7 @@ func TestAcquireEngineMatchesNewEngine(t *testing.T) {
 		}
 		want, wantErr := fresh.RunCtx(ctx, core.RunOptions{})
 
-		pooled, err := core.AcquireEngine(bids, cfg)
+		pooled, err := core.AcquireEngineSet(core.CompileBids(bids), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestPooledEngineMisreportProbe(t *testing.T) {
 	ctx := context.Background()
 	bids, cfg := poolWorkload(t, 42, 80, 12, 3)
 
-	truthful, err := core.AcquireEngine(bids, cfg)
+	truthful, err := core.AcquireEngineSet(core.CompileBids(bids), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestPooledEngineMisreportProbe(t *testing.T) {
 
 	// The pooled acquisition reuses the arena the truthful run just
 	// released (same shape class, single goroutine).
-	probe, err := core.AcquireEngine(misreported, cfg)
+	probe, err := core.AcquireEngineSet(core.CompileBids(misreported), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +123,10 @@ func TestPooledEngineMisreportProbe(t *testing.T) {
 }
 
 // TestReacquireEngineRebindsInPlace drives one engine through a chain of
-// differently-seeded instances with ReacquireEngine — same shape class, so
-// every step after the first rebinds the held arena without touching the
-// pool — and requires bit-identity with a fresh NewEngine per instance.
+// differently-seeded instances with ReacquireEngineSet — same shape class,
+// so every step after the first rebinds the held arena without touching
+// the pool — and requires bit-identity with a fresh NewEngine per
+// instance.
 // It then crosses a shape boundary (fallback to Release + Acquire) and an
 // invalid config (prev released, nil engine back) and checks the chain
 // recovers.
@@ -141,7 +142,7 @@ func TestReacquireEngineRebindsInPlace(t *testing.T) {
 		}
 		want, wantErr := fresh.RunCtx(ctx, core.RunOptions{})
 
-		eng, err = core.ReacquireEngine(eng, bids, cfg)
+		eng, err = core.ReacquireEngineSet(eng, core.CompileBids(bids), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +157,7 @@ func TestReacquireEngineRebindsInPlace(t *testing.T) {
 
 	// Shape-class crossing: a much larger horizon lands in another pool.
 	bids, cfg := poolWorkload(t, 99, 200, 40, 5)
-	eng, err = core.ReacquireEngine(eng, bids, cfg)
+	eng, err = core.ReacquireEngineSet(eng, core.CompileBids(bids), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,16 +174,16 @@ func TestReacquireEngineRebindsInPlace(t *testing.T) {
 	// recovers on the next valid instance.
 	bad := cfg
 	bad.T = 0
-	if eng, err = core.ReacquireEngine(eng, bids, bad); err == nil || eng != nil {
+	if eng, err = core.ReacquireEngineSet(eng, core.CompileBids(bids), bad); err == nil || eng != nil {
 		t.Fatalf("invalid config: engine %v, err %v", eng, err)
 	}
 	bids, cfg = poolWorkload(t, 100, 60, 12, 3)
-	eng, err = core.ReacquireEngine(eng, bids, cfg)
+	eng, err = core.ReacquireEngineSet(eng, core.CompileBids(bids), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eng.Run().Feasible {
-		t.Fatal("post-recovery instance infeasible")
+	if _, err := eng.RunCtx(ctx, core.RunOptions{}); err != nil {
+		t.Fatalf("post-recovery instance: %v", err)
 	}
 	eng.Release()
 }
@@ -190,13 +191,14 @@ func TestReacquireEngineRebindsInPlace(t *testing.T) {
 // TestReleaseIdempotent checks the Release contract: double release and
 // releasing a NewEngine-built engine are no-ops.
 func TestReleaseIdempotent(t *testing.T) {
+	ctx := context.Background()
 	bids, cfg := poolWorkload(t, 7, 40, 12, 2)
-	eng, err := core.AcquireEngine(bids, cfg)
+	eng, err := core.AcquireEngineSet(core.CompileBids(bids), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eng.Run().Feasible {
-		t.Fatal("workload infeasible")
+	if _, err := eng.RunCtx(ctx, core.RunOptions{}); err != nil {
+		t.Fatalf("pooled engine: %v", err)
 	}
 	eng.Release()
 	eng.Release() // second release is a no-op
@@ -206,7 +208,7 @@ func TestReleaseIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain.Release() // non-pooled engines have no arena
-	if !plain.Run().Feasible {
-		t.Fatal("NewEngine unusable after no-op Release")
+	if _, err := plain.RunCtx(ctx, core.RunOptions{}); err != nil {
+		t.Fatalf("NewEngine unusable after no-op Release: %v", err)
 	}
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/fedauction/afl/internal/obs"
@@ -206,13 +206,7 @@ func priceWinners(ctx context.Context, set *BidSet, qualified []int, tg int, cfg
 		})
 	}
 	pays := make([]float64, n)
-	var err error
-	if workers == 1 {
-		err = priceSeq(ctx, set, qualified, tg, cfg, env, base, res.Winners, pays, obsv, now)
-	} else {
-		err = pricePar(ctx, set, qualified, tg, cfg, env, base, res.Winners, pays, workers, obsv, now)
-	}
-	if err != nil {
+	if err := pricePar(ctx, set, qualified, tg, cfg, env, base, res.Winners, pays, workers, obsv, now); err != nil {
 		if obsv != nil {
 			obsv.Observe(obs.Event{
 				Kind: obs.EvPricingDone, Tg: tg, Client: -1, Bid: -1,
@@ -235,124 +229,43 @@ func priceWinners(ctx context.Context, set *BidSet, qualified []int, tg int, cfg
 	return nil
 }
 
-// priceSeq bisects every winner inline on the calling goroutine with one
-// pricer. Cancellation is honored mid-bisection by exactCriticalPayment.
-func priceSeq(ctx context.Context, set *BidSet, qualified []int, tg int, cfg Config, env solveEnv, base []int, winners []Winner, pays []float64, obsv obs.Observer, now func() time.Time) error {
-	pr := newPricer(set, qualified, tg, cfg, env, base)
-	defer pr.release()
-	for i := range winners {
-		var t0 time.Time
-		if obsv != nil {
-			t0 = now()
-		}
-		pay, probes, err := exactCriticalPayment(ctx, pr, winners[i])
-		if err != nil {
-			return err
-		}
-		pays[i] = pay
-		if obsv != nil {
-			obsv.Observe(obs.Event{
-				Kind: obs.EvWinnerPriced, Tg: tg, Round: probes,
-				Client: winners[i].Bid.Client, Bid: winners[i].BidIndex,
-				Value: pay, OK: true, Dur: now().Sub(t0),
-			})
-		}
-	}
-	return nil
-}
-
-// pricePar fans the per-winner bisections over a worker pool, mirroring
-// sweepPar: each worker holds one pricer, a canceled context makes the
-// feeder stop handing out winners and the workers drain the channel
-// without solving, and no goroutine outlives the call. workers has
-// already been clamped to [1, len(winners)]. Per-winner events arrive in
-// worker completion order.
+// pricePar fans the per-winner bisections over workers, the calling
+// goroutine being the first: each worker holds one pricer and claims the
+// next unpriced winner from a shared index, so one worker prices every
+// winner inline in order and starts no goroutine. A canceled context
+// stops every worker at its next claim or bisection probe, and no
+// goroutine outlives the call. workers has already been clamped to
+// [1, len(winners)]. Per-winner events arrive in worker completion order.
 func pricePar(ctx context.Context, set *BidSet, qualified []int, tg int, cfg Config, env solveEnv, base []int, winners []Winner, pays []float64, workers int, obsv obs.Observer, now func() time.Time) error {
-	var wg sync.WaitGroup
-	next := make(chan int)
-	done := ctx.Done()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pr := newPricer(set, qualified, tg, cfg, env, base)
-			defer pr.release()
-			for i := range next {
-				if ctx.Err() != nil {
-					continue // canceled: drain the queue without solving
-				}
-				var t0 time.Time
-				if obsv != nil {
-					t0 = now()
-				}
-				pay, probes, err := exactCriticalPayment(ctx, pr, winners[i])
-				if err != nil {
-					continue // canceled mid-bisection; keep draining
-				}
-				pays[i] = pay
-				if obsv != nil {
-					obsv.Observe(obs.Event{
-						Kind: obs.EvWinnerPriced, Tg: tg, Round: probes,
-						Client: winners[i].Bid.Client, Bid: winners[i].BidIndex,
-						Value: pay, OK: true, Dur: now().Sub(t0),
-					})
-				}
+	var next atomic.Int64
+	FanOut(workers, func(int) {
+		pr := newPricer(set, qualified, tg, cfg, env, base)
+		defer pr.release()
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(winners) || ctx.Err() != nil {
+				return
 			}
-		}()
-	}
-feed:
-	for i := 0; i < len(winners); i++ {
-		select {
-		case next <- i:
-		case <-done:
-			break feed
+			var t0 time.Time
+			if obsv != nil {
+				t0 = now()
+			}
+			pay, probes, err := exactCriticalPayment(ctx, pr, winners[i])
+			if err != nil {
+				return // canceled mid-bisection, reported once below
+			}
+			pays[i] = pay
+			if obsv != nil {
+				obsv.Observe(obs.Event{
+					Kind: obs.EvWinnerPriced, Tg: tg, Round: probes,
+					Client: winners[i].Bid.Client, Bid: winners[i].BidIndex,
+					Value: pay, OK: true, Dur: now().Sub(t0),
+				})
+			}
 		}
-	}
-	close(next)
-	wg.Wait()
+	})
 	if ctx.Err() != nil {
 		return canceledErr(ctx)
 	}
 	return nil
-}
-
-// RunAuctionEager is RunAuction with eager payment application: every
-// candidate T̂_g's WDP is fully priced under cfg.PaymentRule, serially,
-// as the pre-lazification sweep did. It is the retained eager-serial
-// reference that the differential suite and cmd/benchcore hold the lazy
-// pricing path to — the selected T̂_g's winners and payments must be
-// bit-identical between the two. Production callers should use the
-// afl.Run facade (or Engine.RunCtx), which prices only the selected T̂_g.
-func RunAuctionEager(bids []Bid, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := ValidateBids(bids, cfg.T, cfg.K); err != nil {
-		return Result{}, err
-	}
-	set := CompileBids(bids)
-	ax := newAuctionContext(set, cfg)
-	res := Result{}
-	if ax.cfg.T-ax.t0+1 <= 0 {
-		return res, nil
-	}
-	sc := acquireScratch(set.n, ax.cfg.T)
-	defer releaseScratch(sc)
-	for tg := ax.t0; tg <= ax.cfg.T; tg++ {
-		qualified := ax.qualifiedAt(tg)
-		wdp := solveWDP(set, qualified, tg, ax.cfg, sc, nil, ax.env())
-		applyPaymentRule(set, qualified, tg, ax.cfg, ax.env(), nil, &wdp)
-		res.WDPs = append(res.WDPs, wdp)
-		if !wdp.Feasible {
-			continue
-		}
-		if !res.Feasible || wdp.Cost < res.Cost {
-			res.Feasible = true
-			res.Tg = wdp.Tg
-			res.Cost = wdp.Cost
-			res.Winners = wdp.Winners
-			res.Dual = wdp.Dual
-		}
-	}
-	return res, nil
 }

@@ -45,7 +45,7 @@ func harnessMarkets(t *testing.T, tc diffCase) []pricingMarket {
 		if err != nil {
 			t.Fatalf("%s: NewEngine: %v", label, err)
 		}
-		res := eng.Run()
+		res := sweepEngine(t, eng, core.RunOptions{})
 		if !res.Feasible {
 			continue
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -92,13 +94,13 @@ func TestQuickWDPInvariants(t *testing.T) {
 func TestQuickAuctionInvariants(t *testing.T) {
 	f := func(inst wdpInstance) bool {
 		cfg := Config{T: inst.Tg, K: inst.K}
-		res, err := RunAuction(inst.Bids, cfg)
+		res, err := Run(context.Background(), inst.Bids, cfg, RunOptions{})
+		if errors.Is(err, ErrInfeasible) {
+			return true
+		}
 		if err != nil {
 			t.Logf("unexpected error: %v", err)
 			return false
-		}
-		if !res.Feasible {
-			return true
 		}
 		if err := CheckSolution(inst.Bids, res, cfg); err != nil {
 			t.Logf("invalid solution: %v", err)

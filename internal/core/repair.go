@@ -28,7 +28,7 @@ type RepairRequest struct {
 	Exclude map[int]bool
 }
 
-// RepairResult is the outcome of Engine.Repair.
+// RepairResult is the outcome of Engine.RepairCtx.
 type RepairResult struct {
 	// Feasible reports whether a replacement set restoring full coverage
 	// K on every iteration in [From, Tg] exists.
@@ -47,25 +47,19 @@ type RepairResult struct {
 	Deficit []int
 }
 
-// Repair runs a critical-value-consistent re-award on the residual
+// RepairCtx runs a critical-value-consistent re-award on the residual
 // market left by mid-session dropouts. It clamps every non-excluded
 // bid's availability window to [From, Tg], re-qualifies the clamped
 // population, and solves the winner-determination problem with the
 // surviving coverage pre-committed, so the greedy buys exactly the
 // missing coverage at minimum average cost and pays critical values in
-// that residual market. The engine's bid slice and shared context are
-// never mutated; Repair is safe for concurrent use like every other
-// Engine method.
-func (e *Engine) Repair(req RepairRequest) (RepairResult, error) {
-	return e.RepairCtx(context.Background(), req, RunOptions{})
-}
-
-// RepairCtx is Repair honoring ctx and opts: under RuleExactCritical the
-// residual solve's payments go through the same lazy pricing stage as the
-// sweep (fanned over opts.Workers, canceled mid-bisection with an
-// ErrCanceled-wrapping error, reported through the pricing events). An
-// unset opts.Observer falls back to the engine's attached observer, as in
-// RunCtx.
+// that residual market. Under RuleExactCritical the residual solve's
+// payments go through the same lazy pricing stage as the sweep (fanned
+// over opts.Workers, canceled mid-bisection with an ErrCanceled-wrapping
+// error, reported through the pricing events); opts.Observer also
+// receives the repair events. The engine's bid slice and shared context
+// are never mutated; RepairCtx is safe for concurrent use like every
+// other Engine method.
 func (e *Engine) RepairCtx(ctx context.Context, req RepairRequest, opts RunOptions) (RepairResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -96,16 +90,9 @@ func (e *Engine) RepairCtx(ctx context.Context, req RepairRequest, opts RunOptio
 		return res, nil
 	}
 	// Instrumentation: a repair is "triggered" once a real deficit exists.
-	// The observer (per-call, falling back to the engine's attached one)
-	// also times the residual solve; the hooks vanish when neither is set.
-	obsv := opts.Observer
-	now := opts.Now
-	if obsv == nil {
-		obsv = e.obsv
-		if now == nil {
-			now = e.now
-		}
-	}
+	// The observer also times the residual solve; the hooks vanish when
+	// it is nil.
+	obsv, now := opts.Observer, opts.Now
 	var start time.Time
 	if obsv != nil {
 		if now == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,7 +19,7 @@ func buildRepairScenario(t *testing.T, rng *rand.Rand, cfg Config) (eng *Engine,
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	res := eng.Run()
+	res, _ := eng.RunCtx(context.Background(), RunOptions{})
 	if !res.Feasible || len(res.Winners) < 2 {
 		return nil, RepairRequest{}, 0, false
 	}
@@ -49,7 +50,7 @@ func TestRepairRestoresCoverage(t *testing.T) {
 		if !ok {
 			continue
 		}
-		res, err := eng.Repair(req)
+		res, err := eng.RepairCtx(context.Background(), req, RunOptions{})
 		if err != nil {
 			t.Fatalf("trial %d: Repair: %v", trial, err)
 		}
@@ -113,7 +114,7 @@ func TestRepairNothingToBuy(t *testing.T) {
 	for i := range base {
 		base[i] = cfg.K
 	}
-	res, err := eng.Repair(RepairRequest{Tg: 6, From: 3, Base: base})
+	res, err := eng.RepairCtx(context.Background(), RepairRequest{Tg: 6, From: 3, Base: base}, RunOptions{})
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
@@ -139,7 +140,7 @@ func TestRepairValidation(t *testing.T) {
 		{Tg: 6, From: 1, Base: []int{0, 0, -1, 0, 0, 0}},
 	}
 	for i, req := range bad {
-		if _, err := eng.Repair(req); err == nil {
+		if _, err := eng.RepairCtx(context.Background(), req, RunOptions{}); err == nil {
 			t.Fatalf("request %d should have been rejected: %+v", i, req)
 		}
 	}
@@ -156,7 +157,7 @@ func TestRepairInfeasibleReportsDeficit(t *testing.T) {
 	for _, b := range bids {
 		exclude[b.Client] = true
 	}
-	res, err := eng.Repair(RepairRequest{Tg: 6, From: 2, Base: make([]int, 6), Exclude: exclude})
+	res, err := eng.RepairCtx(context.Background(), RepairRequest{Tg: 6, From: 2, Base: make([]int, 6), Exclude: exclude}, RunOptions{})
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
@@ -181,7 +182,7 @@ func TestRepairEmptyBaseMatchesSolveWDP(t *testing.T) {
 			t.Fatalf("NewEngine: %v", err)
 		}
 		want := eng.SolveWDP(cfg.T)
-		got, err := eng.Repair(RepairRequest{Tg: cfg.T, From: 1, Base: make([]int, cfg.T)})
+		got, err := eng.RepairCtx(context.Background(), RepairRequest{Tg: cfg.T, From: 1, Base: make([]int, cfg.T)}, RunOptions{})
 		if err != nil {
 			t.Fatalf("trial %d: Repair: %v", trial, err)
 		}
@@ -221,7 +222,7 @@ func TestRepairPaymentsAreCriticalValues(t *testing.T) {
 		if !ok {
 			continue
 		}
-		res, err := eng.Repair(req)
+		res, err := eng.RepairCtx(context.Background(), req, RunOptions{})
 		if err != nil {
 			t.Fatalf("trial %d: Repair: %v", trial, err)
 		}
@@ -237,7 +238,7 @@ func TestRepairPaymentsAreCriticalValues(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: probe engine: %v", trial, err)
 			}
-			pres, err := probeEng.Repair(req)
+			pres, err := probeEng.RepairCtx(context.Background(), req, RunOptions{})
 			if err != nil {
 				t.Fatalf("trial %d: probe repair: %v", trial, err)
 			}

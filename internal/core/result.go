@@ -116,8 +116,9 @@ type Result struct {
 	// payments honor the configured payment rule: pricing is applied
 	// lazily, once, to the selected T̂_g's winners after the sweep picks
 	// the argmin, and is bit-identical to pricing every candidate T̂_g
-	// eagerly (the pre-lazification behaviour, retained as
-	// RunAuctionEager and locked in by the differential suite).
+	// eagerly (the pre-lazification behaviour, retained as the
+	// seedwdp.RunEager reference and locked in by the differential
+	// suite).
 	Winners []Winner
 	// Dual is the approximation certificate of the winning WDP.
 	Dual Dual

@@ -3,14 +3,14 @@ package core
 import (
 	"context"
 	"runtime"
+	"sync"
 	"time"
 
 	"github.com/fedauction/afl/internal/obs"
 )
 
 // RunOptions configures one execution of the A_FL sweep. The zero value
-// runs sequentially, uninstrumented — exactly the historical RunAuction
-// behaviour.
+// runs sequentially and uninstrumented.
 type RunOptions struct {
 	// Workers selects the fan-out of the independent per-T̂_g
 	// winner-determination solves and, under RuleExactCritical, of the
@@ -65,9 +65,28 @@ func ClampWorkers(workers, tasks int) int {
 	return workers
 }
 
+// FanOut runs work(0) … work(workers-1) concurrently and returns when
+// every call has returned; workers must be at least 1, which ClampWorkers
+// guarantees. work(0) runs on the calling goroutine, so a one-worker
+// fan-out starts no goroutine. It is the one worker loop of every
+// fan-out — the sweep's segments, the pricing stage's winners, the batch
+// scheduler's shards and the experiment trials — which differ only in
+// how a worker claims its tasks.
+func FanOut(workers int, work func(w int)) {
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
+}
+
 // sweep executes the full T̂_g enumeration honoring ctx and opts. It is
-// the one implementation behind RunAuction, RunAuctionConcurrent,
-// Engine.Run, Engine.RunConcurrent and Engine.RunCtx. A nil error means
+// the one implementation behind Engine.RunCtx. A nil error means
 // the sweep ran to completion (the result may still be infeasible); the
 // only error is cancellation, in which case partial work is abandoned
 // and an ErrCanceled-wrapping error is returned.
@@ -93,10 +112,8 @@ func (ax *auctionContext) sweep(ctx context.Context, o RunOptions) (Result, erro
 		var err error
 		if o.Solver != SolverExact {
 			err = ax.sweepApprox(ctx, &res, o, obsv, now)
-		} else if workers := ClampWorkers(o.Workers, n); workers == 1 {
-			err = ax.sweepSeq(ctx, &res, obsv, now)
 		} else {
-			err = ax.sweepPar(ctx, &res, workers, obsv, now)
+			err = ax.sweepPar(ctx, &res, ClampWorkers(o.Workers, n), obsv, now)
 		}
 		if err != nil {
 			return Result{}, err
@@ -142,8 +159,7 @@ func (ax *auctionContext) priceChosen(ctx context.Context, res *Result, workers 
 
 // sweepSegment solves the contiguous candidate range T̂_g ∈ [lo, hi] into
 // out[0 : hi-lo+1], with out[tg-lo] receiving the solve for tg. It is the
-// unit of work of both the sequential sweep (one segment spanning
-// [T_0, T]) and the sharded parallel sweep (one segment per worker, see
+// unit of work of the sharded sweep (one segment per worker, see
 // sweepPar). Each segment owns one pooled scratch arena — no state is
 // shared between concurrent segments except the read-only context and
 // disjoint halves of out, so there is nothing to false-share.
@@ -266,8 +282,7 @@ func (ax *auctionContext) sweepSegmentMask(ctx context.Context, lo, hi int, out 
 
 // reduceWDPs installs the per-T̂_g results and selects the argmin-cost
 // feasible candidate, scanning in ascending T̂_g order so ties keep the
-// smallest T̂_g — the same selection the incremental argmin of the
-// historical sequential sweep made.
+// smallest T̂_g.
 func reduceWDPs(res *Result, wdps []WDPResult) {
 	res.WDPs = wdps
 	for i := range wdps {
@@ -283,15 +298,4 @@ func reduceWDPs(res *Result, wdps []WDPResult) {
 			res.Dual = wdp.Dual
 		}
 	}
-}
-
-// sweepSeq is the sequential incremental sweep: one segment spanning the
-// whole candidate range.
-func (ax *auctionContext) sweepSeq(ctx context.Context, res *Result, obsv obs.Observer, now func() time.Time) error {
-	wdps := make([]WDPResult, ax.cfg.T-ax.t0+1)
-	if err := ax.sweepSegment(ctx, ax.t0, ax.cfg.T, wdps, obsv, now); err != nil {
-		return err
-	}
-	reduceWDPs(res, wdps)
-	return nil
 }

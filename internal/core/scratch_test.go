@@ -14,10 +14,7 @@ import (
 // than stomp the next winner's data.
 func TestWinnerSlicesAppendSafe(t *testing.T) {
 	bids, cfg := poolWorkload(t, 77, 60, 12, 3)
-	res, err := core.RunAuction(bids, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := sweep(t, bids, cfg, core.RunOptions{})
 	if !res.Feasible || len(res.Winners) < 2 {
 		t.Fatalf("workload not discriminating: feasible=%v winners=%d",
 			res.Feasible, len(res.Winners))

@@ -52,16 +52,21 @@ func (s *BidSet) ShapeClassMembers(c int) []int {
 	return row[:len(row):len(row)]
 }
 
-// SolveWDPSet is SolveWDP over an already compiled population: identical
-// greedy, payments and dual certificate, minus the per-call row
-// compilation. It is the seeding entry of the column-generation lower
-// bound, which operates on the same BidSet and must start from exactly
-// the cover the sweep would produce at tg.
+// SolveWDPSet is SolveWDP over an already compiled population. It is
+// also the seeding entry of the column-generation lower bound, which
+// operates on the same BidSet and must start from exactly the cover the
+// sweep would produce at tg. Working state comes from a pooled scratch
+// arena, so a call only allocates what escapes into the returned
+// WDPResult. The result is priced eagerly: a single-WDP caller expects a
+// finished result, whereas the sweep leaves solveWDP's Algorithm 3
+// payments in place and prices only the selected T̂_g (priceWinners).
 func SolveWDPSet(set *BidSet, qualified []int, tg int, cfg Config) WDPResult {
 	if tg < 1 || len(qualified) == 0 {
 		return WDPResult{Tg: tg}
 	}
 	if cfg.K > math.MaxInt/tg {
+		// Guard before sizing the arena: a K·tg that overflows int is
+		// unfillable demand, not a tg-sized allocation request.
 		return WDPResult{Tg: tg}
 	}
 	sc := acquireScratch(set.n, tg)

@@ -23,6 +23,7 @@ import (
 
 	"github.com/fedauction/afl/internal/core"
 	"github.com/fedauction/afl/internal/exact"
+	"github.com/fedauction/afl/internal/seedwdp"
 	"github.com/fedauction/afl/internal/workload"
 )
 
@@ -89,7 +90,7 @@ func TestEngineExactCriticalTruthfulness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		base := eng.Run()
+		base := sweepEngine(t, eng, core.RunOptions{})
 		if !base.Feasible {
 			continue
 		}
@@ -174,13 +175,10 @@ func TestParallelPricingMisreportProbes(t *testing.T) {
 		mod := make([]core.Bid, len(bids))
 		copy(mod, bids)
 		mod[victim].Price = claimed
-		par, err := core.RunAuctionConcurrent(mod, cfg, 4)
+		par := sweep(t, mod, cfg, core.RunOptions{Workers: 4})
+		eager, err := seedwdp.RunEager(mod, cfg)
 		if err != nil {
-			t.Fatalf("RunAuctionConcurrent: %v", err)
-		}
-		eager, err := core.RunAuctionEager(mod, cfg)
-		if err != nil {
-			t.Fatalf("RunAuctionEager: %v", err)
+			t.Fatalf("RunEager: %v", err)
 		}
 		if par.Feasible != eager.Feasible || par.Tg != eager.Tg ||
 			!reflect.DeepEqual(par.Winners, eager.Winners) {
@@ -362,12 +360,8 @@ func TestColumnarExactCriticalMisreportProbes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		base := eng.Run()
-		rowEng, err := core.NewEngine(bids, cfg)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !reflect.DeepEqual(base, rowEng.Run()) {
+		base := sweepEngine(t, eng, core.RunOptions{})
+		if !reflect.DeepEqual(base, sweep(t, bids, cfg, core.RunOptions{})) {
 			t.Fatalf("seed %d: columnar full auction diverged from the row path", seed)
 		}
 		if !base.Feasible {

@@ -47,31 +47,12 @@ type solveEnv struct {
 // payments (Algorithm 3), and assembles the dual certificate of Lemma 5.
 //
 // bids is the full bid slice of the auction; qualified indexes into it.
-// The function never mutates bids or qualified. It is the row-oriented
-// compat entry: the slice is compiled to a columnar BidSet on entry
-// (compilation is exact, so results are bit-identical to pre-columnar
-// builds). Working state comes from a pooled scratch arena, so a call
-// only allocates the compiled columns and what escapes into the returned
-// WDPResult; sweep and batch callers avoid even that by solving through
-// an Engine or a shared BidSet.
+// The function never mutates bids or qualified. It is SolveWDPSet on the
+// compiled rows (compilation is exact, so results are bit-identical to
+// pre-columnar builds); sweep and batch callers avoid the per-call
+// compile by solving through an Engine or a shared BidSet.
 func SolveWDP(bids []Bid, qualified []int, tg int, cfg Config) WDPResult {
-	if tg < 1 || len(qualified) == 0 {
-		return WDPResult{Tg: tg}
-	}
-	if cfg.K > math.MaxInt/tg {
-		// Guard before sizing the arena: a K·tg that overflows int is
-		// unfillable demand, not a tg-sized allocation request.
-		return WDPResult{Tg: tg}
-	}
-	set := CompileBids(bids)
-	sc := acquireScratch(set.n, tg)
-	res := solveWDP(set, qualified, tg, cfg, sc, nil, solveEnv{})
-	releaseScratch(sc)
-	// Standalone solves are priced eagerly: a single-WDP caller expects a
-	// finished result. The sweep instead leaves solveWDP's Algorithm 3
-	// payments in place and prices only the selected T̂_g (priceWinners).
-	applyPaymentRule(set, qualified, tg, cfg, solveEnv{}, nil, &res)
-	return res
+	return SolveWDPSet(CompileBids(bids), qualified, tg, cfg)
 }
 
 // solveWDP is the engine behind SolveWDP: the same greedy, payments and

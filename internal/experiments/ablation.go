@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"sort"
 	"time"
@@ -71,7 +72,7 @@ func AblationPaymentRules(opts Options) Figure {
 				cfg.PaymentRule = rule
 				cfg.ExcludeOwnBids = true
 				cfg.ReservePrice = 10 * p.CostHi
-				res, err := core.RunAuction(bids, cfg)
+				res, err := core.Run(context.Background(), bids, cfg, core.RunOptions{})
 				if err != nil || !res.Feasible || res.Cost <= 0 {
 					continue
 				}
@@ -186,7 +187,7 @@ func AblationRedundancy(opts Options) Figure {
 	for _, r := range redundancies {
 		cfg := p.Config()
 		cfg.K += r
-		res, err := core.RunAuction(bids, cfg)
+		res, err := core.Run(context.Background(), bids, cfg, core.RunOptions{})
 		if err != nil || !res.Feasible {
 			continue
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 
 	"github.com/fedauction/afl/internal/baseline"
@@ -32,7 +33,7 @@ func costSweep(opts Options, xs []int, vary func(p *workload.Params, x int)) ([]
 				continue
 			}
 			cfg := p.Config()
-			res, err := core.RunAuction(bids, cfg)
+			res, err := core.Run(context.Background(), bids, cfg, core.RunOptions{})
 			if err != nil || !res.Feasible {
 				continue
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 
 	"github.com/fedauction/afl/internal/core"
@@ -40,7 +41,7 @@ func AblationDiurnal(opts Options) Figure {
 				continue
 			}
 			cfg := p.Config()
-			res, err := core.RunAuction(bids, cfg)
+			res, err := core.Run(context.Background(), bids, cfg, core.RunOptions{})
 			if err != nil || !res.Feasible {
 				continue
 			}

@@ -15,7 +15,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"github.com/fedauction/afl/internal/baseline"
@@ -63,35 +62,22 @@ func (o Options) workers() int {
 
 // forEach runs fn(0) … fn(n-1) over a bounded worker pool and returns
 // when every call has finished. Iterations must be independent: each
-// writes only its own result slot. With one worker (or n <= 1) the
-// calls run inline in index order, which is also the deterministic
-// order parallel runs must reproduce through slot-indexed merges.
+// writes only its own result slot. Workers claim indices in order from a
+// shared counter, the calling goroutine being the first, so with one
+// worker (or n <= 1) the calls run inline in index order, which is also
+// the deterministic order parallel runs must reproduce through
+// slot-indexed merges.
 func forEach(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
+	var next atomic.Int64
+	core.FanOut(core.ClampWorkers(workers, n), func(int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
 			fn(i)
 		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 }
 
 // Figure is one regenerated evaluation artifact.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sort"
 
 	"github.com/fedauction/afl/internal/core"
@@ -32,7 +33,7 @@ func Fig9(opts Options) Figure {
 		return fig
 	}
 	cfg := p.Config()
-	res, err := core.RunAuction(bids, cfg)
+	res, err := core.Run(context.Background(), bids, cfg, core.RunOptions{})
 	if err != nil || !res.Feasible {
 		fig.Notes = append(fig.Notes, note("auction infeasible"))
 		return fig

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 
 	"github.com/fedauction/afl/internal/baseline"
@@ -156,7 +157,7 @@ func ratioSweep(opts Options, fig Figure, xs []int, vary func(p *workload.Params
 			return
 		}
 		cfg := p.Config()
-		res, err := core.RunAuction(bids, cfg)
+		res, err := core.Run(context.Background(), bids, cfg, core.RunOptions{})
 		if err != nil || !res.Feasible {
 			return
 		}

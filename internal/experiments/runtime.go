@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"time"
 
 	"github.com/fedauction/afl/internal/baseline"
@@ -61,7 +63,7 @@ func Fig8(opts Options) Figure {
 		var aflMS, onlineMS float64
 		for r := 0; r < reps; r++ {
 			t0 := time.Now()
-			if _, err := core.RunAuction(bids, cfg); err != nil {
+			if _, err := core.Run(context.Background(), bids, cfg, core.RunOptions{}); err != nil && !errors.Is(err, core.ErrInfeasible) {
 				continue
 			}
 			aflMS += float64(time.Since(t0).Microseconds()) / 1000

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"github.com/fedauction/afl/internal/core"
 	"github.com/fedauction/afl/internal/plot"
 	"github.com/fedauction/afl/internal/roundsim"
@@ -46,7 +47,7 @@ func AblationTiming(opts Options) Figure {
 	for _, tc := range cases {
 		cfg := p.Config()
 		cfg.TMax = tc.tmax
-		res, err := core.RunAuction(bids, cfg)
+		res, err := core.Run(context.Background(), bids, cfg, core.RunOptions{})
 		if err != nil || !res.Feasible {
 			fig.Notes = append(fig.Notes, note("%s: auction infeasible", tc.name))
 			continue

@@ -351,7 +351,9 @@ func solveEngine(vec []core.Bid, set *core.BidSet, cfg core.Config, s *session) 
 	if err != nil {
 		return 0, false, err
 	}
-	r := eng.Run()
+	// A Background context never cancels, so the only error is
+	// ErrInfeasible, which r.Feasible reports.
+	r, _ := eng.RunCtx(context.Background(), core.RunOptions{})
 	if !r.Feasible {
 		return 0, false, nil
 	}

@@ -1,6 +1,7 @@
 package marketsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -342,13 +343,9 @@ func TestSybilEssentialReserveEdge(t *testing.T) {
 	}
 	solve := func(t *testing.T, vec []core.Bid) core.Result {
 		t.Helper()
-		eng, err := core.NewEngine(vec, cfg)
+		r, err := core.Run(context.Background(), vec, cfg, core.RunOptions{})
 		if err != nil {
-			t.Fatal(err)
-		}
-		r := eng.Run()
-		if !r.Feasible {
-			t.Fatal("instance infeasible — the edge needs both sides feasible")
+			t.Fatalf("%v — the edge needs both sides feasible", err)
 		}
 		return r
 	}

@@ -219,7 +219,9 @@ func (EngineTarget) Solve(_ context.Context, _ string, inst batch.Instance) (mar
 	if err != nil {
 		return marketd.OutcomeRecord{}, err
 	}
-	res := eng.Run()
+	// A Background context never cancels, so the only error is
+	// ErrInfeasible, which res.Feasible reports.
+	res, _ := eng.RunCtx(context.Background(), core.RunOptions{})
 	rec := marketd.OutcomeRecord{Feasible: res.Feasible}
 	if !res.Feasible {
 		return rec, nil

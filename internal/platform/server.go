@@ -264,8 +264,16 @@ func (s *Server) RunSession(conns map[int]Conn) (SessionReport, error) {
 
 	// Phase 3: run A_FL. The engine is retained for mid-session coverage
 	// repair: re-awards reuse its precomputed qualification context, so
-	// replacement payments stay critical values (Engine.Run is
-	// bit-identical to RunAuction).
+	// replacement payments stay critical values. The sweep and the
+	// repairs time their phases on the session clock: deterministic under
+	// a VirtualClock, wall time otherwise.
+	ro := core.RunOptions{
+		Observer: s.cfg.Observer, Now: clk.Now,
+		Solver: s.cfg.Solver, Stride: s.cfg.Stride,
+	}
+	if s.cfg.Solver == core.SolverLPRound {
+		ro.LP = colgen.Certifier{}
+	}
 	var eng *core.Engine
 	if len(bids) > 0 {
 		var err error
@@ -273,17 +281,8 @@ func (s *Server) RunSession(conns map[int]Conn) (SessionReport, error) {
 		if err != nil {
 			return report, fmt.Errorf("auction: %w", err)
 		}
-		if s.cfg.Observer != nil {
-			// Time phases on the session clock: deterministic under a
-			// VirtualClock, wall time otherwise.
-			eng = eng.Observe(s.cfg.Observer, clk.Now)
-		}
 		// Infeasibility is not fatal here: the report carries the full
 		// sweep diagnostics and SessionReport.Err surfaces the sentinel.
-		ro := core.RunOptions{Solver: s.cfg.Solver, Stride: s.cfg.Stride}
-		if s.cfg.Solver == core.SolverLPRound {
-			ro.LP = colgen.Certifier{}
-		}
 		report.Auction, _ = eng.RunCtx(context.Background(), ro)
 	}
 	winners := make(map[int]core.Winner)
@@ -375,7 +374,7 @@ func (s *Server) RunSession(conns map[int]Conn) (SessionReport, error) {
 			if len(droppedNow) == 0 || eng == nil || s.cfg.DisableRepair {
 				break
 			}
-			pending = s.repairCoverage(t, droppedNow, eng, conns, winners, failed, schedule, weights, &report)
+			pending = s.repairCoverage(t, droppedNow, eng, ro, conns, winners, failed, schedule, weights, &report)
 			rr.Promoted = append(rr.Promoted, pending...)
 		}
 		// Aggregate (FedAvg) in responder order: originally scheduled
@@ -497,7 +496,7 @@ func (s *Server) collectUpdate(c Conn, clk Clock, id, t int, weights []float64, 
 // current round — nothing is promoted and the short rounds run flagged.
 // It returns the promoted clients whose replacement schedule includes
 // round t itself; the caller collects their updates next.
-func (s *Server) repairCoverage(t int, dropped []int, eng *core.Engine, conns map[int]Conn, winners map[int]core.Winner, failed map[int]string, schedule [][]int, weights []float64, report *SessionReport) []int {
+func (s *Server) repairCoverage(t int, dropped []int, eng *core.Engine, ro core.RunOptions, conns map[int]Conn, winners map[int]core.Winner, failed map[int]string, schedule [][]int, weights []float64, report *SessionReport) []int {
 	tg := report.Auction.Tg
 	k := s.auctionConfig().K
 	rec := RepairRecord{Round: t, Dropped: append([]int(nil), dropped...)}
@@ -526,7 +525,7 @@ func (s *Server) repairCoverage(t int, dropped []int, eng *core.Engine, conns ma
 	}
 
 	req := core.RepairRequest{Tg: tg, From: t, Base: base, Exclude: exclude}
-	res, err := eng.Repair(req)
+	res, err := eng.RepairCtx(context.Background(), req, ro)
 	coveredFrom := t
 	if err == nil && !res.Feasible && t < tg {
 		// The current round may be unrepairable (its collection window is
@@ -535,7 +534,7 @@ func (s *Server) repairCoverage(t int, dropped []int, eng *core.Engine, conns ma
 		next := append([]int(nil), base...)
 		next[t-1] = k
 		req.From, req.Base = t+1, next
-		if res2, err2 := eng.Repair(req); err2 == nil && res2.Feasible {
+		if res2, err2 := eng.RepairCtx(context.Background(), req, ro); err2 == nil && res2.Feasible {
 			res, coveredFrom = res2, t+1
 		}
 	}

@@ -1,6 +1,7 @@
 package roundsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -21,8 +22,8 @@ func solvedAuction(t *testing.T, tmax float64) ([]core.Bid, core.Result, core.Co
 		t.Fatal(err)
 	}
 	cfg := p.Config()
-	res, err := core.RunAuction(bids, cfg)
-	if err != nil || !res.Feasible {
+	res, err := core.Run(context.Background(), bids, cfg, core.RunOptions{})
+	if err != nil {
 		t.Fatalf("auction failed: %v", err)
 	}
 	return bids, res, cfg

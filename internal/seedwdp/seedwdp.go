@@ -1,31 +1,31 @@
-// Package seedwdp is a frozen copy of the repository's original ("seed")
-// A_FL solver: the map-based SolveWDP, the per-T̂_g re-qualification of
-// RunAuction, and the seed payment rules, exactly as they shipped before
-// the incremental WDP engine replaced them in internal/core.
+// Package seedwdp holds the two reference solvers that the incremental
+// engine in internal/core is held to. Neither may be used in production
+// paths.
 //
-// The package exists for two reasons and must NOT be used in production
-// paths:
+// The first is a frozen copy of the repository's original ("seed") A_FL
+// solver: the map-based SolveWDP, the per-T̂_g re-qualification of the
+// seed sweep, and the seed payment rules, exactly as they shipped before
+// the incremental WDP engine replaced them in internal/core. It is the
+// oracle of the differential-testing harness
+// (internal/core/differential_test.go), which asserts the incremental
+// engine returns bit-identical winners, schedules, payments and duals on
+// hundreds of seeded workloads, and the baseline of cmd/benchcore, which
+// records the seed-vs-incremental speedup into BENCH_core.json. Because
+// it is a differential oracle, that code is intentionally a verbatim
+// transliteration of the seed algorithm — do not "improve" it. The only
+// deliberate differences are cosmetic: it reuses the exported core types
+// (Bid, Config, Dual), and its Winner exports the Covered/Phi dual
+// bookkeeping that core keeps unexported.
 //
-//   - it is the oracle of the differential-testing harness
-//     (internal/core/differential_test.go), which asserts the incremental
-//     engine returns bit-identical winners, schedules, payments and duals
-//     on hundreds of seeded workloads;
-//   - it is the baseline of cmd/benchcore, which records the seed-vs-
-//     incremental speedup into BENCH_core.json.
-//
-// Because it is a differential oracle, this file is intentionally a
-// verbatim transliteration of the seed algorithm — do not "improve" it.
-// The only deliberate differences are cosmetic: it reuses the exported
-// core types (Bid, Config, Dual), and its Winner exports the Covered/Phi
-// dual bookkeeping that core keeps unexported.
+// The second is RunEager, the eager-serial pricing reference: the sweep
+// with every candidate T̂_g fully priced, which the lazy pricing stage of
+// core must match at the selected T̂_g.
 package seedwdp
 
 import (
 	"container/heap"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"github.com/fedauction/afl/internal/core"
 	"github.com/fedauction/afl/internal/stats"
@@ -117,7 +117,7 @@ func Qualified(bids []core.Bid, tg int, cfg core.Config) []int {
 	return out
 }
 
-// RunAuction is the seed copy of core.RunAuction: an independent
+// RunAuction is the seed A_FL sweep (Algorithm 1): an independent
 // Qualified + SolveWDP from scratch per candidate T̂_g.
 func RunAuction(bids []core.Bid, cfg core.Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
@@ -146,52 +146,24 @@ func RunAuction(bids []core.Bid, cfg core.Config) (Result, error) {
 	return res, nil
 }
 
-// RunAuctionConcurrent is the seed copy of core.RunAuctionConcurrent.
-func RunAuctionConcurrent(bids []core.Bid, cfg core.Config, workers int) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
+// RunEager is the sweep with eager payment application: every candidate
+// T̂_g's WDP is solved and fully priced under cfg.PaymentRule by
+// core.Engine.SolveWDP, serially, as the pre-lazification sweep did. The
+// differential suite and cmd/benchcore hold the lazy pricing path to it:
+// the selected T̂_g's winners and payments must be bit-identical between
+// the two. Ties keep the smallest T̂_g, as in the lazy sweep.
+func RunEager(bids []core.Bid, cfg core.Config) (core.Result, error) {
+	eng, err := core.NewEngine(bids, cfg)
+	if err != nil {
+		return core.Result{}, err
 	}
-	if err := core.ValidateBids(bids, cfg.T, cfg.K); err != nil {
-		return Result{}, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	t0 := MinTg(bids)
-	n := cfg.T - t0 + 1
-	if n <= 0 {
-		return Result{}, nil
-	}
-	wdps := make([]WDPResult, n)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				tg := t0 + i
-				wdps[i] = SolveWDP(bids, Qualified(bids, tg, cfg), tg, cfg)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
-	res := Result{WDPs: wdps}
-	for _, wdp := range wdps {
-		if !wdp.Feasible {
-			continue
-		}
-		if !res.Feasible || wdp.Cost < res.Cost {
-			res.Feasible = true
-			res.Tg = wdp.Tg
-			res.Cost = wdp.Cost
-			res.Winners = wdp.Winners
-			res.Dual = wdp.Dual
+	var res core.Result
+	for tg := eng.T0(); tg <= cfg.T; tg++ {
+		wdp := eng.SolveWDP(tg)
+		res.WDPs = append(res.WDPs, wdp)
+		if wdp.Feasible && (!res.Feasible || wdp.Cost < res.Cost) {
+			res.Feasible, res.Tg, res.Cost = true, wdp.Tg, wdp.Cost
+			res.Winners, res.Dual = wdp.Winners, wdp.Dual
 		}
 	}
 	return res, nil

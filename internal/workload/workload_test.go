@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"github.com/fedauction/afl/internal/core"
@@ -164,12 +165,9 @@ func TestGeneratedAuctionRunsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.RunAuction(bids, p.Config())
+	res, err := core.Run(context.Background(), bids, p.Config(), core.RunOptions{})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Feasible {
-		t.Fatal("default-style population should be feasible")
+		t.Fatalf("default-style population should be feasible: %v", err)
 	}
 	if err := core.CheckSolution(bids, res, p.Config()); err != nil {
 		t.Fatal(err)

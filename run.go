@@ -10,8 +10,7 @@ import (
 
 // Option configures one Run call. Options are applied in order; the zero
 // option set runs the sweep sequentially, uninstrumented, with the
-// payment rule taken from cfg — exactly the historical RunAuction
-// behaviour.
+// payment rule taken from cfg.
 type Option func(*runConfig)
 
 type runConfig struct {
@@ -114,10 +113,11 @@ func WithStride(n int) Option {
 }
 
 // Run executes the full A_FL auction (Algorithm 1 of the paper) honoring
-// ctx and the functional options. It supersedes RunAuction and
-// RunAuctionConcurrent, whose behaviours are Run(context.Background(),
-// bids, cfg) and Run(ctx, bids, cfg, WithWorkers(n)); results are
-// bit-identical across all three for every worker count.
+// ctx and the functional options: it enumerates the feasible numbers of
+// global iterations, solves a winner-determination problem for each, and
+// returns the minimum-cost solution with schedules, payments and the dual
+// certificate bounding its distance from optimal. Results are
+// bit-identical for every worker count.
 //
 // Outcomes map onto the package's sentinel errors:
 //
@@ -135,11 +135,7 @@ func Run(ctx context.Context, bids []Bid, cfg Config, opts ...Option) (Result, e
 	if rc.ruleSet {
 		cfg.PaymentRule = rc.rule
 	}
-	eng, err := core.NewEngine(bids, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return eng.RunCtx(ctx, rc.runOptions())
+	return core.Run(ctx, bids, cfg, rc.runOptions())
 }
 
 // RunSet is Run over a pre-compiled columnar population: the BidSet built

@@ -1,11 +1,11 @@
 package afl_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"reflect"
 	"runtime"
@@ -29,35 +29,35 @@ func testWorkload(t *testing.T, clients, maxT, k int) ([]afl.Bid, afl.Config) {
 	return bids, p.Config()
 }
 
-// TestRunMatchesDeprecatedEntryPoints locks in the compatibility contract
-// of the facade redesign: Run is bit-identical to RunAuction and to
-// RunAuctionConcurrent for every worker setting, including the negative
-// (GOMAXPROCS) convention.
-func TestRunMatchesDeprecatedEntryPoints(t *testing.T) {
+// TestRunIdenticalAcrossWorkers locks in the worker-count contract of
+// the auction entry points: Run and RunSet return bit-identical results
+// at every width — inline (0, 1), pooled (2, 4) and GOMAXPROCS (−1) —
+// under the paper's payment rule and under exact-critical pricing, whose
+// per-winner bisections fan out over the same workers.
+func TestRunIdenticalAcrossWorkers(t *testing.T) {
 	bids, cfg := testWorkload(t, 80, 12, 3)
-	want, err := afl.RunAuction(bids, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.Feasible {
-		t.Fatal("workload unexpectedly infeasible")
-	}
-	for _, workers := range []int{0, 1, 2, 7, -1} {
-		got, err := afl.Run(context.Background(), bids, cfg, afl.WithWorkers(workers))
-		if err != nil {
-			t.Fatalf("Run(workers=%d): %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Run(workers=%d) differs from RunAuction", workers)
-		}
-	}
-	for _, workers := range []int{0, 2} {
-		legacy, err := afl.RunAuctionConcurrent(bids, cfg, workers)
+	set := afl.CompileBids(bids)
+	ctx := context.Background()
+	for _, rule := range []afl.PaymentRule{afl.RuleCritical, afl.RuleExactCritical} {
+		want, err := afl.Run(ctx, bids, cfg, afl.WithPaymentRule(rule))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(legacy, want) {
-			t.Fatalf("RunAuctionConcurrent(%d) differs from RunAuction", workers)
+		for _, workers := range []int{0, 1, 2, 4, -1} {
+			got, err := afl.Run(ctx, bids, cfg, afl.WithPaymentRule(rule), afl.WithWorkers(workers))
+			if err != nil {
+				t.Fatalf("%v: Run(workers=%d): %v", rule, workers, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v: Run(workers=%d) differs from Run(workers=0)", rule, workers)
+			}
+			got, err = afl.RunSet(ctx, set, cfg, afl.WithPaymentRule(rule), afl.WithWorkers(workers))
+			if err != nil {
+				t.Fatalf("%v: RunSet(workers=%d): %v", rule, workers, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v: RunSet(workers=%d) differs from Run(workers=0)", rule, workers)
+			}
 		}
 	}
 }
@@ -226,6 +226,53 @@ func TestRunCancellationMidPricing(t *testing.T) {
 	}
 }
 
+// TestWidthOneRunsInline holds the width-1 contract of every fan-out: a
+// one-worker run starts no goroutine, so every event of an
+// exact-critical Run (sweep and pricing) and of a one-worker RunBatch
+// (scheduler and per-auction sweeps) is emitted on the caller's
+// goroutine.
+func TestWidthOneRunsInline(t *testing.T) {
+	self := goroutineID()
+	var mu sync.Mutex
+	onGoroutine := map[string]int{}
+	kinds := map[afl.EventKind]int{}
+	o := afl.ObserverFunc(func(e afl.Event) {
+		id := goroutineID()
+		mu.Lock()
+		onGoroutine[id]++
+		kinds[e.Kind]++
+		mu.Unlock()
+	})
+	ctx := context.Background()
+	bids, cfg := testWorkload(t, 80, 12, 3)
+	cfg.PaymentRule = afl.RuleExactCritical
+	if _, err := afl.Run(ctx, bids, cfg, afl.WithWorkers(1), afl.WithObserver(o)); err != nil {
+		t.Fatal(err)
+	}
+	insts := batchTestInstances(t, 4, 40, 12, 3)
+	if _, err := afl.RunBatch(ctx, insts, afl.WithWorkers(1), afl.WithObserver(o)); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []afl.EventKind{afl.EvWDPSolved, afl.EvWinnerPriced, afl.EvAuctionDequeued} {
+		if kinds[k] == 0 {
+			t.Fatalf("no %v events observed", k)
+		}
+	}
+	for id, n := range onGoroutine {
+		if id != self {
+			t.Fatalf("%d events on goroutine %s, want every event on the caller's goroutine %s", n, id, self)
+		}
+	}
+}
+
+// goroutineID returns the calling goroutine's id from the first line of
+// its stack trace, "goroutine <id> [running]:".
+func goroutineID() string {
+	var buf [64]byte
+	line := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	return string(line[:bytes.IndexByte(line, ' ')])
+}
+
 // TestRunGoldenTrace pins the exact event stream of a sequential
 // instrumented run on a fixed workload and a deterministic clock. Any
 // change to the phase-event contract shows up as a diff here.
@@ -368,6 +415,12 @@ func TestPricingAllocGuard(t *testing.T) {
 // per winner, across 50–1000 clients with and without ExcludeOwnBids. A
 // full re-solve per probe costs hundreds of allocations per winner.
 func TestPricingAllocBound(t *testing.T) {
+	if raceEnabled {
+		// Under -race, sync.Pool.Put drops one item in four at random,
+		// so the count would include pool misses instead of the steady
+		// state this bound is about. CI enforces it without -race.
+		t.Skip("allocation bound is not meaningful under the race detector")
+	}
 	const perWinner = 2
 	bids, cfg := testWorkload(t, 200, 10, 4)
 	cfg.ExcludeOwnBids = true
@@ -395,9 +448,8 @@ func TestPricingAllocBound(t *testing.T) {
 }
 
 // TestNilObserverAllocGuard asserts the zero-cost-when-nil guarantee of
-// the observability redesign: the context-aware RunCtx path with no
-// observer allocates no more than the pre-redesign Engine.Run hot path,
-// and that hot path itself stays within the BENCH_core.json baseline.
+// the observability redesign: an uninstrumented Engine.RunCtx stays
+// within the BENCH_core.json engine_reuse baseline.
 func TestNilObserverAllocGuard(t *testing.T) {
 	// Mirror the benchcore I=100 configuration (T=50, K=10) so the
 	// BENCH_core.json engine_reuse baseline is comparable.
@@ -406,44 +458,28 @@ func TestNilObserverAllocGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eng.Run().Feasible {
-		t.Fatal("guard workload infeasible")
+	ctx := context.Background()
+	if _, err := eng.RunCtx(ctx, afl.RunOptions{}); err != nil {
+		t.Fatalf("guard workload: %v", err)
 	}
-	// Resolve the BENCH_core.json engine_reuse baseline up front so one
-	// measurement loop can retry both bounds together.
 	limit, haveBaseline, skip := engineReuseLimit(t, len(clientSet(bids)))
-
+	if !haveBaseline {
+		t.Skip(skip)
+	}
 	// Allocation counts depend on pool hit rates: a GC mid-measurement
 	// flushes the shape pools and that run pays a full arena rebuild,
 	// tripping the guard spuriously (seen under -race, where everything
 	// allocates more and collections land more often). The guarantee
-	// being guarded is the warm hot path, so measure the two paths as a
-	// back-to-back pair and retry while either bound fails from a flush:
-	// an instrumented hot path (which at least doubles the count via
-	// timing and event boxing) still fails every attempt.
-	base, withCtx := math.Inf(1), math.Inf(1)
-	pairOK, baseOK := false, false
-	for attempt := 0; attempt < 5 && !(pairOK && baseOK); attempt++ {
-		b := testing.AllocsPerRun(5, func() { eng.Run() })
-		c := testing.AllocsPerRun(5, func() {
-			if _, err := eng.RunCtx(context.Background(), afl.RunOptions{}); err != nil {
-				t.Error(err)
-			}
-		})
-		base, withCtx = math.Min(base, b), math.Min(withCtx, c)
-		// RunCtx adds only the options plumbing; allow a handful of
-		// allocs of slack over the uninstrumented path.
-		pairOK = pairOK || c <= b+8
-		baseOK = !haveBaseline || base <= limit
-	}
-	if !pairOK {
-		t.Fatalf("nil-observer RunCtx allocates %.0f/op vs Run %.0f/op", withCtx, base)
-	}
-	if !baseOK {
-		t.Fatalf("Engine.Run allocates %.0f/op, limit %.0f", base, limit)
-	}
-	if !haveBaseline {
-		t.Skip(skip)
+	// being guarded is the warm hot path, so take the best of a few
+	// batches: an instrumented hot path (which at least doubles the count
+	// via timing and event boxing) still fails every batch.
+	got := minAllocsPerRun(5, 5, func() {
+		if _, err := eng.RunCtx(ctx, afl.RunOptions{}); err != nil {
+			t.Error(err)
+		}
+	})
+	if got > limit {
+		t.Fatalf("nil-observer RunCtx allocates %.0f/op, limit %.0f", got, limit)
 	}
 }
 
