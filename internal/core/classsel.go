@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"slices"
 	"sync"
 )
@@ -13,9 +12,9 @@ import (
 // interchangeable to the greedy except for price: their effective slot
 // ranges coincide, so their marginal utilities are equal at every point
 // of the run, and the average-cost order within the shape class is
-// exactly the (price, bid) order — fixed at compile time. The selection
-// heaps therefore need only one entry per CLASS (its head: the cheapest
-// member still in the set), not one per bid. For T = 50 there are at
+// exactly the (price, bid) order — fixed at compile time. The candidate
+// heap therefore needs only one entry per CLASS (its head: the cheapest
+// member still in C), not one per bid. For T = 50 there are at
 // most Σ_{W=1..50} (51−W)·W = 22 100 shapes, so a million-bid heap
 // collapses to a few-thousand-entry heap, and the mass staleness churn
 // that dominated per-bid selection (every slot fill invalidates the
@@ -31,10 +30,12 @@ import (
 // pops. Stored entries only ever underestimate — keys grow as slots
 // fill, and head replacement moves to a member with larger (price, bid)
 // — so the same lazy re-key argument as the per-bid heap applies, and
-// every pop returns the exact minimum. Selection order, payments and
-// duals are bit-identical to the per-bid path; the differential suite
-// (seedwdp, eager-serial) and the class/per-bid cross-checks lock this
-// in empirically.
+// every pop returns the exact minimum. The grand set G needs no heap of
+// its own: its best at a pick is the minimum of the winner and the spare
+// siblings of earlier winners (see selectWinnerClass). Selection order,
+// payments and duals are bit-identical to the per-bid path; the
+// differential suite (seedwdp, eager-serial) and the class/per-bid
+// cross-checks lock this in empirically.
 //
 // The class path is engaged only by the sweep (solveEnv.classes, see
 // sweepSegment): pricing's held-out runs leave one bid out of the
@@ -135,22 +136,47 @@ func (ci *classIndex) build(s *BidSet) {
 	}
 }
 
-// initClasses builds the class-level selection state for one solve: the
-// first-qualified head position per touched class (doubling as the
-// class's minimum qualified price for the tight dual), zeroed filled-slot
-// prefix sums, cursors, and the two class heaps. The clsInit array
-// persists sentinel −1 entries across solves and pool reuse: each solve
-// resets exactly the classes the previous one touched, so the reset is
-// O(touched), not O(classes).
+// initClasses builds the class-level selection state for one solve from
+// the class heads the sweep segment carries (see foldClasses): zeroed
+// filled-slot prefix sums, each touched class's cursor back at its first
+// qualified member, an empty spare list and the candidate heap.
 func (w *wdpState) initClasses(env solveEnv) {
 	sc := w.sc
 	cls := env.classes
-	sc.ensureClass(cls.n)
-	for _, c := range sc.clsTouched {
-		sc.clsInit[c] = -1
+	fp := sc.filledPrefix[:w.tg+1]
+	for i := range fp {
+		fp[i] = 0
 	}
-	sc.clsTouched = sc.clsTouched[:0]
-	for _, idx := range w.qualified {
+	w.filledPrefix = fp
+	w.cls = cls
+	w.enterTg = env.enterTg
+	w.cur = sc.clsCur
+	sc.spare = sc.spare[:0]
+	sc.clsHeap = sc.clsHeap[:0]
+	for _, c := range sc.clsTouched {
+		pos := sc.clsInit[c]
+		w.cur[c] = pos
+		head := cls.members[cls.memberStart[c]+pos]
+		// A qualified member implies start + rounds − 1 ≤ tg, so the
+		// clipped width covers rounds and the class marginal is ≥ 1.
+		e, alive := w.classEntryAt(c, head)
+		if !alive {
+			continue
+		}
+		sc.clsHeap = append(sc.clsHeap, e)
+	}
+	sc.clsHeap.init()
+}
+
+// foldClasses lowers the carried class heads by newly qualified bids:
+// clsInit[c] becomes the smallest member position of class c among the
+// bids folded in since resetClasses, and a class enters clsTouched at its
+// first qualified member. Qualified sets only grow with T̂_g, so a sweep
+// segment folds qualifiedAt(lo) once and then only the bids entering at
+// each later T̂_g — the same first-appearance order, and the same minima,
+// as a scan of the whole qualified set at every horizon.
+func (sc *wdpScratch) foldClasses(cls *classIndex, bids []int) {
+	for _, idx := range bids {
 		c := cls.classOf[idx]
 		p := cls.memberPos[idx]
 		if sc.clsInit[c] < 0 {
@@ -160,33 +186,6 @@ func (w *wdpState) initClasses(env solveEnv) {
 			sc.clsInit[c] = p
 		}
 	}
-	fp := sc.filledPrefix[:w.tg+1]
-	for i := range fp {
-		fp[i] = 0
-	}
-	w.filledPrefix = fp
-	w.cls = cls
-	w.enterTg = env.enterTg
-	w.curC = sc.clsCurC
-	w.curG = sc.clsCurG
-	sc.clsHeapC = sc.clsHeapC[:0]
-	sc.clsHeapG = sc.clsHeapG[:0]
-	for _, c := range sc.clsTouched {
-		pos := sc.clsInit[c]
-		w.curC[c] = pos
-		w.curG[c] = pos
-		head := cls.members[cls.memberStart[c]+pos]
-		// A qualified member implies start + rounds − 1 ≤ tg, so the
-		// clipped width covers rounds and the class marginal is ≥ 1.
-		e, alive := w.classEntryAt(c, head)
-		if !alive {
-			continue
-		}
-		sc.clsHeapC = append(sc.clsHeapC, e)
-		sc.clsHeapG = append(sc.clsHeapG, e)
-	}
-	sc.clsHeapC.init()
-	sc.clsHeapG.init()
 }
 
 // classMembers returns class c's member row ((price, bid) ascending).
@@ -248,21 +247,21 @@ func (w *wdpState) classEntryAt(c, head int) (classEntry, bool) {
 }
 
 // classHead advances cur[c] past members that are unqualified at this
-// horizon or permanently removed from the set and returns the head bid,
-// or −1 when the class is exhausted. Both skip reasons are permanent
-// within one solve, so the cursor only moves forward — O(class size)
-// total advancement per solve.
-func (w *wdpState) classHead(c int, in []bool, cur []int) int {
+// horizon or permanently removed from C and returns the head bid, or −1
+// when the class is exhausted. Both skip reasons are permanent within one
+// solve, so the cursor only moves forward — O(class size) total
+// advancement per solve.
+func (w *wdpState) classHead(c int) int {
 	members := w.classMembers(c)
-	i := cur[c]
+	i := w.cur[c]
 	for i < len(members) {
-		if b := members[i]; w.enterTg[b] <= w.tg && in[b] {
-			cur[c] = i
+		if b := members[i]; w.enterTg[b] <= w.tg && w.inC[b] {
+			w.cur[c] = i
 			return b
 		}
 		i++
 	}
-	cur[c] = i
+	w.cur[c] = i
 	return -1
 }
 
@@ -271,10 +270,11 @@ func (w *wdpState) classHead(c int, in []bool, cur []int) int {
 // stale entries — the class-level popValid. Classes whose marginal hits
 // zero are dropped (m never grows), exactly as the per-bid heap drops
 // zero-marginal entries.
-func (w *wdpState) popValidClass(h *classHeap, in []bool, cur []int) (classEntry, bool) {
+func (w *wdpState) popValidClass() (classEntry, bool) {
+	h := &w.sc.clsHeap
 	for h.Len() > 0 {
 		e := h.pop()
-		head := w.classHead(e.cls, in, cur)
+		head := w.classHead(e.cls)
 		if head < 0 {
 			continue
 		}
@@ -292,17 +292,17 @@ func (w *wdpState) popValidClass(h *classHeap, in []bool, cur []int) (classEntry
 }
 
 // classBest returns the minimum-(price, bid) member of class c at or
-// after position from that is qualified, still in the set and not
-// skipped, with the class marginal. The cursor is NOT advanced: skipped
-// members remain live candidates for later rounds.
-func (w *wdpState) classBest(c int, in []bool, from int, skip func(int) bool) (bid, marg int, ok bool) {
+// after its cursor that is qualified, still in C and not skipped, with the
+// class marginal. The cursor is NOT advanced: skipped members remain live
+// candidates for later rounds.
+func (w *wdpState) classBest(c int, skip func(int) bool) (bid, marg int, ok bool) {
 	members := w.classMembers(c)
-	for i := from; i < len(members); i++ {
+	for i := w.cur[c]; i < len(members); i++ {
 		b := members[i]
-		if w.enterTg[b] > w.tg || !in[b] {
+		if w.enterTg[b] > w.tg || !w.inC[b] {
 			continue
 		}
-		if skip != nil && skip(b) {
+		if skip(b) {
 			continue
 		}
 		if mg := w.classMarginal(c); mg > 0 {
@@ -314,25 +314,24 @@ func (w *wdpState) classBest(c int, in []bool, from int, skip func(int) bool) (b
 }
 
 // peekValidClass returns the bid attaining the minimum (key, bid) over
-// every valid, non-skipped member reachable from h — plus, when
-// seedCls ≥ 0, the seeded class, whose heap entry the caller has already
-// consumed (the winner's class during A_payment). All popped entries are
-// restored, so the heap is unchanged on return.
+// every valid, non-skipped member of C: the classes in the heap plus the
+// seeded class, whose heap entry the caller has already consumed (the
+// winner's class during A_payment). All popped entries are restored, so
+// the heap is unchanged on return.
 //
 // Early stop: a stored entry only ever underestimates its class's true
 // (key, head), and a class's best non-skipped member is ≥ its head in
 // (key, bid), so once the heap top's stored order is ≥ the best
 // candidate found, no remaining class can beat it. This returns exactly
 // the minimum the per-bid peekValid finds by popping through entries.
-func (w *wdpState) peekValidClass(h *classHeap, in []bool, cur []int, skip func(int) bool, seedCls int) (bid, marg int, ok bool) {
+func (w *wdpState) peekValidClass(skip func(int) bool, seedCls int) (bid, marg int, ok bool) {
 	var bestKey float64
 	bid = -1
-	if seedCls >= 0 {
-		if b, mg, found := w.classBest(seedCls, in, cur[seedCls], skip); found {
-			bid, marg = b, mg
-			bestKey = w.set.price[b] / float64(mg)
-		}
+	if b, mg, found := w.classBest(seedCls, skip); found {
+		bid, marg = b, mg
+		bestKey = w.set.price[b] / float64(mg)
 	}
+	h := &w.sc.clsHeap
 	kept := w.sc.keptCls[:0]
 	for h.Len() > 0 {
 		if bid >= 0 {
@@ -341,12 +340,12 @@ func (w *wdpState) peekValidClass(h *classHeap, in []bool, cur []int, skip func(
 				break
 			}
 		}
-		e, popped := w.popValidClass(h, in, cur)
+		e, popped := w.popValidClass()
 		if !popped {
 			break
 		}
 		kept = append(kept, e)
-		if b, mg, found := w.classBest(e.cls, in, cur[e.cls], skip); found {
+		if b, mg, found := w.classBest(e.cls, skip); found {
 			key := w.set.price[b] / float64(mg)
 			if bid < 0 || key < bestKey || (key == bestKey && b < bid) {
 				bid, marg, bestKey = b, mg, key
@@ -360,7 +359,7 @@ func (w *wdpState) peekValidClass(h *classHeap, in []bool, cur []int, skip func(
 	return bid, marg, bid >= 0
 }
 
-// selectWinnerClass is selectWinner on the class heaps: identical
+// selectWinnerClass is selectWinner on the class heap: identical
 // payment, dual and coverage semantics, with the per-bid m decrements
 // over slot rows replaced by an O(tg) filled-slot prefix bump and the
 // winner's class re-keyed back into the candidate heap under its new
@@ -384,22 +383,42 @@ func (w *wdpState) selectWinnerClass(ce classEntry) {
 	}
 
 	// Lines 11-12: the best schedule in the grand set G, which still
-	// includes the selected schedule itself at this point.
-	if gb, gm, ok := w.peekValidClass(&w.sc.clsHeapG, w.inG, w.curG, nil, -1); ok {
-		gphi := w.set.price[gb] / float64(gm)
-		for _, t := range w.repAvailable(gb) {
-			if gphi < w.phiPrime[t-1] {
-				w.phiPrime[t-1] = gphi
-			}
+	// includes the selected schedule itself. G = C ∪ S, where S (spare)
+	// holds the unselected qualified siblings of earlier winners, and the
+	// winner is C's (key, bid)-minimum, so G's best is the minimum of the
+	// winner and S. A spare whose marginal hits zero leaves for good
+	// (m never grows), as the per-bid G heap drops it.
+	gb, gphi := idx, phi
+	live := w.sc.spare[:0]
+	for _, s := range w.sc.spare {
+		mg := w.classMarginal(w.cls.classOf[s])
+		if mg <= 0 {
+			continue
+		}
+		live = append(live, s)
+		if key := w.set.price[s] / float64(mg); key < gphi || (key == gphi && s < gb) {
+			gb, gphi = s, key
+		}
+	}
+	gavail := avail
+	if gb != idx {
+		gavail = w.repAvailable(gb)
+	}
+	for _, t := range gavail {
+		if gphi < w.phiPrime[t-1] {
+			w.phiPrime[t-1] = gphi
 		}
 	}
 
 	// Lines 13-14: C drops every bid of the winning client; G drops only
-	// the selected schedule.
+	// the selected schedule, so the winner's qualified siblings join S.
 	for _, sib := range w.set.siblings(idx) {
 		w.inC[sib] = false
+		if sib != idx && w.enterTg[sib] <= w.tg {
+			live = append(live, sib)
+		}
 	}
-	w.inG[idx] = false
+	w.sc.spare = live
 
 	w.winners = append(w.winners, Winner{
 		BidIndex: idx,
@@ -427,9 +446,9 @@ func (w *wdpState) selectWinnerClass(ce classEntry) {
 
 	// The winner's class re-enters the candidate heap under its new head
 	// (the main-loop pop consumed its only entry).
-	if head := w.classHead(ce.cls, w.inC, w.curC); head >= 0 {
+	if head := w.classHead(ce.cls); head >= 0 {
 		if e, alive := w.classEntryAt(ce.cls, head); alive {
-			w.sc.clsHeapC.push(e)
+			w.sc.clsHeap.push(e)
 		}
 	}
 }
@@ -448,62 +467,11 @@ func (w *wdpState) criticalPaymentClass(ce classEntry, r int) float64 {
 		}
 		return w.cfg.ExcludeOwnBids && w.set.client[other] == cli
 	}
-	if b, mg, ok := w.peekValidClass(&w.sc.clsHeapC, w.inC, w.curC, skip, ce.cls); ok {
+	if b, mg, ok := w.peekValidClass(skip, ce.cls); ok {
 		critAvg := w.set.price[b] / float64(mg)
 		return float64(r) * critAvg
 	}
 	return w.set.price[idx]
-}
-
-// tightDualClass is tightDualObjective memoized per class: the binding
-// constraint Σ of the c_ij largest η_φ values over the clipped window is
-// shared by every member of a shape class, and the minimizing member is
-// the one with minimum price — the first qualified member in the class's
-// (price, bid) order, recorded by initClasses. Division by the shared
-// positive worst-sum is monotone and float min is exact and
-// order-independent, so the class-wise minimum equals the per-bid
-// minimum bit-for-bit.
-func (w *wdpState) tightDualClass(k int) float64 {
-	var sumEta float64
-	for t := 0; t < w.tg; t++ {
-		sumEta += w.phiMax[t]
-	}
-	if sumEta <= 0 {
-		return 0
-	}
-	scale := math.Inf(1)
-	top := w.sc.top[:0]
-	cls := w.cls
-	for _, c := range w.sc.clsTouched {
-		lo, hi := cls.lo[c], cls.hi[c]
-		if hi > w.tg {
-			hi = w.tg
-		}
-		r := cls.r[c]
-		if hi-lo+1 < r {
-			continue
-		}
-		top = top[:0]
-		for t := lo; t <= hi; t++ {
-			top = append(top, w.phiMax[t-1])
-		}
-		slices.Sort(top)
-		var worst float64
-		for i := len(top) - 1; i >= len(top)-r; i-- {
-			worst += top[i]
-		}
-		if worst > 0 {
-			minPrice := w.set.price[cls.members[cls.memberStart[c]+w.sc.clsInit[c]]]
-			if s := minPrice / worst; s < scale {
-				scale = s
-			}
-		}
-	}
-	w.sc.top = top[:0]
-	if math.IsInf(scale, 1) {
-		return 0
-	}
-	return scale * float64(k) * sumEta
 }
 
 // classEntry is one lazily keyed class in the class-level selection

@@ -178,6 +178,14 @@ func degenerateCases() []diffCase {
 			{Client: 1, Price: 6, Theta: 0.5, Start: 2, End: 3, Rounds: 2},
 			{Client: 2, Price: 5, Theta: 0.5, Start: 1, End: 3, Rounds: 2},
 		}, cfg: core.Config{T: 3, K: 1}},
+		// At the second pick the best schedule of the grand set G is
+		// client 0's unselected bid, not the winner: Dual.Omega is 2, and
+		// 1 if G's best misses the siblings of earlier winners.
+		{name: "degenerate/grand-set-sibling", bids: []core.Bid{
+			{Client: 0, Price: 1, Theta: 0.3, Start: 1, End: 1, Rounds: 1},
+			{Client: 0, Index: 1, Price: 1.5, Theta: 0.3, Start: 2, End: 2, Rounds: 1},
+			{Client: 1, Price: 3, Theta: 0.3, Start: 2, End: 2, Rounds: 1},
+		}, cfg: core.Config{T: 2, K: 1}},
 	}
 }
 
@@ -332,6 +340,8 @@ func TestDifferentialEngineVsSeed(t *testing.T) {
 // through the standalone SolveWDP, the Engine's context path and the
 // seed oracle, covering the fixed-T̂_g entry points (RunWDP, Fig. 3/7
 // experiments) that the full-auction harness exercises only indirectly.
+// It also holds every WDP of the sweep, which solves on the class path,
+// to Engine.SolveWDP, which solves on the per-bid path, duals included.
 func TestDifferentialFixedTg(t *testing.T) {
 	p := workload.NewDefaultParams()
 	p.Clients = 25
@@ -363,6 +373,11 @@ func TestDifferentialFixedTg(t *testing.T) {
 			assertSeedWinnersEqual(t, fmt.Sprintf("seed %d tg=%d", seed, tg), direct.Winners, oracle.Winners, 0)
 			if direct.Feasible && !reflect.DeepEqual(direct.Dual, oracle.Dual) {
 				t.Fatalf("seed %d tg=%d: dual diverged from seed oracle", seed, tg)
+			}
+		}
+		for _, wdp := range sweepEngine(t, eng, core.RunOptions{}).WDPs {
+			if !reflect.DeepEqual(wdp, eng.SolveWDP(wdp.Tg)) {
+				t.Fatalf("seed %d tg=%d: class-path sweep WDP diverged from the per-bid Engine.SolveWDP", seed, wdp.Tg)
 			}
 		}
 	}

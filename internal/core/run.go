@@ -173,7 +173,10 @@ func (ax *auctionContext) priceChosen(ctx context.Context, res *Result, workers 
 // accumulation it replaces, at amortized O(row + entrant windows) instead
 // of O(Σ qualified windows) per T̂_g. Under ScheduleEarliest ψ ranges
 // over the availability window while slots cover only the earliest-fit
-// range, so the per-solve accumulation is kept.
+// range, so the per-solve accumulation is kept. The class heads of the
+// class-based selection (each touched class's first qualified member) are
+// carried the same way under either rule: qualified sets only grow, so
+// each T̂_g folds in only its entrants.
 //
 // Cancellation is checked between solves, so a canceled context abandons
 // the remaining candidates without tearing down a solve midway.
@@ -202,10 +205,15 @@ func (ax *auctionContext) sweepSegmentMask(ctx context.Context, lo, hi int, out 
 	// (price, bid) member order they never invalidate. The index is
 	// built once per population (concurrent segments share it through
 	// the holder's Once) and is reused by every auction warm-started on
-	// the same BidSet.
-	if cls := set.classes(); cls != nil {
+	// the same BidSet. The class heads are carried across the segment
+	// like the ψ column: folded over everything qualified at lo, then
+	// over each later T̂_g's entrants (see foldClasses).
+	cls := set.classes()
+	if cls != nil {
 		env.classes = cls
 		env.enterTg = ax.enterTg
+		sc.resetClasses(cls.n)
+		sc.foldClasses(cls, ax.qualifiedAt(lo))
 	}
 	var psi []float64
 	if ax.cfg.ScheduleRule == ScheduleLeastCovered {
@@ -230,29 +238,36 @@ func (ax *auctionContext) sweepSegmentMask(ctx context.Context, lo, hi int, out 
 		env.psi = psi
 	}
 	for tg := lo; tg <= hi; tg++ {
-		if tg > lo && psi != nil {
-			// New slot tg: its maximum over already-qualified bids comes
-			// from the precomputed CSR row, filtered by entry point.
-			psi[tg-1] = 0
-			for _, idx := range ax.slotRow(tg) {
-				if ax.enterTg[idx] <= tg {
-					if p := set.price[idx]; p > psi[tg-1] {
-						psi[tg-1] = p
+		if tg > lo {
+			entrants := ax.qualOrder[ax.qualCount[tg-1]:ax.qualCount[tg]]
+			if psi != nil {
+				// New slot tg: its maximum over already-qualified bids
+				// comes from the precomputed CSR row, filtered by entry
+				// point.
+				psi[tg-1] = 0
+				for _, idx := range ax.slotRow(tg) {
+					if ax.enterTg[idx] <= tg {
+						if p := set.price[idx]; p > psi[tg-1] {
+							psi[tg-1] = p
+						}
+					}
+				}
+				// Bids entering at tg: fold their clipped windows in.
+				for _, idx := range entrants {
+					p := set.price[idx]
+					wlo, whi := set.start[idx], set.end[idx]
+					if whi > tg {
+						whi = tg
+					}
+					for t := wlo; t <= whi; t++ {
+						if p > psi[t-1] {
+							psi[t-1] = p
+						}
 					}
 				}
 			}
-			// Bids entering at tg: fold their clipped windows in.
-			for _, idx := range ax.qualOrder[ax.qualCount[tg-1]:ax.qualCount[tg]] {
-				p := set.price[idx]
-				wlo, whi := set.start[idx], set.end[idx]
-				if whi > tg {
-					whi = tg
-				}
-				for t := wlo; t <= whi; t++ {
-					if p > psi[t-1] {
-						psi[t-1] = p
-					}
-				}
+			if cls != nil {
+				sc.foldClasses(cls, entrants)
 			}
 		}
 		if ctx.Err() != nil {

@@ -14,12 +14,14 @@ import "sync"
 // Correct reuse relies on every field being (re)initialized by
 // wdpScratch.init (for a pricing replay, by begin and admit, which write
 // the allocation state alone) before it is read: gamma, the φ/ψ
-// accumulators and the per-slot bid lists are reset for t ∈ [1, tg]; m,
-// inC and inG are (re)written for exactly the qualified bid indices,
-// which are the only indices the solver ever reads (heap entries, slot
-// lists and the candidate pruning all range over qualified bids; stale
-// values at unqualified indices are dead). Nothing is cleared on
-// release.
+// accumulators and the per-slot bid lists are reset for t ∈ [1, tg]; inC
+// — and on the per-bid path m and inG — are (re)written for exactly the
+// qualified bid indices, which are the only indices the solver ever reads
+// (heap entries, slot lists, the candidate pruning and the class path's
+// member and sibling scans all filter to qualified bids; stale values at
+// unqualified indices are dead). The class heads are the one exception:
+// a sweep segment carries them across its T̂_g and resets them at its
+// start (resetClasses). Nothing is cleared on release.
 type wdpScratch struct {
 	// state is the embedded solver state, reused so a solve performs no
 	// per-call wdpState allocation.
@@ -51,22 +53,29 @@ type wdpScratch struct {
 	heapC, heapG entryHeap
 	kept         []heapEntry
 
-	// Representative-schedule and tight-dual work buffers.
+	// Representative-schedule buffers, and the tight dual's descending η
+	// order with its prefix sums (see tightDualObjective).
 	cand, avail []int
-	top         []float64
+	etaOrder    []int
+	etaTop      []float64
 
 	// Class-path state (see classsel.go), indexed by class row. clsInit
 	// keeps the first-qualified head position per class, with −1 meaning
-	// untouched; the invariant that every entry is −1 at solve entry is
-	// maintained by resetting exactly the previous solve's clsTouched
-	// list, which keeps the reset O(touched) across pool reuse.
-	// filledPrefix is the per-solve filled-slot prefix-sum column
-	// (length tg+1); keptCls the class-peek restore buffer.
-	clsHeapC, clsHeapG        classHeap
-	clsInit, clsCurC, clsCurG []int
-	clsTouched                []int
-	keptCls                   []classEntry
-	filledPrefix              []int
+	// untouched, and clsTouched lists the touched classes in first-
+	// qualified order; both are carried across a sweep segment's ascending
+	// T̂_g (foldClasses) and reset at segment start (resetClasses), which
+	// restores exactly the touched entries, so the reset is O(touched)
+	// across pool reuse. clsCur holds the per-solve head cursors, clsHeap
+	// the candidate heap and keptCls its peek restore buffer. spare is the
+	// per-solve list S of unselected qualified siblings of earlier
+	// winners, and filledPrefix the per-solve filled-slot prefix-sum
+	// column (length tg+1).
+	clsHeap         classHeap
+	clsInit, clsCur []int
+	clsTouched      []int
+	keptCls         []classEntry
+	spare           []int
+	filledPrefix    []int
 
 	// chunk backs the winner schedules that escape into Results: slots and
 	// covered sub-slices are carved append-only out of one slab instead of
@@ -144,18 +153,21 @@ func (sc *wdpScratch) ensure(nBids, tg int) {
 	}
 }
 
-// ensureClass grows the class-path arrays to n class rows. Fresh clsInit
-// entries start at the −1 sentinel; surviving entries stay under the
-// clsTouched reset protocol (see the field comment).
-func (sc *wdpScratch) ensureClass(n int) {
-	if len(sc.clsInit) >= n {
-		return
+// resetClasses starts a sweep segment's class heads for n class rows:
+// every clsInit entry back at the −1 sentinel and clsTouched empty. Fresh
+// arrays start at the sentinel; otherwise exactly the previous segment's
+// touched entries are restored.
+func (sc *wdpScratch) resetClasses(n int) {
+	if len(sc.clsInit) < n {
+		sc.clsInit = make([]int, n)
+		for i := range sc.clsInit {
+			sc.clsInit[i] = -1
+		}
+		sc.clsCur = make([]int, n)
+	} else {
+		for _, c := range sc.clsTouched {
+			sc.clsInit[c] = -1
+		}
 	}
-	sc.clsInit = make([]int, n)
-	for i := range sc.clsInit {
-		sc.clsInit[i] = -1
-	}
-	sc.clsCurC = make([]int, n)
-	sc.clsCurG = make([]int, n)
 	sc.clsTouched = sc.clsTouched[:0]
 }

@@ -27,11 +27,13 @@ import (
 //     set is order-independent, so the replayed column is bit-identical
 //     to the per-solve accumulation it replaces.
 //   - classes + enterTg, when non-nil, engage the class-based selection
-//     fast path (see classsel.go): the greedy heaps hold one entry per
+//     fast path (see classsel.go): the candidate heap holds one entry per
 //     availability-window shape class instead of one per bid, with
-//     bit-identical selection order. Only the sweep attaches them —
-//     pricing's held-out runs leave one bid out of the candidate heap
-//     and repair pre-commits coverage (base != nil), so both run the
+//     bit-identical selection order. The class heads come from the
+//     scratch arena, which the sweep segment keeps current for the
+//     qualified set (resetClasses, foldClasses). Only the sweep attaches
+//     them — pricing's held-out runs leave one bid out of the candidate
+//     heap and repair pre-commits coverage (base != nil), so both run the
 //     fully general per-bid heaps.
 type solveEnv struct {
 	slotStart, slotElems []int
@@ -82,7 +84,7 @@ func solveWDP(set *BidSet, qualified []int, tg int, cfg Config, sc *wdpScratch, 
 	target := cfg.K * tg
 	if w.cls != nil {
 		for w.covered < target {
-			ce, ok := w.popValidClass(&sc.clsHeapC, w.inC, w.curC)
+			ce, ok := w.popValidClass()
 			if !ok {
 				return res // not enough supply: this WDP is infeasible
 			}
@@ -140,10 +142,12 @@ type wdpState struct {
 	// inC / inG are membership flags for the candidate set C and the grand
 	// set G of Algorithm 2, valid at qualified bid indices. C drops every
 	// bid of a winning client; G drops only the selected schedule.
-	// (The selection heaps live in sc.heapC / sc.heapG: entries carry a
-	// snapshot of m; a popped entry whose snapshot is stale is re-keyed
-	// and reinserted — average cost only grows as slots fill, so the lazy
-	// strategy preserves exact greedy order.)
+	// (The per-bid selection heaps live in sc.heapC / sc.heapG: entries
+	// carry a snapshot of m; a popped entry whose snapshot is stale is
+	// re-keyed and reinserted — average cost only grows as slots fill, so
+	// the lazy strategy preserves exact greedy order. The class path keeps
+	// one class heap for C and reads G's best off the winner and the
+	// spare siblings, so it never writes inG.)
 	inC, inG []bool
 
 	winners []Winner
@@ -161,21 +165,20 @@ type wdpState struct {
 
 	// Class-path state (nil / unused on the per-bid path; see
 	// classsel.go). cls is the population's shape-class index, enterTg
-	// the qualification entry points for member scans, curC/curG the
-	// per-class head cursors of the two selection sets, and
-	// filledPrefix[t] the number of filled (γ = K) slots in [1, t] —
-	// the class-uniform m source.
+	// the qualification entry points for member and sibling scans, cur
+	// the per-class head cursors into C, and filledPrefix[t] the number
+	// of filled (γ = K) slots in [1, t] — the class-uniform m source.
 	cls          *classIndex
 	enterTg      []int
-	curC, curG   []int
+	cur          []int
 	filledPrefix []int
 }
 
 // init resets the arena for one solve and builds the initial A_winner
 // state: slot indices, marginal-utility counters, membership flags and
-// the two selection heaps. It touches exactly the state the solve will
-// read, which is what makes pooled reuse safe without any clearing on
-// release.
+// the selection heaps (C and G per bid, or the class heap). It touches
+// exactly the state the solve will read, which is what makes pooled
+// reuse safe without any clearing on release.
 func (sc *wdpScratch) init(set *BidSet, qualified []int, tg int, cfg Config, base []int, env solveEnv) *wdpState {
 	w := sc.begin(set, qualified, tg, cfg, base, env)
 	w.inG = sc.inG
@@ -196,9 +199,9 @@ func (sc *wdpScratch) init(set *BidSet, qualified []int, tg int, cfg Config, bas
 		}
 	}
 	sc.heapG = sc.heapG[:0]
-	// The class path replaces the per-bid heaps and m bookkeeping with
-	// class-level structure (see classsel.go); the membership flags and
-	// any per-solve ψ accumulation stay per-bid.
+	// The class path replaces the per-bid heaps, m bookkeeping and G
+	// membership with class-level structure (see classsel.go); the C
+	// flags and any per-solve ψ accumulation stay per-bid.
 	classes := env.classes != nil && base == nil
 	for _, idx := range qualified {
 		if !extPsi {
@@ -211,10 +214,10 @@ func (sc *wdpScratch) init(set *BidSet, qualified []int, tg int, cfg Config, bas
 			}
 		}
 		w.inC[idx] = true
-		w.inG[idx] = true
 		if classes {
 			continue
 		}
+		w.inG[idx] = true
 		e := w.admit(idx, base, env.slotStart != nil)
 		sc.heapC = append(sc.heapC, e)
 		sc.heapG = append(sc.heapG, e)
@@ -619,10 +622,14 @@ func (w *wdpState) finalizeDual(k int) Dual {
 // then reads Σ_{t∈l} g(t) ≤ ρ_il for every feasible schedule l, whose
 // binding case per bid is the c_ij largest η_φ values in its window — and
 // returns the resulting dual objective s·K·Σ_t η_φ(t).
+//
+// On the class path the constraint is memoized per class: the window
+// sum is shared by every member of a shape class, and the minimizing
+// member is the one with minimum price — the first qualified member in
+// the class's (price, bid) order, clsInit. Float min is exact and
+// order-independent, so the class-wise minimum equals the per-bid minimum
+// bit-for-bit.
 func (w *wdpState) tightDualObjective(k int) float64 {
-	if w.cls != nil {
-		return w.tightDualClass(k)
-	}
 	var sumEta float64
 	for t := 0; t < w.tg; t++ {
 		sumEta += w.phiMax[t]
@@ -630,36 +637,88 @@ func (w *wdpState) tightDualObjective(k int) float64 {
 	if sumEta <= 0 {
 		return 0
 	}
+	w.orderEta()
 	scale := math.Inf(1)
-	top := w.sc.top[:0]
-	for _, idx := range w.qualified {
-		lo, hi := w.windowOf(idx)
-		r := w.set.rounds[idx]
-		if hi-lo+1 < r {
-			continue
+	if cls := w.cls; cls != nil {
+		for _, c := range w.sc.clsTouched {
+			minPrice := w.set.price[cls.members[cls.memberStart[c]+w.sc.clsInit[c]]]
+			scale = w.tightScale(scale, cls.lo[c], cls.hi[c], cls.r[c], minPrice)
 		}
-		top = top[:0]
-		for t := lo; t <= hi; t++ {
-			top = append(top, w.phiMax[t-1])
-		}
-		// Ascending sort, summed from the tail: the same descending value
-		// sequence as sort.Reverse without its per-call allocations.
-		slices.Sort(top)
-		var worst float64
-		for i := len(top) - 1; i >= len(top)-r; i-- {
-			worst += top[i]
-		}
-		if worst > 0 {
-			if s := w.set.price[idx] / worst; s < scale {
-				scale = s
-			}
+	} else {
+		for _, idx := range w.qualified {
+			scale = w.tightScale(scale, w.set.start[idx], w.set.end[idx], w.set.rounds[idx], w.set.price[idx])
 		}
 	}
-	w.sc.top = top[:0]
 	if math.IsInf(scale, 1) {
 		return 0
 	}
 	return scale * float64(k) * sumEta
+}
+
+// orderEta sorts the iterations 1..tg by descending η_φ into sc.etaOrder
+// and stores that order's prefix sums in sc.etaTop (etaTop[r] is the sum
+// of its first r values, added in order). It is the one sort behind every
+// tight-dual constraint of a solve.
+func (w *wdpState) orderEta() {
+	order := w.sc.etaOrder[:0]
+	for t := 1; t <= w.tg; t++ {
+		order = append(order, t)
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		switch ea, eb := w.phiMax[a-1], w.phiMax[b-1]; {
+		case ea > eb:
+			return -1
+		case ea < eb:
+			return 1
+		}
+		return a - b
+	})
+	top := append(w.sc.etaTop[:0], 0)
+	var sum float64
+	for _, t := range order {
+		sum += w.phiMax[t-1]
+		top = append(top, sum)
+	}
+	w.sc.etaOrder, w.sc.etaTop = order, top
+}
+
+// tightScale lowers scale to price / worst when that is smaller, where
+// worst is the sum of the r largest η_φ over the window [lo, hi] clipped
+// to the horizon: the first r in-window entries of the descending order,
+// which is the same value sequence, in the same order, as the sorted
+// window, so the float sum is bit-identical to sorting the window.
+//
+// Skip: the i-th largest η of any window is at most the i-th largest
+// overall, and float addition rounds monotonically, so worst ≤ etaTop[r];
+// for a non-negative price, price / etaTop[r] ≥ scale then means
+// price / worst ≥ scale too, and the window cannot lower the scale.
+func (w *wdpState) tightScale(scale float64, lo, hi, r int, price float64) float64 {
+	if hi > w.tg {
+		hi = w.tg
+	}
+	if r < 1 || hi-lo+1 < r {
+		return scale
+	}
+	if price >= 0 && price/w.sc.etaTop[r] >= scale {
+		return scale
+	}
+	var worst float64
+	n := 0
+	for _, t := range w.sc.etaOrder {
+		if t < lo || t > hi {
+			continue
+		}
+		worst += w.phiMax[t-1]
+		if n++; n == r {
+			break
+		}
+	}
+	if worst > 0 {
+		if s := price / worst; s < scale {
+			return s
+		}
+	}
+	return scale
 }
 
 // heapEntry is one lazily keyed candidate in the greedy selection heaps.
