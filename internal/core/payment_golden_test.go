@@ -16,11 +16,16 @@ import (
 	"github.com/fedauction/afl/internal/core"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the exact-critical payment digest in testdata")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden digests in testdata")
 
 // goldenPaymentsFile holds the SHA-256 of every exact-critical payment the
 // differential workloads produce (see TestExactCriticalPaymentsGolden).
 var goldenPaymentsFile = filepath.Join("testdata", "exact_critical_payments.sha256")
+
+// goldenEntryPointsFile holds the SHA-256 of the full outputs of every
+// single-WDP entry point over the same workloads (see
+// TestWDPEntryPointsGolden).
+var goldenEntryPointsFile = filepath.Join("testdata", "wdp_entry_points.sha256")
 
 // goldenVariants crosses the harness workloads with the knobs that change
 // what a pricing probe sees: sibling pruning, a reserve cap and the
@@ -120,18 +125,100 @@ func TestExactCriticalPaymentsGolden(t *testing.T) {
 			priced += len(rep.Winners)
 		}
 	}
+	checkGoldenDigest(t, goldenPaymentsFile, h, fmt.Sprintf("exact-critical payments over %d priced winners", priced))
+}
+
+// checkGoldenDigest compares h's digest with the one recorded in file, or
+// rewrites the file under -update-golden. what names the pinned outputs
+// in the failure message.
+func checkGoldenDigest(t *testing.T, file string, h hash.Hash, what string) {
+	t.Helper()
 	got := hex.EncodeToString(h.Sum(nil))
 	if *updateGolden {
-		if err := os.WriteFile(goldenPaymentsFile, []byte(got+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(file, []byte(got+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(goldenPaymentsFile)
+	want, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatalf("read golden digest: %v", err)
 	}
 	if got != strings.TrimSpace(string(want)) {
-		t.Fatalf("exact-critical payments over %d priced winners moved: digest %s, golden %s", priced, got, strings.TrimSpace(string(want)))
+		t.Fatalf("%s moved: digest %s, golden %s", what, got, strings.TrimSpace(string(want)))
 	}
+}
+
+// completionMarket is the residual market of an LP-rounded cover's greedy
+// completion: the first half of res's winners pre-committed as base
+// coverage, and their clients' bids removed from the qualified set at
+// res.Tg.
+func completionMarket(bids []core.Bid, res core.Result, cfg core.Config) (qualified, base []int, ok bool) {
+	if !res.Feasible || len(res.Winners) < 2 {
+		return nil, nil, false
+	}
+	base = make([]int, res.Tg)
+	used := map[int]bool{}
+	for _, w := range res.Winners[:len(res.Winners)/2] {
+		used[w.Bid.Client] = true
+		for _, s := range w.Slots {
+			base[s-1]++
+		}
+	}
+	for _, idx := range core.Qualified(bids, res.Tg, cfg) {
+		if !used[bids[idx].Client] {
+			qualified = append(qualified, idx)
+		}
+	}
+	return qualified, base, true
+}
+
+// TestWDPEntryPointsGolden pins the full output (%#v: winners, schedules,
+// payments, costs, rounds and the complete dual, unexported fields
+// included) of every way to solve one WDP outside the sweep, bit for bit:
+// the row SolveWDP at every T̂_g in [1, T], Engine.RepairCtx on the
+// residual market of repairRequest, and SolveWDPBase on an LP-rounding
+// completion market (completionMarket). The sweep's own Result is folded
+// in as well. It covers the harness workloads under every golden variant,
+// each under RuleCritical and RuleExactCritical.
+//
+// Regenerate with -update-golden only for a change that is meant to
+// move these outputs, and say so in the change description.
+func TestWDPEntryPointsGolden(t *testing.T) {
+	cases := append(generatedCases(t), degenerateCases()...)
+	h := sha256.New()
+	outputs := 0
+	emit := func(label string, v any) {
+		fmt.Fprintf(h, "%s %#v\n", label, v)
+		outputs++
+	}
+	for _, tc := range cases {
+		for i, variant := range goldenVariants(tc) {
+			for _, rule := range []core.PaymentRule{core.RuleCritical, core.RuleExactCritical} {
+				cfg := variant
+				cfg.PaymentRule = rule
+				label := fmt.Sprintf("%s/v%d/%s", tc.name, i, rule)
+				for tg := 1; tg <= cfg.T; tg++ {
+					emit(fmt.Sprintf("%s/tg%d", label, tg), core.SolveWDP(tc.bids, core.Qualified(tc.bids, tg, cfg), tg, cfg))
+				}
+				eng, err := core.NewEngine(tc.bids, cfg)
+				if err != nil {
+					t.Fatalf("%s: NewEngine: %v", label, err)
+				}
+				res := sweepEngine(t, eng, core.RunOptions{})
+				emit(label+"/sweep", res)
+				if req, ok := repairRequest(res, cfg.K); ok {
+					rep, err := eng.RepairCtx(context.Background(), req, core.RunOptions{})
+					if err != nil {
+						t.Fatalf("%s: RepairCtx: %v", label, err)
+					}
+					emit(label+"/repair", rep)
+				}
+				if qual, base, ok := completionMarket(tc.bids, res, cfg); ok {
+					emit(label+"/completion", core.SolveWDPBase(tc.bids, qual, res.Tg, cfg, base))
+				}
+			}
+		}
+	}
+	checkGoldenDigest(t, goldenEntryPointsFile, h, fmt.Sprintf("single-WDP entry-point outputs (%d pinned)", outputs))
 }
