@@ -2,9 +2,7 @@ package afl_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -139,7 +137,7 @@ auction_dequeued bid=0 value=1 ok=false
 // TestRunBatchNilObserverAllocGuard extends the zero-cost-when-nil
 // guarantee to the batch layer: an uninstrumented RunBatch must cost,
 // per auction, no more than modest overhead on top of the engine_reuse
-// hot-path baseline in BENCH_core.json. The pooled arenas are what make
+// hot-path baseline (see allocBaseline). The pooled arenas are what make
 // this hold — without them every instance would pay a full engine
 // construction (the seed baseline, ~18x more allocations).
 func TestRunBatchNilObserverAllocGuard(t *testing.T) {
@@ -161,35 +159,14 @@ func TestRunBatchNilObserverAllocGuard(t *testing.T) {
 		}
 	})
 	perAuction := perBatch / m
-
-	data, err := os.ReadFile("BENCH_core.json")
-	if err != nil {
-		t.Skipf("no BENCH_core.json baseline: %v", err)
+	// The batch path adds an arena rebuild (qualification delta
+	// re-derivation into recycled capacity) per auction on top of the
+	// solve itself; allow half again over the single-engine baseline plus
+	// fixed scheduler overhead.
+	base := allocBaseline(t, "engine_reuse", 100)
+	if limit := base*1.5 + 256; perAuction > limit {
+		t.Fatalf("nil-observer batch allocates %.0f/auction, engine_reuse baseline %.0f (limit %.0f)", perAuction, base, limit)
 	}
-	var rep struct {
-		Results []struct {
-			Path        string `json:"path"`
-			Clients     int    `json:"clients"`
-			AllocsPerOp int64  `json:"allocs_per_op"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("parse BENCH_core.json: %v", err)
-	}
-	for _, r := range rep.Results {
-		if r.Path == "engine_reuse" && r.Clients == 100 {
-			// The batch path adds an arena rebuild (qualification delta
-			// re-derivation into recycled capacity) per auction on top of
-			// the solve itself; allow half again over the single-engine
-			// baseline plus fixed scheduler overhead.
-			limit := float64(r.AllocsPerOp)*1.5 + 256
-			if perAuction > limit {
-				t.Fatalf("nil-observer batch allocates %.0f/auction, engine_reuse baseline %d (limit %.0f)", perAuction, r.AllocsPerOp, limit)
-			}
-			return
-		}
-	}
-	t.Skip("no engine_reuse baseline for this population size")
 }
 
 // TestServiceFacade exercises the root-level Service surface: options

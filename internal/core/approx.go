@@ -375,8 +375,8 @@ func (ax *auctionContext) buildCertificate(solver Solver, res *Result, wdps []WD
 // by bid index), at most one per client, skipping columns that add no
 // still-needed coverage; any residual demand is bought by the greedy
 // solver on the remaining clients with the rounded coverage pre-committed
-// (solveWDP's base path — the mid-session-repair machinery reused as the
-// rounding completer). ok is false when no complete cover results.
+// (solveOnce with base coverage — the mid-session-repair machinery reused
+// as the rounding completer). ok is false when no complete cover results.
 //
 // Rounded winners carry Payment = Price: an LP-guided winner has no
 // in-greedy Algorithm 3 critical value, and paying the claimed price is
@@ -458,9 +458,7 @@ func (ax *auctionContext) roundLPCover(tg int, cols []LPColumn, seed WDPResult) 
 				residualQ = append(residualQ, idx)
 			}
 		}
-		sc := acquireScratch(set.n, tg)
-		resid := solveWDP(set, residualQ, tg, cfg, sc, gamma, ax.env())
-		releaseScratch(sc)
+		resid := solveOnce(set, residualQ, tg, cfg, gamma)
 		if !resid.Feasible {
 			return WDPResult{}, false
 		}

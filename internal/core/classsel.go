@@ -5,8 +5,7 @@ import (
 	"sync"
 )
 
-// Class-based greedy selection: the large-population fast path of the
-// T̂_g sweep.
+// Class-based greedy selection: how A_winner picks.
 //
 // Bids sharing an availability-window shape (start, end, rounds) are
 // interchangeable to the greedy except for price: their effective slot
@@ -15,33 +14,47 @@ import (
 // exactly the (price, bid) order — fixed at compile time. The candidate
 // heap therefore needs only one entry per CLASS (its head: the cheapest
 // member still in C), not one per bid. For T = 50 there are at
-// most Σ_{W=1..50} (51−W)·W = 22 100 shapes, so a million-bid heap
-// collapses to a few-thousand-entry heap, and the mass staleness churn
-// that dominated per-bid selection (every slot fill invalidates the
-// entries of every bid whose window contains the slot) shrinks by the
-// same factor: one lazy re-key per affected class instead of one per
-// affected bid.
+// most Σ_{W=1..50} (51−W)·W = 22 100 shapes, so a million-bid candidate
+// set collapses to a few-thousand-entry heap, and the staleness churn of
+// a slot filling up (it lowers the marginal of every bid whose window
+// contains the slot) costs one lazy re-key per affected class instead of
+// one per affected bid.
 //
-// Exactness. The per-bid greedy pops the minimum valid (key, bid) with
+// Exactness. Algorithm 2 selects the minimum (key, bid) over C with
 // key = price/marginal. Within a class, marginal is uniform, so the
-// class head (first member in (price, bid) order that is qualified and
-// still in the set) attains the class's minimum (key, bid); the global
-// minimum is the minimum over class heads, which is what the class heap
-// pops. Stored entries only ever underestimate — keys grow as slots
-// fill, and head replacement moves to a member with larger (price, bid)
-// — so the same lazy re-key argument as the per-bid heap applies, and
-// every pop returns the exact minimum. The grand set G needs no heap of
-// its own: its best at a pick is the minimum of the winner and the spare
-// siblings of earlier winners (see selectWinnerClass). Selection order,
-// payments and duals are bit-identical to the per-bid path; the
-// differential suite (seedwdp, eager-serial) and the class/per-bid
-// cross-checks lock this in empirically.
+// class head (first member in (price, bid) order that is still in C)
+// attains the class's minimum (key, bid); the global minimum is the
+// minimum over class heads, which is what the class heap pops. Stored
+// entries only ever underestimate — keys grow as slots fill, and head
+// replacement moves to a member with larger (price, bid) — so lazy
+// re-keying on pop returns the exact minimum every time. The grand set G
+// needs no heap of its own: its best at a pick is the minimum of the
+// winner and the spare siblings of earlier winners (see
+// selectWinnerClass). The differential suite holds selection order,
+// payments and duals bit-identical to the frozen per-bid oracle in
+// internal/seedwdp.
 //
-// The class path is engaged only by the sweep (solveEnv.classes, see
-// sweepSegment): pricing's held-out runs leave one bid out of the
-// candidate heap, which a class head cannot express, and session repair
-// pre-commits coverage (base != nil), so both keep the fully general
-// per-bid heaps.
+// One greedy serves every caller — the sweep, standalone solves, repair
+// and the held-out runs of exact-critical pricing — through three
+// inputs:
+//
+//   - The qualified list. A run stamps C over exactly its qualified
+//     indices (wdpScratch.stamp), so any list works, sibling-pruned or
+//     not, and the one membership test of a head scan is the stamp.
+//   - Base coverage. γ and the filled-slot prefix sums start from the
+//     pre-committed coverage; m, the number of open slots in the
+//     effective range, stays uniform within a class.
+//   - A held bid. A held-out pricing run leaves the winner being priced
+//     out of selection: class heads skip it, while it stays in C, so its
+//     client's membership and its class marginal stay readable.
+//
+// The heads start from each class's first qualified member (clsInit),
+// folded by whoever owns the arena: a sweep segment carries them across
+// its ascending T̂_g, a one-off solve folds its own list, and a pricing
+// pass folds the market's qualified set once for all of its held-out
+// runs. A head that starts before a run's first candidate (a probe
+// instance without the winner's siblings, or the held bid) only
+// underestimates, which the lazy re-key absorbs.
 
 // classHolder caches the lazily built classIndex of one compiled
 // population. compile attaches a fresh holder, so engine-pool rebuilds
@@ -66,8 +79,8 @@ func (s *BidSet) classes() *classIndex {
 // classIndex groups the population's bids by availability-window shape
 // (start, end, rounds), with each class's members sorted by (price, bid)
 // — ascending average cost for any shared marginal. Like the sibling
-// CSR it covers ALL bids; per-solve qualification is applied by the
-// enterTg filter during head scans.
+// CSR it covers ALL bids; per-run qualification is applied by the
+// membership stamp during head scans.
 type classIndex struct {
 	n int
 	// Shape of class c.
@@ -136,29 +149,20 @@ func (ci *classIndex) build(s *BidSet) {
 	}
 }
 
-// initClasses builds the class-level selection state for one solve from
-// the class heads the sweep segment carries (see foldClasses): zeroed
-// filled-slot prefix sums, each touched class's cursor back at its first
-// qualified member, an empty spare list and the candidate heap.
-func (w *wdpState) initClasses(env solveEnv) {
+// initClasses builds the candidate heap of one run from the class heads
+// the arena carries (see foldClasses): each touched class's cursor back
+// at its first qualified member, an empty spare list, and one entry per
+// class with a positive marginal. A carried head that is not a candidate
+// of this run keys an underestimate, which popValidClass re-keys.
+func (w *wdpState) initClasses() {
 	sc := w.sc
-	cls := env.classes
-	fp := sc.filledPrefix[:w.tg+1]
-	for i := range fp {
-		fp[i] = 0
-	}
-	w.filledPrefix = fp
-	w.cls = cls
-	w.enterTg = env.enterTg
-	w.cur = sc.clsCur
+	cls := w.cls
 	sc.spare = sc.spare[:0]
 	sc.clsHeap = sc.clsHeap[:0]
 	for _, c := range sc.clsTouched {
 		pos := sc.clsInit[c]
 		w.cur[c] = pos
 		head := cls.members[cls.memberStart[c]+pos]
-		// A qualified member implies start + rounds − 1 ≤ tg, so the
-		// clipped width covers rounds and the class marginal is ≥ 1.
 		e, alive := w.classEntryAt(c, head)
 		if !alive {
 			continue
@@ -175,6 +179,11 @@ func (w *wdpState) initClasses(env solveEnv) {
 // segment folds qualifiedAt(lo) once and then only the bids entering at
 // each later T̂_g — the same first-appearance order, and the same minima,
 // as a scan of the whole qualified set at every horizon.
+//
+// A bid whose window starts beyond a solve's horizon (only a caller-
+// supplied qualified list can hold one) touches its class like any
+// other; the class marginal is 0 there, so it is never selected, never
+// critical and never binds the tight dual.
 func (sc *wdpScratch) foldClasses(cls *classIndex, bids []int) {
 	for _, idx := range bids {
 		c := cls.classOf[idx]
@@ -194,8 +203,7 @@ func (w *wdpState) classMembers(c int) []int {
 }
 
 // classShi returns the upper end of class c's rule-effective slot range,
-// clipped to the solve horizon — the class-uniform analogue of the shi
-// computed per bid by the per-bid init.
+// clipped to the solve horizon: slotRangeOf's hi for every member.
 func (w *wdpState) classShi(c int) int {
 	hi := w.cls.hi[c]
 	if hi > w.tg {
@@ -211,14 +219,21 @@ func (w *wdpState) classShi(c int) int {
 
 // classM is the class-uniform m: the number of still-open (γ_t < K)
 // iterations in the effective slot range, read from the filled-slot
-// prefix sums instead of per-bid decrement bookkeeping.
+// prefix sums.
 func (w *wdpState) classM(c int) int {
 	lo, shi := w.cls.lo[c], w.classShi(c)
+	if shi < lo {
+		return 0 // the window starts beyond the horizon
+	}
 	return (shi - lo + 1) - (w.filledPrefix[shi] - w.filledPrefix[lo-1])
 }
 
-// classMarginal is the class-uniform marginal utility min(c_ij, m) (m
-// alone under earliest-fit), equal to marginal(b) for every member b.
+// classMarginal is the class-uniform marginal utility R_il(S) of every
+// member's representative schedule: under the paper's least-covered rule
+// the schedule takes the c_ij smallest-γ iterations of the window, and
+// available iterations (γ_t < K) sort before full ones, so the gain is
+// min(c_ij, m); under earliest-fit the slot set is fixed and the gain is
+// m alone.
 func (w *wdpState) classMarginal(c int) int {
 	m := w.classM(c)
 	if w.cfg.ScheduleRule == ScheduleEarliest {
@@ -243,19 +258,19 @@ func (w *wdpState) classEntryAt(c, head int) (classEntry, bool) {
 	if marg <= 0 {
 		return classEntry{}, false
 	}
-	return classEntry{key: w.set.price[head] / float64(marg), head: head, cls: c, mSnap: m}, true
+	return classEntry{heapEntry: heapEntry{key: w.set.price[head] / float64(marg), bid: head}, cls: c, mSnap: m}, true
 }
 
-// classHead advances cur[c] past members that are unqualified at this
-// horizon or permanently removed from C and returns the head bid, or −1
-// when the class is exhausted. Both skip reasons are permanent within one
-// solve, so the cursor only moves forward — O(class size) total
-// advancement per solve.
+// classHead advances cur[c] past members that are not candidates — not
+// qualified for this run, removed from C, or held out — and returns the
+// head bid, or −1 when the class is exhausted. Every skip reason is
+// permanent within one run, so the cursor only moves forward —
+// O(class size) total advancement per run.
 func (w *wdpState) classHead(c int) int {
 	members := w.classMembers(c)
 	i := w.cur[c]
 	for i < len(members) {
-		if b := members[i]; w.enterTg[b] <= w.tg && w.inC[b] {
+		if b := members[i]; w.candidate(b) {
 			w.cur[c] = i
 			return b
 		}
@@ -267,9 +282,8 @@ func (w *wdpState) classHead(c int) int {
 
 // popValidClass pops the minimum (key, head) class entry whose stored
 // key, head and m snapshot all match the current state, lazily re-keying
-// stale entries — the class-level popValid. Classes whose marginal hits
-// zero are dropped (m never grows), exactly as the per-bid heap drops
-// zero-marginal entries.
+// stale entries. Classes whose marginal hits zero are dropped: m never
+// grows.
 func (w *wdpState) popValidClass() (classEntry, bool) {
 	h := &w.sc.clsHeap
 	for h.Len() > 0 {
@@ -292,17 +306,14 @@ func (w *wdpState) popValidClass() (classEntry, bool) {
 }
 
 // classBest returns the minimum-(price, bid) member of class c at or
-// after its cursor that is qualified, still in C and not skipped, with the
-// class marginal. The cursor is NOT advanced: skipped members remain live
+// after its cursor that is a candidate and not skipped, with the class
+// marginal. The cursor is NOT advanced: skipped members remain live
 // candidates for later rounds.
 func (w *wdpState) classBest(c int, skip func(int) bool) (bid, marg int, ok bool) {
 	members := w.classMembers(c)
 	for i := w.cur[c]; i < len(members); i++ {
 		b := members[i]
-		if w.enterTg[b] > w.tg || !w.inC[b] {
-			continue
-		}
-		if skip(b) {
+		if !w.candidate(b) || skip(b) {
 			continue
 		}
 		if mg := w.classMarginal(c); mg > 0 {
@@ -322,8 +333,8 @@ func (w *wdpState) classBest(c int, skip func(int) bool) (bid, marg int, ok bool
 // Early stop: a stored entry only ever underestimates its class's true
 // (key, head), and a class's best non-skipped member is ≥ its head in
 // (key, bid), so once the heap top's stored order is ≥ the best
-// candidate found, no remaining class can beat it. This returns exactly
-// the minimum the per-bid peekValid finds by popping through entries.
+// candidate found, no remaining class can beat it, so the result is
+// exactly the minimum over every valid, non-skipped member of C.
 func (w *wdpState) peekValidClass(skip func(int) bool, seedCls int) (bid, marg int, ok bool) {
 	var bestKey float64
 	bid = -1
@@ -336,7 +347,7 @@ func (w *wdpState) peekValidClass(skip func(int) bool, seedCls int) (bid, marg i
 	for h.Len() > 0 {
 		if bid >= 0 {
 			top := (*h)[0]
-			if top.key > bestKey || (top.key == bestKey && top.head >= bid) {
+			if top.key > bestKey || (top.key == bestKey && top.bid >= bid) {
 				break
 			}
 		}
@@ -359,13 +370,12 @@ func (w *wdpState) peekValidClass(skip func(int) bool, seedCls int) (bid, marg i
 	return bid, marg, bid >= 0
 }
 
-// selectWinnerClass is selectWinner on the class heap: identical
-// payment, dual and coverage semantics, with the per-bid m decrements
-// over slot rows replaced by an O(tg) filled-slot prefix bump and the
-// winner's class re-keyed back into the candidate heap under its new
-// head.
+// selectWinnerClass performs lines 9-14 of Algorithm 2 for the popped
+// class entry ce: payment, dual recording, set updates and coverage
+// updates (take), after which the winner's class re-enters the candidate
+// heap under its new head.
 func (w *wdpState) selectWinnerClass(ce classEntry) {
-	idx := ce.head
+	idx := ce.bid
 	slots, avail := w.representativeSchedule(idx)
 	r := len(avail) // == classMarginal(ce.cls) by construction
 	phi := w.set.price[idx] / float64(r)
@@ -387,7 +397,7 @@ func (w *wdpState) selectWinnerClass(ce classEntry) {
 	// holds the unselected qualified siblings of earlier winners, and the
 	// winner is C's (key, bid)-minimum, so G's best is the minimum of the
 	// winner and S. A spare whose marginal hits zero leaves for good
-	// (m never grows), as the per-bid G heap drops it.
+	// (m never grows).
 	gb, gphi := idx, phi
 	live := w.sc.spare[:0]
 	for _, s := range w.sc.spare {
@@ -410,11 +420,11 @@ func (w *wdpState) selectWinnerClass(ce classEntry) {
 		}
 	}
 
-	// Lines 13-14: C drops every bid of the winning client; G drops only
-	// the selected schedule, so the winner's qualified siblings join S.
+	// Lines 13-14: C drops every bid of the winning client (take); G drops
+	// only the selected schedule, so the winner's qualified siblings — all
+	// still in C, since the client had not won before — join S.
 	for _, sib := range w.set.siblings(idx) {
-		w.inC[sib] = false
-		if sib != idx && w.enterTg[sib] <= w.tg {
+		if sib != idx && w.inC(sib) {
 			live = append(live, sib)
 		}
 	}
@@ -429,37 +439,29 @@ func (w *wdpState) selectWinnerClass(ce classEntry) {
 		covered:  avail,
 		phi:      phi,
 	})
+	w.take(idx, slots)
+	w.requeue(ce.cls)
+}
 
-	// Update coverage; a slot filling up bumps the filled-prefix suffix,
-	// which is what every classM reads — no per-bid m bookkeeping.
-	for _, t := range slots {
-		if w.gamma[t-1] < w.cfg.K {
-			w.covered++
-		}
-		w.gamma[t-1]++
-		if w.gamma[t-1] == w.cfg.K {
-			for j := t; j <= w.tg; j++ {
-				w.filledPrefix[j]++
-			}
-		}
-	}
-
-	// The winner's class re-enters the candidate heap under its new head
-	// (the main-loop pop consumed its only entry).
-	if head := w.classHead(ce.cls); head >= 0 {
-		if e, alive := w.classEntryAt(ce.cls, head); alive {
+// requeue re-enters class c into the candidate heap under its current
+// head, after a selection consumed the class's only entry.
+func (w *wdpState) requeue(c int) {
+	if head := w.classHead(c); head >= 0 {
+		if e, alive := w.classEntryAt(c, head); alive {
 			w.sc.clsHeap.push(e)
 		}
 	}
 }
 
-// criticalPaymentClass is criticalPayment on the class heap. The
-// winner's class entry was consumed by the main-loop pop, so its
-// remaining members (the winner's siblings and classmates) are seeded
-// into the peek explicitly — they are exactly the entries that would
-// still sit in a per-bid candidate heap.
+// criticalPaymentClass implements A_payment (Algorithm 3): the winner is
+// paid its marginal utility r times the second-smallest average cost in
+// C. With Config.ExcludeOwnBids, the winner's own other bids cannot be
+// the critical schedule. When no competitor remains the winner is paid
+// its own bid. The winner's class entry was consumed by the main-loop
+// pop, so its remaining members (the winner's siblings and classmates)
+// are seeded into the peek explicitly.
 func (w *wdpState) criticalPaymentClass(ce classEntry, r int) float64 {
-	idx := ce.head
+	idx := ce.bid
 	cli := w.set.client[idx]
 	skip := func(other int) bool {
 		if other == idx {
@@ -474,30 +476,24 @@ func (w *wdpState) criticalPaymentClass(ce classEntry, r int) float64 {
 	return w.set.price[idx]
 }
 
-// classEntry is one lazily keyed class in the class-level selection
-// heaps: the head's average cost and identity plus the class m at push
-// time, all three of which serve as the staleness marker.
+// classEntry is one lazily keyed class in the candidate heap: the head's
+// (average cost, bid) and the class m at push time, all three of which
+// serve as the staleness marker.
 type classEntry struct {
-	key   float64 // head's average cost ρ / R at push time
-	head  int     // head bid at push time; the (key, bid) tie-break
-	cls   int     // class row
-	mSnap int     // class m at push time
+	heapEntry     // head's ρ / R and identity at push time
+	cls       int // class row
+	mSnap     int // class m at push time
 }
 
-// classHeap is a min-heap of classEntry ordered by (key, head) — the
-// same total order the per-bid entryHeap uses, restricted to heads, so
-// the two heaps pop the same global minimum. The operations replicate
-// container/heap on the concrete type, exactly as entryHeap does.
+// classHeap is a min-heap of classEntry in the greedy's selection order
+// (heapEntry.before) over heads. The operations replicate container/heap
+// on the concrete type: heap.Push/heap.Pop would box every entry in an
+// interface, one allocation per call on the hottest path of a solve.
 type classHeap []classEntry
 
-func (h classHeap) Len() int { return len(h) }
-func (h classHeap) Less(a, b int) bool {
-	if h[a].key != h[b].key {
-		return h[a].key < h[b].key
-	}
-	return h[a].head < h[b].head
-}
-func (h classHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
+func (h classHeap) Len() int           { return len(h) }
+func (h classHeap) Less(a, b int) bool { return h[a].before(h[b].heapEntry) }
+func (h classHeap) Swap(a, b int)      { h[a], h[b] = h[b], h[a] }
 
 func (h *classHeap) init() {
 	n := h.Len()

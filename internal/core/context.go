@@ -25,10 +25,10 @@ import "sort"
 // exactly the qualified sets — J_{T̂_g} = qualOrder[:qualCount[T̂_g]] —
 // so the sweep performs zero re-filtering and zero per-T̂_g allocation
 // for qualification. The same pass derives a full-horizon slot CSR
-// (slotStart/slotElems) so per-solve slot-index construction collapses to
-// row-header assignment, and the enterTg column plus qualCount prefix
-// sums drive both the incremental ψ_max replay and the weighted
-// segmentation of the parallel sweep (see run.go / parallel.go).
+// (slotStart/slotElems) for the sweep's incremental ψ_max replay, and the
+// enterTg column plus qualCount prefix sums drive both that replay and
+// the weighted segmentation of the parallel sweep (see run.go /
+// parallel.go).
 //
 // All fields are written only by rebuild and read-only afterwards, which
 // is what makes sharing the context across sweep segments safe.
@@ -49,16 +49,11 @@ type auctionContext struct {
 
 	// slotStart/slotElems form the full-horizon slot CSR: for iteration
 	// t ∈ [1, T], slotElems[slotStart[t-1]:slotStart[t]] lists (ascending)
-	// every ever-qualifying bid whose rule-effective slot range contains
-	// t, with the range's upper end clipped to T rather than to any
-	// particular T̂_g. For every solve horizon tg and t ≤ tg the clip is
-	// immaterial — t ≤ min(hi, tg) ⟺ t ≤ min(hi, T) — so the row IS the
-	// per-tg slot index of the row-oriented engine, padded with bids that
-	// enter only at a later T̂_g. Those padding entries are harmless where
-	// the rows are consumed (the m decrement when a slot fills): m is only
-	// ever read through heap entries of currently qualified bids, so a
-	// decrement at a not-yet-qualified index is a dead write into
-	// worker-private scratch.
+	// every ever-qualifying bid whose availability window contains t. It
+	// feeds only the sweep's ψ_max column under ScheduleLeastCovered (see
+	// sweepSegmentMask), which filters each row by enterTg: the row for a
+	// new horizon tg yields the slot's maximum over the bids qualified at
+	// tg.
 	slotStart, slotElems []int
 
 	// cnt is construction scratch for the counting sorts, retained across
@@ -160,22 +155,9 @@ func (ax *auctionContext) rebuild(set *BidSet, cfg Config) {
 
 // buildSlotCSR derives the full-horizon slot rows (see the field comment
 // on slotStart). Row sizes come from a difference array, so counting is
-// O(n + T); filling is O(Σ slot-range lengths), the same work one
-// row-oriented solve at T̂_g = T used to spend per solve.
+// O(n + T); filling is O(Σ window lengths).
 func (ax *auctionContext) buildSlotCSR() {
-	set, cfg, T := ax.set, ax.cfg, ax.cfg.T
-	rowHi := func(i int) int {
-		hi := set.end[i]
-		if cfg.ScheduleRule == ScheduleEarliest {
-			if e := set.start[i] + set.rounds[i] - 1; e < hi {
-				hi = e
-			}
-		}
-		if hi > T {
-			hi = T
-		}
-		return hi
-	}
+	set, T := ax.set, ax.cfg.T
 	d := ax.cnt[:T+1] // reuse the counting-sort scratch as a diff array
 	for i := range d {
 		d[i] = 0
@@ -184,7 +166,7 @@ func (ax *auctionContext) buildSlotCSR() {
 		if ax.enterTg[i] > T {
 			continue
 		}
-		lo, hi := set.start[i], rowHi(i)
+		lo, hi := set.start[i], min(set.end[i], T)
 		d[lo-1]++
 		if hi < T {
 			d[hi]--
@@ -208,18 +190,12 @@ func (ax *auctionContext) buildSlotCSR() {
 		if ax.enterTg[i] > T {
 			continue
 		}
-		lo, hi := set.start[i], rowHi(i)
+		lo, hi := set.start[i], min(set.end[i], T)
 		for t := lo; t <= hi; t++ {
 			ax.slotElems[d[t-1]] = i
 			d[t-1]++
 		}
 	}
-}
-
-// env packages the context's precomputed slot rows for solveWDP; the ψ
-// column is attached per segment by the sweep (see sweepSegment).
-func (ax *auctionContext) env() solveEnv {
-	return solveEnv{slotStart: ax.slotStart, slotElems: ax.slotElems}
 }
 
 // slotRow returns the full-horizon slot row for iteration t ∈ [1, T].
@@ -234,8 +210,8 @@ func (ax *auctionContext) slotRow(t int) []int {
 // The returned set is Qualified(bids, tg, cfg) up to ordering: entries
 // are sorted by (enterTg, index) rather than by index alone. Every
 // consumer of a qualified set — heap construction (total order on
-// (key, bid)), ψ_max maxima, slot-index m decrements, client pruning and
-// the tight-dual minimum — is order-independent, so the two orderings
+// (key, bid)), ψ_max maxima, class-head minima, client pruning and the
+// tight-dual minimum — is order-independent, so the two orderings
 // produce bit-identical WDP results; the differential harness locks this
 // in empirically.
 func (ax *auctionContext) qualifiedAt(tg int) []int {

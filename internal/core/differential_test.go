@@ -340,8 +340,9 @@ func TestDifferentialEngineVsSeed(t *testing.T) {
 // through the standalone SolveWDP, the Engine's context path and the
 // seed oracle, covering the fixed-T̂_g entry points (RunWDP, Fig. 3/7
 // experiments) that the full-auction harness exercises only indirectly.
-// It also holds every WDP of the sweep, which solves on the class path,
-// to Engine.SolveWDP, which solves on the per-bid path, duals included.
+// It also holds every WDP of the sweep, whose class heads a segment
+// carries across its T̂_g, to Engine.SolveWDP, which folds them fresh for
+// its one T̂_g, duals included.
 func TestDifferentialFixedTg(t *testing.T) {
 	p := workload.NewDefaultParams()
 	p.Clients = 25
@@ -377,7 +378,7 @@ func TestDifferentialFixedTg(t *testing.T) {
 		}
 		for _, wdp := range sweepEngine(t, eng, core.RunOptions{}).WDPs {
 			if !reflect.DeepEqual(wdp, eng.SolveWDP(wdp.Tg)) {
-				t.Fatalf("seed %d tg=%d: class-path sweep WDP diverged from the per-bid Engine.SolveWDP", seed, wdp.Tg)
+				t.Fatalf("seed %d tg=%d: sweep WDP with class heads carried across its segment diverged from Engine.SolveWDP with heads folded fresh", seed, wdp.Tg)
 			}
 		}
 	}

@@ -74,23 +74,15 @@ func (e *Engine) RunCtx(ctx context.Context, opts RunOptions) (Result, error) {
 }
 
 // SolveWDP solves the single winner-determination problem for a fixed
-// T̂_g using the precomputed qualification, with the payment rule applied
-// eagerly (a single-WDP caller expects a finished result; only the full
-// sweep defers pricing to the selected T̂_g). tg must lie in [1, cfg.T];
-// out-of-range values yield an infeasible result.
+// T̂_g: SolveWDPSet on the precomputed qualified set, with the payment
+// rule applied eagerly (a single-WDP caller expects a finished result;
+// only the full sweep defers pricing to the selected T̂_g). tg must lie
+// in [1, cfg.T]; out-of-range values yield an infeasible result.
 func (e *Engine) SolveWDP(tg int) WDPResult {
 	if tg < 1 || tg > e.ax.cfg.T {
 		return WDPResult{Tg: tg}
 	}
-	qualified := e.ax.qualifiedAt(tg)
-	if len(qualified) == 0 {
-		return WDPResult{Tg: tg}
-	}
-	sc := acquireScratch(e.ax.set.n, tg)
-	res := solveWDP(e.ax.set, qualified, tg, e.ax.cfg, sc, nil, e.ax.env())
-	releaseScratch(sc)
-	applyPaymentRule(e.ax.set, qualified, tg, e.ax.cfg, e.ax.env(), nil, &res)
-	return res
+	return SolveWDPSet(e.ax.set, e.ax.qualifiedAt(tg), tg, e.ax.cfg)
 }
 
 // QualifiedAt returns a copy of the qualified bid set J_{T̂_g} from the

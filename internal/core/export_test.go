@@ -9,16 +9,9 @@ type HeldOut struct{ pr *pricer }
 
 // HoldWinner records the held-out run of win in the market (bids,
 // qualified, tg, cfg, base), as the pricing stage does before its first
-// probe. A full market (base nil) borrows the auction context's slot CSR,
-// as the sweep's pricing stage does; a residual market builds its own
-// slot rows, as repair pricing does. Release the record when done.
+// probe. Release the record when done.
 func HoldWinner(bids []Bid, qualified []int, tg int, cfg Config, base []int, win Winner) *HeldOut {
-	set := CompileBids(bids)
-	var env solveEnv
-	if base == nil {
-		env = newAuctionContext(set, cfg).env()
-	}
-	pr := newPricer(set, qualified, tg, cfg, env, base)
+	pr := newPricer(CompileBids(bids), qualified, tg, cfg, base)
 	pr.hold(win)
 	return &HeldOut{pr: pr}
 }
@@ -55,10 +48,7 @@ func BisectCritical(win Winner, reserve float64, wins func(price float64) bool) 
 // greedy on bids over qualified with base pre-committed, Algorithm 3
 // payments only.
 func SolveWDPBase(bids []Bid, qualified []int, tg int, cfg Config, base []int) WDPResult {
-	set := CompileBids(bids)
-	sc := acquireScratch(set.n, tg)
-	defer releaseScratch(sc)
-	return solveWDP(set, qualified, tg, cfg, sc, base, solveEnv{})
+	return solveOnce(CompileBids(bids), qualified, tg, cfg, base)
 }
 
 // ResidualBids is the residual bid population Engine.RepairCtx solves for

@@ -55,14 +55,12 @@ func bisectTol(x float64) float64 { return 1e-12 * math.Max(1, x) }
 // applyPaymentRule post-processes the payments of a feasible WDP result
 // according to cfg.PaymentRule. It is the eager entry point, used where a
 // fully priced WDPResult must come back from a single call (SolveWDPSet,
-// Engine.SolveWDP); the lazy sweep path prices only the
+// and Engine.SolveWDP through it); the lazy sweep path prices only the
 // selected T̂_g through priceWinners instead. RuleCritical payments were
-// already computed during the greedy run. env carries whatever
-// precomputed structure the caller holds; the held-out pricing runs read
-// only its slot CSR. base is the pre-committed coverage of the solve (nil
-// for a full market); probes must replay the same residual market or the
-// bisection would price the wrong instance.
-func applyPaymentRule(set *BidSet, qualified []int, tg int, cfg Config, env solveEnv, base []int, res *WDPResult) {
+// already computed during the greedy run. base is the pre-committed
+// coverage of the solve (nil for a full market); probes must replay the
+// same residual market or the bisection would price the wrong instance.
+func applyPaymentRule(set *BidSet, qualified []int, tg int, cfg Config, base []int, res *WDPResult) {
 	switch cfg.PaymentRule {
 	case RulePayBid:
 		for i := range res.Winners {
@@ -72,7 +70,7 @@ func applyPaymentRule(set *BidSet, qualified []int, tg int, cfg Config, env solv
 		if len(res.Winners) == 0 {
 			return
 		}
-		pr := newPricer(set, qualified, tg, cfg, env, base)
+		pr := newPricer(set, qualified, tg, cfg, base)
 		defer pr.release()
 		for i := range res.Winners {
 			// A Background context cannot be canceled, so the error is

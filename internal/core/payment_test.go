@@ -16,13 +16,11 @@ func exactPaymentFixture(t *testing.T, ctx context.Context, bids []Bid, tg int, 
 	t.Helper()
 	qualified := Qualified(bids, tg, cfg)
 	set := CompileBids(bids)
-	sc := acquireScratch(set.Len(), tg)
-	res := solveWDP(set, qualified, tg, cfg, sc, nil, solveEnv{})
-	releaseScratch(sc)
+	res := solveOnce(set, qualified, tg, cfg, nil)
 	if !res.Feasible || len(res.Winners) == 0 {
 		t.Fatalf("fixture WDP infeasible: %+v", res)
 	}
-	pr := newPricer(set, qualified, tg, cfg, solveEnv{}, nil)
+	pr := newPricer(set, qualified, tg, cfg, nil)
 	defer pr.release()
 	pay, probes, err := exactCriticalPayment(ctx, pr, res.Winners[0])
 	if ctx.Err() == nil && err != nil {

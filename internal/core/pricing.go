@@ -19,7 +19,6 @@ type pricer struct {
 	qualified []int
 	tg        int
 	cfg       Config
-	env       solveEnv
 	base      []int
 
 	sc *wdpScratch
@@ -47,12 +46,17 @@ type heldStep struct {
 }
 
 // newPricer returns a pricer for the market (set, qualified, tg, cfg,
-// env, base) of one solve. Pair with release.
-func newPricer(set *BidSet, qualified []int, tg int, cfg Config, env solveEnv, base []int) *pricer {
-	return &pricer{
-		set: set, qualified: qualified, tg: tg, cfg: cfg, env: env, base: base,
+// base) of one solve. Pair with release. The class heads are folded once
+// here, over the market's whole qualified set: every probe instance's
+// qualified set is a subset of it, and a head that starts early only
+// underestimates (see initClasses).
+func newPricer(set *BidSet, qualified []int, tg int, cfg Config, base []int) *pricer {
+	pr := &pricer{
+		set: set, qualified: qualified, tg: tg, cfg: cfg, base: base,
 		sc: acquireScratch(set.n, tg),
 	}
+	pr.sc.resetClasses(set.classes(), qualified)
+	return pr
 }
 
 // release returns the pricer's scratch arena to the pool.
@@ -86,8 +90,8 @@ func (pr *pricer) hold(win Winner) {
 
 // wins reports whether the held winner wins its probe instance with its
 // price rewritten to price: what solveWDP on that instance would answer,
-// without running it. popValid always returns the (key, bid)-argmin of
-// the valid candidates, so the probe's greedy follows the held-out run
+// without running it. popValidClass always returns the (key, bid)-argmin
+// of the candidates, so the probe's greedy follows the held-out run
 // until the first recorded step at which the winner's own entry sorts
 // before the held-out selection, or supply ran out; the winner is
 // selected there. From then on the run no longer reads the price, so
@@ -112,8 +116,9 @@ func (pr *pricer) wins(price float64) bool {
 }
 
 // heldOut runs the allocation-only greedy on the held winner's probe
-// instance — the same qualified set, base coverage and slot rows — with
-// the winner left out of the candidate heap but its m count maintained.
+// instance — the same qualified set and base coverage — with the winner
+// held out of selection but kept in C, so its class marginal stays
+// readable.
 //
 // With force < 0 it records pr.steps: one step per selection while the
 // winner's client is still in C and its marginal utility is positive,
@@ -122,16 +127,8 @@ func (pr *pricer) wins(price float64) bool {
 // winner at step k in place of the held-out choice and reports whether
 // the run then covers the demand.
 func (pr *pricer) heldOut(force int) bool {
-	w := pr.sc.begin(pr.set, pr.probeQual, pr.tg, pr.cfg, pr.base, pr.env)
-	extSlots := pr.env.slotStart != nil
-	for _, idx := range pr.probeQual {
-		w.inC[idx] = true
-		e := w.admit(idx, pr.base, extSlots)
-		if idx != pr.bid {
-			pr.sc.heapC = append(pr.sc.heapC, e)
-		}
-	}
-	pr.sc.heapC.init()
+	w := pr.sc.begin(pr.set, pr.probeQual, pr.tg, pr.cfg, pr.base, pr.bid)
+	heldCls := w.cls.classOf[pr.bid]
 	// takeRep selects idx with its representative schedule.
 	takeRep := func(idx int) {
 		slots := w.repCandidates(idx, w.sc.cand)
@@ -144,21 +141,23 @@ func (pr *pricer) heldOut(force int) bool {
 			takeRep(pr.bid)
 			continue
 		}
-		// inC[bid] falls with the first selected sibling.
-		if force < 0 && (!w.inC[pr.bid] || w.marginal(pr.bid) == 0) {
+		// The winner leaves C with the first selected sibling.
+		if force < 0 && (!w.inC(pr.bid) || w.classMarginal(heldCls) == 0) {
 			return false
 		}
-		e, ok := w.popValid(&pr.sc.heapC, w.inC)
+		ce, ok := w.popValidClass()
 		if force < 0 {
+			sel := ce.heapEntry
 			if !ok {
-				e.bid = -1
+				sel.bid = -1
 			}
-			pr.steps = append(pr.steps, heldStep{sel: e, r: w.marginal(pr.bid)})
+			pr.steps = append(pr.steps, heldStep{sel: sel, r: w.classMarginal(heldCls)})
 		}
 		if !ok {
 			return false
 		}
-		takeRep(e.bid)
+		takeRep(ce.bid)
+		w.requeue(ce.cls)
 	}
 	return true
 }
@@ -177,7 +176,7 @@ func (pr *pricer) heldOut(force int) bool {
 // untouched. workers follows the ClampWorkers convention; obsv/now follow
 // the sweep convention (nil observer disables instrumentation entirely,
 // nil now with a live observer selects time.Now).
-func priceWinners(ctx context.Context, set *BidSet, qualified []int, tg int, cfg Config, env solveEnv, base []int, res *WDPResult, workers int, obsv obs.Observer, now func() time.Time) error {
+func priceWinners(ctx context.Context, set *BidSet, qualified []int, tg int, cfg Config, base []int, res *WDPResult, workers int, obsv obs.Observer, now func() time.Time) error {
 	if !res.Feasible || len(res.Winners) == 0 {
 		return nil
 	}
@@ -206,7 +205,7 @@ func priceWinners(ctx context.Context, set *BidSet, qualified []int, tg int, cfg
 		})
 	}
 	pays := make([]float64, n)
-	if err := pricePar(ctx, set, qualified, tg, cfg, env, base, res.Winners, pays, workers, obsv, now); err != nil {
+	if err := pricePar(ctx, set, qualified, tg, cfg, base, res.Winners, pays, workers, obsv, now); err != nil {
 		if obsv != nil {
 			obsv.Observe(obs.Event{
 				Kind: obs.EvPricingDone, Tg: tg, Client: -1, Bid: -1,
@@ -236,10 +235,10 @@ func priceWinners(ctx context.Context, set *BidSet, qualified []int, tg int, cfg
 // stops every worker at its next claim or bisection probe, and no
 // goroutine outlives the call. workers has already been clamped to
 // [1, len(winners)]. Per-winner events arrive in worker completion order.
-func pricePar(ctx context.Context, set *BidSet, qualified []int, tg int, cfg Config, env solveEnv, base []int, winners []Winner, pays []float64, workers int, obsv obs.Observer, now func() time.Time) error {
+func pricePar(ctx context.Context, set *BidSet, qualified []int, tg int, cfg Config, base []int, winners []Winner, pays []float64, workers int, obsv obs.Observer, now func() time.Time) error {
 	var next atomic.Int64
 	FanOut(workers, func(int) {
-		pr := newPricer(set, qualified, tg, cfg, env, base)
+		pr := newPricer(set, qualified, tg, cfg, base)
 		defer pr.release()
 		for {
 			i := int(next.Add(1)) - 1

@@ -121,15 +121,13 @@ func (e *Engine) RepairCtx(ctx context.Context, req RepairRequest, opts RunOptio
 		return res, nil
 	}
 	rset := CompileBids(residual)
-	sc := acquireScratch(rset.Len(), req.Tg)
-	defer releaseScratch(sc)
-	wdp := solveWDP(rset, qualified, req.Tg, cfg, sc, req.Base, solveEnv{})
+	wdp := solveOnce(rset, qualified, req.Tg, cfg, req.Base)
 	if !wdp.Feasible {
 		return res, nil
 	}
 	// Lazy payment stage on the residual market, before the winner indices
 	// are remapped (the bisection probes index the residual population).
-	if err := priceWinners(ctx, rset, qualified, req.Tg, cfg, solveEnv{}, req.Base, &wdp, opts.Workers, obsv, now); err != nil {
+	if err := priceWinners(ctx, rset, qualified, req.Tg, cfg, req.Base, &wdp, opts.Workers, obsv, now); err != nil {
 		return RepairResult{}, err
 	}
 	res.Feasible = true

@@ -152,9 +152,7 @@ func (ax *auctionContext) priceChosen(ctx context.Context, res *Result, workers 
 		return nil
 	}
 	wdp := &res.WDPs[res.Tg-ax.t0]
-	// The held-out pricing runs read only the env's slot CSR: no ψ column
-	// or class index is attached.
-	return priceWinners(ctx, ax.set, ax.qualifiedAt(res.Tg), res.Tg, ax.cfg, ax.env(), nil, wdp, workers, obsv, now)
+	return priceWinners(ctx, ax.set, ax.qualifiedAt(res.Tg), res.Tg, ax.cfg, nil, wdp, workers, obsv, now)
 }
 
 // sweepSegment solves the contiguous candidate range T̂_g ∈ [lo, hi] into
@@ -171,12 +169,11 @@ func (ax *auctionContext) priceChosen(ctx context.Context, res *Result, workers 
 // entering at the new T̂_g. Both updates may overlap; max is idempotent
 // and order-independent, so the column is bit-identical to the per-solve
 // accumulation it replaces, at amortized O(row + entrant windows) instead
-// of O(Σ qualified windows) per T̂_g. Under ScheduleEarliest ψ ranges
-// over the availability window while slots cover only the earliest-fit
-// range, so the per-solve accumulation is kept. The class heads of the
-// class-based selection (each touched class's first qualified member) are
-// carried the same way under either rule: qualified sets only grow, so
-// each T̂_g folds in only its entrants.
+// of O(Σ qualified windows) per T̂_g. Under ScheduleEarliest the
+// per-solve accumulation is kept. The class heads of the class-based
+// selection (each touched class's first qualified member) are carried the
+// same way under either rule: qualified sets only grow, so each T̂_g
+// folds in only its entrants.
 //
 // Cancellation is checked between solves, so a canceled context abandons
 // the remaining candidates without tearing down a solve midway.
@@ -199,22 +196,14 @@ func (ax *auctionContext) sweepSegmentMask(ctx context.Context, lo, hi int, out 
 	set := ax.set
 	sc := acquireScratch(set.n, hi)
 	defer releaseScratch(sc)
-	env := ax.env()
-	// Engage the class-based selection fast path (classsel.go): the
-	// sweep's solves share one compile-time class index, whose
-	// (price, bid) member order they never invalidate. The index is
-	// built once per population (concurrent segments share it through
-	// the holder's Once) and is reused by every auction warm-started on
-	// the same BidSet. The class heads are carried across the segment
-	// like the ψ column: folded over everything qualified at lo, then
-	// over each later T̂_g's entrants (see foldClasses).
+	// The sweep's solves share one compile-time class index (classsel.go),
+	// built once per population (concurrent segments share it through the
+	// holder's Once) and reused by every auction warm-started on the same
+	// BidSet. The class heads are carried across the segment like the ψ
+	// column: folded over everything qualified at lo, then over each later
+	// T̂_g's entrants (see foldClasses).
 	cls := set.classes()
-	if cls != nil {
-		env.classes = cls
-		env.enterTg = ax.enterTg
-		sc.resetClasses(cls.n)
-		sc.foldClasses(cls, ax.qualifiedAt(lo))
-	}
+	sc.resetClasses(cls, ax.qualifiedAt(lo))
 	var psi []float64
 	if ax.cfg.ScheduleRule == ScheduleLeastCovered {
 		// Seed the column for the segment's first horizon: ψ over the
@@ -235,7 +224,6 @@ func (ax *auctionContext) sweepSegmentMask(ctx context.Context, lo, hi int, out 
 				}
 			}
 		}
-		env.psi = psi
 	}
 	for tg := lo; tg <= hi; tg++ {
 		if tg > lo {
@@ -266,9 +254,7 @@ func (ax *auctionContext) sweepSegmentMask(ctx context.Context, lo, hi int, out 
 					}
 				}
 			}
-			if cls != nil {
-				sc.foldClasses(cls, entrants)
-			}
+			sc.foldClasses(cls, entrants)
 		}
 		if ctx.Err() != nil {
 			return canceledErr(ctx)
@@ -283,7 +269,7 @@ func (ax *auctionContext) sweepSegmentMask(ctx context.Context, lo, hi int, out 
 		if obsv != nil {
 			t0 = now()
 		}
-		wdp := solveWDP(set, ax.qualifiedAt(tg), tg, ax.cfg, sc, nil, env)
+		wdp := solveWDP(set, ax.qualifiedAt(tg), tg, ax.cfg, sc, nil, psi)
 		if obsv != nil {
 			obsv.Observe(obs.Event{
 				Kind: obs.EvWDPSolved, Tg: tg, Client: -1, Bid: -1,

@@ -12,46 +12,35 @@ import "sync"
 // O(winners + T̂_g) instead of O(I·J).
 //
 // Correct reuse relies on every field being (re)initialized by
-// wdpScratch.init (for a pricing replay, by begin and admit, which write
-// the allocation state alone) before it is read: gamma, the φ/ψ
-// accumulators and the per-slot bid lists are reset for t ∈ [1, tg]; inC
-// — and on the per-bid path m and inG — are (re)written for exactly the
-// qualified bid indices, which are the only indices the solver ever reads
-// (heap entries, slot lists, the candidate pruning and the class path's
-// member and sibling scans all filter to qualified bids; stale values at
-// unqualified indices are dead). The class heads are the one exception:
-// a sweep segment carries them across its T̂_g and resets them at its
-// start (resetClasses). Nothing is cleared on release.
+// wdpScratch.begin (and, for a full solve, init) before it is read:
+// gamma, the filled-slot prefix sums and the φ/ψ accumulators are reset
+// for t ∈ [1, tg], and the candidate set C is a fresh stamp written at
+// exactly the qualified bid indices, so marks left at any index by an
+// earlier run never read as members. The class heads are the one
+// exception: their owner — a sweep segment, a pricing pass or a one-off
+// solve — folds them at its start (resetClasses), and a sweep segment
+// carries them across its T̂_g. Nothing is cleared on release.
 type wdpScratch struct {
 	// state is the embedded solver state, reused so a solve performs no
 	// per-call wdpState allocation.
 	state wdpState
 
 	// Indexed by global iteration t−1; capacity grows to the largest tg
-	// seen.
+	// seen. filledPrefix has one more entry (index t, see wdpState).
 	gamma                            []int
-	slotBids                         [][]int
 	phiMax, phiMin, phiPrime, psiMax []float64
-
-	// slotRows holds borrowed row headers when a solve runs against the
-	// auction context's precomputed slot CSR (solveEnv.slotStart). It is
-	// deliberately separate from slotBids: those rows are append-grown and
-	// reset with [:0], which must never alias the context's immutable CSR
-	// storage.
-	slotRows [][]int
+	filledPrefix                     []int
 
 	// sweepPsi is the incrementally maintained ψ_max column of one sweep
 	// segment (see sweepSegment); it outlives individual solves, which
-	// borrow prefixes of it read-only via solveEnv.psi.
+	// borrow prefixes of it read-only.
 	sweepPsi []float64
 
-	// Indexed by bid index; capacity grows to the largest bid slice seen.
-	m        []int
-	inC, inG []bool
-
-	// Greedy selection heaps and the peek restore buffer.
-	heapC, heapG entryHeap
-	kept         []heapEntry
+	// stamp marks the candidate set C of the current run: bid i is in C
+	// exactly when stamp[i] == gen (see nextGen). Indexed by bid index;
+	// capacity grows to the largest bid slice seen.
+	stamp []uint32
+	gen   uint32
 
 	// Representative-schedule buffers, and the tight dual's descending η
 	// order with its prefix sums (see tightDualObjective).
@@ -59,23 +48,20 @@ type wdpScratch struct {
 	etaOrder    []int
 	etaTop      []float64
 
-	// Class-path state (see classsel.go), indexed by class row. clsInit
-	// keeps the first-qualified head position per class, with −1 meaning
-	// untouched, and clsTouched lists the touched classes in first-
-	// qualified order; both are carried across a sweep segment's ascending
-	// T̂_g (foldClasses) and reset at segment start (resetClasses), which
-	// restores exactly the touched entries, so the reset is O(touched)
-	// across pool reuse. clsCur holds the per-solve head cursors, clsHeap
-	// the candidate heap and keptCls its peek restore buffer. spare is the
-	// per-solve list S of unselected qualified siblings of earlier
-	// winners, and filledPrefix the per-solve filled-slot prefix-sum
-	// column (length tg+1).
+	// Class selection state (see classsel.go), indexed by class row.
+	// clsInit keeps the first-qualified head position per class, with −1
+	// meaning untouched, and clsTouched lists the touched classes in first-
+	// qualified order; both are folded by their owner (resetClasses,
+	// foldClasses), and resetting restores exactly the touched entries, so
+	// the reset is O(touched) across pool reuse. clsCur holds the per-run
+	// head cursors, clsHeap the candidate heap and keptCls its peek
+	// restore buffer. spare is the per-solve list S of unselected
+	// qualified siblings of earlier winners.
 	clsHeap         classHeap
 	clsInit, clsCur []int
 	clsTouched      []int
 	keptCls         []classEntry
 	spare           []int
-	filledPrefix    []int
 
 	// chunk backs the winner schedules that escape into Results: slots and
 	// covered sub-slices are carved append-only out of one slab instead of
@@ -129,36 +115,41 @@ func releaseScratch(sc *wdpScratch) {
 }
 
 // ensure grows the arena to the requested dimensions, preserving any
-// capacity (including the inner slot-list capacity) already acquired.
+// capacity already acquired.
 func (sc *wdpScratch) ensure(nBids, tg int) {
-	if len(sc.m) < nBids {
-		sc.m = make([]int, nBids)
-		sc.inC = make([]bool, nBids)
-		sc.inG = make([]bool, nBids)
+	if len(sc.stamp) < nBids {
+		sc.stamp = make([]uint32, nBids)
 	}
 	if len(sc.gamma) < tg {
-		old := sc.slotBids
-		sc.slotBids = make([][]int, tg)
-		copy(sc.slotBids, old)
-		sc.slotRows = make([][]int, tg)
 		sc.gamma = make([]int, tg)
 		sc.phiMax = make([]float64, tg)
 		sc.phiMin = make([]float64, tg)
 		sc.phiPrime = make([]float64, tg)
 		sc.psiMax = make([]float64, tg)
 		sc.sweepPsi = make([]float64, tg)
-	}
-	if len(sc.filledPrefix) < tg+1 {
 		sc.filledPrefix = make([]int, tg+1)
 	}
 }
 
-// resetClasses starts a sweep segment's class heads for n class rows:
-// every clsInit entry back at the −1 sentinel and clsTouched empty. Fresh
-// arrays start at the sentinel; otherwise exactly the previous segment's
-// touched entries are restored.
-func (sc *wdpScratch) resetClasses(n int) {
-	if len(sc.clsInit) < n {
+// nextGen starts a run's candidate set: it returns a fresh stamp that no
+// index of the stamp column holds yet. Stamps only grow, and 0 — a new
+// column's value and the mark take leaves on a selected client — is never
+// handed out; on wrap-around the column is cleared once.
+func (sc *wdpScratch) nextGen() uint32 {
+	sc.gen++
+	if sc.gen == 0 {
+		clear(sc.stamp)
+		sc.gen = 1
+	}
+	return sc.gen
+}
+
+// resetClasses starts the class heads of cls folded over bids: every
+// clsInit entry back at the −1 sentinel and clsTouched empty, then
+// foldClasses. Fresh arrays start at the sentinel; otherwise exactly the
+// previous owner's touched entries are restored.
+func (sc *wdpScratch) resetClasses(cls *classIndex, bids []int) {
+	if n := cls.n; len(sc.clsInit) < n {
 		sc.clsInit = make([]int, n)
 		for i := range sc.clsInit {
 			sc.clsInit[i] = -1
@@ -170,4 +161,5 @@ func (sc *wdpScratch) resetClasses(n int) {
 		}
 	}
 	sc.clsTouched = sc.clsTouched[:0]
+	sc.foldClasses(cls, bids)
 }

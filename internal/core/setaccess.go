@@ -69,9 +69,7 @@ func SolveWDPSet(set *BidSet, qualified []int, tg int, cfg Config) WDPResult {
 		// unfillable demand, not a tg-sized allocation request.
 		return WDPResult{Tg: tg}
 	}
-	sc := acquireScratch(set.n, tg)
-	res := solveWDP(set, qualified, tg, cfg, sc, nil, solveEnv{})
-	releaseScratch(sc)
-	applyPaymentRule(set, qualified, tg, cfg, solveEnv{}, nil, &res)
+	res := solveOnce(set, qualified, tg, cfg, nil)
+	applyPaymentRule(set, qualified, tg, cfg, nil, &res)
 	return res
 }

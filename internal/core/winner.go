@@ -8,40 +8,6 @@ import (
 	"github.com/fedauction/afl/internal/stats"
 )
 
-// solveEnv carries optional precomputed structure into solveWDP. A zero
-// solveEnv means "build everything per solve" — the fully general
-// standalone path, valid for arbitrary qualified sets. The sweep and the
-// held-out pricing runs attach the auction context's shared structure
-// instead:
-//
-//   - slotStart/slotElems, when non-nil, are the context's full-horizon
-//     slot CSR (see auctionContext.slotStart). Per-solve slot-index
-//     construction then collapses to tg row-header assignments. Requires
-//     qualified ⊆ {i : enterTg[i] ≤ T}, which holds for every context- or
-//     probe-derived qualified set.
-//   - psi, when non-nil, is the externally maintained ψ_max column for
-//     slots [1, len(psi)] with len(psi) ≥ tg: psi[t-1] is the maximum
-//     bidding price among qualified bids whose clipped window contains t.
-//     The sweep maintains it incrementally across ascending T̂_g
-//     (ScheduleLeastCovered only — see sweepSegment); float max over a
-//     set is order-independent, so the replayed column is bit-identical
-//     to the per-solve accumulation it replaces.
-//   - classes + enterTg, when non-nil, engage the class-based selection
-//     fast path (see classsel.go): the candidate heap holds one entry per
-//     availability-window shape class instead of one per bid, with
-//     bit-identical selection order. The class heads come from the
-//     scratch arena, which the sweep segment keeps current for the
-//     qualified set (resetClasses, foldClasses). Only the sweep attaches
-//     them — pricing's held-out runs leave one bid out of the candidate
-//     heap and repair pre-commits coverage (base != nil), so both run the
-//     fully general per-bid heaps.
-type solveEnv struct {
-	slotStart, slotElems []int
-	psi                  []float64
-	classes              *classIndex
-	enterTg              []int
-}
-
 // SolveWDP runs A_winner (Algorithm 2) on one winner-determination problem:
 // given the qualified bid indices for a fixed number of global iterations
 // tg, it greedily selects schedules with minimum average cost until every
@@ -59,8 +25,9 @@ func SolveWDP(bids []Bid, qualified []int, tg int, cfg Config) WDPResult {
 
 // solveWDP is the engine behind SolveWDP: the same greedy, payments and
 // dual bookkeeping, operating on the columnar BidSet with caller-provided
-// scratch (reused across the T̂_g sweep) and optional precomputed
-// structure in env.
+// scratch. sc must carry class heads folded over exactly qualified (see
+// resetClasses): a sweep segment carries them across its ascending T̂_g,
+// and a one-off solve folds its own (solveOnce).
 //
 // base, when non-nil, pre-commits base[t-1] units of coverage to
 // iteration t before the greedy starts — the residual market of a
@@ -68,7 +35,15 @@ func SolveWDP(bids []Bid, qualified []int, tg int, cfg Config) WDPResult {
 // demand. The greedy then only buys the missing coverage; payments are
 // critical values in that residual market. base is read-only; nil keeps
 // the original empty-market behaviour bit-for-bit.
-func solveWDP(set *BidSet, qualified []int, tg int, cfg Config, sc *wdpScratch, base []int, env solveEnv) WDPResult {
+//
+// psi, when non-nil, is the externally maintained ψ_max column for slots
+// [1, len(psi)] with len(psi) ≥ tg: psi[t-1] is the maximum bidding price
+// among qualified bids whose clipped window contains t. The sweep
+// maintains it incrementally across ascending T̂_g (ScheduleLeastCovered
+// only — see sweepSegment); float max over a set is order-independent, so
+// the replayed column is bit-identical to the per-solve accumulation that
+// a nil psi selects.
+func solveWDP(set *BidSet, qualified []int, tg int, cfg Config, sc *wdpScratch, base []int, psi []float64) WDPResult {
 	res := WDPResult{Tg: tg}
 	if tg < 1 || len(qualified) == 0 {
 		return res
@@ -80,26 +55,15 @@ func solveWDP(set *BidSet, qualified []int, tg int, cfg Config, sc *wdpScratch, 
 		// an empty selection feasible.)
 		return res
 	}
-	w := sc.init(set, qualified, tg, cfg, base, env)
+	w := sc.init(set, qualified, tg, cfg, base, psi)
 	target := cfg.K * tg
-	if w.cls != nil {
-		for w.covered < target {
-			ce, ok := w.popValidClass()
-			if !ok {
-				return res // not enough supply: this WDP is infeasible
-			}
-			w.selectWinnerClass(ce)
-			res.Rounds++
+	for w.covered < target {
+		ce, ok := w.popValidClass()
+		if !ok {
+			return res // not enough supply: this WDP is infeasible
 		}
-	} else {
-		for w.covered < target {
-			e, ok := w.popValid(&sc.heapC, w.inC)
-			if !ok {
-				return res // not enough supply: this WDP is infeasible
-			}
-			w.selectWinner(e)
-			res.Rounds++
-		}
+		w.selectWinnerClass(ce)
+		res.Rounds++
 	}
 	res.Feasible = true
 	res.Winners = w.winners
@@ -114,41 +78,37 @@ func solveWDP(set *BidSet, qualified []int, tg int, cfg Config, sc *wdpScratch, 
 	return res
 }
 
+// solveOnce is one standalone solve on a pooled arena: it folds the class
+// heads over qualified, like a sweep segment of a single T̂_g, and
+// accumulates the ψ_max column per solve.
+func solveOnce(set *BidSet, qualified []int, tg int, cfg Config, base []int) WDPResult {
+	sc := acquireScratch(set.n, tg)
+	defer releaseScratch(sc)
+	sc.resetClasses(set.classes(), qualified)
+	return solveWDP(set, qualified, tg, cfg, sc, base, nil)
+}
+
 // wdpState is the mutable state of one A_winner run. All of its storage
 // is backed by a wdpScratch arena; only result data (winners, schedules,
 // duals) is freshly allocated.
 type wdpState struct {
-	set       *BidSet
-	qualified []int
-	tg        int
-	cfg       Config
-	sc        *wdpScratch
+	set *BidSet
+	tg  int
+	cfg Config
+	sc  *wdpScratch
 
 	// gamma[t-1] is γ_t, the number of clients scheduled at iteration t.
 	gamma []int
 	// covered is R(S) = Σ_t min(γ_t, K).
 	covered int
-	// m[idx] is the number of still-available (γ_t < K) iterations inside
-	// bid idx's effective window; the bid's marginal utility is
-	// R = min(c, m). m is valid only at qualified bid indices.
-	m []int
-	// slotBids[t-1] lists the bids whose effective slot range contains t,
-	// so m can be decremented when t fills up. Rows are either scratch-
-	// owned per-solve lists of qualified bids, or (env path) borrowed
-	// subslices of the context's full-horizon CSR — the latter also carry
-	// not-yet-qualified bids, whose m entries are dead (never read).
-	slotBids [][]int
 
-	// inC / inG are membership flags for the candidate set C and the grand
-	// set G of Algorithm 2, valid at qualified bid indices. C drops every
-	// bid of a winning client; G drops only the selected schedule.
-	// (The per-bid selection heaps live in sc.heapC / sc.heapG: entries
-	// carry a snapshot of m; a popped entry whose snapshot is stale is
-	// re-keyed and reinserted — average cost only grows as slots fill, so
-	// the lazy strategy preserves exact greedy order. The class path keeps
-	// one class heap for C and reads G's best off the winner and the
-	// spare siblings, so it never writes inG.)
-	inC, inG []bool
+	// gen is the run's stamp of the candidate set C of Algorithm 2 (see
+	// inC): the qualified bids whose client has not been selected yet.
+	// held is the bid a held-out pricing run leaves out of selection, or
+	// −1: it stays in C, so its client's membership and its class marginal
+	// remain readable, but no class head ever lands on it.
+	gen  uint32
+	held int
 
 	winners []Winner
 
@@ -160,152 +120,101 @@ type wdpState struct {
 	phiMax, phiMin, phiPrime []float64
 	// psiMax[t-1] = ψ_max^t, the maximum bidding price among qualified
 	// bids whose window contains t. Either accumulated during init or
-	// borrowed read-only from env.psi.
+	// borrowed read-only from the sweep's column.
 	psiMax []float64
 
-	// Class-path state (nil / unused on the per-bid path; see
-	// classsel.go). cls is the population's shape-class index, enterTg
-	// the qualification entry points for member and sibling scans, cur
-	// the per-class head cursors into C, and filledPrefix[t] the number
-	// of filled (γ = K) slots in [1, t] — the class-uniform m source.
+	// Class selection state (see classsel.go): the population's shape-
+	// class index, the per-class head cursors into C, and filledPrefix[t],
+	// the number of filled (γ = K) slots in [1, t] — the class-uniform m
+	// source.
 	cls          *classIndex
-	enterTg      []int
 	cur          []int
 	filledPrefix []int
 }
 
-// init resets the arena for one solve and builds the initial A_winner
-// state: slot indices, marginal-utility counters, membership flags and
-// the selection heaps (C and G per bid, or the class heap). It touches
-// exactly the state the solve will read, which is what makes pooled
-// reuse safe without any clearing on release.
-func (sc *wdpScratch) init(set *BidSet, qualified []int, tg int, cfg Config, base []int, env solveEnv) *wdpState {
-	w := sc.begin(set, qualified, tg, cfg, base, env)
-	w.inG = sc.inG
+// init prepares one full solve: the allocation state of begin plus the
+// dual accumulators and the ψ_max column (borrowed from psi, or
+// accumulated over qualified when psi is nil).
+func (sc *wdpScratch) init(set *BidSet, qualified []int, tg int, cfg Config, base []int, psi []float64) *wdpState {
+	w := sc.begin(set, qualified, tg, cfg, base, -1)
 	w.phiMax = sc.phiMax[:tg]
 	w.phiMin = sc.phiMin[:tg]
 	w.phiPrime = sc.phiPrime[:tg]
-	w.psiMax = sc.psiMax[:tg]
-	extPsi := env.psi != nil
-	if extPsi {
-		w.psiMax = env.psi[:tg]
-	}
 	for t := 0; t < tg; t++ {
 		w.phiMax[t] = 0
 		w.phiMin[t] = math.Inf(1)
 		w.phiPrime[t] = math.Inf(1)
-		if !extPsi {
-			w.psiMax[t] = 0
-		}
 	}
-	sc.heapG = sc.heapG[:0]
-	// The class path replaces the per-bid heaps, m bookkeeping and G
-	// membership with class-level structure (see classsel.go); the C
-	// flags and any per-solve ψ accumulation stay per-bid.
-	classes := env.classes != nil && base == nil
+	if psi != nil {
+		w.psiMax = psi[:tg]
+		return w
+	}
+	w.psiMax = sc.psiMax[:tg]
+	for t := range w.psiMax {
+		w.psiMax[t] = 0
+	}
 	for _, idx := range qualified {
-		if !extPsi {
-			lo, hi := w.windowOf(idx)
-			p := set.price[idx]
-			for t := lo; t <= hi; t++ {
-				if p > w.psiMax[t-1] {
-					w.psiMax[t-1] = p
-				}
+		lo, hi := w.windowOf(idx)
+		p := set.price[idx]
+		for t := lo; t <= hi; t++ {
+			if p > w.psiMax[t-1] {
+				w.psiMax[t-1] = p
 			}
 		}
-		w.inC[idx] = true
-		if classes {
-			continue
-		}
-		w.inG[idx] = true
-		e := w.admit(idx, base, env.slotStart != nil)
-		sc.heapC = append(sc.heapC, e)
-		sc.heapG = append(sc.heapG, e)
-	}
-	if classes {
-		w.initClasses(env)
-	} else {
-		sc.heapC.init()
-		sc.heapG.init()
 	}
 	return w
 }
 
-// begin resets the allocation state every greedy run shares — coverage
-// (pre-committed from base), the slot-index rows and an empty candidate
-// heap — and leaves the per-bid entries to the caller: init for a full
-// solve, pricer.heldOut for a pricing replay.
-func (sc *wdpScratch) begin(set *BidSet, qualified []int, tg int, cfg Config, base []int, env solveEnv) *wdpState {
+// begin resets the allocation state every greedy run shares: coverage and
+// the filled-slot prefix sums, both pre-committed from base; C stamped
+// over exactly qualified; and the candidate heap over the class heads the
+// arena carries, with held (−1 for none) left out of selection. It
+// touches exactly the state the run will read, which is what makes pooled
+// reuse safe without any clearing on release. init adds the dual
+// bookkeeping of a full solve; pricer.heldOut needs nothing more.
+func (sc *wdpScratch) begin(set *BidSet, qualified []int, tg int, cfg Config, base []int, held int) *wdpState {
 	w := &sc.state
 	*w = wdpState{
-		set:       set,
-		qualified: qualified,
-		tg:        tg,
-		cfg:       cfg,
-		sc:        sc,
-		gamma:     sc.gamma[:tg],
-		m:         sc.m,
-		inC:       sc.inC,
+		set:          set,
+		tg:           tg,
+		cfg:          cfg,
+		sc:           sc,
+		gamma:        sc.gamma[:tg],
+		gen:          sc.nextGen(),
+		held:         held,
+		cls:          set.classes(),
+		cur:          sc.clsCur,
+		filledPrefix: sc.filledPrefix[:tg+1],
 	}
-	// Owned rows and borrowed CSR rows live in separate scratch arrays:
-	// sc.slotBids rows are append-grown and reset with [:0], which must
-	// never alias the context's immutable slotElems storage.
-	extSlots := env.slotStart != nil
-	if extSlots {
-		w.slotBids = sc.slotRows[:tg]
-	} else {
-		w.slotBids = sc.slotBids[:tg]
-	}
-	for t := 0; t < tg; t++ {
-		g := 0
+	w.filledPrefix[0] = 0
+	for t := 1; t <= tg; t++ {
+		g, filled := 0, 0
 		if base != nil {
-			g = base[t]
+			g = base[t-1]
 		}
-		w.gamma[t] = g
+		w.gamma[t-1] = g
 		if g >= cfg.K {
 			w.covered += cfg.K
+			filled = 1
 		} else {
 			w.covered += g
 		}
-		if extSlots {
-			w.slotBids[t] = env.slotElems[env.slotStart[t]:env.slotStart[t+1]]
-		} else {
-			w.slotBids[t] = w.slotBids[t][:0]
-		}
+		w.filledPrefix[t] = w.filledPrefix[t-1] + filled
 	}
-	sc.heapC = sc.heapC[:0]
+	for _, idx := range qualified {
+		sc.stamp[idx] = w.gen
+	}
+	w.initClasses()
 	return w
 }
 
-// admit enters qualified bid idx into the per-bid allocation state: its
-// m count and, unless the slot rows are borrowed from the context's CSR
-// (extSlots), its slot-index rows. It returns the bid's candidate-heap
-// entry.
-func (w *wdpState) admit(idx int, base []int, extSlots bool) heapEntry {
-	// m counts the still-available iterations the bid's representative
-	// schedule can draw from: the whole window under the paper's
-	// least-covered rule, only the fixed earliest-fit slots otherwise.
-	lo, shi := w.slotRangeOf(idx)
-	if base == nil {
-		w.m[idx] = shi - lo + 1
-	} else {
-		// Pre-committed coverage consumes slot capacity before the
-		// greedy starts: m counts only the still-open iterations.
-		n := 0
-		for t := lo; t <= shi; t++ {
-			if w.gamma[t-1] < w.cfg.K {
-				n++
-			}
-		}
-		w.m[idx] = n
-	}
-	if !extSlots {
-		for t := lo; t <= shi; t++ {
-			w.slotBids[t-1] = append(w.slotBids[t-1], idx)
-		}
-	}
-	return w.entryFor(idx)
-}
+// inC reports whether bid b is in the candidate set C: qualified for this
+// run, and its client not yet selected.
+func (w *wdpState) inC(b int) bool { return w.sc.stamp[b] == w.gen }
+
+// candidate is the membership test of every class-head scan: b is in C
+// and is not the held-out bid.
+func (w *wdpState) candidate(b int) bool { return w.inC(b) && b != w.held }
 
 // windowOf returns bid idx's effective availability window [lo, hi]
 // clipped to the WDP horizon.
@@ -326,82 +235,6 @@ func (w *wdpState) slotRangeOf(idx int) (lo, hi int) {
 		hi = lo + w.set.rounds[idx] - 1
 	}
 	return lo, hi
-}
-
-// marginal returns the utility gain R_il(S) of the bid's representative
-// schedule. Under the paper's least-covered rule the schedule takes the
-// c_ij smallest-γ iterations of the window; available iterations
-// (γ_t < K) sort before full ones, so the gain is min(c_ij, m). Under
-// earliest-fit the slot set is fixed and the gain is exactly the number
-// of its slots still available.
-func (w *wdpState) marginal(idx int) int {
-	m := w.m[idx]
-	if w.cfg.ScheduleRule == ScheduleEarliest {
-		return m
-	}
-	if r := w.set.rounds[idx]; r < m {
-		return r
-	}
-	return m
-}
-
-func (w *wdpState) entryFor(idx int) heapEntry {
-	r := w.marginal(idx)
-	key := math.Inf(1)
-	if r > 0 {
-		key = w.set.price[idx] / float64(r)
-	}
-	return heapEntry{key: key, bid: idx, mSnap: w.m[idx]}
-}
-
-// popValid pops the minimum-average-cost entry of h whose membership flag
-// is set and whose m snapshot is current, lazily re-keying stale entries.
-func (w *wdpState) popValid(h *entryHeap, in []bool) (heapEntry, bool) {
-	for h.Len() > 0 {
-		e := h.pop()
-		if !in[e.bid] {
-			continue
-		}
-		if e.mSnap != w.m[e.bid] {
-			if w.marginal(e.bid) > 0 {
-				h.push(w.entryFor(e.bid))
-			}
-			continue
-		}
-		if w.marginal(e.bid) == 0 {
-			continue
-		}
-		return e, true
-	}
-	return heapEntry{}, false
-}
-
-// peekValid returns the minimum valid entry of h not rejected by skip,
-// restoring every entry it inspected. It is used for the critical-value
-// payment (second-smallest average cost in C) and for the best unselected
-// schedule (i#, l#) in G.
-func (w *wdpState) peekValid(h *entryHeap, in []bool, skip func(bid int) bool) (heapEntry, bool) {
-	kept := w.sc.kept[:0]
-	var found heapEntry
-	ok := false
-	for h.Len() > 0 {
-		e, popped := w.popValid(h, in)
-		if !popped {
-			break
-		}
-		if skip != nil && skip(e.bid) {
-			kept = append(kept, e)
-			continue
-		}
-		found, ok = e, true
-		kept = append(kept, e)
-		break
-	}
-	for _, e := range kept {
-		h.push(e)
-	}
-	w.sc.kept = kept[:0]
-	return found, ok
 }
 
 // repCandidates computes the bid's representative schedule l_ij — the
@@ -476,63 +309,16 @@ func (w *wdpState) repAvailable(idx int) []int {
 	return avail
 }
 
-// selectWinner performs lines 9-14 of Algorithm 2 for the popped minimum
-// entry e: payment, dual recording, set updates, and coverage updates.
-func (w *wdpState) selectWinner(e heapEntry) {
-	idx := e.bid
-	slots, avail := w.representativeSchedule(idx)
-	r := len(avail) // == marginal(idx) by construction
-	phi := w.set.price[idx] / float64(r)
-
-	payment := w.criticalPayment(idx, r)
-
-	// Record φ(t, l*) on the newly covered iterations (line 9).
-	for _, t := range avail {
-		if phi > w.phiMax[t-1] {
-			w.phiMax[t-1] = phi
-		}
-		if phi < w.phiMin[t-1] {
-			w.phiMin[t-1] = phi
-		}
-	}
-
-	// Lines 11-12: record the best schedule in the grand set G, which at
-	// this point still includes the selected schedule itself.
-	if ge, ok := w.peekValid(&w.sc.heapG, w.inG, nil); ok {
-		gr := w.marginal(ge.bid)
-		gphi := w.set.price[ge.bid] / float64(gr)
-		for _, t := range w.repAvailable(ge.bid) {
-			if gphi < w.phiPrime[t-1] {
-				w.phiPrime[t-1] = gphi
-			}
-		}
-	}
-
-	w.winners = append(w.winners, Winner{
-		BidIndex: idx,
-		Bid:      w.set.Bid(idx),
-		Slots:    slots,
-		Payment:  payment,
-		AvgCost:  phi,
-		covered:  avail,
-		phi:      phi,
-	})
-
-	// Line 14: G drops only the selected schedule; take drops the whole
-	// client from C and covers the schedule's slots.
-	w.inG[idx] = false
-	w.take(idx, slots)
-}
-
 // take commits bid idx with its representative schedule slots (in any
 // order) to the allocation: C drops every bid of the winning client
-// (line 13 of Algorithm 2) and coverage grows over slots, shrinking m for
-// every bid whose slot range holds an iteration that fills up. It is the
-// allocation half of selectWinner, shared with the held-out pricing run
-// (see pricer.heldOut), which needs nothing of a selection beyond it.
+// (line 13 of Algorithm 2), and coverage grows over slots. A slot filling
+// up bumps the filled-prefix suffix, which is what every class m reads.
+// It is the commit step of every selection, shared by selectWinnerClass
+// and the held-out pricing run (see pricer.heldOut), which needs nothing
+// of a selection beyond it.
 func (w *wdpState) take(idx int, slots []int) {
 	for _, sib := range w.set.siblings(idx) {
-		w.inC[sib] = false
+		w.sc.stamp[sib] = 0 // never a live stamp (see nextGen)
 	}
 	for _, t := range slots {
 		if w.gamma[t-1] < w.cfg.K {
@@ -540,33 +326,11 @@ func (w *wdpState) take(idx int, slots []int) {
 		}
 		w.gamma[t-1]++
 		if w.gamma[t-1] == w.cfg.K {
-			for _, other := range w.slotBids[t-1] {
-				w.m[other]--
+			for j := t; j <= w.tg; j++ {
+				w.filledPrefix[j]++
 			}
 		}
 	}
-}
-
-// criticalPayment implements A_payment (Algorithm 3): the winner is paid
-// its marginal utility times the second-smallest average cost among the
-// remaining candidates. With Config.ExcludeOwnBids, the winner's own other
-// bids cannot be the critical schedule. When no competitor remains the
-// winner is paid its own bid.
-func (w *wdpState) criticalPayment(idx, r int) float64 {
-	cli := w.set.client[idx]
-	skip := func(other int) bool {
-		if other == idx {
-			return true
-		}
-		return w.cfg.ExcludeOwnBids && w.set.client[other] == cli
-	}
-	// The winner's entry has already been popped from heapC, but its
-	// sibling bids (same client) may remain and are skipped per the rule.
-	if ce, ok := w.peekValid(&w.sc.heapC, w.inC, skip); ok {
-		critAvg := w.set.price[ce.bid] / float64(w.marginal(ce.bid))
-		return float64(r) * critAvg
-	}
-	return w.set.price[idx]
 }
 
 // finalizeDual computes lines 16-23 of Algorithm 2: ω, g(t), λ_il and the
@@ -623,11 +387,12 @@ func (w *wdpState) finalizeDual(k int) Dual {
 // binding case per bid is the c_ij largest η_φ values in its window — and
 // returns the resulting dual objective s·K·Σ_t η_φ(t).
 //
-// On the class path the constraint is memoized per class: the window
-// sum is shared by every member of a shape class, and the minimizing
-// member is the one with minimum price — the first qualified member in
-// the class's (price, bid) order, clsInit. Float min is exact and
-// order-independent, so the class-wise minimum equals the per-bid minimum
+// The constraint is memoized per class: the window sum is shared by every
+// member of a shape class, and the minimizing member is the one with
+// minimum price — the first qualified member in the class's (price, bid)
+// order, clsInit, since the solve's class heads are folded over exactly
+// its qualified set. Float min is exact and order-independent, so the
+// class-wise minimum equals the minimum over the qualified bids
 // bit-for-bit.
 func (w *wdpState) tightDualObjective(k int) float64 {
 	var sumEta float64
@@ -639,15 +404,10 @@ func (w *wdpState) tightDualObjective(k int) float64 {
 	}
 	w.orderEta()
 	scale := math.Inf(1)
-	if cls := w.cls; cls != nil {
-		for _, c := range w.sc.clsTouched {
-			minPrice := w.set.price[cls.members[cls.memberStart[c]+w.sc.clsInit[c]]]
-			scale = w.tightScale(scale, cls.lo[c], cls.hi[c], cls.r[c], minPrice)
-		}
-	} else {
-		for _, idx := range w.qualified {
-			scale = w.tightScale(scale, w.set.start[idx], w.set.end[idx], w.set.rounds[idx], w.set.price[idx])
-		}
+	cls := w.cls
+	for _, c := range w.sc.clsTouched {
+		minPrice := w.set.price[cls.members[cls.memberStart[c]+w.sc.clsInit[c]]]
+		scale = w.tightScale(scale, cls.lo[c], cls.hi[c], cls.r[c], minPrice)
 	}
 	if math.IsInf(scale, 1) {
 		return 0
@@ -721,84 +481,20 @@ func (w *wdpState) tightScale(scale float64, lo, hi, r int, price float64) float
 	return scale
 }
 
-// heapEntry is one lazily keyed candidate in the greedy selection heaps.
+// heapEntry is one candidate of the greedy's selection order: a bid and
+// its average cost ρ / R.
 type heapEntry struct {
-	key   float64 // average cost ρ / R at push time
-	bid   int     // index into the auction's bid slice
-	mSnap int     // m value at push time; staleness marker
+	key float64 // average cost ρ / R
+	bid int     // index into the auction's bid slice
 }
 
 // before reports whether e sorts before o in the greedy's selection
-// order: lower average cost first, ties to the lower bid index.
+// order: lower average cost first, ties to the lower bid index. It is the
+// one selection order, shared by the class heap and the replayed pricing
+// probes (see pricer.wins).
 func (e heapEntry) before(o heapEntry) bool {
 	if e.key != o.key {
 		return e.key < o.key
 	}
 	return e.bid < o.bid
-}
-
-// entryHeap is a min-heap of heapEntry ordered by (key, bid).
-type entryHeap []heapEntry
-
-func (h entryHeap) Len() int           { return len(h) }
-func (h entryHeap) Less(a, b int) bool { return h[a].before(h[b]) }
-func (h entryHeap) Swap(a, b int)      { h[a], h[b] = h[b], h[a] }
-
-// The typed heap operations below replicate container/heap verbatim on
-// the concrete element type. heap.Push/heap.Pop box every heapEntry in an
-// interface — one allocation per call, the dominant allocator of the whole
-// sweep — and the lazy re-keying in popValid makes pops and re-pushes the
-// hot path. The element movement is identical to container/heap's, so the
-// heap layout, and with it every pop order, is bit-for-bit unchanged.
-
-func (h *entryHeap) init() {
-	n := h.Len()
-	for i := n/2 - 1; i >= 0; i-- {
-		h.down(i, n)
-	}
-}
-
-func (h *entryHeap) push(e heapEntry) {
-	*h = append(*h, e)
-	h.up(h.Len() - 1)
-}
-
-func (h *entryHeap) pop() heapEntry {
-	n := h.Len() - 1
-	h.Swap(0, n)
-	h.down(0, n)
-	old := *h
-	e := old[n]
-	*h = old[:n]
-	return e
-}
-
-func (h *entryHeap) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !h.Less(j, i) {
-			break
-		}
-		h.Swap(i, j)
-		j = i
-	}
-}
-
-func (h *entryHeap) down(i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h.Less(j2, j1) {
-			j = j2 // = 2*i + 2  // right child
-		}
-		if !h.Less(j, i) {
-			break
-		}
-		h.Swap(i, j)
-		i = j
-	}
 }

@@ -156,9 +156,12 @@ func Fig7(opts Options) Figure {
 	}
 	cfg := p.Config()
 	t0 := core.MinTg(bids)
+	// Compile once: every T̂_g solves the same population, and a row
+	// SolveWDP would rebuild the columns and the class index per call.
+	set := core.CompileBids(bids)
 	algos := map[string]func(qual []int, tg int) (float64, bool){
 		"A_FL": func(qual []int, tg int) (float64, bool) {
-			res := core.SolveWDP(bids, qual, tg, cfg)
+			res := core.SolveWDPSet(set, qual, tg, cfg)
 			return res.Cost, res.Feasible
 		},
 	}

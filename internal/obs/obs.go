@@ -9,7 +9,7 @@
 // holds an Observer that is nil by default; every hook point is guarded
 // by a nil check, so the un-instrumented hot path costs one predictable
 // branch and zero allocations (locked in by the facade's alloc-guard
-// test against BENCH_core.json).
+// test against its recorded baseline).
 //
 // Two Observer implementations ship with the package:
 //

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"reflect"
 	"runtime"
@@ -350,10 +349,9 @@ auction_done tg=2 value=7 ok=true dur=11ms
 }
 
 // TestPricingAllocGuard locks the allocation budget of the lazy
-// exact-critical pricing path against the BENCH_core.json payments_lazy
-// baseline. It mirrors the benchcore payments configuration so the
-// counts are comparable, and skips when the baseline has not been
-// recorded yet (run `make bench-json`).
+// exact-critical pricing path against the payments_lazy baseline (see
+// allocBaseline). It mirrors the benchcore payments configuration so the
+// counts are comparable.
 func TestPricingAllocGuard(t *testing.T) {
 	p := afl.DefaultWorkloadParams()
 	p.Clients = 200
@@ -376,34 +374,13 @@ func TestPricingAllocGuard(t *testing.T) {
 			t.Error(err)
 		}
 	})
-
-	data, err := os.ReadFile("BENCH_core.json")
-	if err != nil {
-		t.Skipf("no BENCH_core.json baseline: %v", err)
+	// Same slack policy as the engine_reuse guard: pool hit rates jitter,
+	// but a regression that re-allocates probe slices per bisection step
+	// would blow well past a quarter of headroom.
+	base := allocBaseline(t, "payments_lazy", p.Clients)
+	if limit := base*1.25 + 64; got > limit {
+		t.Fatalf("lazy pricing run allocates %.0f/op, baseline %.0f (limit %.0f)", got, base, limit)
 	}
-	var rep struct {
-		Results []struct {
-			Path        string `json:"path"`
-			Clients     int    `json:"clients"`
-			AllocsPerOp int64  `json:"allocs_per_op"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("parse BENCH_core.json: %v", err)
-	}
-	for _, r := range rep.Results {
-		if r.Path == "payments_lazy" && r.Clients == p.Clients {
-			// Same slack policy as the engine_reuse guard: pool hit rates
-			// jitter, but a regression that re-allocates probe slices per
-			// bisection step would blow well past a quarter of headroom.
-			limit := float64(r.AllocsPerOp)*1.25 + 64
-			if got > limit {
-				t.Fatalf("lazy pricing run allocates %.0f/op, baseline %d (limit %.0f)", got, r.AllocsPerOp, limit)
-			}
-			return
-		}
-	}
-	t.Skip("no payments_lazy baseline for this population size")
 }
 
 // TestPricingAllocBound bounds exact-critical pricing without a baseline
@@ -449,10 +426,10 @@ func TestPricingAllocBound(t *testing.T) {
 
 // TestNilObserverAllocGuard asserts the zero-cost-when-nil guarantee of
 // the observability redesign: an uninstrumented Engine.RunCtx stays
-// within the BENCH_core.json engine_reuse baseline.
+// within the engine_reuse baseline (see allocBaseline).
 func TestNilObserverAllocGuard(t *testing.T) {
 	// Mirror the benchcore I=100 configuration (T=50, K=10) so the
-	// BENCH_core.json engine_reuse baseline is comparable.
+	// engine_reuse baseline is comparable.
 	bids, cfg := testWorkload(t, 100, 50, 10)
 	eng, err := afl.NewEngine(bids, cfg)
 	if err != nil {
@@ -462,10 +439,10 @@ func TestNilObserverAllocGuard(t *testing.T) {
 	if _, err := eng.RunCtx(ctx, afl.RunOptions{}); err != nil {
 		t.Fatalf("guard workload: %v", err)
 	}
-	limit, haveBaseline, skip := engineReuseLimit(t, len(clientSet(bids)))
-	if !haveBaseline {
-		t.Skip(skip)
-	}
+	// Allocation counts jitter with pool hit rates; a quarter of slack
+	// still catches an instrumented hot path (which would at least double
+	// the count via timing and event boxing).
+	limit := allocBaseline(t, "engine_reuse", len(clientSet(bids)))*1.25 + 64
 	// Allocation counts depend on pool hit rates: a GC mid-measurement
 	// flushes the shape pools and that run pays a full arena rebuild,
 	// tripping the guard spuriously (seen under -race, where everything
@@ -483,17 +460,18 @@ func TestNilObserverAllocGuard(t *testing.T) {
 	}
 }
 
-// engineReuseLimit reads the engine_reuse allocs/op baseline for the
-// given population size from BENCH_core.json and returns the guard
-// limit. Allocation counts jitter with pool hit rates; a quarter of
-// slack still catches an instrumented hot path (which would at least
-// double the count via timing and event boxing). When no baseline is
-// available, ok is false and skip carries the reason.
-func engineReuseLimit(t *testing.T, clients int) (limit float64, ok bool, skip string) {
+// allocBaselinesFile records the allocs/op baselines of the allocation
+// guards, one row per benchcore configuration and population size.
+const allocBaselinesFile = "testdata/alloc_baselines.json"
+
+// allocBaseline returns the recorded allocs/op of the benchcore
+// configuration path at the given population size. A missing file or row
+// fails the test: a guard without its baseline guards nothing.
+func allocBaseline(t *testing.T, path string, clients int) float64 {
 	t.Helper()
-	data, err := os.ReadFile("BENCH_core.json")
+	data, err := os.ReadFile(allocBaselinesFile)
 	if err != nil {
-		return 0, false, fmt.Sprintf("no BENCH_core.json baseline: %v", err)
+		t.Fatalf("read allocation baselines: %v", err)
 	}
 	var rep struct {
 		Results []struct {
@@ -503,14 +481,15 @@ func engineReuseLimit(t *testing.T, clients int) (limit float64, ok bool, skip s
 		} `json:"results"`
 	}
 	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("parse BENCH_core.json: %v", err)
+		t.Fatalf("parse %s: %v", allocBaselinesFile, err)
 	}
 	for _, r := range rep.Results {
-		if r.Path == "engine_reuse" && r.Clients == clients {
-			return float64(r.AllocsPerOp)*1.25 + 64, true, ""
+		if r.Path == path && r.Clients == clients {
+			return float64(r.AllocsPerOp)
 		}
 	}
-	return 0, false, "no engine_reuse baseline for this population size"
+	t.Fatalf("%s has no %s baseline for %d clients", allocBaselinesFile, path, clients)
+	return 0
 }
 
 // minAllocsPerRun returns the lowest testing.AllocsPerRun over reps
