@@ -55,13 +55,15 @@ fuzz:
 	$(GO) test -run=FuzzWorkloadJSON -fuzz=FuzzWorkloadJSON -fuzztime=30s ./internal/workload/
 	$(GO) test -run=FuzzWALRecord -fuzz=FuzzWALRecord -fuzztime=30s ./internal/wal/
 	$(GO) test -run=FuzzWALSegment -fuzz=FuzzWALSegment -fuzztime=30s ./internal/wal/
+	$(GO) test -run=FuzzSubmitBody -fuzz=FuzzSubmitBody -fuzztime=30s ./internal/marketd/
 	$(GO) test -run=FuzzMarketScript -fuzz=FuzzMarketScript -fuzztime=30s ./internal/marketsim/
 
 # Kill/restart harness for the durable market daemon: crash-point matrix,
 # WAL fault injection, rate-limit and admission-control contracts, run
-# under the race detector on one and two cores with a flake screen.
+# under the race detector in shuffled order on one, two and four cores
+# with a flake screen (the CI market-e2e job's step).
 market-e2e:
-	$(GO) test -race -cpu 1,2 -count=3 ./test/e2e/ ./internal/wal/ ./internal/marketd/
+	$(GO) test -race -shuffle=on -cpu 1,2,4 -count=3 ./test/e2e/ ./internal/wal/ ./internal/marketd/
 
 # Adversarial fleet: 1000 seeded strategic sessions against the in-process
 # market; exits non-zero if any population empirically beats truthtelling

@@ -1,11 +1,9 @@
 package marketd
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
-	"github.com/fedauction/afl/internal/batch"
 	"github.com/fedauction/afl/internal/core"
 )
 
@@ -49,10 +47,12 @@ type checkpointRecord struct {
 	Pending    []pendingEntry  `json:"pending,omitempty"`
 }
 
-// encodeCheckpointLocked serializes the market's current folded state.
-// Checkpoints are rare (every CheckpointEvery commits), so this uses
-// plain json.Marshal; the per-record hot path never comes through here.
-// Caller holds m.mu.
+// encodeCheckpointLocked encodes the market's current folded state into
+// m.enc's spare capacity. A snapshot dwarfs every record, so when it
+// outgrows m.enc it gets a buffer of its own, which is not kept: m.enc
+// stays record-sized between checkpoints. The append encoder writes
+// what json.Marshal would, so checkpoints written before it existed
+// restore unchanged. Caller holds m.mu.
 func (m *Market) encodeCheckpointLocked() ([]byte, error) {
 	rec := checkpointRecord{
 		Type:       recCheckpoint,
@@ -90,22 +90,28 @@ func (m *Market) encodeCheckpointLocked() ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("marketd: checkpointing pending seq %d: %w", seq, err)
 		}
-		sv := ""
-		if inst.Solver != core.SolverExact {
-			sv = inst.Solver.String()
-		}
 		rec.Pending = append(rec.Pending, pendingEntry{
-			Seq: seq, Bids: inst.Bids, Cfg: &cw, Solver: sv,
+			Seq: seq, Bids: inst.Bids, Cfg: &cw, Solver: solverWireName(inst.Solver),
 		})
 	}
-	return json.Marshal(rec)
+	return appendCheckpoint(m.enc[:0], &rec)
 }
 
-// restoreCheckpoint loads a decoded checkpoint snapshot into the
-// market's state and returns the pending instances it carried. Runs
-// during recovery, before the consumer starts.
-func (m *Market) restoreCheckpoint(rec checkpointRecord) (map[int]batch.Instance, error) {
-	m.next = rec.Seq
+// restoreCheckpoint loads a checkpoint snapshot into the market's state.
+// Runs during recovery, before the consumer starts. The pending entries
+// are not decoded here: keep receives each one's seq and raw bytes
+// (aliasing payload), because most of them commit later in the tail and
+// recovery decodes only the survivors, once the scan is over.
+func (m *Market) restoreCheckpoint(payload []byte, keep func(seq int, raw []byte)) error {
+	next := 0
+	rec, err := decodeCheckpoint(payload, func(seq int, raw []byte) {
+		keep(seq, raw)
+		next = max(next, seq+1)
+	})
+	if err != nil {
+		return err
+	}
+	m.next = max(rec.Seq, next)
 	m.base = rec.Base
 	m.foldedNext = rec.FoldedNext
 	m.lastCkptSeq = rec.Seq
@@ -115,31 +121,5 @@ func (m *Market) restoreCheckpoint(rec checkpointRecord) (map[int]batch.Instance
 	for _, oc := range rec.Outcomes {
 		m.outcomes[oc.Seq] = oc
 	}
-	pendingInst := make(map[int]batch.Instance, len(rec.Pending))
-	for _, p := range rec.Pending {
-		var cfg core.Config
-		if p.Cfg != nil {
-			cfg = p.Cfg.ToConfig()
-		}
-		solver, err := core.ParseSolver(p.Solver)
-		if err != nil {
-			return nil, fmt.Errorf("marketd: checkpoint pending seq %d: %w", p.Seq, err)
-		}
-		pendingInst[p.Seq] = batch.Instance{Bids: p.Bids, Cfg: cfg, Solver: solver}
-		if p.Seq >= m.next {
-			m.next = p.Seq + 1
-		}
-	}
-	return pendingInst, nil
-}
-
-func decodeCheckpoint(payload []byte) (checkpointRecord, error) {
-	var rec checkpointRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, fmt.Errorf("marketd: undecodable checkpoint record: %w", err)
-	}
-	if rec.Type != recCheckpoint {
-		return rec, fmt.Errorf("marketd: checkpoint record with type %q", rec.Type)
-	}
-	return rec, nil
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -389,5 +390,81 @@ func TestSubmitBatchMatchesLoop(t *testing.T) {
 	m.Close()
 	if !bytes.Equal(snap, golden) {
 		t.Fatalf("batched submission diverged from golden:\n got %s\nwant %s", snap, golden)
+	}
+}
+
+// TestCheckpointPendingEntriesCommitOrSurvive: recovery keeps a
+// checkpoint's pending entries undecoded until the scan is over. Entries
+// whose outcome arrives in the tail are dropped, and only the survivors
+// are decoded and re-solved. One batch of eight is logged before any
+// commit; with one worker the checkpoint after seq 2 holds pending seqs
+// 3–7, seqs 3 and 4 commit in the tail, and the market dies before seq
+// 5's outcome, so 5–7 survive. A tail bid record repeating a pending
+// entry's seq is a duplicate: counted as a fault, never re-solved twice.
+func TestCheckpointPendingEntriesCommitOrSurvive(t *testing.T) {
+	insts := marketInstances(t, 8)
+	golden := goldenSnapshot(t, insts)
+	for _, dup := range []bool{false, true} {
+		t.Run(fmt.Sprintf("duplicate=%v", dup), func(t *testing.T) {
+			dir := t.TempDir()
+			m, err := Open(context.Background(), Config{
+				Dir: dir, Workers: 1, CheckpointEvery: 3,
+				Crash: func(p string, seq int) bool { return p == CrashOutcomeSolved && seq == 5 },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqs, _ := m.SubmitBatch(context.Background(), "c", insts)
+			if !allLogged(seqs, len(insts)) {
+				t.Fatalf("SubmitBatch seqs = %v, want all eight logged", seqs)
+			}
+			<-m.Dead()
+			m.Close()
+			wantTail, wantFaults := 2, 0 // the outcomes of seqs 3 and 4
+			if dup {
+				bid, err := encodeBidRecord(6, "c", insts[6])
+				if err != nil {
+					t.Fatal(err)
+				}
+				appendRecords(t, dir, bid)
+				wantTail, wantFaults = 3, 1
+			}
+
+			var (
+				mu        sync.Mutex
+				recovered []obs.Event
+			)
+			observer := obs.ObserverFunc(func(e obs.Event) {
+				if e.Kind == obs.EvMarketRecovered {
+					mu.Lock()
+					recovered = append(recovered, e)
+					mu.Unlock()
+				}
+			})
+			m2, err := Open(context.Background(), Config{Dir: dir, Workers: 1, CheckpointEvery: 3, Observer: observer})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m2.Close()
+			for seq := range insts {
+				if _, err := m2.Wait(context.Background(), seq); err != nil {
+					t.Fatalf("Wait(%d) after recovery: %v", seq, err)
+				}
+			}
+			if snap := m2.Snapshot(); !bytes.Equal(snap, golden) {
+				t.Fatalf("recovery diverged from golden:\n got %s\nwant %s", snap, golden)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(recovered) != 1 || recovered[0].Round != 3 {
+				t.Fatalf("market_recovered events %+v, want one with Round 3 (seqs 5-7 re-queued)", recovered)
+			}
+			if tail := m2.WALInfo().TailReplayed; tail != wantTail {
+				t.Fatalf("TailReplayed = %d, want %d", tail, wantTail)
+			}
+			if faults := m2.RecoveredFaults(); faults != wantFaults {
+				t.Fatalf("RecoveredFaults() = %d, want %d", faults, wantFaults)
+			}
+		})
 	}
 }

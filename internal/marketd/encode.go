@@ -10,14 +10,16 @@ import (
 	"github.com/fedauction/afl/internal/core"
 )
 
-// Append-style WAL record encoders. These produce byte-for-byte the
-// same JSON as encoding/json on the walRecord envelope (locked in by
-// TestEncodeDifferential), but append into a caller-owned buffer, so a
-// committed auction costs a small constant number of allocations
-// instead of one tree of them per record. The commit path reuses one
-// scratch buffer per market under m.mu. Field order, omitempty
-// semantics and float formatting all mirror encoding/json so that logs
-// written by either implementation replay identically.
+// Append-style encoders for the WAL records, the checkpoint and the hot
+// HTTP responses. They produce byte-for-byte the same JSON as
+// json.Marshal on the same structs (locked in by TestEncodeDifferential),
+// but append into a caller-owned buffer, so a committed auction costs a
+// small constant number of allocations instead of one tree of them per
+// record. The commit and checkpoint paths reuse one scratch buffer per
+// market under m.mu. Field order, omitempty semantics and float
+// formatting all mirror encoding/json, so logs written by either
+// implementation replay identically. decode.go holds the inverse: one
+// reflection-free reader for everything these write.
 
 const hexDigits = "0123456789abcdef"
 
@@ -260,6 +262,45 @@ func appendOutcomeBody(dst []byte, rec *OutcomeRecord) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
+// appendSubmission appends the members a bid record and a checkpoint's
+// pending entry share, in their field order: "bids" (omitted when
+// empty), "cfg" (omitted when nil) and "solver" (omitted when empty,
+// which means exact).
+func appendSubmission(dst []byte, bids []core.Bid, cfg *ConfigWire, solver string) ([]byte, error) {
+	var err error
+	if len(bids) > 0 {
+		dst = append(dst, `,"bids":[`...)
+		for i := range bids {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			if dst, err = appendBid(dst, bids[i]); err != nil {
+				return dst, err
+			}
+		}
+		dst = append(dst, ']')
+	}
+	if cfg != nil {
+		dst = append(dst, `,"cfg":`...)
+		if dst, err = appendConfigWire(dst, *cfg); err != nil {
+			return dst, err
+		}
+	}
+	if solver != "" {
+		dst = append(dst, `,"solver":`...)
+		dst = appendJSONString(dst, solver)
+	}
+	return dst, nil
+}
+
+// solverWireName is the bid record's solver member: empty for exact.
+func solverWireName(s core.Solver) string {
+	if s == core.SolverExact {
+		return ""
+	}
+	return s.String()
+}
+
 // appendBidRecord appends the wire form of a bid (submission) record.
 func appendBidRecord(dst []byte, seq int, client string, inst batch.Instance) ([]byte, error) {
 	cw, err := FromConfig(inst.Cfg)
@@ -272,25 +313,8 @@ func appendBidRecord(dst []byte, seq int, client string, inst batch.Instance) ([
 		dst = append(dst, `,"client":`...)
 		dst = appendJSONString(dst, client)
 	}
-	if len(inst.Bids) > 0 {
-		dst = append(dst, `,"bids":[`...)
-		for i := range inst.Bids {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			if dst, err = appendBid(dst, inst.Bids[i]); err != nil {
-				return dst, err
-			}
-		}
-		dst = append(dst, ']')
-	}
-	dst = append(dst, `,"cfg":`...)
-	if dst, err = appendConfigWire(dst, cw); err != nil {
+	if dst, err = appendSubmission(dst, inst.Bids, &cw, solverWireName(inst.Solver)); err != nil {
 		return dst, err
-	}
-	if inst.Solver != core.SolverExact {
-		dst = append(dst, `,"solver":`...)
-		dst = appendJSONString(dst, inst.Solver.String())
 	}
 	return append(dst, '}'), nil
 }
@@ -307,149 +331,60 @@ func appendOutcomeRecord(dst []byte, rec *OutcomeRecord) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-// --- envelope peeking -------------------------------------------------
-//
-// Replay does not need to fully decode every record. Bid bodies only
-// matter for submissions still pending at the end of the log, and the
-// pay records of older logs are skipped on their type alone.
-// peekEnvelope scans a payload for just the top-level "type" and "seq"
-// keys, skipping every other value, so the common record costs zero
-// decode allocations.
-
-var errBadEnvelope = fmt.Errorf("marketd: undecodable WAL record envelope")
-
-func skipJSONWS(p []byte, i int) int {
-	for i < len(p) {
-		switch p[i] {
-		case ' ', '\t', '\n', '\r':
-			i++
-		default:
-			return i
+// appendCheckpoint appends the wire form of a checkpoint record; the
+// ledger, outcomes and pending lists are omitted when empty.
+func appendCheckpoint(dst []byte, rec *checkpointRecord) ([]byte, error) {
+	var err error
+	dst = append(dst, `{"type":`...)
+	dst = appendJSONString(dst, rec.Type)
+	dst = append(dst, `,"seq":`...)
+	dst = strconv.AppendInt(dst, int64(rec.Seq), 10)
+	dst = append(dst, `,"base":`...)
+	dst = strconv.AppendInt(dst, int64(rec.Base), 10)
+	dst = append(dst, `,"folded_next":`...)
+	dst = strconv.AppendInt(dst, int64(rec.FoldedNext), 10)
+	if len(rec.Ledger) > 0 {
+		dst = append(dst, `,"ledger":[`...)
+		for i, l := range rec.Ledger {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"client":`...)
+			dst = strconv.AppendInt(dst, int64(l.Client), 10)
+			dst = append(dst, `,"payment":`...)
+			if dst, err = appendJSONFloat(dst, l.Payment); err != nil {
+				return dst, err
+			}
+			dst = append(dst, '}')
 		}
+		dst = append(dst, ']')
 	}
-	return i
-}
-
-// skipJSONString advances past a string literal starting at the opening
-// quote; returns the index after the closing quote, or -1.
-func skipJSONString(p []byte, i int) int {
-	if i >= len(p) || p[i] != '"' {
-		return -1
+	if len(rec.Outcomes) > 0 {
+		dst = append(dst, `,"outcomes":[`...)
+		for i := range rec.Outcomes {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			if dst, err = appendOutcomeBody(dst, &rec.Outcomes[i]); err != nil {
+				return dst, err
+			}
+		}
+		dst = append(dst, ']')
 	}
-	for i++; i < len(p); i++ {
-		switch p[i] {
-		case '\\':
-			i++ // skip the escaped byte; \uXXXX digits are all non-quote
-		case '"':
-			return i + 1
+	if len(rec.Pending) > 0 {
+		dst = append(dst, `,"pending":[`...)
+		for i, p := range rec.Pending {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"seq":`...)
+			dst = strconv.AppendInt(dst, int64(p.Seq), 10)
+			if dst, err = appendSubmission(dst, p.Bids, p.Cfg, p.Solver); err != nil {
+				return dst, err
+			}
+			dst = append(dst, '}')
 		}
+		dst = append(dst, ']')
 	}
-	return -1
-}
-
-// skipJSONValue advances past any JSON value starting at i; returns the
-// index after the value, or -1 on malformed input.
-func skipJSONValue(p []byte, i int) int {
-	i = skipJSONWS(p, i)
-	if i >= len(p) {
-		return -1
-	}
-	switch p[i] {
-	case '"':
-		return skipJSONString(p, i)
-	case '{', '[':
-		depth := 0
-		for i < len(p) {
-			switch p[i] {
-			case '{', '[':
-				depth++
-				i++
-			case '}', ']':
-				depth--
-				i++
-				if depth == 0 {
-					return i
-				}
-			case '"':
-				if i = skipJSONString(p, i); i < 0 {
-					return -1
-				}
-			default:
-				i++
-			}
-		}
-		return -1
-	default: // number, true, false, null
-		for i < len(p) {
-			switch p[i] {
-			case ',', '}', ']', ' ', '\t', '\n', '\r':
-				return i
-			}
-			i++
-		}
-		return i
-	}
-}
-
-// peekEnvelope extracts the top-level type and seq of a WAL payload
-// without decoding record bodies. Both keys must be present (they are,
-// in every record either encoder has ever written).
-func peekEnvelope(p []byte) (typ string, seq int, err error) {
-	i := skipJSONWS(p, 0)
-	if i >= len(p) || p[i] != '{' {
-		return "", 0, errBadEnvelope
-	}
-	i = skipJSONWS(p, i+1)
-	haveType, haveSeq := false, false
-	for i < len(p) && p[i] != '}' {
-		keyStart := i
-		if i = skipJSONString(p, i); i < 0 {
-			return "", 0, errBadEnvelope
-		}
-		key := p[keyStart+1 : i-1]
-		i = skipJSONWS(p, i)
-		if i >= len(p) || p[i] != ':' {
-			return "", 0, errBadEnvelope
-		}
-		i = skipJSONWS(p, i+1)
-		switch string(key) {
-		case "type":
-			vs := i
-			if i = skipJSONString(p, i); i < 0 {
-				return "", 0, errBadEnvelope
-			}
-			typ = string(p[vs+1 : i-1])
-			haveType = true
-		case "seq":
-			neg := false
-			if i < len(p) && p[i] == '-' {
-				neg = true
-				i++
-			}
-			start := i
-			for i < len(p) && p[i] >= '0' && p[i] <= '9' {
-				seq = seq*10 + int(p[i]-'0')
-				i++
-			}
-			if i == start {
-				return "", 0, errBadEnvelope
-			}
-			if neg {
-				seq = -seq
-			}
-			haveSeq = true
-		default:
-			if i = skipJSONValue(p, i); i < 0 {
-				return "", 0, errBadEnvelope
-			}
-		}
-		if haveType && haveSeq {
-			return typ, seq, nil
-		}
-		i = skipJSONWS(p, i)
-		if i < len(p) && p[i] == ',' {
-			i = skipJSONWS(p, i+1)
-		}
-	}
-	return "", 0, errBadEnvelope
+	return append(dst, '}'), nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/fedauction/afl/internal/batch"
@@ -48,6 +50,46 @@ func encodeOutcomeRecord(rec OutcomeRecord) ([]byte, error) {
 	return json.Marshal(walRecord{Type: recOutcome, Seq: rec.Seq, Outcome: &rec})
 }
 
+// encodeCheckpoint is the json.Marshal reference of appendCheckpoint.
+func encodeCheckpoint(rec checkpointRecord) ([]byte, error) {
+	return json.Marshal(rec)
+}
+
+// checkDecode requires decode to invert an encoder's output exactly as
+// json.Unmarshal does, and to reject trailing non-whitespace as
+// json.Unmarshal does.
+func checkDecode[T any](t *testing.T, payload []byte, decode func([]byte) (T, error)) {
+	t.Helper()
+	var want T
+	if err := json.Unmarshal(payload, &want); err != nil {
+		t.Fatalf("json.Unmarshal(%s): %v", payload, err)
+	}
+	got, err := decode(payload)
+	if err != nil {
+		t.Fatalf("decode(%s): %v", payload, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decode diverges from json.Unmarshal on %s:\n got %#v\nwant %#v", payload, got, want)
+	}
+	spaced := append(append([]byte(" \n"), payload...), " \t\r\n"...)
+	if _, err := decode(spaced); err != nil {
+		t.Fatalf("decode rejected surrounding whitespace: %v", err)
+	}
+	for _, tail := range []string{"x", "{}", ",", "0"} {
+		trailing := append(append([]byte(nil), payload...), tail...)
+		if json.Unmarshal(trailing, new(T)) == nil {
+			t.Fatalf("json.Unmarshal accepted trailing %q", tail)
+		}
+		if _, err := decode(trailing); err == nil {
+			t.Fatalf("decode accepted trailing %q after %s", tail, payload)
+		}
+	}
+}
+
+func decodeFullCheckpoint(payload []byte) (checkpointRecord, error) {
+	return decodeCheckpoint(payload, nil)
+}
+
 // TestEncodeDifferential locks the append encoders to encoding/json:
 // for a spread of hostile values, every record kind must byte-match
 // json.Marshal on the walRecord envelope the reference encoders build.
@@ -88,6 +130,7 @@ func TestEncodeDifferential(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("bid record %d diverges:\n got %s\nwant %s", i, got, want)
 			}
+			checkDecode(t, got, decodeRecord)
 		}
 	})
 
@@ -116,6 +159,90 @@ func TestEncodeDifferential(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("outcome record %d diverges:\n got %s\nwant %s", rec.Seq, got, want)
+			}
+			checkDecode(t, got, decodeRecord)
+		}
+	})
+
+	t.Run("checkpoint", func(t *testing.T) {
+		cfg := ConfigWire{T: 10, K: 2}
+		hostileCfg := ConfigWire{
+			T: 10, K: 2, TMax: 1e-7, PaymentRule: 1, ReservePrice: 1e21,
+			ScheduleRule: 1, ExcludeOwnBids: true,
+		}
+		var ledger []ledgerEntry
+		for i, f := range hostileFloats {
+			ledger = append(ledger, ledgerEntry{Client: i * 7, Payment: f})
+		}
+		var outcomes []OutcomeRecord
+		for i, s := range hostileStrings {
+			f := hostileFloats[i%len(hostileFloats)]
+			oc := OutcomeRecord{
+				Seq: 40 + i, Err: s, Feasible: i%2 == 0, Tg: i, Cost: f, Total: -f,
+				Solver: hostileStrings[len(hostileStrings)-1-i], CertLowerBound: f / 3, CertRatio: f,
+			}
+			if i%3 != 2 {
+				oc.Winners = []WinnerRecord{
+					{BidIndex: i, Client: i, Index: 1, Price: f, Theta: 0.5, Slots: []int{1, i}, Payment: f * 2},
+					{Slots: nil, Payment: f},
+					{Slots: []int{}, Price: -f},
+				}
+			}
+			outcomes = append(outcomes, oc)
+		}
+		pending := []pendingEntry{
+			{Seq: 60, Bids: []core.Bid{bid(1), bid(2), bid(3)}, Cfg: &cfg},
+			{Seq: 61, Bids: []core.Bid{bid(4)}, Cfg: &hostileCfg, Solver: "coarse-fine"},
+			{Seq: 62, Cfg: &cfg, Solver: "lp-round"},
+			{Seq: 63, Bids: []core.Bid{bid(5), bid(6)}, Cfg: &hostileCfg},
+		}
+		recs := []checkpointRecord{
+			{Type: recCheckpoint},
+			{Type: recCheckpoint, Seq: 64, Base: 40, FoldedNext: 55},
+			{Type: recCheckpoint, Seq: 64, Base: 40, FoldedNext: 55, Ledger: ledger},
+			{Type: recCheckpoint, Seq: 64, Base: 40, FoldedNext: 55, Outcomes: outcomes},
+			{Type: recCheckpoint, Seq: 64, Base: 40, FoldedNext: 55, Pending: pending},
+			{Type: recCheckpoint, Seq: 64, Base: 40, FoldedNext: 55, Ledger: ledger, Outcomes: outcomes, Pending: pending},
+		}
+		for i, rec := range recs {
+			got, err := appendCheckpoint(nil, &rec)
+			if err != nil {
+				t.Fatalf("appendCheckpoint(%d): %v", i, err)
+			}
+			want, err := encodeCheckpoint(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("checkpoint %d diverges:\n got %s\nwant %s", i, got, want)
+			}
+			checkDecode(t, got, decodeFullCheckpoint)
+
+			// Recovery's variant hands each pending entry over undecoded;
+			// decoded later, the raw bytes give back the entry.
+			var raws [][]byte
+			if _, err := decodeCheckpoint(got, func(seq int, raw []byte) {
+				if seq != rec.Pending[len(raws)].Seq {
+					t.Fatalf("pending entry %d reported seq %d, want %d", len(raws), seq, rec.Pending[len(raws)].Seq)
+				}
+				raws = append(raws, raw)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(raws) != len(rec.Pending) {
+				t.Fatalf("checkpoint %d handed over %d pending entries, want %d", i, len(raws), len(rec.Pending))
+			}
+			for j, raw := range raws {
+				inst, err := decodePending(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := rec.Pending[j]
+				solver, _ := core.ParseSolver(p.Solver)
+				want := batch.Instance{Bids: p.Bids, Cfg: p.Cfg.ToConfig(), Solver: solver}
+				if !reflect.DeepEqual(inst, want) {
+					t.Fatalf("pending entry %d decoded to %#v, want %#v", j, inst, want)
+				}
 			}
 		}
 	})
@@ -230,5 +357,112 @@ func TestEncodeAllocGuard(t *testing.T) {
 	}
 	if newAllocs > 2 {
 		t.Fatalf("append encoders allocate %.1f/auction on a reused buffer; want a small constant", newAllocs)
+	}
+}
+
+// TestDecodeFieldTables checks each decoder's key table against the
+// JSON names encoding/json derives from the struct, so a field added to
+// a wire struct cannot be silently skipped by its decoder.
+func TestDecodeFieldTables(t *testing.T) {
+	for _, c := range []struct {
+		v     any
+		names []string
+	}{
+		{core.Bid{}, bidFields},
+		{ConfigWire{}, configFields},
+		{WinnerRecord{}, winnerFields},
+		{OutcomeRecord{}, outcomeFields},
+		{walRecord{}, recordFields},
+		{ledgerEntry{}, ledgerFields},
+		{pendingEntry{}, pendingFields},
+		{checkpointRecord{}, checkpointFields},
+		{SubmitRequest{}, submitFields},
+		{BatchSubmitRequest{}, batchFields},
+		{BatchInstance{}, instanceFields},
+	} {
+		typ := reflect.TypeOf(c.v)
+		var want []string
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if name == "" {
+				name = f.Name
+			}
+			want = append(want, name)
+		}
+		if !reflect.DeepEqual(c.names, want) {
+			t.Errorf("%s decoder keys %q, want %q", typ, c.names, want)
+		}
+	}
+}
+
+// TestDecodeAllocGuard pins the allocations of the two hot decodes: a
+// 100-bid submit body, and a committed outcome record as replay meets
+// it. Each must stay below what encoding/json allocates on the same
+// bytes and within a small bound of its own: the kept strings, one
+// growing slice per array and the outcome's pointer.
+func TestDecodeAllocGuard(t *testing.T) {
+	bids := make([]core.Bid, 100)
+	for i := range bids {
+		bids[i] = core.Bid{
+			Client: i / 2, Index: i % 2, Price: 1 + float64(i)/7, Theta: 0.3 + float64(i%5)/10,
+			Start: 1, End: 10, Rounds: 1 + i%4, CompTime: 0.125, CommTime: 1.0 / 3,
+		}
+	}
+	body, err := json.Marshal(SubmitRequest{Client: "tenant-0042", Bids: bids, Cfg: ConfigWire{T: 10, K: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oc := OutcomeRecord{Seq: 42, Feasible: true, Tg: 8, Cost: 3.25, Total: 9.5, Winners: []WinnerRecord{
+		{BidIndex: 1, Client: 1, Price: 3.25, Theta: 0.4, Slots: []int{1, 2, 3, 4}, Payment: 4.5},
+		{BidIndex: 7, Client: 3, Index: 1, Price: 2.5, Theta: 0.6, Slots: []int{5, 6, 7, 8}, Payment: 5},
+	}}
+	record, err := appendOutcomeRecord(nil, &oc)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bodyNew := testing.AllocsPerRun(100, func() {
+		var req SubmitRequest
+		if err := decodeSubmitRequest(body, &req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	bodyOld := testing.AllocsPerRun(100, func() {
+		var req SubmitRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	recordNew := testing.AllocsPerRun(100, func() {
+		if _, err := decodeRecord(record); err != nil {
+			t.Fatal(err)
+		}
+	})
+	recordOld := testing.AllocsPerRun(100, func() {
+		var rec walRecord
+		if err := json.Unmarshal(record, &rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs: 100-bid body %.0f (encoding/json %.0f), outcome record %.0f (encoding/json %.0f)",
+		bodyNew, bodyOld, recordNew, recordOld)
+	if bodyNew >= bodyOld || recordNew >= recordOld {
+		t.Fatalf("decoding allocates no less than encoding/json on the same bytes")
+	}
+	if raceEnabled {
+		// Race instrumentation adds allocations of its own; CI enforces
+		// the absolute bounds without -race.
+		return
+	}
+	// The body keeps the client string and grows the bid slice by
+	// doubling from 4 to 128 elements: 7 allocations.
+	if bodyNew > 7 {
+		t.Fatalf("decoding a 100-bid body allocates %.0f times; want at most 7", bodyNew)
+	}
+	// The record allocates its outcome, the winner slice and each
+	// winner's slot slice.
+	if recordNew > 4 {
+		t.Fatalf("decoding an outcome record allocates %.0f times; want at most 4", recordNew)
 	}
 }

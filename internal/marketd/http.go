@@ -1,6 +1,7 @@
 package marketd
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -70,12 +71,16 @@ type errorBody struct {
 //	                         bid record is durable, 429 + Retry-After
 //	                         when the client's token bucket is empty,
 //	                         503 + Retry-After when admission control
-//	                         rejects on pending depth, 400 on a bad body
+//	                         rejects on pending depth, 503 when the
+//	                         market is closed or died (a failed WAL
+//	                         commit kills it), 400 on a bad body
 //	POST /v1/auctions:batch  submit several auctions at once; 200
 //	                         {"seqs":[...]} once every bid record is
 //	                         durable — the whole batch rides one group
-//	                         commit, so it costs one fsync. Admission
-//	                         (rate limit, pending depth) is charged per
+//	                         commit, so it costs one fsync — and never
+//	                         for part of a batch; the other statuses as
+//	                         for a single submission. Admission (rate
+//	                         limit, pending depth) is charged per
 //	                         request, not per instance.
 //	GET  /v1/auctions/{seq}  200 with the committed OutcomeRecord,
 //	                         202 {"seq":n} while still pending,
@@ -93,9 +98,12 @@ type errorBody struct {
 // paths set Retry-After in whole seconds (rounded up), so a compliant
 // client that honors it is admitted on its next attempt.
 //
-// Hot responses (submit acks and committed outcomes) are rendered by
-// the append-style encoders in encode.go through a buffer pool instead
-// of per-request json.Marshal; the bytes are identical.
+// The submit bodies are read into pooled buffers and decoded by the
+// reflection-free reader in decode.go, which accepts, rejects and fills
+// exactly what json.Decoder would. Hot responses (single and batch
+// submit acks, committed outcomes) are rendered by the append-style
+// encoders in encode.go through a buffer pool instead of per-request
+// json.Marshal; the bytes are identical.
 func Handler(m *Market) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/auctions", m.handleSubmit)
@@ -141,6 +149,22 @@ func writeSeq(w http.ResponseWriter, status, seq int) {
 	buf = strconv.AppendInt(buf, int64(seq), 10)
 	buf = append(buf, '}', '\n')
 	writeBuf(w, status, buf)
+	*bp = buf[:0]
+	respBufPool.Put(bp)
+}
+
+// writeSeqs renders the batch ack {"seqs":[…]} through the buffer pool.
+func writeSeqs(w http.ResponseWriter, seqs []int) {
+	bp := respBufPool.Get().(*[]byte)
+	buf := append((*bp)[:0], `{"seqs":[`...)
+	for i, seq := range seqs {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, int64(seq), 10)
+	}
+	buf = append(buf, ']', '}', '\n')
+	writeBuf(w, http.StatusOK, buf)
 	*bp = buf[:0]
 	respBufPool.Put(bp)
 }
@@ -210,9 +234,44 @@ func (m *Market) admit(w http.ResponseWriter, r *http.Request, client string) bo
 	return true
 }
 
+// bodyBufPool recycles request-body buffers: the submit handlers read
+// the whole body and decode it where it lies. The decoded request copies
+// everything it keeps, so the buffer goes back as soon as it is decoded.
+var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody caps the buffers bodyBufPool keeps, so one huge request
+// does not pin its buffer for the life of the process.
+const maxPooledBody = 1 << 20
+
+// decodeBody reads the request body into a pooled buffer and decodes it
+// with decode.
+func decodeBody(r *http.Request, decode func(body []byte) error) error {
+	buf := bodyBufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err := buf.ReadFrom(r.Body)
+	if err == nil {
+		err = decode(buf.Bytes())
+	}
+	if buf.Cap() <= maxPooledBody {
+		bodyBufPool.Put(buf)
+	}
+	return err
+}
+
+// submitFailed answers a submission that was not acknowledged: 503 when
+// the market is closed or died (a failing WAL commit kills it), else
+// 400.
+func (m *Market) submitFailed(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	if errors.Is(err, ErrClosed) || m.Killed() {
+		status = http.StatusServiceUnavailable
+	}
+	writeJSON(w, status, errorBody{Error: err.Error()})
+}
+
 func (m *Market) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, func(body []byte) error { return decodeSubmitRequest(body, &req) }); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
@@ -225,27 +284,20 @@ func (m *Market) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	seq, err := m.Submit(r.Context(), req.Client, batch.Instance{Bids: req.Bids, Cfg: req.Cfg.ToConfig()})
-	if err != nil {
-		if errors.Is(err, ErrClosed) {
-			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-			return
-		}
-		if seq >= 0 {
-			// Durably logged but not queued in this lifetime (e.g. the
-			// request context expired under backpressure): still an ack —
-			// the bid is in the WAL and the next Open solves it.
-			writeSeq(w, http.StatusOK, seq)
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+	if err != nil && seq < 0 {
+		m.submitFailed(w, err)
 		return
 	}
+	// A non-nil error with a sequence number means the bid is durably
+	// logged but was not queued in this lifetime (e.g. the request context
+	// expired under backpressure): still an ack, and the next Open solves
+	// it.
 	writeSeq(w, http.StatusOK, seq)
 }
 
 func (m *Market) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchSubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, func(body []byte) error { return decodeBatchSubmitRequest(body, &req) }); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
@@ -266,22 +318,27 @@ func (m *Market) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	seqs, err := m.SubmitBatch(r.Context(), req.Client, insts)
-	if err != nil {
-		if errors.Is(err, ErrClosed) {
-			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-			return
-		}
-		for _, seq := range seqs {
-			if seq < 0 {
-				// Not every bid record reached the log: no partial acks.
-				writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-				return
-			}
-		}
-		// All durably logged; the error was a queueing-lifetime problem
-		// (see handleSubmit). Still an ack.
+	if err != nil && !allLogged(seqs, len(insts)) {
+		// No partial acks: the whole batch is acknowledged or none of it.
+		m.submitFailed(w, err)
+		return
 	}
-	writeJSON(w, http.StatusOK, BatchSubmitResponse{Seqs: seqs})
+	// Every bid record is durably logged; an error was a queueing-lifetime
+	// problem (see handleSubmit), so this is still an ack.
+	writeSeqs(w, seqs)
+}
+
+// allLogged reports whether SubmitBatch durably logged all n submissions.
+func allLogged(seqs []int, n int) bool {
+	if len(seqs) != n {
+		return false
+	}
+	for _, seq := range seqs {
+		if seq < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func (m *Market) handleOutcome(w http.ResponseWriter, r *http.Request) {

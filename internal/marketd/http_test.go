@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -310,6 +311,79 @@ func TestHandlerPooledResponsesMatchJSON(t *testing.T) {
 	}
 	if rr.Body.String() != wantBody.String() {
 		t.Fatalf("outcome body diverges from json.Encoder:\n got %q\nwant %q", rr.Body.String(), wantBody.String())
+	}
+
+	batchBody, err := json.Marshal(BatchSubmitRequest{Client: "alice", Instances: []BatchInstance{
+		{Bids: insts[0].Bids, Cfg: ConfigWire{T: insts[0].Cfg.T, K: insts[0].Cfg.K}},
+		{Bids: insts[0].Bids, Cfg: ConfigWire{T: insts[0].Cfg.T, K: insts[0].Cfg.K}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batchAck BatchSubmitResponse
+	rr = doJSON(t, h, "POST", "/v1/auctions:batch", bytes.NewReader(batchBody), &batchAck)
+	if rr.Code != http.StatusOK || len(batchAck.Seqs) != 2 {
+		t.Fatalf("batch submit = %d %q, want 200 with two seqs", rr.Code, rr.Body.String())
+	}
+	wantBody.Reset()
+	if err := json.NewEncoder(&wantBody).Encode(BatchSubmitResponse{Seqs: batchAck.Seqs}); err != nil {
+		t.Fatal(err)
+	}
+	if rr.Body.String() != wantBody.String() {
+		t.Fatalf("batch ack body diverges from json.Encoder:\n got %q\nwant %q", rr.Body.String(), wantBody.String())
+	}
+}
+
+// TestHandlerFailedCommitIs503: a submission whose WAL commit fails was
+// never acknowledged, and the failure kills the market. Both submit
+// routes must answer 503 for it, never an ack and never a 400. The
+// commit is failed while it waits out the group-commit window: the
+// bid record is appended, then the log is aborted under it.
+func TestHandlerFailedCommitIs503(t *testing.T) {
+	inst := marketInstances(t, 1)[0]
+	cw, err := FromConfig(inst.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		route string
+		req   any
+	}{
+		{"/v1/auctions", SubmitRequest{Client: "alice", Bids: inst.Bids, Cfg: cw}},
+		{"/v1/auctions:batch", BatchSubmitRequest{Client: "alice", Instances: []BatchInstance{{Bids: inst.Bids, Cfg: cw}}}},
+	} {
+		route, req := c.route, c.req
+		t.Run(strings.TrimPrefix(route, "/v1/"), func(t *testing.T) {
+			m := openMarket(t, Config{
+				Dir: t.TempDir(), Workers: 1, GroupCommit: true, SyncInterval: 200 * time.Millisecond,
+			})
+			h := Handler(m)
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan *httptest.ResponseRecorder, 1)
+			go func() {
+				rr := httptest.NewRecorder()
+				h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body)))
+				done <- rr
+			}()
+			deadline := time.Now().Add(10 * time.Second)
+			for m.log.Stats().Records == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("bid record never appended")
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			m.log.Abort()
+			rr := <-done
+			if rr.Code != http.StatusServiceUnavailable {
+				t.Fatalf("failed commit answered %d %q, want 503", rr.Code, rr.Body.String())
+			}
+			if !m.Killed() {
+				t.Fatal("failed commit left the market alive")
+			}
+		})
 	}
 }
 

@@ -44,10 +44,15 @@
 //     one per outcome, so an auction costs two fsyncs; with group commit
 //     a dedicated syncer coalesces concurrent Commits into one fsync, so
 //     full durability no longer serializes producers on disk latency;
-//   - append-style record encoding (encode.go): the per-record
-//     json.Marshal trees on the append and replay paths are replaced by
-//     pooled byte-identical encoders, dropping allocations per
-//     committed auction to a small constant.
+//   - one reflection-free codec (encode.go, decode.go): append encoders
+//     write every record, the checkpoint and the hot responses
+//     byte-identical to json.Marshal into reused buffers, and one
+//     scanner with typed decoders reads them back, and the submit
+//     bodies, exactly as encoding/json would. Recovery keeps each
+//     submission's bytes undecoded until the log is scanned and decodes
+//     only the ones still pending, so a restart decodes the checkpoint's
+//     ledger and outcomes, the tail's outcome records and the survivors'
+//     bids, and nothing else.
 package marketd
 
 import (
@@ -304,14 +309,26 @@ func Open(ctx context.Context, cfg Config) (*Market, error) {
 // keyed by sequence number. When the directory has a valid checkpoint,
 // the wal layer starts replay there: the first record is the snapshot,
 // every later record the tail. Replay peeks each record's envelope and
-// fully decodes only what it must — outcome bodies (installed), the
-// checkpoint (restored), and the bid bodies of submissions that are
-// still pending when the log ends; superseded bids never pay for a
-// decode, and the pay records older logs carry are skipped unread.
-// Runs before the consumer starts, so no locking is needed.
+// fully decodes only what it must: outcome bodies (installed) and the
+// checkpoint's ledger and outcomes (restored). A submission — a tail
+// bid record or a pending entry of the checkpoint — is kept as raw
+// bytes until the scan is over and then decoded only if no outcome
+// arrived for it, so superseded bids never pay for a decode, and the
+// pay records older logs carry are skipped unread. Runs before the
+// consumer starts, so no locking is needed.
 func (m *Market) recover() (map[int]batch.Instance, error) {
-	pendingInst := make(map[int]batch.Instance)
-	pendingRaw := make(map[int][]byte) // seq -> retained bid payload
+	// The WAL hands replay each payload in a reused frame buffer, so a
+	// kept submission is copied out, into the buffer of one whose outcome
+	// has already arrived when there is one.
+	raw := make(map[int][]byte) // seq -> bytes of a submission with no outcome yet
+	var spare [][]byte
+	keep := func(seq int, b []byte) {
+		var buf []byte
+		if n := len(spare); n > 0 {
+			buf, spare = spare[n-1], spare[:n-1]
+		}
+		raw[seq] = append(buf[:0], b...)
+	}
 	first := true
 	replay := func(payload []byte) error {
 		typ, seq, err := peekEnvelope(payload)
@@ -325,18 +342,7 @@ func (m *Market) recover() (map[int]batch.Instance, error) {
 			if !wasFirst {
 				return fmt.Errorf("marketd: checkpoint record mid-log at seq %d", seq)
 			}
-			ckpt, err := decodeCheckpoint(payload)
-			if err != nil {
-				return err
-			}
-			restored, err := m.restoreCheckpoint(ckpt)
-			if err != nil {
-				return err
-			}
-			for s, inst := range restored {
-				pendingInst[s] = inst
-			}
-			return nil
+			return m.restoreCheckpoint(payload, keep)
 		case recBid:
 			if seq < m.base {
 				m.fault("dup_record", float64(seq))
@@ -346,15 +352,11 @@ func (m *Market) recover() (map[int]batch.Instance, error) {
 				m.fault("dup_record", float64(seq))
 				return nil
 			}
-			if _, dup := pendingInst[seq]; dup {
+			if _, dup := raw[seq]; dup {
 				m.fault("dup_record", float64(seq))
 				return nil
 			}
-			if _, dup := pendingRaw[seq]; dup {
-				m.fault("dup_record", float64(seq))
-				return nil
-			}
-			pendingRaw[seq] = append([]byte(nil), payload...)
+			keep(seq, payload)
 			if seq >= m.next {
 				m.next = seq + 1
 			}
@@ -380,8 +382,10 @@ func (m *Market) recover() (map[int]batch.Instance, error) {
 				return fmt.Errorf("marketd: outcome record %d without a body", seq)
 			}
 			m.installLocked(*r.Outcome)
-			delete(pendingInst, seq)
-			delete(pendingRaw, seq)
+			if b, ok := raw[seq]; ok {
+				spare = append(spare, b)
+				delete(raw, seq)
+			}
 			if seq >= m.next {
 				m.next = seq + 1
 			}
@@ -402,27 +406,20 @@ func (m *Market) recover() (map[int]batch.Instance, error) {
 		m.fault("torn_tail", float64(stats.DroppedBytes))
 	}
 
-	// Bid records with no commit marker: decode the retained payloads of
-	// the true survivors, lowest sequence first.
-	raws := make([]int, 0, len(pendingRaw))
-	for seq := range pendingRaw {
-		raws = append(raws, seq)
+	// The survivors: decode each once, now that no outcome can arrive,
+	// lowest sequence first.
+	seqs := make([]int, 0, len(raw))
+	for seq := range raw {
+		seqs = append(seqs, seq)
 	}
-	sort.Ints(raws)
-	for _, seq := range raws {
-		r, err := decodeRecord(pendingRaw[seq])
+	sort.Ints(seqs)
+	pendingInst := make(map[int]batch.Instance, len(raw))
+	for _, seq := range seqs {
+		inst, err := decodePending(raw[seq])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("marketd: pending seq %d: %w", seq, err)
 		}
-		var cfg core.Config
-		if r.Cfg != nil {
-			cfg = r.Cfg.ToConfig()
-		}
-		solver, err := core.ParseSolver(r.Solver)
-		if err != nil {
-			return nil, fmt.Errorf("marketd: bid record %d: %w", seq, err)
-		}
-		pendingInst[seq] = batch.Instance{Bids: r.Bids, Cfg: cfg, Solver: solver}
+		pendingInst[seq] = inst
 	}
 
 	// The pending set must live in m.pending too: a checkpoint written

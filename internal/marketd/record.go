@@ -1,7 +1,6 @@
 package marketd
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -161,19 +160,4 @@ type walRecord struct {
 
 	// recOutcome field.
 	Outcome *OutcomeRecord `json:"outcome,omitempty"`
-}
-
-// decodeRecord fully decodes a bid or outcome record; replay calls it
-// only after peekEnvelope has classified the payload.
-func decodeRecord(payload []byte) (walRecord, error) {
-	var r walRecord
-	if err := json.Unmarshal(payload, &r); err != nil {
-		return r, fmt.Errorf("marketd: undecodable WAL record: %w", err)
-	}
-	switch r.Type {
-	case recBid, recOutcome:
-		return r, nil
-	default:
-		return r, fmt.Errorf("marketd: unknown WAL record type %q", r.Type)
-	}
 }
