@@ -10,10 +10,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/fedauction/afl/internal/core"
+	"github.com/fedauction/afl/internal/workload"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden digests in testdata")
@@ -221,4 +223,54 @@ func TestWDPEntryPointsGolden(t *testing.T) {
 		}
 	}
 	checkGoldenDigest(t, goldenEntryPointsFile, h, fmt.Sprintf("single-WDP entry-point outputs (%d pinned)", outputs))
+}
+
+// goldenResults10kFile holds the SHA-256 of the full Results of
+// TestFullResultGolden10k.
+var goldenResults10kFile = filepath.Join("testdata", "full_results_10k.sha256")
+
+// TestFullResultGolden10k pins the complete Result (%#v: every WDP, its
+// winners, schedules, payments and dual, unexported fields included) of
+// three 10⁴-bid populations of the perfbench solve-10k shape — 2000
+// clients × 5 bids, T = 50, K = 20, seeded by perfbench's formula — bit
+// for bit. Unlike TestDifferentialColumnar10kVsSeed the bids are
+// multi-minded, so winners leave unselected siblings in the grand set and
+// ExcludeOwnBids prunes the pricing instances. Each population runs under
+// RuleCritical and RuleExactCritical, at one worker and at two.
+//
+// Regenerate with -update-golden only for a change that is meant to
+// move these outputs, and say so in the change description.
+func TestFullResultGolden10k(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10⁴-bid golden digest skipped under -short")
+	}
+	h := sha256.New()
+	for j := int64(0); j < 3; j++ {
+		p := workload.NewDefaultParams()
+		p.Clients, p.BidsPerUser = 2000, 5
+		p.Seed = 1*1_000_003 + j
+		bids, err := workload.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := core.CompileBids(bids)
+		for _, rule := range []core.PaymentRule{core.RuleCritical, core.RuleExactCritical} {
+			cfg := p.Config()
+			cfg.PaymentRule = rule
+			cfg.ExcludeOwnBids = true
+			eng, err := core.NewEngineSet(set, cfg)
+			if err != nil {
+				t.Fatalf("pop %d/%s: NewEngineSet: %v", j, rule, err)
+			}
+			res := sweepEngine(t, eng, core.RunOptions{})
+			if !res.Feasible {
+				t.Fatalf("pop %d/%s: infeasible; the fixture needs winners", j, rule)
+			}
+			if w2 := sweepEngine(t, eng, core.RunOptions{Workers: 2}); !reflect.DeepEqual(res, w2) {
+				t.Fatalf("pop %d/%s: two workers diverged from one", j, rule)
+			}
+			fmt.Fprintf(h, "pop%d/%s %#v\n", j, rule, res)
+		}
+	}
+	checkGoldenDigest(t, goldenResults10kFile, h, "full 10⁴-bid Results")
 }
