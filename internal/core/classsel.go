@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"sync"
 )
@@ -12,11 +13,11 @@ import (
 // ranges coincide, so their marginal utilities are equal at every point
 // of the run, and the average-cost order within the shape class is
 // exactly the (price, bid) order — fixed at compile time. The candidate
-// heap therefore needs only one entry per CLASS (its head: the cheapest
+// queue therefore needs only one entry per CLASS (its head: the cheapest
 // member still in C), not one per bid. For T = 50 there are at
 // most Σ_{W=1..50} (51−W)·W = 22 100 shapes, so a million-bid candidate
-// set collapses to a few-thousand-entry heap, and the staleness churn of
-// a slot filling up (it lowers the marginal of every bid whose window
+// set collapses to a few thousand entries, and the staleness churn of a
+// slot filling up (it lowers the marginal of every bid whose window
 // contains the slot) costs one lazy re-key per affected class instead of
 // one per affected bid.
 //
@@ -24,15 +25,37 @@ import (
 // key = price/marginal. Within a class, marginal is uniform, so the
 // class head (first member in (price, bid) order that is still in C)
 // attains the class's minimum (key, bid); the global minimum is the
-// minimum over class heads, which is what the class heap pops. Stored
-// entries only ever underestimate — keys grow as slots fill, and head
-// replacement moves to a member with larger (price, bid) — so lazy
-// re-keying on pop returns the exact minimum every time. The grand set G
-// needs no heap of its own: its best at a pick is the minimum of the
-// winner and the spare siblings of earlier winners (see
-// selectWinnerClass). The differential suite holds selection order,
-// payments and duals bit-identical to the frozen per-bid oracle in
-// internal/seedwdp.
+// minimum over class heads. Stored entries only ever underestimate —
+// keys grow as slots fill, and head replacement moves to a member with
+// larger (price, bid) — so the smallest stored entry, once its head and
+// key are confirmed current, is the exact minimum. (key, bid) is the
+// whole selection order, so a confirmed entry needs no other staleness
+// marker.
+//
+// The queue has two fronts (see validTop): the run's initial entries,
+// one per touched class keyed at its first qualified member and sorted
+// by (key, bid) (clsOrder), read from the front; and a heap holding only
+// the entries re-keyed or re-queued during the run. Its minimum is
+// validated where it sits: a class whose marginal is 0 is dropped before
+// its member row is read, a stale head or key is re-keyed (into the heap
+// from the list front, sifted down in place at the heap top), and a
+// confirmed entry is the minimum. A class read off the list unchanged
+// costs no heap operation at all.
+//
+// The initial order is owned like the class heads: a sweep segment
+// carries it across its ascending T̂_g, keying only the classes whose
+// head an entrant set or lowered, sorting just those and merging them
+// into the rest of the previous order; a pricing pass builds it once for
+// all of its held-out runs, which share the fold, T̂_g and base; a
+// one-off solve sorts its own (see orderClasses).
+//
+// The grand set G of Algorithm 2 lines 11-12 is C ∪ S, where S holds the
+// unselected qualified siblings of earlier winners, and the winner just
+// picked is C's (key, bid)-minimum, so G's best is the minimum of the
+// winner and S. S is a lazy (key, bid) heap under the same re-key and
+// drop rule (see bestSpare). The differential suite holds selection
+// order, payments and duals bit-identical to the frozen per-bid oracle
+// in internal/seedwdp.
 //
 // One greedy serves every caller — the sweep, standalone solves, repair
 // and the held-out runs of exact-critical pricing — through three
@@ -49,12 +72,10 @@ import (
 //     client's membership and its class marginal stay readable.
 //
 // The heads start from each class's first qualified member (clsInit),
-// folded by whoever owns the arena: a sweep segment carries them across
-// its ascending T̂_g, a one-off solve folds its own list, and a pricing
-// pass folds the market's qualified set once for all of its held-out
-// runs. A head that starts before a run's first candidate (a probe
-// instance without the winner's siblings, or the held bid) only
-// underestimates, which the lazy re-key absorbs.
+// folded by whoever owns the arena, like the initial order. A head that
+// starts before a run's first candidate (a probe instance without the
+// winner's siblings, or the held bid) only underestimates, and the
+// validation re-keys it.
 
 // classHolder caches the lazily built classIndex of one compiled
 // population. compile attaches a fresh holder, so engine-pool rebuilds
@@ -149,27 +170,84 @@ func (ci *classIndex) build(s *BidSet) {
 	}
 }
 
-// initClasses builds the candidate heap of one run from the class heads
-// the arena carries (see foldClasses): each touched class's cursor back
-// at its first qualified member, an empty spare list, and one entry per
-// class with a positive marginal. A carried head that is not a candidate
-// of this run keys an underestimate, which popValidClass re-keys.
+// initClasses starts the candidate queue of one run: the carried initial
+// order brought up to date (orderClasses) and read from its front, an
+// empty heap, each touched class's cursor back at its first qualified
+// member, and an empty spare heap. A carried head that is not a candidate
+// of this run keys an underestimate, which validTop re-keys.
 func (w *wdpState) initClasses() {
 	sc := w.sc
-	cls := w.cls
-	sc.spare = sc.spare[:0]
-	sc.clsHeap = sc.clsHeap[:0]
+	w.orderClasses()
 	for _, c := range sc.clsTouched {
-		pos := sc.clsInit[c]
-		w.cur[c] = pos
-		head := cls.members[cls.memberStart[c]+pos]
-		e, alive := w.classEntryAt(c, head)
-		if !alive {
-			continue
-		}
-		sc.clsHeap = append(sc.clsHeap, e)
+		w.cur[c] = sc.clsInit[c]
 	}
-	sc.clsHeap.init()
+	w.order = sc.clsOrder
+	sc.clsHeap = sc.clsHeap[:0]
+	sc.spare = sc.spare[:0]
+}
+
+// orderClasses brings the carried initial order (clsOrder) up to the
+// class heads: one entry per touched class with a positive starting
+// marginal, keyed at its first qualified member, in (key, bid) order.
+// The first run after resetClasses keys every touched class and sorts
+// them. A later run keys only the classes folded since (clsFresh: heads
+// an entrant set or lowered), sorts just those, drops the superseded
+// entries of the previous order — exactly those whose bid is no longer
+// their class's first qualified member — and merges the two.
+//
+// The other entries keep their keys. Owners that run at one T̂_g and
+// base (a pricing pass, a one-off solve) never fold again. A sweep
+// segment has no base, and a class qualified at T̂_g fits its r rounds
+// by T̂_g inside its window, so its starting marginal is r under either
+// schedule rule: a growing horizon never moves a starting key.
+func (w *wdpState) orderClasses() {
+	sc := w.sc
+	if !sc.clsOrdered {
+		order := sc.clsOrder[:0]
+		for _, c := range sc.clsTouched {
+			if e, alive := w.classEntryAt(c, w.firstHead(c)); alive {
+				order = append(order, e)
+			}
+		}
+		slices.SortFunc(order, classEntry.cmp)
+		sc.clsOrder, sc.clsOrdered = order, true
+		sc.clsFresh = sc.clsFresh[:0]
+		return
+	}
+	if len(sc.clsFresh) == 0 {
+		return
+	}
+	fresh := sc.clsFresh[:0]
+	for _, e := range sc.clsFresh {
+		if ne, alive := w.classEntryAt(e.cls, w.firstHead(e.cls)); alive {
+			fresh = append(fresh, ne)
+		}
+	}
+	slices.SortFunc(fresh, classEntry.cmp)
+	// A class folded twice since the last run is keyed twice, identically.
+	fresh = slices.Compact(fresh)
+	old := sc.clsOrder
+	n := 0
+	for _, e := range old {
+		if e.bid == w.firstHead(e.cls) {
+			old[n] = e
+			n++
+		}
+	}
+	// Merge from the back, so the kept entries move at most once.
+	old = slices.Grow(old[:n], len(fresh))[:n+len(fresh)]
+	i, k := n-1, len(old)-1
+	for j := len(fresh) - 1; j >= 0; k-- {
+		if i >= 0 && fresh[j].before(old[i].heapEntry) {
+			old[k] = old[i]
+			i--
+		} else {
+			old[k] = fresh[j]
+			j--
+		}
+	}
+	sc.clsOrder = old
+	sc.clsFresh = fresh[:0]
 }
 
 // foldClasses lowers the carried class heads by newly qualified bids:
@@ -178,7 +256,9 @@ func (w *wdpState) initClasses() {
 // first qualified member. Qualified sets only grow with T̂_g, so a sweep
 // segment folds qualifiedAt(lo) once and then only the bids entering at
 // each later T̂_g — the same first-appearance order, and the same minima,
-// as a scan of the whole qualified set at every horizon.
+// as a scan of the whole qualified set at every horizon. Once the initial
+// order has been built, every class whose head a fold sets or lowers is
+// queued in clsFresh for orderClasses to re-key.
 //
 // A bid whose window starts beyond a solve's horizon (only a caller-
 // supplied qualified list can hold one) touches its class like any
@@ -188,13 +268,23 @@ func (sc *wdpScratch) foldClasses(cls *classIndex, bids []int) {
 	for _, idx := range bids {
 		c := cls.classOf[idx]
 		p := cls.memberPos[idx]
-		if sc.clsInit[c] < 0 {
-			sc.clsInit[c] = p
+		switch {
+		case sc.clsInit[c] < 0:
 			sc.clsTouched = append(sc.clsTouched, c)
-		} else if p < sc.clsInit[c] {
-			sc.clsInit[c] = p
+		case p >= sc.clsInit[c]:
+			continue
+		}
+		sc.clsInit[c] = p
+		if sc.clsOrdered {
+			sc.clsFresh = append(sc.clsFresh, classEntry{cls: c})
 		}
 	}
+}
+
+// firstHead returns class c's first qualified member, the head every run
+// of the arena's owner starts from.
+func (w *wdpState) firstHead(c int) int {
+	return w.cls.members[w.cls.memberStart[c]+w.sc.clsInit[c]]
 }
 
 // classMembers returns class c's member row ((price, bid) ascending).
@@ -233,7 +323,8 @@ func (w *wdpState) classM(c int) int {
 // the schedule takes the c_ij smallest-γ iterations of the window, and
 // available iterations (γ_t < K) sort before full ones, so the gain is
 // min(c_ij, m); under earliest-fit the slot set is fixed and the gain is
-// m alone.
+// m alone. It only ever shrinks within a run, so a class whose marginal
+// hits zero is dead for the rest of the run.
 func (w *wdpState) classMarginal(c int) int {
 	m := w.classM(c)
 	if w.cfg.ScheduleRule == ScheduleEarliest {
@@ -245,20 +336,14 @@ func (w *wdpState) classMarginal(c int) int {
 	return m
 }
 
-// classEntryAt keys class c under its current head and m; alive is false
-// when the class's marginal has hit zero (permanent: m only shrinks).
+// classEntryAt keys class c under head and the current marginal; alive
+// is false when the class's marginal has hit zero.
 func (w *wdpState) classEntryAt(c, head int) (classEntry, bool) {
-	m := w.classM(c)
-	marg := m
-	if w.cfg.ScheduleRule != ScheduleEarliest {
-		if r := w.cls.r[c]; r < marg {
-			marg = r
-		}
-	}
+	marg := w.classMarginal(c)
 	if marg <= 0 {
 		return classEntry{}, false
 	}
-	return classEntry{heapEntry: heapEntry{key: w.set.price[head] / float64(marg), bid: head}, cls: c, mSnap: m}, true
+	return classEntry{heapEntry: heapEntry{key: w.set.price[head] / float64(marg), bid: head}, cls: c}, true
 }
 
 // classHead advances cur[c] past members that are not candidates — not
@@ -280,36 +365,81 @@ func (w *wdpState) classHead(c int) int {
 	return -1
 }
 
-// popValidClass pops the minimum (key, head) class entry whose stored
-// key, head and m snapshot all match the current state, lazily re-keying
-// stale entries. Classes whose marginal hits zero are dropped: m never
-// grows.
-func (w *wdpState) popValidClass() (classEntry, bool) {
+// noBound sorts after every entry: keys are finite.
+var noBound = heapEntry{key: math.Inf(1), bid: math.MaxInt}
+
+// validTop validates the candidate queue's minimum where it sits and
+// returns it, with whether it sits at the list front; ok is false once
+// the queue is empty or its smallest stored entry no longer sorts before
+// bound. A class whose marginal is 0, or whose members have all left C,
+// is dropped (m never grows); a stale head or key is re-keyed — off the
+// list front into the heap, or sifted down in place at the heap top. An
+// entry whose head and key are current is the exact (key, bid) minimum
+// of the candidates, because every other stored entry underestimates its
+// class.
+func (w *wdpState) validTop(bound heapEntry) (e classEntry, inList, ok bool) {
 	h := &w.sc.clsHeap
-	for h.Len() > 0 {
-		e := h.pop()
-		head := w.classHead(e.cls)
+	for {
+		switch {
+		case w.front < len(w.order) && (len(*h) == 0 || w.order[w.front].before((*h)[0].heapEntry)):
+			e, inList = w.order[w.front], true
+		case len(*h) > 0:
+			e, inList = (*h)[0], false
+		default:
+			return classEntry{}, false, false
+		}
+		if !e.before(bound) {
+			return classEntry{}, false, false
+		}
+		head := -1
+		marg := w.classMarginal(e.cls)
+		if marg > 0 {
+			head = w.classHead(e.cls)
+		}
 		if head < 0 {
+			w.removeTop(inList)
 			continue
 		}
-		cme, alive := w.classEntryAt(e.cls, head)
-		if !alive {
-			continue
+		key := w.set.price[head] / float64(marg)
+		if head == e.bid && key == e.key {
+			return e, inList, true
 		}
-		if cme != e {
-			h.push(cme)
-			continue
+		e.heapEntry = heapEntry{key: key, bid: head}
+		if inList {
+			w.front++
+			h.push(e)
+		} else {
+			(*h)[0] = e
+			h.down(0, len(*h))
 		}
-		return e, true
 	}
-	return classEntry{}, false
+}
+
+// removeTop removes the queue's minimum, which sits at the list front
+// when inList is set and at the heap top otherwise.
+func (w *wdpState) removeTop(inList bool) {
+	if inList {
+		w.front++
+	} else {
+		w.sc.clsHeap.pop()
+	}
+}
+
+// popValidClass removes and returns the queue's validated minimum: the
+// (key, bid)-minimum over every candidate of C.
+func (w *wdpState) popValidClass() (classEntry, bool) {
+	e, inList, ok := w.validTop(noBound)
+	if ok {
+		w.removeTop(inList)
+	}
+	return e, ok
 }
 
 // classBest returns the minimum-(price, bid) member of class c at or
-// after its cursor that is a candidate and not skipped, with the class
-// marginal. The cursor is NOT advanced: skipped members remain live
-// candidates for later rounds.
-func (w *wdpState) classBest(c int, skip func(int) bool) (bid, marg int, ok bool) {
+// after its cursor that is a candidate and not skipped, keyed under the
+// class marginal. The cursor is NOT advanced: skipped members remain
+// live candidates for later rounds.
+func (w *wdpState) classBest(c int, skip func(int) bool) (heapEntry, bool) {
 	members := w.classMembers(c)
 	for i := w.cur[c]; i < len(members); i++ {
 		b := members[i]
@@ -317,63 +447,17 @@ func (w *wdpState) classBest(c int, skip func(int) bool) (bid, marg int, ok bool
 			continue
 		}
 		if mg := w.classMarginal(c); mg > 0 {
-			return b, mg, true
+			return heapEntry{key: w.set.price[b] / float64(mg), bid: b}, true
 		}
-		return 0, 0, false
+		return heapEntry{}, false
 	}
-	return 0, 0, false
-}
-
-// peekValidClass returns the bid attaining the minimum (key, bid) over
-// every valid, non-skipped member of C: the classes in the heap plus the
-// seeded class, whose heap entry the caller has already consumed (the
-// winner's class during A_payment). All popped entries are restored, so
-// the heap is unchanged on return.
-//
-// Early stop: a stored entry only ever underestimates its class's true
-// (key, head), and a class's best non-skipped member is ≥ its head in
-// (key, bid), so once the heap top's stored order is ≥ the best
-// candidate found, no remaining class can beat it, so the result is
-// exactly the minimum over every valid, non-skipped member of C.
-func (w *wdpState) peekValidClass(skip func(int) bool, seedCls int) (bid, marg int, ok bool) {
-	var bestKey float64
-	bid = -1
-	if b, mg, found := w.classBest(seedCls, skip); found {
-		bid, marg = b, mg
-		bestKey = w.set.price[b] / float64(mg)
-	}
-	h := &w.sc.clsHeap
-	kept := w.sc.keptCls[:0]
-	for h.Len() > 0 {
-		if bid >= 0 {
-			top := (*h)[0]
-			if top.key > bestKey || (top.key == bestKey && top.bid >= bid) {
-				break
-			}
-		}
-		e, popped := w.popValidClass()
-		if !popped {
-			break
-		}
-		kept = append(kept, e)
-		if b, mg, found := w.classBest(e.cls, skip); found {
-			key := w.set.price[b] / float64(mg)
-			if bid < 0 || key < bestKey || (key == bestKey && b < bid) {
-				bid, marg, bestKey = b, mg, key
-			}
-		}
-	}
-	for _, e := range kept {
-		h.push(e)
-	}
-	w.sc.keptCls = kept[:0]
-	return bid, marg, bid >= 0
+	return heapEntry{}, false
 }
 
 // selectWinnerClass performs lines 9-14 of Algorithm 2 for the popped
 // class entry ce: payment, dual recording, set updates and coverage
 // updates (take), after which the winner's class re-enters the candidate
-// heap under its new head.
+// queue's heap under its new head.
 func (w *wdpState) selectWinnerClass(ce classEntry) {
 	idx := ce.bid
 	slots, avail := w.representativeSchedule(idx)
@@ -392,23 +476,12 @@ func (w *wdpState) selectWinnerClass(ce classEntry) {
 		}
 	}
 
-	// Lines 11-12: the best schedule in the grand set G, which still
-	// includes the selected schedule itself. G = C ∪ S, where S (spare)
-	// holds the unselected qualified siblings of earlier winners, and the
-	// winner is C's (key, bid)-minimum, so G's best is the minimum of the
-	// winner and S. A spare whose marginal hits zero leaves for good
-	// (m never grows).
+	// Lines 11-12: the best schedule in the grand set G = C ∪ S, which
+	// still includes the selected schedule itself: the minimum of the
+	// winner and S's best.
 	gb, gphi := idx, phi
-	live := w.sc.spare[:0]
-	for _, s := range w.sc.spare {
-		mg := w.classMarginal(w.cls.classOf[s])
-		if mg <= 0 {
-			continue
-		}
-		live = append(live, s)
-		if key := w.set.price[s] / float64(mg); key < gphi || (key == gphi && s < gb) {
-			gb, gphi = s, key
-		}
+	if s, ok := w.bestSpare(); ok && s.before(heapEntry{key: phi, bid: idx}) {
+		gb, gphi = s.bid, s.key
 	}
 	gavail := avail
 	if gb != idx {
@@ -422,13 +495,16 @@ func (w *wdpState) selectWinnerClass(ce classEntry) {
 
 	// Lines 13-14: C drops every bid of the winning client (take); G drops
 	// only the selected schedule, so the winner's qualified siblings — all
-	// still in C, since the client had not won before — join S.
+	// still in C, since the client had not won before — join S, keyed
+	// before take, which only underestimates.
 	for _, sib := range w.set.siblings(idx) {
-		if sib != idx && w.inC(sib) {
-			live = append(live, sib)
+		if sib == idx || !w.inC(sib) {
+			continue
+		}
+		if e, alive := w.classEntryAt(w.cls.classOf[sib], sib); alive {
+			w.sc.spare.push(e)
 		}
 	}
-	w.sc.spare = live
 
 	w.winners = append(w.winners, Winner{
 		BidIndex: idx,
@@ -443,8 +519,32 @@ func (w *wdpState) selectWinnerClass(ce classEntry) {
 	w.requeue(ce.cls)
 }
 
-// requeue re-enters class c into the candidate heap under its current
-// head, after a selection consumed the class's only entry.
+// bestSpare returns the (key, bid)-minimum of the spare heap S, validated
+// where it sits like the candidate queue's: a spare whose marginal hit
+// zero leaves for good, and a stale key is re-keyed in place. A spare's
+// bid never changes, and its key only grows, so a top whose key is
+// current is S's exact minimum.
+func (w *wdpState) bestSpare() (heapEntry, bool) {
+	h := &w.sc.spare
+	for len(*h) > 0 {
+		top := &(*h)[0]
+		mg := w.classMarginal(top.cls)
+		if mg <= 0 {
+			h.pop()
+			continue
+		}
+		if key := w.set.price[top.bid] / float64(mg); key != top.key {
+			top.key = key
+			h.down(0, len(*h))
+			continue
+		}
+		return top.heapEntry, true
+	}
+	return heapEntry{}, false
+}
+
+// requeue re-enters class c into the candidate queue's heap under its
+// current head, after a selection consumed the class's only entry.
 func (w *wdpState) requeue(c int) {
 	if head := w.classHead(c); head >= 0 {
 		if e, alive := w.classEntryAt(c, head); alive {
@@ -457,9 +557,16 @@ func (w *wdpState) requeue(c int) {
 // paid its marginal utility r times the second-smallest average cost in
 // C. With Config.ExcludeOwnBids, the winner's own other bids cannot be
 // the critical schedule. When no competitor remains the winner is paid
-// its own bid. The winner's class entry was consumed by the main-loop
-// pop, so its remaining members (the winner's siblings and classmates)
-// are seeded into the peek explicitly.
+// its own bid.
+//
+// The candidate is the minimum of the winner's own class — whose entry
+// the main loop consumed, so its remaining members are read directly —
+// and the queue's validated top, which is the exact minimum over every
+// other class. Only a top whose head is skipped (a sibling, under
+// ExcludeOwnBids) is popped: its class's best non-skipped member becomes
+// a candidate, the search moves past it, and the popped entries are
+// restored on return. The search stops at the first top that no longer
+// sorts before the best candidate found.
 func (w *wdpState) criticalPaymentClass(ce classEntry, r int) float64 {
 	idx := ce.bid
 	cli := w.set.client[idx]
@@ -469,20 +576,53 @@ func (w *wdpState) criticalPaymentClass(ce classEntry, r int) float64 {
 		}
 		return w.cfg.ExcludeOwnBids && w.set.client[other] == cli
 	}
-	if b, mg, ok := w.peekValidClass(skip, ce.cls); ok {
-		critAvg := w.set.price[b] / float64(mg)
-		return float64(r) * critAvg
+	best, found := w.classBest(ce.cls, skip)
+	if !found {
+		best = noBound
+	}
+	kept := w.sc.keptCls[:0]
+	for {
+		e, inList, ok := w.validTop(best)
+		if !ok {
+			break
+		}
+		if !skip(e.bid) {
+			best, found = e.heapEntry, true
+			break
+		}
+		w.removeTop(inList)
+		kept = append(kept, e)
+		if b, ok := w.classBest(e.cls, skip); ok && b.before(best) {
+			best, found = b, true
+		}
+	}
+	for _, e := range kept {
+		w.sc.clsHeap.push(e)
+	}
+	w.sc.keptCls = kept[:0]
+	if found {
+		return float64(r) * best.key
 	}
 	return w.set.price[idx]
 }
 
-// classEntry is one lazily keyed class in the candidate heap: the head's
-// (average cost, bid) and the class m at push time, all three of which
-// serve as the staleness marker.
+// classEntry is one lazily keyed class of the candidate queue: the
+// head's (average cost, bid) when it was keyed, and the class row. The
+// spare heap reuses it for one spare bid and its class.
 type classEntry struct {
-	heapEntry     // head's ρ / R and identity at push time
+	heapEntry     // head's ρ / R and identity when keyed
 	cls       int // class row
-	mSnap     int // class m at push time
+}
+
+// cmp orders entries by the greedy's selection order over their heads.
+func (e classEntry) cmp(o classEntry) int {
+	if e.before(o.heapEntry) {
+		return -1
+	}
+	if o.before(e.heapEntry) {
+		return 1
+	}
+	return 0
 }
 
 // classHeap is a min-heap of classEntry in the greedy's selection order
@@ -494,13 +634,6 @@ type classHeap []classEntry
 func (h classHeap) Len() int           { return len(h) }
 func (h classHeap) Less(a, b int) bool { return h[a].before(h[b].heapEntry) }
 func (h classHeap) Swap(a, b int)      { h[a], h[b] = h[b], h[a] }
-
-func (h *classHeap) init() {
-	n := h.Len()
-	for i := n/2 - 1; i >= 0; i-- {
-		h.down(i, n)
-	}
-}
 
 func (h *classHeap) push(e classEntry) {
 	*h = append(*h, e)

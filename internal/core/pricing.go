@@ -47,9 +47,10 @@ type heldStep struct {
 
 // newPricer returns a pricer for the market (set, qualified, tg, cfg,
 // base) of one solve. Pair with release. The class heads are folded once
-// here, over the market's whole qualified set: every probe instance's
-// qualified set is a subset of it, and a head that starts early only
-// underestimates (see initClasses).
+// here, over the market's whole qualified set, and the first held-out run
+// orders them for every later one: all of them share the fold, T̂_g and
+// base. Every probe instance's qualified set is a subset of the market's,
+// and a head that starts early only underestimates (see validTop).
 func newPricer(set *BidSet, qualified []int, tg int, cfg Config, base []int) *pricer {
 	pr := &pricer{
 		set: set, qualified: qualified, tg: tg, cfg: cfg, base: base,

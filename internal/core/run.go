@@ -171,9 +171,11 @@ func (ax *auctionContext) priceChosen(ctx context.Context, res *Result, workers 
 // accumulation it replaces, at amortized O(row + entrant windows) instead
 // of O(Σ qualified windows) per T̂_g. Under ScheduleEarliest the
 // per-solve accumulation is kept. The class heads of the class-based
-// selection (each touched class's first qualified member) are carried the
-// same way under either rule: qualified sets only grow, so each T̂_g
-// folds in only its entrants.
+// selection (each touched class's first qualified member) and the
+// initial candidate order over them are carried the same way under
+// either rule: qualified sets only grow, so each T̂_g folds in only its
+// entrants, and its solve re-keys and merges only the classes they
+// touched (see orderClasses).
 //
 // Cancellation is checked between solves, so a canceled context abandons
 // the remaining candidates without tearing down a solve midway.
@@ -193,15 +195,23 @@ func (ax *auctionContext) sweepSegment(ctx context.Context, lo, hi int, out []WD
 // re-walk a range to refine only its unsolved candidates. nil pick
 // solves everything — the exact sweep.
 func (ax *auctionContext) sweepSegmentMask(ctx context.Context, lo, hi int, out []WDPResult, pick func(tg int) bool, obsv obs.Observer, now func() time.Time) error {
-	set := ax.set
-	sc := acquireScratch(set.n, hi)
+	sc := acquireScratch(ax.set.n, hi)
 	defer releaseScratch(sc)
+	return ax.sweepArena(ctx, sc, lo, hi, out, pick, obsv, now)
+}
+
+// sweepArena is sweepSegmentMask on the arena sc, which must be sized for
+// the population and horizon hi (acquireScratch). The segment owns sc's
+// class heads and initial order for its duration.
+func (ax *auctionContext) sweepArena(ctx context.Context, sc *wdpScratch, lo, hi int, out []WDPResult, pick func(tg int) bool, obsv obs.Observer, now func() time.Time) error {
+	set := ax.set
 	// The sweep's solves share one compile-time class index (classsel.go),
 	// built once per population (concurrent segments share it through the
 	// holder's Once) and reused by every auction warm-started on the same
 	// BidSet. The class heads are carried across the segment like the ψ
 	// column: folded over everything qualified at lo, then over each later
-	// T̂_g's entrants (see foldClasses).
+	// T̂_g's entrants (see foldClasses); the first solve orders them, and
+	// each later one merges in the classes its entrants touched.
 	cls := set.classes()
 	sc.resetClasses(cls, ax.qualifiedAt(lo))
 	var psi []float64

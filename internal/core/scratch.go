@@ -16,10 +16,11 @@ import "sync"
 // gamma, the filled-slot prefix sums and the φ/ψ accumulators are reset
 // for t ∈ [1, tg], and the candidate set C is a fresh stamp written at
 // exactly the qualified bid indices, so marks left at any index by an
-// earlier run never read as members. The class heads are the one
-// exception: their owner — a sweep segment, a pricing pass or a one-off
-// solve — folds them at its start (resetClasses), and a sweep segment
-// carries them across its T̂_g. Nothing is cleared on release.
+// earlier run never read as members. The class heads and the initial
+// candidate order are the one exception: their owner — a sweep segment,
+// a pricing pass or a one-off solve — folds the heads at its start
+// (resetClasses), its first run orders them, and a sweep segment carries
+// both across its T̂_g. Nothing is cleared on release.
 type wdpScratch struct {
 	// state is the embedded solver state, reused so a solve performs no
 	// per-call wdpState allocation.
@@ -48,20 +49,28 @@ type wdpScratch struct {
 	etaOrder    []int
 	etaTop      []float64
 
-	// Class selection state (see classsel.go), indexed by class row.
-	// clsInit keeps the first-qualified head position per class, with −1
-	// meaning untouched, and clsTouched lists the touched classes in first-
-	// qualified order; both are folded by their owner (resetClasses,
-	// foldClasses), and resetting restores exactly the touched entries, so
-	// the reset is O(touched) across pool reuse. clsCur holds the per-run
-	// head cursors, clsHeap the candidate heap and keptCls its peek
-	// restore buffer. spare is the per-solve list S of unselected
-	// qualified siblings of earlier winners.
-	clsHeap         classHeap
+	// Class selection state (see classsel.go). clsInit keeps the first-
+	// qualified head position per class row, with −1 meaning untouched,
+	// and clsTouched lists the touched classes in first-qualified order;
+	// both are folded by their owner (resetClasses, foldClasses), and
+	// resetting restores exactly the touched entries, so the reset is
+	// O(touched) across pool reuse. clsOrder is the owner's initial
+	// candidate order — one entry per touched class with a positive
+	// starting marginal, keyed at its first qualified member, in (key,
+	// bid) order — built by the first run after resetClasses (clsOrdered
+	// then set) and carried like the heads; clsFresh queues the classes
+	// whose head a later fold set or lowered, for the next run to re-key
+	// and merge (orderClasses). Per run: clsCur holds the head cursors,
+	// clsHeap the entries re-keyed or re-queued during the run, keptCls
+	// the payment peek's restore buffer and spare the lazy heap S of
+	// unselected qualified siblings of earlier winners.
 	clsInit, clsCur []int
 	clsTouched      []int
+	clsOrder        []classEntry
+	clsFresh        []classEntry
+	clsOrdered      bool
+	clsHeap, spare  classHeap
 	keptCls         []classEntry
-	spare           []int
 
 	// chunk backs the winner schedules that escape into Results: slots and
 	// covered sub-slices are carved append-only out of one slab instead of
@@ -145,9 +154,10 @@ func (sc *wdpScratch) nextGen() uint32 {
 }
 
 // resetClasses starts the class heads of cls folded over bids: every
-// clsInit entry back at the −1 sentinel and clsTouched empty, then
-// foldClasses. Fresh arrays start at the sentinel; otherwise exactly the
-// previous owner's touched entries are restored.
+// clsInit entry back at the −1 sentinel, clsTouched empty and no initial
+// order, then foldClasses; the owner's first run builds the order. Fresh
+// arrays start at the sentinel; otherwise exactly the previous owner's
+// touched entries are restored.
 func (sc *wdpScratch) resetClasses(cls *classIndex, bids []int) {
 	if n := cls.n; len(sc.clsInit) < n {
 		sc.clsInit = make([]int, n)
@@ -161,5 +171,7 @@ func (sc *wdpScratch) resetClasses(cls *classIndex, bids []int) {
 		}
 	}
 	sc.clsTouched = sc.clsTouched[:0]
+	sc.clsOrder, sc.clsOrdered = sc.clsOrder[:0], false
+	sc.clsFresh = sc.clsFresh[:0]
 	sc.foldClasses(cls, bids)
 }

@@ -26,8 +26,9 @@ func SolveWDP(bids []Bid, qualified []int, tg int, cfg Config) WDPResult {
 // solveWDP is the engine behind SolveWDP: the same greedy, payments and
 // dual bookkeeping, operating on the columnar BidSet with caller-provided
 // scratch. sc must carry class heads folded over exactly qualified (see
-// resetClasses): a sweep segment carries them across its ascending T̂_g,
-// and a one-off solve folds its own (solveOnce).
+// resetClasses): a sweep segment carries them, with the initial candidate
+// order built on them, across its ascending T̂_g, and a one-off solve
+// folds its own (solveOnce).
 //
 // base, when non-nil, pre-commits base[t-1] units of coverage to
 // iteration t before the greedy starts — the residual market of a
@@ -79,8 +80,9 @@ func solveWDP(set *BidSet, qualified []int, tg int, cfg Config, sc *wdpScratch, 
 }
 
 // solveOnce is one standalone solve on a pooled arena: it folds the class
-// heads over qualified, like a sweep segment of a single T̂_g, and
-// accumulates the ψ_max column per solve.
+// heads over qualified, like a sweep segment of a single T̂_g, so its run
+// sorts its own initial order, and it accumulates the ψ_max column per
+// solve.
 func solveOnce(set *BidSet, qualified []int, tg int, cfg Config, base []int) WDPResult {
 	sc := acquireScratch(set.n, tg)
 	defer releaseScratch(sc)
@@ -124,12 +126,15 @@ type wdpState struct {
 	psiMax []float64
 
 	// Class selection state (see classsel.go): the population's shape-
-	// class index, the per-class head cursors into C, and filledPrefix[t],
+	// class index, the per-class head cursors into C, filledPrefix[t],
 	// the number of filled (γ = K) slots in [1, t] — the class-uniform m
-	// source.
+	// source — and the candidate queue's list front: the initial order
+	// and the position of its first entry not yet consumed.
 	cls          *classIndex
 	cur          []int
 	filledPrefix []int
+	order        []classEntry
+	front        int
 }
 
 // init prepares one full solve: the allocation state of begin plus the
@@ -167,7 +172,7 @@ func (sc *wdpScratch) init(set *BidSet, qualified []int, tg int, cfg Config, bas
 
 // begin resets the allocation state every greedy run shares: coverage and
 // the filled-slot prefix sums, both pre-committed from base; C stamped
-// over exactly qualified; and the candidate heap over the class heads the
+// over exactly qualified; and the candidate queue over the class heads the
 // arena carries, with held (−1 for none) left out of selection. It
 // touches exactly the state the run will read, which is what makes pooled
 // reuse safe without any clearing on release. init adds the dual
@@ -490,8 +495,8 @@ type heapEntry struct {
 
 // before reports whether e sorts before o in the greedy's selection
 // order: lower average cost first, ties to the lower bid index. It is the
-// one selection order, shared by the class heap and the replayed pricing
-// probes (see pricer.wins).
+// one selection order, shared by the candidate queue, the spare heap and
+// the replayed pricing probes (see pricer.wins).
 func (e heapEntry) before(o heapEntry) bool {
 	if e.key != o.key {
 		return e.key < o.key
