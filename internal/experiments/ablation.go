@@ -127,8 +127,10 @@ func AblationScheduleRule(opts Options) Figure {
 				continue
 			}
 			cfg := p.Config()
+			// Both rules solve the same population: compile it once.
+			set := core.CompileBids(bids)
 			qual := core.Qualified(bids, tg, cfg)
-			s := core.SolveWDP(bids, qual, tg, cfg)
+			s := core.SolveWDPSet(set, qual, tg, cfg)
 			if !s.Feasible {
 				continue
 			}
@@ -136,7 +138,7 @@ func AblationScheduleRule(opts Options) Figure {
 			smartCosts = append(smartCosts, s.Cost)
 			nCfg := cfg
 			nCfg.ScheduleRule = core.ScheduleEarliest
-			n := core.SolveWDP(bids, qual, tg, nCfg)
+			n := core.SolveWDPSet(set, qual, tg, nCfg)
 			if !n.Feasible {
 				naiveFails++
 				continue

@@ -129,8 +129,9 @@ func mechanisms() []baseline.Mechanism {
 // feasible T̂_g is tightened with column generation (the restricted
 // master's size tracks generated columns, not the population, so this
 // stays affordable even at I=1800), falling back to the greedy dual
-// objective where column generation cannot improve it.
-func auctionLowerBound(bids []core.Bid, cfg core.Config, res core.Result) float64 {
+// objective where column generation cannot improve it. set is bids
+// compiled once, so every refinement shares its columns and class index.
+func auctionLowerBound(bids []core.Bid, set *core.BidSet, cfg core.Config, res core.Result) float64 {
 	// First pass: the instance-tight rescaled dual bound, available for
 	// free from every solved WDP.
 	type cand struct {
@@ -154,7 +155,7 @@ func auctionLowerBound(bids []core.Bid, cfg core.Config, res core.Result) float6
 	opts := colgen.Options{MaxIterations: 20, MaxColumnsPerIter: 120, MaxColumns: 1200}
 	for i := range cands {
 		qual := core.Qualified(bids, cands[i].tg, cfg)
-		cg := colgen.LowerBound(bids, qual, cands[i].tg, cfg, opts)
+		cg := colgen.SetLowerBound(set, qual, cands[i].tg, cfg, opts)
 		if cg.Feasible && cg.LowerBound > cands[i].lb {
 			cands[i].lb = cg.LowerBound
 		}
@@ -166,10 +167,10 @@ func auctionLowerBound(bids []core.Bid, cfg core.Config, res core.Result) float6
 	return best
 }
 
-// wdpLowerBound bounds one fixed-T̂_g WDP from below, preferring the
-// column-generation bound and falling back to the greedy dual.
-func wdpLowerBound(bids []core.Bid, qualified []int, tg int, cfg core.Config) float64 {
-	cg := colgen.LowerBound(bids, qualified, tg, cfg, colgen.Options{MaxIterations: 80})
+// wdpLowerBound bounds one fixed-T̂_g WDP of a compiled population from
+// below with the column-generation bound, or returns NaN.
+func wdpLowerBound(set *core.BidSet, qualified []int, tg int, cfg core.Config) float64 {
+	cg := colgen.SetLowerBound(set, qualified, tg, cfg, colgen.Options{MaxIterations: 80})
 	if cg.Feasible {
 		return cg.LowerBound
 	}

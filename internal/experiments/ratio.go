@@ -59,12 +59,14 @@ func Fig3(opts Options) Figure {
 			return
 		}
 		cfg := p.Config()
+		// One compile serves the solve and the lower bound's seed solve.
+		set := core.CompileBids(bids)
 		qual := core.Qualified(bids, tg, cfg)
-		res := core.SolveWDP(bids, qual, tg, cfg)
+		res := core.SolveWDPSet(set, qual, tg, cfg)
 		if !res.Feasible {
 			return
 		}
-		lb := wdpLowerBound(bids, qual, tg, cfg)
+		lb := wdpLowerBound(set, qual, tg, cfg)
 		if math.IsNaN(lb) || lb <= 0 {
 			return
 		}
@@ -157,11 +159,17 @@ func ratioSweep(opts Options, fig Figure, xs []int, vary func(p *workload.Params
 			return
 		}
 		cfg := p.Config()
-		res, err := core.Run(context.Background(), bids, cfg, core.RunOptions{})
+		// One compile serves the auction and every lower-bound refinement.
+		set := core.CompileBids(bids)
+		eng, err := core.NewEngineSet(set, cfg)
+		if err != nil {
+			return
+		}
+		res, err := eng.RunCtx(context.Background(), core.RunOptions{})
 		if err != nil || !res.Feasible {
 			return
 		}
-		lb := auctionLowerBound(bids, cfg, res)
+		lb := auctionLowerBound(bids, set, cfg, res)
 		if math.IsNaN(lb) || lb <= 0 {
 			return
 		}
