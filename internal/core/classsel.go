@@ -42,12 +42,16 @@ import (
 // confirmed entry is the minimum. A class read off the list unchanged
 // costs no heap operation at all.
 //
-// The initial order is owned like the class heads: a sweep segment
-// carries it across its ascending T̂_g, keying only the classes whose
-// head an entrant set or lowered, sorting just those and merging them
-// into the rest of the previous order; a pricing pass builds it once for
-// all of its held-out runs, which share the fold, T̂_g and base; a
-// one-off solve sorts its own (see orderClasses).
+// The class heads (clsInit: each class's first qualified member) and the
+// initial order over them belong to whoever owns the arena. A sweep
+// segment carries both across its ascending T̂_g, re-keying only the
+// classes whose head an entrant set or lowered, sorting just those and
+// merging them into the rest of the previous order; a pricing pass
+// builds them once for all of its held-out runs, which share the fold,
+// T̂_g and base; a one-off solve builds its own (see orderClasses). A
+// head that starts before a run's first candidate (a probe instance
+// without the winner's siblings, or the held bid) only underestimates,
+// and the validation re-keys it.
 //
 // The grand set G of Algorithm 2 lines 11-12 is C ∪ S, where S holds the
 // unselected qualified siblings of earlier winners, and the winner just
@@ -70,12 +74,6 @@ import (
 //   - A held bid. A held-out pricing run leaves the winner being priced
 //     out of selection: class heads skip it, while it stays in C, so its
 //     client's membership and its class marginal stay readable.
-//
-// The heads start from each class's first qualified member (clsInit),
-// folded by whoever owns the arena, like the initial order. A head that
-// starts before a run's first candidate (a probe instance without the
-// winner's siblings, or the held bid) only underestimates, and the
-// validation re-keys it.
 
 // classHolder caches the lazily built classIndex of one compiled
 // population. compile attaches a fresh holder, so engine-pool rebuilds
@@ -181,7 +179,6 @@ func (w *wdpState) initClasses() {
 	for _, c := range sc.clsTouched {
 		w.cur[c] = sc.clsInit[c]
 	}
-	w.order = sc.clsOrder
 	sc.clsHeap = sc.clsHeap[:0]
 	sc.spare = sc.spare[:0]
 }
@@ -378,11 +375,11 @@ var noBound = heapEntry{key: math.Inf(1), bid: math.MaxInt}
 // of the candidates, because every other stored entry underestimates its
 // class.
 func (w *wdpState) validTop(bound heapEntry) (e classEntry, inList, ok bool) {
-	h := &w.sc.clsHeap
+	order, h := w.sc.clsOrder, &w.sc.clsHeap
 	for {
 		switch {
-		case w.front < len(w.order) && (len(*h) == 0 || w.order[w.front].before((*h)[0].heapEntry)):
-			e, inList = w.order[w.front], true
+		case w.front < len(order) && (len(*h) == 0 || order[w.front].before((*h)[0].heapEntry)):
+			e, inList = order[w.front], true
 		case len(*h) > 0:
 			e, inList = (*h)[0], false
 		default:

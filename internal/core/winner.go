@@ -128,12 +128,11 @@ type wdpState struct {
 	// Class selection state (see classsel.go): the population's shape-
 	// class index, the per-class head cursors into C, filledPrefix[t],
 	// the number of filled (γ = K) slots in [1, t] — the class-uniform m
-	// source — and the candidate queue's list front: the initial order
-	// and the position of its first entry not yet consumed.
+	// source — and front, the position of the initial order's first
+	// entry the run has not consumed (see validTop).
 	cls          *classIndex
 	cur          []int
 	filledPrefix []int
-	order        []classEntry
 	front        int
 }
 
