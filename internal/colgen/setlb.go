@@ -2,6 +2,7 @@ package colgen
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/fedauction/afl/internal/core"
@@ -210,9 +211,17 @@ func lowerBoundSet(set *core.BidSet, qualified []int, tg int, cfg core.Config, o
 				price(idx, slots, gain)
 			}
 		}
+		// Sum in ascending client order: float addition is not
+		// associative, and map order would make the bound's low bits
+		// differ between calls on identical inputs.
+		clients := make([]int, 0, len(bestPerClient))
+		for client := range bestPerClient {
+			clients = append(clients, client)
+		}
+		slices.Sort(clients)
 		var lagrangian float64
-		for _, rc := range bestPerClient {
-			lagrangian += rc // each ≤ 0
+		for _, client := range clients {
+			lagrangian += bestPerClient[client] // each ≤ 0
 		}
 		if len(negatives) == 0 {
 			res.Converged = true

@@ -7,6 +7,7 @@ import (
 	"github.com/fedauction/afl/internal/core"
 	"github.com/fedauction/afl/internal/exact"
 	"github.com/fedauction/afl/internal/stats"
+	"github.com/fedauction/afl/internal/workload"
 )
 
 // The differential suite promised by the SetLowerBound doc: the row
@@ -163,5 +164,49 @@ func TestCertifierExplicitOptsMatchNative(t *testing.T) {
 			t.Fatalf("trial %d: certifier (%v, %v) ≠ native (%v, %v)",
 				trial, out.LowerBound, out.Converged, res.LowerBound, res.Converged)
 		}
+	}
+}
+
+// TestLowerBoundBitStable repeats capped column-generation runs on
+// identical inputs: the Lagrangian fallback that a cap selects sums one
+// reduced cost per client, and that sum must not depend on map iteration
+// order, so every call — SetLowerBound and the Certifier alike — returns
+// one bit pattern.
+func TestLowerBoundBitStable(t *testing.T) {
+	opts := Options{MaxIterations: 3, MaxColumnsPerIter: 16, MaxColumns: 200}
+	capped := 0
+	for seed := int64(3); seed <= 8; seed++ {
+		wp := workload.NewDefaultParams()
+		wp.Clients, wp.BidsPerUser, wp.T, wp.K, wp.Seed = 150, 3, 20, 8, seed
+		bids, err := workload.Generate(wp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := wp.Config()
+		set := core.CompileBids(bids)
+		qual := core.Qualified(bids, cfg.T, cfg)
+		seedWDP := core.SolveWDPSet(set, qual, cfg.T, cfg)
+		if !seedWDP.Feasible {
+			t.Fatalf("seed %d: infeasible population", seed)
+		}
+		first := SetLowerBound(set, qual, cfg.T, cfg, opts)
+		if !first.Converged {
+			capped++
+		}
+		for call := 0; call < 12; call++ {
+			got := SetLowerBound(set, qual, cfg.T, cfg, opts)
+			if math.Float64bits(got.LowerBound) != math.Float64bits(first.LowerBound) {
+				t.Fatalf("seed %d call %d: SetLowerBound %v (%#x), first call %v (%#x)", seed, call,
+					got.LowerBound, math.Float64bits(got.LowerBound), first.LowerBound, math.Float64bits(first.LowerBound))
+			}
+			out := Certifier{Opts: opts}.CertifyWDP(set, qual, cfg.T, cfg, seedWDP)
+			if math.Float64bits(out.LowerBound) != math.Float64bits(first.LowerBound) {
+				t.Fatalf("seed %d call %d: CertifyWDP %v (%#x), SetLowerBound %v (%#x)", seed, call,
+					out.LowerBound, math.Float64bits(out.LowerBound), first.LowerBound, math.Float64bits(first.LowerBound))
+			}
+		}
+	}
+	if capped == 0 {
+		t.Fatal("no run hit a cap: the fallback sum went unexercised")
 	}
 }
