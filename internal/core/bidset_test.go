@@ -7,7 +7,8 @@ package core_test
 // AcquireEngineSet, ReacquireEngineSet) promise bit-identical results to
 // the []Bid entry points (NewEngine, Run). Both claims are locked here; FuzzCompileBids extends
 // them to arbitrary byte-derived populations with a checked-in seed
-// corpus (testdata/fuzz/FuzzCompileBids).
+// corpus (testdata/fuzz/FuzzCompileBids), and holds the shape-class index
+// to a map-based reference on the same populations.
 
 import (
 	"context"
@@ -15,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/fedauction/afl/internal/core"
@@ -177,10 +179,82 @@ func TestEngineSetPathsBitIdentical(t *testing.T) {
 	}
 }
 
+// referenceClasses is the shape-class index built through a map:
+// classes numbered in first-appearance order, each with its window shape
+// and its member row sorted by (price, bid).
+func referenceClasses(bids []core.Bid) (shapes [][3]int, rows [][]int) {
+	ids := map[[3]int]int{}
+	for i, b := range bids {
+		sh := [3]int{b.Start, b.End, b.Rounds}
+		c, ok := ids[sh]
+		if !ok {
+			c = len(shapes)
+			ids[sh] = c
+			shapes = append(shapes, sh)
+			rows = append(rows, nil)
+		}
+		rows[c] = append(rows[c], i)
+	}
+	for _, row := range rows {
+		slices.SortFunc(row, func(a, b int) int {
+			switch pa, pb := bids[a].Price, bids[b].Price; {
+			case pa < pb:
+				return -1
+			case pa > pb:
+				return 1
+			}
+			return a - b
+		})
+	}
+	return shapes, rows
+}
+
+// checkClassIndex holds the compiled population's shape-class index to
+// referenceClasses: the class count, each class's shape in
+// first-appearance order, its member row, and every bid's class and
+// position in that row.
+func checkClassIndex(t *testing.T, bids []core.Bid) {
+	t.Helper()
+	set := core.CompileBids(bids)
+	shapes, rows := referenceClasses(bids)
+	if n := set.ShapeClassCount(); n != len(shapes) {
+		t.Fatalf("%d shape classes, reference has %d", n, len(shapes))
+	}
+	for c, sh := range shapes {
+		if lo, hi, r := set.ShapeClass(c); [3]int{lo, hi, r} != sh {
+			t.Fatalf("class %d has shape (%d, %d, %d), reference %v", c, lo, hi, r, sh)
+		}
+		if got := set.ShapeClassMembers(c); !slices.Equal(got, rows[c]) {
+			t.Fatalf("class %d members %v, reference %v", c, got, rows[c])
+		}
+		for j, b := range rows[c] {
+			if gc, gj := core.ClassPosition(set, b); gc != c || gj != j {
+				t.Fatalf("bid %d sits at class %d position %d, reference class %d position %d", b, gc, gj, c, j)
+			}
+		}
+	}
+}
+
+// widenShapes maps each window column through a wrapping multiplication
+// by an odd constant: a bijection on the ints, so the classes stay the
+// same while the values spread over the whole int range.
+func widenShapes(bids []core.Bid) []core.Bid {
+	out := slices.Clone(bids)
+	for i := range out {
+		out[i].Start = int(uint(out[i].Start) * 0x9E3779B97F4A7C15)
+		out[i].End = int(uint(out[i].End) * 0xC2B2AE3D27D4EB4F)
+		out[i].Rounds = int(uint(out[i].Rounds) * 0x165667B19E3779F9)
+	}
+	return out
+}
+
 // FuzzCompileBids drives arbitrary byte-derived populations through the
-// columnar facade. Three invariants, each unconditional:
+// columnar facade. Four invariants, each unconditional:
 //
 //   - the AoS↔SoA round trip is exact at the bit level, valid or not;
+//   - the shape-class index matches the map-based reference
+//     (referenceClasses), on the decoded columns and on the same columns
+//     spread over the whole int range, valid or not;
 //   - ValidateBidSet agrees with ValidateBids — same decision, same
 //     message — on every population;
 //   - populations both validators accept solve identically through the
@@ -190,6 +264,15 @@ func FuzzCompileBids(f *testing.F) {
 	f.Add([]byte{1, 16, 100, 9, 12, 3, 50, 50, 0}, uint8(12), uint8(2))
 	f.Add([]byte{2, 16, 100, 12, 9, 3, 50, 50, 0, 3, 20, 90, 1, 6, 2, 10, 10, 1}, uint8(12), uint8(2))
 	f.Add(make([]byte, 27), uint8(8), uint8(1))
+	// Two shapes first seen out of sorted order, each with members out of
+	// (price, bid) order and tied prices.
+	f.Add([]byte{
+		0, 60, 100, 28, 33, 3, 50, 50, 0,
+		1, 40, 100, 18, 20, 2, 50, 50, 0,
+		2, 20, 100, 28, 33, 3, 50, 50, 0,
+		3, 40, 100, 18, 20, 2, 50, 50, 0,
+		4, 60, 100, 28, 33, 3, 50, 50, 0,
+	}, uint8(40), uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, rawT, rawK uint8) {
 		maxT := int(rawT%64) + 1
 		k := int(rawK%8) + 1
@@ -203,6 +286,8 @@ func FuzzCompileBids(f *testing.F) {
 				t.Fatalf("Bid(%d) = %+v, compiled from %+v", i, got, bids[i])
 			}
 		}
+		checkClassIndex(t, bids)
+		checkClassIndex(t, widenShapes(bids))
 		rowErr := core.ValidateBids(bids, maxT, k)
 		setErr := core.ValidateBidSet(set, maxT, k)
 		if (rowErr == nil) != (setErr == nil) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -111,28 +112,49 @@ type classIndex struct {
 	// classOf[i] is bid i's class row; memberPos[i] its position inside
 	// the class's member row.
 	classOf, memberPos []int
+	// walkPrices reports that every price lies in [2⁻²⁵⁶, 2²⁵⁶], so the
+	// tight dual's walk forms only normal floats (see tightDualObjective).
+	walkPrices bool
 }
 
-// build derives the index from the compiled columns: shape interning in
-// one pass, a counting placement into the member CSR, then one
-// (price, bid) sort per class.
+// build derives the index from the compiled columns, with no hashing:
+// stable counting passes over rounds, end and start (least significant
+// first) leave the bids grouped by shape, ascending inside each group.
+// Classes are numbered in first-appearance order, placed into the member
+// CSR group by group, and each class's row is sorted by (price, bid).
 func (ci *classIndex) build(s *BidSet) {
-	type shape struct{ lo, hi, r int }
-	ids := make(map[shape]int)
-	ci.classOf = make([]int, s.n)
-	for i := 0; i < s.n; i++ {
-		sh := shape{s.start[i], s.end[i], s.rounds[i]}
-		c, ok := ids[sh]
-		if !ok {
-			c = len(ids)
-			ids[sh] = c
-			ci.lo = append(ci.lo, sh.lo)
-			ci.hi = append(ci.hi, sh.hi)
-			ci.r = append(ci.r, sh.r)
-		}
-		ci.classOf[i] = c
+	n := s.n
+	order, buf := make([]int, n), make([]int, n)
+	for i := range order {
+		order[i] = i
 	}
-	ci.n = len(ids)
+	for _, col := range [...][]int{s.rounds, s.end, s.start} {
+		order, buf = radixSortBy(col, order, buf)
+	}
+	// Number the groups in sorted order, then renumber them by first
+	// appearance: first[g] is group g's class, −1 until its smallest bid.
+	ci.classOf = make([]int, n)
+	groups := 0
+	for k, b := range order {
+		if k == 0 || s.start[b] != s.start[order[k-1]] || s.end[b] != s.end[order[k-1]] || s.rounds[b] != s.rounds[order[k-1]] {
+			groups++
+		}
+		ci.classOf[b] = groups - 1
+	}
+	first := buf[:groups]
+	for g := range first {
+		first[g] = -1
+	}
+	for i, g := range ci.classOf {
+		if first[g] < 0 {
+			first[g] = ci.n
+			ci.n++
+			ci.lo = append(ci.lo, s.start[i])
+			ci.hi = append(ci.hi, s.end[i])
+			ci.r = append(ci.r, s.rounds[i])
+		}
+		ci.classOf[i] = first[g]
+	}
 	ci.memberStart = make([]int, ci.n+1)
 	for _, c := range ci.classOf {
 		ci.memberStart[c+1]++
@@ -140,21 +162,42 @@ func (ci *classIndex) build(s *BidSet) {
 	for c := 0; c < ci.n; c++ {
 		ci.memberStart[c+1] += ci.memberStart[c]
 	}
-	ci.members = make([]int, s.n)
-	cur := make([]int, ci.n)
+	// Each group sits in order as one run of ascending bids: place it at
+	// its class's row, with first reused as the row cursors.
+	cur := first
 	copy(cur, ci.memberStart[:ci.n])
-	for i := 0; i < s.n; i++ {
-		c := ci.classOf[i]
-		ci.members[cur[c]] = i
+	ci.members = make([]int, n)
+	for _, b := range order {
+		c := ci.classOf[b]
+		ci.members[cur[c]] = b
 		cur[c]++
 	}
-	ci.memberPos = make([]int, s.n)
+	ci.memberPos = order // every entry is rewritten below
 	for c := 0; c < ci.n; c++ {
 		row := ci.members[ci.memberStart[c]:ci.memberStart[c+1]]
-		// (price, bid) is a total order (validated prices are finite), so
-		// the unstable sort's permutation is deterministic.
+		sortMembers(row, s.price)
+		for j, b := range row {
+			ci.memberPos[b] = j
+		}
+	}
+	ci.walkPrices = true
+	for _, p := range s.price {
+		if !(p >= 0x1p-256 && p <= 0x1p256) {
+			ci.walkPrices = false
+			break
+		}
+	}
+}
+
+// sortMembers sorts a class's member row, ascending by bid, into
+// (price, bid) order: by insertion for the short rows most classes have,
+// with no comparison closure, and by slices.SortFunc beyond. (price, bid)
+// is a total order on non-NaN prices, so the permutation does not depend
+// on the algorithm.
+func sortMembers(row []int, price []float64) {
+	if len(row) > 12 {
 		slices.SortFunc(row, func(a, b int) int {
-			switch pa, pb := s.price[a], s.price[b]; {
+			switch pa, pb := price[a], price[b]; {
 			case pa < pb:
 				return -1
 			case pa > pb:
@@ -162,10 +205,62 @@ func (ci *classIndex) build(s *BidSet) {
 			}
 			return a - b
 		})
-		for j, b := range row {
-			ci.memberPos[b] = j
+		return
+	}
+	for i := 1; i < len(row); i++ {
+		for j := i; j > 0; j-- {
+			a, b := row[j], row[j-1]
+			if pa, pb := price[a], price[b]; pa > pb || !(pa < pb) && a > b {
+				break
+			}
+			row[j], row[j-1] = b, a
 		}
 	}
+}
+
+// radixBits caps the digit width of radixSortBy: at most 2¹¹ buckets.
+const radixBits = 11
+
+// radixSortBy stably sorts order (a permutation of bid indices) by
+// col[order[k]], using buf as the other half of each counting pass, and
+// returns the sorted slice and the spare one. The passes follow the
+// column's value range: none when every value is equal, one of at most
+// radixBits bits for a range of up to 2¹¹ values, and at most six for any
+// range of ints, so an unvalidated column costs linear time and a bounded
+// count table.
+func radixSortBy(col, order, buf []int) (sorted, spare []int) {
+	if len(order) == 0 {
+		return order, buf
+	}
+	lo, hi := col[0], col[0]
+	for _, v := range col {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	width := bits.Len(uint(hi) - uint(lo))
+	if width == 0 {
+		return order, buf
+	}
+	passes := (width + radixBits - 1) / radixBits
+	width = (width + passes - 1) / passes
+	mask := uint(1)<<width - 1
+	count := make([]int, 1<<width)
+	for shift := 0; passes > 0; passes, shift = passes-1, shift+width {
+		clear(count)
+		for _, b := range order {
+			count[(uint(col[b])-uint(lo))>>shift&mask]++
+		}
+		sum := 0
+		for d, c := range count {
+			count[d], sum = sum, sum+c
+		}
+		for _, b := range order {
+			d := (uint(col[b]) - uint(lo)) >> shift & mask
+			buf[count[d]] = b
+			count[d]++
+		}
+		order, buf = buf, order
+	}
+	return order, buf
 }
 
 // initClasses starts the candidate queue of one run: the carried initial
@@ -503,7 +598,7 @@ func (w *wdpState) selectWinnerClass(ce classEntry) {
 		}
 	}
 
-	w.winners = append(w.winners, Winner{
+	w.sc.winners = append(w.sc.winners, Winner{
 		BidIndex: idx,
 		Bid:      w.set.Bid(idx),
 		Slots:    slots,

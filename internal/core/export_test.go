@@ -1,7 +1,15 @@
 package core
 
-// Hooks into the exact-critical pricing internals for the external
-// differential tests (package core_test), which need the harness
+import (
+	"context"
+	"math"
+	"time"
+
+	"github.com/fedauction/afl/internal/obs"
+)
+
+// Hooks into the exact-critical pricing and tight-dual internals for the
+// external differential tests (package core_test), which need the harness
 // workloads that live there.
 
 // HeldOut is one winner's held-out pricing record.
@@ -55,4 +63,91 @@ func SolveWDPBase(bids []Bid, qualified []int, tg int, cfg Config, base []int) W
 // req, with each residual bid's index in the engine's population.
 func ResidualBids(e *Engine, req RepairRequest) ([]Bid, []int) {
 	return residualBids(e.ax.set, req)
+}
+
+// TightDual is one solve's tight dual certificate: the TightObjective the
+// solve reported, the objectives of the walk's scale and of the full scan
+// over the touched classes, and how many initial-order entries are keyed
+// exactly on the walk's final exit bound.
+type TightDual struct {
+	Tg                   int
+	Reported, Walk, Scan float64
+	OnBound              int
+}
+
+// tightDual reads the tight dual of the run that just ended on w.
+func (w *wdpState) tightDual(res WDPResult) TightDual {
+	d := TightDual{Tg: w.tg, Reported: res.Dual.TightObjective}
+	var sumEta float64
+	for t := 0; t < w.tg; t++ {
+		sumEta += w.phiMax[t]
+	}
+	if sumEta <= 0 {
+		return d // no η order was built
+	}
+	objective := func(scale float64) float64 {
+		if math.IsInf(scale, 1) {
+			return 0
+		}
+		return scale * float64(w.cfg.K) * sumEta
+	}
+	walk := w.tightWalk()
+	d.Walk, d.Scan = objective(walk), objective(w.tightScan())
+	bound := walk * w.sc.etaTop[1] * tightSlack
+	for _, e := range w.sc.clsOrder {
+		if e.key == bound {
+			d.OnBound++
+		}
+	}
+	return d
+}
+
+// SweepTightDuals sweeps every candidate T̂_g of (bids, cfg) on one arena,
+// as a sweep segment does, and returns the tight dual of each feasible
+// WDP, read from the arena right after its solve.
+func SweepTightDuals(bids []Bid, cfg Config) ([]TightDual, error) {
+	eng, err := NewEngine(bids, cfg)
+	if err != nil {
+		return nil, err
+	}
+	ax := eng.ax
+	lo, hi := ax.t0, cfg.T
+	if lo > hi {
+		return nil, nil
+	}
+	sc := acquireScratch(ax.set.n, hi)
+	defer releaseScratch(sc)
+	out := make([]WDPResult, hi-lo+1)
+	var duals []TightDual
+	// The solve's event fires right after it, on the arena it just used.
+	observe := obs.ObserverFunc(func(e obs.Event) {
+		if e.Kind == obs.EvWDPSolved && e.OK {
+			duals = append(duals, sc.state.tightDual(WDPResult{}))
+		}
+	})
+	if err := ax.sweepArena(context.Background(), sc, lo, hi, out, nil, observe, time.Now); err != nil {
+		return nil, err
+	}
+	for i := range duals {
+		duals[i].Reported = out[duals[i].Tg-lo].Dual.TightObjective
+	}
+	return duals, nil
+}
+
+// BaseTightDual solves one WDP of (bids, qualified, tg, cfg) with base
+// coverage pre-committed, as a repair does, and returns its tight dual.
+func BaseTightDual(bids []Bid, qualified []int, tg int, cfg Config, base []int) TightDual {
+	set := CompileBids(bids)
+	sc := acquireScratch(set.n, tg)
+	defer releaseScratch(sc)
+	sc.resetClasses(set.classes(), qualified)
+	res := solveWDP(set, qualified, tg, cfg, sc, base, nil)
+	return sc.state.tightDual(res)
+}
+
+// ClassPosition returns bid i's shape-class row and its position in that
+// class's member row.
+func ClassPosition(s *BidSet, i int) (class, pos int) {
+	ci := s.classes()
+	return ci.classOf[i], ci.memberPos[i]
 }

@@ -132,8 +132,7 @@ func (pr *pricer) heldOut(force int) bool {
 	heldCls := w.cls.classOf[pr.bid]
 	// takeRep selects idx with its representative schedule.
 	takeRep := func(idx int) {
-		slots := w.repCandidates(idx, w.sc.cand)
-		w.sc.cand = slots[:0]
+		slots, _ := w.repSchedule(idx, false)
 		w.take(idx, slots)
 	}
 	target := pr.cfg.K * pr.tg

@@ -43,11 +43,12 @@ type wdpScratch struct {
 	stamp []uint32
 	gen   uint32
 
-	// Representative-schedule buffers, and the tight dual's descending η
-	// order with its prefix sums (see tightDualObjective).
-	cand, avail []int
-	etaOrder    []int
-	etaTop      []float64
+	// Representative-schedule buffers (see repSchedule), and the tight
+	// dual's descending η order with its prefix sums (see
+	// tightDualObjective).
+	cand, avail, full []int
+	etaOrder          []int
+	etaTop            []float64
 
 	// Class selection state (see classsel.go). clsInit keeps the first-
 	// qualified head position per class row, with −1 meaning untouched,
@@ -71,6 +72,11 @@ type wdpScratch struct {
 	clsOrdered      bool
 	clsHeap, spare  classHeap
 	keptCls         []classEntry
+
+	// winners is the winner list of the current run, appended to by
+	// selectWinnerClass and copied out at exact length for a feasible
+	// WDP (solveWDP). releaseScratch clears it.
+	winners []Winner
 
 	// chunk backs the winner schedules that escape into Results: slots and
 	// covered sub-slices are carved append-only out of one slab instead of
@@ -116,10 +122,12 @@ func acquireScratch(nBids, tg int) *wdpScratch {
 }
 
 // releaseScratch returns the arena to the pool. References held by the
-// embedded state are dropped so pooled memory cannot pin a caller's
-// bids or results.
+// embedded state and the winner list are dropped so pooled memory cannot
+// pin a caller's bids or results.
 func releaseScratch(sc *wdpScratch) {
 	sc.state = wdpState{}
+	clear(sc.winners[:cap(sc.winners)])
+	sc.winners = sc.winners[:0]
 	scratchPool.Put(sc)
 }
 

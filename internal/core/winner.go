@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"github.com/fedauction/afl/internal/stats"
 )
@@ -67,8 +68,12 @@ func solveWDP(set *BidSet, qualified []int, tg int, cfg Config, sc *wdpScratch, 
 		res.Rounds++
 	}
 	res.Feasible = true
-	res.Winners = w.winners
-	for _, win := range w.winners {
+	if n := len(sc.winners); n > 0 {
+		// One exact-length copy per feasible WDP, out of the arena's list.
+		res.Winners = make([]Winner, n)
+		copy(res.Winners, sc.winners)
+	}
+	for _, win := range res.Winners {
 		res.Cost += win.Bid.Price
 	}
 	res.Dual = w.finalizeDual(cfg.K)
@@ -91,8 +96,8 @@ func solveOnce(set *BidSet, qualified []int, tg int, cfg Config, base []int) WDP
 }
 
 // wdpState is the mutable state of one A_winner run. All of its storage
-// is backed by a wdpScratch arena; only result data (winners, schedules,
-// duals) is freshly allocated.
+// is backed by a wdpScratch arena, the winner list included; only result
+// data (the winners' copy, schedules, duals) is freshly allocated.
 type wdpState struct {
 	set *BidSet
 	tg  int
@@ -111,8 +116,8 @@ type wdpState struct {
 	// remain readable, but no class head ever lands on it.
 	gen  uint32
 	held int
-
-	winners []Winner
+	// based reports that the run started from pre-committed base coverage.
+	based bool
 
 	// Dual bookkeeping (lines 9, 11-12 and 16-23 of Algorithm 2).
 	// phiMax[t-1] = η_φ(t) = max_l φ(t,l) over selected schedules.
@@ -186,6 +191,7 @@ func (sc *wdpScratch) begin(set *BidSet, qualified []int, tg int, cfg Config, ba
 		gamma:        sc.gamma[:tg],
 		gen:          sc.nextGen(),
 		held:         held,
+		based:        base != nil,
 		cls:          set.classes(),
 		cur:          sc.clsCur,
 		filledPrefix: sc.filledPrefix[:tg+1],
@@ -208,6 +214,7 @@ func (sc *wdpScratch) begin(set *BidSet, qualified []int, tg int, cfg Config, ba
 	for _, idx := range qualified {
 		sc.stamp[idx] = w.gen
 	}
+	sc.winners = sc.winners[:0]
 	w.initClasses()
 	return w
 }
@@ -241,31 +248,102 @@ func (w *wdpState) slotRangeOf(idx int) (lo, hi int) {
 	return lo, hi
 }
 
-// repCandidates computes the bid's representative schedule l_ij — the
-// c_ij iterations with the smallest coverage count γ_t inside the
-// effective window, ties broken by iteration index — into buf, in
-// least-covered-first order.
-func (w *wdpState) repCandidates(idx int, buf []int) []int {
+// repSchedule computes bid idx's representative schedule l_ij into
+// scratch: slots, the schedule in ascending slot order, and open, its
+// subset F_il still open (γ_t < K). Under ScheduleLeastCovered the
+// schedule is the c_ij slots of the clipped window with the smallest
+// (γ_t, t); under ScheduleEarliest it is the window's first c_ij slots.
+// With ordered, open comes in least-covered-first (γ_t, t) order — the
+// order Winner.covered keeps, which fixes the float summation order of
+// λ_il — and otherwise in any order. Both slices are valid until the
+// next call.
+//
+// No slot list is sorted whole: open slots precede full ones in (γ_t, t)
+// order, so the schedule is the open slots' prefix, or every open slot
+// plus a prefix of the full ones, and one window scan against its
+// (γ_t, t)-largest slot lists it in ascending order.
+func (w *wdpState) repSchedule(idx int, ordered bool) (slots, open []int) {
 	lo, hi := w.slotRangeOf(idx)
-	cand := buf[:0]
+	r, k, gamma := w.set.rounds[idx], w.cfg.K, w.gamma
+	sc := w.sc
+	slots, open, full := sc.cand[:0], sc.avail[:0], sc.full[:0]
 	for t := lo; t <= hi; t++ {
-		cand = append(cand, t)
+		if gamma[t-1] < k {
+			open = append(open, t)
+		} else {
+			full = append(full, t)
+		}
 	}
-	if w.cfg.ScheduleRule != ScheduleEarliest {
-		// (γ_t, t) is a total order — no equal keys — so the unstable
-		// slices.SortFunc yields the same permutation sort.Slice did,
-		// without the reflect-based swapper allocation.
-		slices.SortFunc(cand, func(a, b int) int {
-			if ga, gb := w.gamma[a-1], w.gamma[b-1]; ga != gb {
-				return ga - gb
+	switch {
+	case hi-lo+1 <= r:
+		// The whole range (always under earliest-fit, whose range ends at
+		// the c_ij-th slot).
+		for t := lo; t <= hi; t++ {
+			slots = append(slots, t)
+		}
+		if ordered && w.cfg.ScheduleRule == ScheduleLeastCovered {
+			w.sortByCoverage(open)
+		}
+	default:
+		var last int // the schedule's (γ_t, t)-largest slot
+		if len(open) >= r {
+			w.sortByCoverage(open)
+			open = open[:r]
+			last = open[r-1]
+		} else {
+			w.sortByCoverage(full)
+			last = full[r-len(open)-1]
+			if ordered {
+				w.sortByCoverage(open)
 			}
-			return a - b
-		})
+		}
+		gl := gamma[last-1]
+		for t := lo; t <= hi; t++ {
+			if g := gamma[t-1]; g < gl || g == gl && t <= last {
+				slots = append(slots, t)
+			}
+		}
 	}
-	if r := w.set.rounds[idx]; len(cand) > r {
-		cand = cand[:r]
+	sc.cand, sc.avail, sc.full = slots[:0], open[:0], full[:0]
+	return slots, open
+}
+
+// sortByCoverage sorts ts, an ascending run of slots, into (γ_t, t)
+// order: a stable sort by γ_t. Short runs, the common case, sort by
+// insertion; longer ones as packed ints — (γ_t − γ_min) above the bits of
+// t − ts[0] — with no comparison closure. A γ spread too wide to pack
+// (only huge or negative base coverage gives one) takes the comparator.
+func (w *wdpState) sortByCoverage(ts []int) {
+	gamma := w.gamma
+	if len(ts) <= 12 {
+		for i := 1; i < len(ts); i++ {
+			t := ts[i]
+			g, j := gamma[t-1], i
+			for ; j > 0 && gamma[ts[j-1]-1] > g; j-- {
+				ts[j] = ts[j-1]
+			}
+			ts[j] = t
+		}
+		return
 	}
-	return cand
+	t0 := ts[0]
+	gmin, gmax := gamma[t0-1], gamma[t0-1]
+	for _, t := range ts[1:] {
+		gmin, gmax = min(gmin, gamma[t-1]), max(gmax, gamma[t-1])
+	}
+	shift := bits.Len(uint(ts[len(ts)-1] - t0))
+	if uint(gmax)-uint(gmin) > math.MaxInt>>shift {
+		slices.SortStableFunc(ts, func(a, b int) int { return cmp.Compare(gamma[a-1], gamma[b-1]) })
+		return
+	}
+	for i, t := range ts {
+		ts[i] = int(uint(gamma[t-1])-uint(gmin))<<shift | (t - t0)
+	}
+	slices.Sort(ts)
+	mask := 1<<shift - 1
+	for i, key := range ts {
+		ts[i] = t0 + key&mask
+	}
 }
 
 // representativeSchedule returns the bid's representative schedule (slots,
@@ -274,43 +352,24 @@ func (w *wdpState) repCandidates(idx int, buf []int) []int {
 // cannot live in reusable scratch; they are carved out of the scratch's
 // append-only slab (allocResult) — one slab allocation per few hundred
 // winners instead of one make per winner, which was the dominant
-// allocation site of a solve. The candidate work happens in scratch.
+// allocation site of a solve. The selection itself happens in scratch.
 func (w *wdpState) representativeSchedule(idx int) (slots, available []int) {
-	cand := w.repCandidates(idx, w.sc.cand)
-	w.sc.cand = cand[:0]
-	navail := 0
-	for _, t := range cand {
-		if w.gamma[t-1] < w.cfg.K {
-			navail++
-		}
-	}
-	buf := w.sc.allocResult(len(cand) + navail)
-	slots = buf[:len(cand):len(cand)]
-	copy(slots, cand)
-	sort.Ints(slots)
-	available = buf[len(cand):len(cand)]
-	for _, t := range cand {
-		if w.gamma[t-1] < w.cfg.K {
-			available = append(available, t)
-		}
-	}
+	s, open := w.repSchedule(idx, true)
+	buf := w.sc.allocResult(len(s) + len(open))
+	slots = buf[:len(s):len(s)]
+	copy(slots, s)
+	available = buf[len(s):]
+	copy(available, open)
 	return slots, available
 }
 
 // repAvailable returns the still-available subset of the bid's
-// representative schedule using scratch buffers only (nothing escapes);
-// it feeds the best-unselected dual bookkeeping.
+// representative schedule, in any order, from scratch buffers only
+// (nothing escapes); it feeds the best-unselected dual bookkeeping, whose
+// minima read no order.
 func (w *wdpState) repAvailable(idx int) []int {
-	cand := w.repCandidates(idx, w.sc.cand)
-	w.sc.cand = cand[:0]
-	avail := w.sc.avail[:0]
-	for _, t := range cand {
-		if w.gamma[t-1] < w.cfg.K {
-			avail = append(avail, t)
-		}
-	}
-	w.sc.avail = avail[:0]
-	return avail
+	_, open := w.repSchedule(idx, false)
+	return open
 }
 
 // take commits bid idx with its representative schedule slots (in any
@@ -344,7 +403,7 @@ func (w *wdpState) finalizeDual(k int) Dual {
 	d := Dual{
 		Tg:         tg,
 		G:          make([]float64, tg),
-		Lambda:     make(map[int]float64, len(w.winners)),
+		Lambda:     make(map[int]float64, len(w.sc.winners)),
 		HarmonicTg: stats.Harmonic(tg),
 	}
 	// ω = max_t ψ_max^t / ψ_min^t with ψ_min^t the smallest recorded
@@ -367,7 +426,7 @@ func (w *wdpState) finalizeDual(k int) Dual {
 		d.G[t] = w.phiMax[t] / scale
 	}
 	var sumLambda float64
-	for _, win := range w.winners {
+	for _, win := range w.sc.winners {
 		var l float64
 		for _, t := range win.covered {
 			l += (w.phiMax[t-1] - win.phi) / scale
@@ -397,7 +456,26 @@ func (w *wdpState) finalizeDual(k int) Dual {
 // order, clsInit, since the solve's class heads are folded over exactly
 // its qualified set. Float min is exact and order-independent, so the
 // class-wise minimum equals the minimum over the qualified bids
-// bit-for-bit.
+// bit-for-bit, over any subset of classes that holds every class able to
+// lower it.
+//
+// A run without base coverage finds that subset on its initial order
+// (clsOrder): one entry per class with a positive starting marginal,
+// keyed at the class's first qualified member under that marginal, in
+// ascending key order. With no base the starting marginal is min(c_ij,
+// clipped window), so an entry keyed below c_ij has a window too short to
+// constrain anything, and every other key is fl(ρ / c_ij). The walk stops
+// at the first key above scale·η_max·tightSlack, and no later class
+// passes tightScale's skip test: with u = 2⁻⁵³ and normal floats,
+// etaTop[c_ij] ≤ c_ij·η_max·(1+u)^(c_ij−1), so a key above the bound gives
+// fl(ρ / etaTop[c_ij]) ≥ scale·tightSlack/(1+u)^(c_ij+3) ≥ scale whenever
+// tightSlack − 1 ≥ (c_ij+4)·u, which c_ij ≤ T̂_g ≤ tightWalkMaxTg keeps
+// (a class with c_ij > T̂_g has no window long enough). Keys only grow
+// along the order, so every later entry is past the bound too. The float
+// bounds need prices that are finite, non-negative and normal in every
+// product the walk forms (classIndex.walkPrices); a set with other prices,
+// and a run with base coverage, whose starting marginals no longer bound
+// c_ij, scan every touched class instead.
 func (w *wdpState) tightDualObjective(k int) float64 {
 	var sumEta float64
 	for t := 0; t < w.tg; t++ {
@@ -407,17 +485,55 @@ func (w *wdpState) tightDualObjective(k int) float64 {
 		return 0
 	}
 	w.orderEta()
-	scale := math.Inf(1)
-	cls := w.cls
-	for _, c := range w.sc.clsTouched {
-		minPrice := w.set.price[cls.members[cls.memberStart[c]+w.sc.clsInit[c]]]
-		scale = w.tightScale(scale, cls.lo[c], cls.hi[c], cls.r[c], minPrice)
+	var scale float64
+	if !w.based && w.cls.walkPrices && w.tg <= tightWalkMaxTg {
+		scale = w.tightWalk()
+	} else {
+		scale = w.tightScan()
 	}
 	if math.IsInf(scale, 1) {
 		return 0
 	}
 	return scale * float64(k) * sumEta
 }
+
+// tightWalk is the tight dual's scale over the initial order, up to the
+// first key above the walk's bound (see tightDualObjective).
+func (w *wdpState) tightWalk() float64 {
+	cls := w.cls
+	scale, bound := math.Inf(1), math.Inf(1)
+	etaMax := w.sc.etaTop[1]
+	for _, e := range w.sc.clsOrder {
+		if e.key > bound {
+			break
+		}
+		c := e.cls
+		if s := w.tightScale(scale, cls.lo[c], cls.hi[c], cls.r[c], w.set.price[e.bid]); s != scale {
+			scale, bound = s, s*etaMax*tightSlack
+		}
+	}
+	return scale
+}
+
+// tightScan is the tight dual's scale over every touched class.
+func (w *wdpState) tightScan() float64 {
+	cls := w.cls
+	scale := math.Inf(1)
+	for _, c := range w.sc.clsTouched {
+		minPrice := w.set.price[cls.members[cls.memberStart[c]+w.sc.clsInit[c]]]
+		scale = w.tightScale(scale, cls.lo[c], cls.hi[c], cls.r[c], minPrice)
+	}
+	return scale
+}
+
+// tightSlack is the float margin of the tight dual's walk, 1 + 2⁻²⁹: it
+// covers c_ij + 4 roundings for every c_ij up to tightWalkMaxTg, and a
+// key can sit exactly on the bound it scales.
+const tightSlack = 1 + 0x1p-29
+
+// tightWalkMaxTg is the largest horizon the walk's margin covers:
+// (T̂_g + 4)·2⁻⁵³ ≤ 2⁻²⁹.
+const tightWalkMaxTg = 1<<24 - 4
 
 // orderEta sorts the iterations 1..tg by descending η_φ into sc.etaOrder
 // and stores that order's prefix sums in sc.etaTop (etaTop[r] is the sum
