@@ -145,6 +145,7 @@ func (ci *classIndex) build(s *BidSet) {
 	for g := range first {
 		first[g] = -1
 	}
+	ci.lo, ci.hi, ci.r = make([]int, 0, groups), make([]int, 0, groups), make([]int, 0, groups)
 	for i, g := range ci.classOf {
 		if first[g] < 0 {
 			first[g] = ci.n
@@ -175,7 +176,17 @@ func (ci *classIndex) build(s *BidSet) {
 	ci.memberPos = order // every entry is rewritten below
 	for c := 0; c < ci.n; c++ {
 		row := ci.members[ci.memberStart[c]:ci.memberStart[c+1]]
-		sortMembers(row, s.price)
+		// (price, bid) is a total order (validated prices are finite), so
+		// the unstable sort's permutation is deterministic.
+		slices.SortFunc(row, func(a, b int) int {
+			switch pa, pb := s.price[a], s.price[b]; {
+			case pa < pb:
+				return -1
+			case pa > pb:
+				return 1
+			}
+			return a - b
+		})
 		for j, b := range row {
 			ci.memberPos[b] = j
 		}
@@ -185,35 +196,6 @@ func (ci *classIndex) build(s *BidSet) {
 		if !(p >= 0x1p-256 && p <= 0x1p256) {
 			ci.walkPrices = false
 			break
-		}
-	}
-}
-
-// sortMembers sorts a class's member row, ascending by bid, into
-// (price, bid) order: by insertion for the short rows most classes have,
-// with no comparison closure, and by slices.SortFunc beyond. (price, bid)
-// is a total order on non-NaN prices, so the permutation does not depend
-// on the algorithm.
-func sortMembers(row []int, price []float64) {
-	if len(row) > 12 {
-		slices.SortFunc(row, func(a, b int) int {
-			switch pa, pb := price[a], price[b]; {
-			case pa < pb:
-				return -1
-			case pa > pb:
-				return 1
-			}
-			return a - b
-		})
-		return
-	}
-	for i := 1; i < len(row); i++ {
-		for j := i; j > 0; j-- {
-			a, b := row[j], row[j-1]
-			if pa, pb := price[a], price[b]; pa > pb || !(pa < pb) && a > b {
-				break
-			}
-			row[j], row[j-1] = b, a
 		}
 	}
 }

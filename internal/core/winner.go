@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"math"
-	"math/bits"
 	"slices"
 
 	"github.com/fedauction/afl/internal/stats"
@@ -267,10 +266,14 @@ func (w *wdpState) repSchedule(idx int, ordered bool) (slots, open []int) {
 	r, k, gamma := w.set.rounds[idx], w.cfg.K, w.gamma
 	sc := w.sc
 	slots, open, full := sc.cand[:0], sc.avail[:0], sc.full[:0]
+	// A list whose γ never falls is in (γ_t, t) order already.
+	openSorted, fullSorted := true, true
 	for t := lo; t <= hi; t++ {
-		if gamma[t-1] < k {
+		if g := gamma[t-1]; g < k {
+			openSorted = openSorted && (len(open) == 0 || gamma[open[len(open)-1]-1] <= g)
 			open = append(open, t)
 		} else {
+			fullSorted = fullSorted && (len(full) == 0 || gamma[full[len(full)-1]-1] <= g)
 			full = append(full, t)
 		}
 	}
@@ -281,9 +284,13 @@ func (w *wdpState) repSchedule(idx int, ordered bool) (slots, open []int) {
 		for t := lo; t <= hi; t++ {
 			slots = append(slots, t)
 		}
-		if ordered && w.cfg.ScheduleRule == ScheduleLeastCovered {
+		if ordered && !openSorted && w.cfg.ScheduleRule == ScheduleLeastCovered {
 			w.sortByCoverage(open)
 		}
+	case len(open) >= r && openSorted:
+		// The first r open slots, already ascending.
+		open = open[:r]
+		slots = append(slots, open...)
 	default:
 		var last int // the schedule's (γ_t, t)-largest slot
 		if len(open) >= r {
@@ -291,9 +298,11 @@ func (w *wdpState) repSchedule(idx int, ordered bool) (slots, open []int) {
 			open = open[:r]
 			last = open[r-1]
 		} else {
-			w.sortByCoverage(full)
+			if !fullSorted {
+				w.sortByCoverage(full)
+			}
 			last = full[r-len(open)-1]
-			if ordered {
+			if ordered && !openSorted {
 				w.sortByCoverage(open)
 			}
 		}
@@ -310,9 +319,9 @@ func (w *wdpState) repSchedule(idx int, ordered bool) (slots, open []int) {
 
 // sortByCoverage sorts ts, an ascending run of slots, into (γ_t, t)
 // order: a stable sort by γ_t. Short runs, the common case, sort by
-// insertion; longer ones as packed ints — (γ_t − γ_min) above the bits of
-// t − ts[0] — with no comparison closure. A γ spread too wide to pack
-// (only huge or negative base coverage gives one) takes the comparator.
+// insertion, and longer ones by counting over their γ levels. Only a run
+// whose γ spread reaches its length — seen with base coverage — takes a
+// comparator.
 func (w *wdpState) sortByCoverage(ts []int) {
 	gamma := w.gamma
 	if len(ts) <= 12 {
@@ -326,24 +335,33 @@ func (w *wdpState) sortByCoverage(ts []int) {
 		}
 		return
 	}
-	t0 := ts[0]
-	gmin, gmax := gamma[t0-1], gamma[t0-1]
+	gmin, gmax := gamma[ts[0]-1], gamma[ts[0]-1]
 	for _, t := range ts[1:] {
 		gmin, gmax = min(gmin, gamma[t-1]), max(gmax, gamma[t-1])
 	}
-	shift := bits.Len(uint(ts[len(ts)-1] - t0))
-	if uint(gmax)-uint(gmin) > math.MaxInt>>shift {
+	spread := uint(gmax) - uint(gmin)
+	if spread >= uint(len(ts)) {
 		slices.SortStableFunc(ts, func(a, b int) int { return cmp.Compare(gamma[a-1], gamma[b-1]) })
 		return
 	}
-	for i, t := range ts {
-		ts[i] = int(uint(gamma[t-1])-uint(gmin))<<shift | (t - t0)
+	sc := w.sc
+	cnt := growI(sc.levels, int(spread)+1)
+	clear(cnt)
+	for _, t := range ts {
+		cnt[gamma[t-1]-gmin]++
 	}
-	slices.Sort(ts)
-	mask := 1<<shift - 1
-	for i, key := range ts {
-		ts[i] = t0 + key&mask
+	at := 0
+	for l, c := range cnt {
+		cnt[l], at = at, at+c
 	}
+	out := growI(sc.sorted, len(ts))
+	for _, t := range ts {
+		l := gamma[t-1] - gmin
+		out[cnt[l]] = t
+		cnt[l]++
+	}
+	copy(ts, out)
+	sc.levels, sc.sorted = cnt, out
 }
 
 // representativeSchedule returns the bid's representative schedule (slots,
