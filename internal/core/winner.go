@@ -257,23 +257,20 @@ func (w *wdpState) slotRangeOf(idx int) (lo, hi int) {
 // λ_il — and otherwise in any order. Both slices are valid until the
 // next call.
 //
-// No slot list is sorted whole: open slots precede full ones in (γ_t, t)
-// order, so the schedule is the open slots' prefix, or every open slot
-// plus a prefix of the full ones, and one window scan against its
-// (γ_t, t)-largest slot lists it in ascending order.
+// The window is never sorted whole: open slots precede full ones in
+// (γ_t, t) order, so the schedule is a prefix of the open slots, or every
+// open slot plus a prefix of the full ones. Only the list it draws from
+// is ordered (sortByCoverage), and one window scan against the
+// schedule's (γ_t, t)-largest slot lists it in ascending order.
 func (w *wdpState) repSchedule(idx int, ordered bool) (slots, open []int) {
 	lo, hi := w.slotRangeOf(idx)
 	r, k, gamma := w.set.rounds[idx], w.cfg.K, w.gamma
 	sc := w.sc
 	slots, open, full := sc.cand[:0], sc.avail[:0], sc.full[:0]
-	// A list whose γ never falls is in (γ_t, t) order already.
-	openSorted, fullSorted := true, true
 	for t := lo; t <= hi; t++ {
-		if g := gamma[t-1]; g < k {
-			openSorted = openSorted && (len(open) == 0 || gamma[open[len(open)-1]-1] <= g)
+		if gamma[t-1] < k {
 			open = append(open, t)
 		} else {
-			fullSorted = fullSorted && (len(full) == 0 || gamma[full[len(full)-1]-1] <= g)
 			full = append(full, t)
 		}
 	}
@@ -284,13 +281,9 @@ func (w *wdpState) repSchedule(idx int, ordered bool) (slots, open []int) {
 		for t := lo; t <= hi; t++ {
 			slots = append(slots, t)
 		}
-		if ordered && !openSorted && w.cfg.ScheduleRule == ScheduleLeastCovered {
+		if ordered && w.cfg.ScheduleRule == ScheduleLeastCovered {
 			w.sortByCoverage(open)
 		}
-	case len(open) >= r && openSorted:
-		// The first r open slots, already ascending.
-		open = open[:r]
-		slots = append(slots, open...)
 	default:
 		var last int // the schedule's (γ_t, t)-largest slot
 		if len(open) >= r {
@@ -298,11 +291,9 @@ func (w *wdpState) repSchedule(idx int, ordered bool) (slots, open []int) {
 			open = open[:r]
 			last = open[r-1]
 		} else {
-			if !fullSorted {
-				w.sortByCoverage(full)
-			}
+			w.sortByCoverage(full)
 			last = full[r-len(open)-1]
-			if ordered && !openSorted {
+			if ordered {
 				w.sortByCoverage(open)
 			}
 		}
@@ -483,17 +474,19 @@ func (w *wdpState) finalizeDual(k int) Dual {
 // ascending key order. With no base the starting marginal is min(c_ij,
 // clipped window), so an entry keyed below c_ij has a window too short to
 // constrain anything, and every other key is fl(ρ / c_ij). The walk stops
-// at the first key above scale·η_max·tightSlack, and no later class
-// passes tightScale's skip test: with u = 2⁻⁵³ and normal floats,
-// etaTop[c_ij] ≤ c_ij·η_max·(1+u)^(c_ij−1), so a key above the bound gives
-// fl(ρ / etaTop[c_ij]) ≥ scale·tightSlack/(1+u)^(c_ij+3) ≥ scale whenever
-// tightSlack − 1 ≥ (c_ij+4)·u, which c_ij ≤ T̂_g ≤ tightWalkMaxTg keeps
-// (a class with c_ij > T̂_g has no window long enough). Keys only grow
-// along the order, so every later entry is past the bound too. The float
-// bounds need prices that are finite, non-negative and normal in every
-// product the walk forms (classIndex.walkPrices); a set with other prices,
-// and a run with base coverage, whose starting marginals no longer bound
-// c_ij, scan every touched class instead.
+// at the first key above scale·η_max·tightSlack, and tightScale's skip
+// test holds for that class and every later one: with u = 2⁻⁵³ and normal
+// floats, etaTop[c_ij] ≤ c_ij·η_max·(1+u)^(c_ij−1), so a key above the
+// bound gives fl(ρ / etaTop[c_ij]) ≥ scale·tightSlack/(1+u)^(c_ij+3) ≥
+// scale whenever tightSlack − 1 ≥ (c_ij+4)·u, which c_ij ≤ T̂_g ≤
+// tightWalkMaxTg keeps (a class with c_ij > T̂_g has no window long
+// enough), and keys only grow along the order. The float bounds need
+// prices that are finite, non-negative and normal in every product the
+// walk forms (classIndex.walkPrices). A set with other prices scans every
+// touched class instead, and so does a run with base coverage: its
+// starting marginals count only open slots, and under earliest-fit a
+// class whose first c_ij slots are full has no entry at all while its
+// window can still set the scale.
 func (w *wdpState) tightDualObjective(k int) float64 {
 	var sumEta float64
 	for t := 0; t < w.tg; t++ {
