@@ -559,7 +559,8 @@ func (w *wdpState) selectWinnerClass(ce classEntry) {
 	}
 	gavail := avail
 	if gb != idx {
-		gavail = w.repAvailable(gb)
+		// Only minima read it, so any order of the open slots serves.
+		_, gavail = w.repSchedule(gb, false)
 	}
 	for _, t := range gavail {
 		if gphi < w.phiPrime[t-1] {

@@ -42,7 +42,7 @@ func referenceSchedule(w *wdpState, idx int) (slots, covered []int) {
 // coverageState returns a run on set at horizon tg whose coverage is
 // gamma: γ drawn from a few levels around K, so ties, full slots and
 // windows with more or fewer open slots than rounds are all common, and
-// now and then one huge level, too wide to pack beside the slot bits.
+// now and then one huge level, too far from the others to count over.
 func coverageState(t *testing.T, rng *rand.Rand, set *BidSet, tg int, cfg Config) *wdpState {
 	t.Helper()
 	sc := acquireScratch(set.Len(), tg)
@@ -67,9 +67,10 @@ func coverageState(t *testing.T, rng *rand.Rand, set *BidSet, tg int, cfg Config
 // kernel to the comparator sort over random coverage: γ on a few levels
 // (ties) on both sides of K, windows clipped by T̂_g, rounds up to and
 // past the window, runs longer than the insertion cut-off, γ spreads too
-// wide to pack, and both schedule rules. Slots and the covered order of
-// representativeSchedule must match exactly; repAvailable and the slot
-// set a held-out run takes (repSchedule unordered) must match as sets.
+// wide to count over, and both schedule rules. Slots and the covered
+// order of representativeSchedule must match exactly; the unordered
+// kernel's open slots (the grand set's dual bookkeeping) and slots (what
+// a held-out run takes) must match as sets.
 func TestRepScheduleMatchesComparatorSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 400; trial++ {
@@ -94,10 +95,10 @@ func TestRepScheduleMatchesComparatorSort(t *testing.T) {
 				t.Fatalf("trial %d bid %+v tg %d rule %v γ %v:\nslots %v covered %v\nwant  %v covered %v",
 					trial, bids[idx], tg, cfg.ScheduleRule, w.gamma, slots, covered, wantSlots, wantCovered)
 			}
-			if got := sortedClone(w.repAvailable(idx)); !slices.Equal(got, sortedClone(wantCovered)) {
-				t.Fatalf("trial %d bid %+v: repAvailable %v, want the set %v", trial, bids[idx], got, wantCovered)
+			take, open := w.repSchedule(idx, false)
+			if got := sortedClone(open); !slices.Equal(got, sortedClone(wantCovered)) {
+				t.Fatalf("trial %d bid %+v: unordered open slots %v, want the set %v", trial, bids[idx], got, wantCovered)
 			}
-			take, _ := w.repSchedule(idx, false)
 			if got := sortedClone(take); !reflect.DeepEqual(got, wantSlots) {
 				t.Fatalf("trial %d bid %+v: held-out take set %v, want %v", trial, bids[idx], got, wantSlots)
 			}

@@ -372,15 +372,6 @@ func (w *wdpState) representativeSchedule(idx int) (slots, available []int) {
 	return slots, available
 }
 
-// repAvailable returns the still-available subset of the bid's
-// representative schedule, in any order, from scratch buffers only
-// (nothing escapes); it feeds the best-unselected dual bookkeeping, whose
-// minima read no order.
-func (w *wdpState) repAvailable(idx int) []int {
-	_, open := w.repSchedule(idx, false)
-	return open
-}
-
 // take commits bid idx with its representative schedule slots (in any
 // order) to the allocation: C drops every bid of the winning client
 // (line 13 of Algorithm 2), and coverage grows over slots. A slot filling
@@ -538,8 +529,7 @@ func (w *wdpState) tightScan() float64 {
 }
 
 // tightSlack is the float margin of the tight dual's walk, 1 + 2⁻²⁹: it
-// covers c_ij + 4 roundings for every c_ij up to tightWalkMaxTg, and a
-// key can sit exactly on the bound it scales.
+// covers c_ij + 4 roundings for every c_ij up to tightWalkMaxTg.
 const tightSlack = 1 + 0x1p-29
 
 // tightWalkMaxTg is the largest horizon the walk's margin covers:
