@@ -75,9 +75,10 @@ type TightDual struct {
 	OnBound              int
 }
 
-// tightDual reads the tight dual of the run that just ended on w.
-func (w *wdpState) tightDual(res WDPResult) TightDual {
-	d := TightDual{Tg: w.tg, Reported: res.Dual.TightObjective}
+// tightDual reads the walk and the scan of the run that just ended on w;
+// the caller fills in Reported.
+func (w *wdpState) tightDual() TightDual {
+	d := TightDual{Tg: w.tg}
 	var sumEta float64
 	for t := 0; t < w.tg; t++ {
 		sumEta += w.phiMax[t]
@@ -122,7 +123,7 @@ func SweepTightDuals(bids []Bid, cfg Config) ([]TightDual, error) {
 	// The solve's event fires right after it, on the arena it just used.
 	observe := obs.ObserverFunc(func(e obs.Event) {
 		if e.Kind == obs.EvWDPSolved && e.OK {
-			duals = append(duals, sc.state.tightDual(WDPResult{}))
+			duals = append(duals, sc.state.tightDual())
 		}
 	})
 	if err := ax.sweepArena(context.Background(), sc, lo, hi, out, nil, observe, time.Now); err != nil {
@@ -142,7 +143,9 @@ func BaseTightDual(bids []Bid, qualified []int, tg int, cfg Config, base []int) 
 	defer releaseScratch(sc)
 	sc.resetClasses(set.classes(), qualified)
 	res := solveWDP(set, qualified, tg, cfg, sc, base, nil)
-	return sc.state.tightDual(res)
+	d := sc.state.tightDual()
+	d.Reported = res.Dual.TightObjective
+	return d
 }
 
 // ClassPosition returns bid i's shape-class row and its position in that
