@@ -559,8 +559,7 @@ func (w *wdpState) selectWinnerClass(ce classEntry) {
 	}
 	gavail := avail
 	if gb != idx {
-		// Only minima read it, so any order of the open slots serves.
-		_, gavail = w.repSchedule(gb, false)
+		_, gavail = w.repSchedule(gb)
 	}
 	for _, t := range gavail {
 		if gphi < w.phiPrime[t-1] {

@@ -132,7 +132,7 @@ func (pr *pricer) heldOut(force int) bool {
 	heldCls := w.cls.classOf[pr.bid]
 	// takeRep selects idx with its representative schedule.
 	takeRep := func(idx int) {
-		slots, _ := w.repSchedule(idx, false)
+		slots, _ := w.repSchedule(idx)
 		w.take(idx, slots)
 	}
 	target := pr.cfg.K * pr.tg

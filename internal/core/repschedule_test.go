@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 )
@@ -42,7 +41,7 @@ func referenceSchedule(w *wdpState, idx int) (slots, covered []int) {
 // coverageState returns a run on set at horizon tg whose coverage is
 // gamma: γ drawn from a few levels around K, so ties, full slots and
 // windows with more or fewer open slots than rounds are all common, and
-// now and then one huge level, too far from the others to count over.
+// now and then one huge level.
 func coverageState(t *testing.T, rng *rand.Rand, set *BidSet, tg int, cfg Config) *wdpState {
 	t.Helper()
 	sc := acquireScratch(set.Len(), tg)
@@ -66,48 +65,49 @@ func coverageState(t *testing.T, rng *rand.Rand, set *BidSet, tg int, cfg Config
 // TestRepScheduleMatchesComparatorSort holds the representative-schedule
 // kernel to the comparator sort over random coverage: γ on a few levels
 // (ties) on both sides of K, windows clipped by T̂_g, rounds up to and
-// past the window, runs longer than the insertion cut-off, γ spreads too
-// wide to count over, and both schedule rules. Slots and the covered
-// order of representativeSchedule must match exactly; the unordered
-// kernel's open slots (the grand set's dual bookkeeping) and slots (what
-// a held-out run takes) must match as sets.
+// past the window, runs on both sides of the insertion cut-off, and both
+// schedule rules. The schedule and its open slots in covered order must
+// match exactly, and so must representativeSchedule's copies of them.
 func TestRepScheduleMatchesComparatorSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 400; trial++ {
+		// Every third trial has windows of about 2–3 insertion cut-offs.
+		long := trial%3 == 2
 		maxT := 1 + rng.Intn(40)
+		if long {
+			maxT = 2*insertionMax + rng.Intn(insertionMax)
+		}
 		var bids []Bid
 		for i := 0; i < 30; i++ {
 			start := 1 + rng.Intn(maxT)
 			end := start + rng.Intn(maxT-start+1)
+			if long {
+				start, end = 1+rng.Intn(8), maxT-rng.Intn(8)
+			}
 			bids = append(bids, Bid{Client: i, Price: 1, Theta: 0.5, Start: start, End: end, Rounds: 1 + rng.Intn(end-start+3)})
 		}
 		set := CompileBids(bids)
 		cfg := Config{T: maxT, K: 1 + rng.Intn(4), ScheduleRule: ScheduleRule(trial % 2)}
 		tg := 1 + rng.Intn(maxT)
+		if long {
+			tg = maxT - rng.Intn(insertionMax/2)
+		}
 		w := coverageState(t, rng, set, tg, cfg)
 		for idx := range bids {
 			if lo, hi := w.slotRangeOf(idx); hi < lo {
 				continue // the window starts beyond the horizon: never selected
 			}
 			wantSlots, wantCovered := referenceSchedule(w, idx)
-			slots, covered := w.representativeSchedule(idx)
+			slots, covered := w.repSchedule(idx)
 			if !slices.Equal(slots, wantSlots) || !slices.Equal(covered, wantCovered) {
 				t.Fatalf("trial %d bid %+v tg %d rule %v γ %v:\nslots %v covered %v\nwant  %v covered %v",
 					trial, bids[idx], tg, cfg.ScheduleRule, w.gamma, slots, covered, wantSlots, wantCovered)
 			}
-			take, open := w.repSchedule(idx, false)
-			if got := sortedClone(open); !slices.Equal(got, sortedClone(wantCovered)) {
-				t.Fatalf("trial %d bid %+v: unordered open slots %v, want the set %v", trial, bids[idx], got, wantCovered)
-			}
-			if got := sortedClone(take); !reflect.DeepEqual(got, wantSlots) {
-				t.Fatalf("trial %d bid %+v: held-out take set %v, want %v", trial, bids[idx], got, wantSlots)
+			slots, covered = w.representativeSchedule(idx)
+			if !slices.Equal(slots, wantSlots) || !slices.Equal(covered, wantCovered) {
+				t.Fatalf("trial %d bid %+v: representativeSchedule %v covered %v, want %v covered %v",
+					trial, bids[idx], slots, covered, wantSlots, wantCovered)
 			}
 		}
 	}
-}
-
-func sortedClone(s []int) []int {
-	c := slices.Clone(s)
-	slices.Sort(c)
-	return c
 }

@@ -43,11 +43,10 @@ type wdpScratch struct {
 	stamp []uint32
 	gen   uint32
 
-	// Representative-schedule buffers (see repSchedule and
-	// sortByCoverage), and the tight dual's descending η order with its
-	// prefix sums (see tightDualObjective).
+	// Representative-schedule buffers (see repSchedule), and the tight
+	// dual's descending η order with its prefix sums (see
+	// tightDualObjective).
 	cand, avail, full []int
-	levels, sorted    []int
 	etaOrder          []int
 	etaTop            []float64
 
