@@ -74,41 +74,14 @@ type wdpScratch struct {
 	keptCls         []classEntry
 
 	// winners is the winner list of the current run, appended to by
-	// selectWinnerClass and copied out at exact length for a feasible
-	// WDP (solveWDP). releaseScratch clears it.
+	// selectWinnerClass, and sched holds its schedules: each winner's
+	// Slots, then its covered subset, in selection order (see
+	// representativeSchedule). A feasible WDP copies both out once at
+	// exact length (solveWDP), so its Result shares schedule memory with
+	// no other WDP's. begin truncates both; releaseScratch clears the
+	// winner list.
 	winners []Winner
-
-	// chunk backs the winner schedules that escape into Results: slots and
-	// covered sub-slices are carved append-only out of one slab instead of
-	// one make per winner — the dominant allocation site of a solve.
-	// Carved regions are never reused (the offset only advances, and a
-	// fresh slab replaces an exhausted one), so escaping sub-slices stay
-	// valid for the life of their Result; capacities are clamped so an
-	// append on a Result slice copies out instead of stomping a neighbour.
-	chunk    []int
-	chunkOff int
-}
-
-// resultChunkInts is the slab size of the winner-schedule allocator:
-// 32 KiB of ints, a few hundred winner schedules per slab at typical
-// window widths.
-const resultChunkInts = 4096
-
-// allocResult carves n ints off the current slab, starting a fresh slab
-// when the remainder is too small. The returned slice has capacity
-// exactly n.
-func (sc *wdpScratch) allocResult(n int) []int {
-	if len(sc.chunk)-sc.chunkOff < n {
-		size := resultChunkInts
-		if n > size {
-			size = n
-		}
-		sc.chunk = make([]int, size)
-		sc.chunkOff = 0
-	}
-	buf := sc.chunk[sc.chunkOff : sc.chunkOff+n : sc.chunkOff+n]
-	sc.chunkOff += n
-	return buf
+	sched   []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(wdpScratch) }}

@@ -2,14 +2,15 @@ package core_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/fedauction/afl/internal/core"
 )
 
 // TestWinnerSlicesAppendSafe locks in the safety contract of the
-// slab-backed winner schedules: neighbouring Winner records share one
-// backing chunk, so every escaping slice must have capacity clamped to
+// copied-out winner schedules: the Winner records of one WDP share one
+// backing array, so every escaping slice must have capacity clamped to
 // its length — an append on one winner's Slots must copy out rather
 // than stomp the next winner's data.
 func TestWinnerSlicesAppendSafe(t *testing.T) {
@@ -27,11 +28,55 @@ func TestWinnerSlicesAppendSafe(t *testing.T) {
 		snapshot[i] = append([]int(nil), w.Slots...)
 	}
 	for _, w := range res.Winners {
-		_ = append(w.Slots, -1) // must copy out, not write the shared chunk
+		_ = append(w.Slots, -1) // must copy out, not write the shared array
 	}
 	for i, w := range res.Winners {
 		if !reflect.DeepEqual(snapshot[i], w.Slots) {
 			t.Fatalf("winner %d: Slots mutated by an append on a sibling slice", i)
 		}
+	}
+}
+
+// TestKeptWinnersRetainOnlyOwnSchedules bounds what a kept winner list
+// holds alive: its own records and schedules, not schedule memory shared
+// with the other WDPs and auctions that the pooled arenas served. It
+// solves 256 small populations, keeps the Winners of every 16th Result,
+// and compares the live heap with and without the kept lists.
+func TestKeptWinnersRetainOnlyOwnSchedules(t *testing.T) {
+	const auctions, every = 256, 16
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	kept := make([][]core.Winner, 0, auctions/every)
+	for i := 0; i < auctions; i++ {
+		bids, cfg := poolWorkload(t, int64(i+1), 60, 12, 3)
+		res := sweep(t, bids, cfg, core.RunOptions{})
+		if i%every == 0 {
+			kept = append(kept, res.Winners)
+		}
+	}
+	// Each kept list's own memory: its records, their Slots and at most
+	// as many covered slots again.
+	var own int64
+	for _, ws := range kept {
+		if len(ws) == 0 {
+			t.Fatal("workload not discriminating: a kept auction has no winners")
+		}
+		own += int64(cap(ws)) * int64(reflect.TypeFor[core.Winner]().Size())
+		for _, w := range ws {
+			own += 2 * int64(len(w.Slots)) * int64(reflect.TypeFor[int]().Size())
+		}
+	}
+	with := live()
+	runtime.KeepAlive(kept)
+	kept = nil
+	retained := with - live()
+	t.Logf("kept lists retain %d B, %d B each; their own memory is %d B", retained, retained/(auctions/every), own)
+	if limit := 2 * own; retained > limit {
+		t.Fatalf("kept winner lists retain %d B, more than twice their own %d B", retained, own)
 	}
 }

@@ -68,9 +68,19 @@ func solveWDP(set *BidSet, qualified []int, tg int, cfg Config, sc *wdpScratch, 
 	}
 	res.Feasible = true
 	if n := len(sc.winners); n > 0 {
-		// One exact-length copy per feasible WDP, out of the arena's list.
+		// One exact-length copy per feasible WDP of the arena's winner
+		// list and one of its schedules, which the copied winners are
+		// repointed into in selection order.
 		res.Winners = make([]Winner, n)
 		copy(res.Winners, sc.winners)
+		sched := make([]int, len(sc.sched))
+		copy(sched, sc.sched)
+		for i := range res.Winners {
+			win := &res.Winners[i]
+			ns, nc := len(win.Slots), len(win.covered)
+			win.Slots, win.covered = sched[:ns:ns], sched[ns:ns+nc:ns+nc]
+			sched = sched[ns+nc:]
+		}
 	}
 	for _, win := range res.Winners {
 		res.Cost += win.Bid.Price
@@ -95,8 +105,9 @@ func solveOnce(set *BidSet, qualified []int, tg int, cfg Config, base []int) WDP
 }
 
 // wdpState is the mutable state of one A_winner run. All of its storage
-// is backed by a wdpScratch arena, the winner list included; only result
-// data (the winners' copy, schedules, duals) is freshly allocated.
+// is backed by a wdpScratch arena, the winner list and its schedules
+// included; only result data (their copies, the duals) is freshly
+// allocated.
 type wdpState struct {
 	set *BidSet
 	tg  int
@@ -213,7 +224,7 @@ func (sc *wdpScratch) begin(set *BidSet, qualified []int, tg int, cfg Config, ba
 	for _, idx := range qualified {
 		sc.stamp[idx] = w.gen
 	}
-	sc.winners = sc.winners[:0]
+	sc.winners, sc.sched = sc.winners[:0], sc.sched[:0]
 	w.initClasses()
 	return w
 }
@@ -328,19 +339,15 @@ const insertionMax = 64
 
 // representativeSchedule returns the bid's representative schedule (slots,
 // ascending) and the subset F_il that is still available (γ_t < K, in
-// least-covered order). Both slices escape into the Winner record, so they
-// cannot live in reusable scratch; they are carved out of the scratch's
-// append-only slab (allocResult) — one slab allocation per few hundred
-// winners instead of one make per winner, which was the dominant
-// allocation site of a solve. The selection itself happens in scratch.
+// least-covered order), appended in that order to the run's schedule
+// buffer. Both slices escape into the Winner record; they stay valid for
+// the run (growing the buffer leaves them on the old array), and solveWDP
+// repoints them into its copy of the buffer.
 func (w *wdpState) representativeSchedule(idx int) (slots, available []int) {
 	s, open := w.repSchedule(idx)
-	buf := w.sc.allocResult(len(s) + len(open))
-	slots = buf[:len(s):len(s)]
-	copy(slots, s)
-	available = buf[len(s):]
-	copy(available, open)
-	return slots, available
+	n := len(w.sc.sched)
+	w.sc.sched = append(append(w.sc.sched, s...), open...)
+	return w.sc.sched[n : n+len(s)], w.sc.sched[n+len(s):]
 }
 
 // take commits bid idx with its representative schedule slots (in any

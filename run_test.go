@@ -369,16 +369,25 @@ func TestPricingAllocGuard(t *testing.T) {
 	if _, err := afl.Run(ctx, bids, cfg, afl.WithWorkers(1)); err != nil {
 		t.Fatal(err)
 	}
-	got := testing.AllocsPerRun(5, func() {
+	// The best of a few batches, as in the engine_reuse guards: one GC
+	// inside a batch flushes the pools and that run pays a full arena
+	// rebuild.
+	got := minAllocsPerRun(5, 5, func() {
 		if _, err := afl.Run(ctx, bids, cfg, afl.WithWorkers(1)); err != nil {
 			t.Error(err)
 		}
 	})
-	// Same slack policy as the engine_reuse guard: pool hit rates jitter,
-	// but a regression that re-allocates probe slices per bisection step
-	// would blow well past a quarter of headroom.
+	// A quarter of headroom absorbs pool jitter, yet a regression that
+	// re-allocates probe slices per bisection step, or grows a winner
+	// list per winner again, blows past it. Under -race, sync.Pool.Put
+	// drops a random share of items, so those runs get fixed slack for
+	// the pool misses on top.
 	base := allocBaseline(t, "payments_lazy", p.Clients)
-	if limit := base*1.25 + 64; got > limit {
+	limit := base * 1.25
+	if raceEnabled {
+		limit += 64
+	}
+	if got > limit {
 		t.Fatalf("lazy pricing run allocates %.0f/op, baseline %.0f (limit %.0f)", got, base, limit)
 	}
 }
