@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -94,9 +95,11 @@ type errorBody struct {
 //	                         checkpoint, tail replayed at last restart)
 //	GET  /healthz            200 "ok", 503 after a kill
 //
-// Rate limiting is keyed by the request's client field, and both reject
-// paths set Retry-After in whole seconds (rounded up), so a compliant
-// client that honors it is admitted on its next attempt.
+// Rate limiting is keyed by the request's client field, or for an
+// anonymous submission by the peer's host, so every connection from one
+// host shares its bucket. Both reject paths set Retry-After in whole
+// seconds (rounded up), so a compliant client that honors it is
+// admitted on its next attempt.
 //
 // The submit bodies are read into pooled buffers and decoded by the
 // reflection-free reader in decode.go, which accepts, rejects and fills
@@ -197,13 +200,24 @@ func retryAfterSeconds(wait float64) string {
 	return strconv.Itoa(s)
 }
 
+// remoteHost is the rate-limit key of an anonymous submission: the
+// host of the peer address without its port, so every connection from
+// one host draws on one bucket. An address that does not split is used
+// whole.
+func remoteHost(addr string) string {
+	if host, _, err := net.SplitHostPort(addr); err == nil {
+		return host
+	}
+	return addr
+}
+
 // admit runs the shared admission checks (rate limit, pending depth)
 // and writes the reject response itself; callers proceed only on true.
 func (m *Market) admit(w http.ResponseWriter, r *http.Request, client string) bool {
 	if m.limiter != nil {
 		key := client
 		if key == "" {
-			key = r.RemoteAddr
+			key = remoteHost(r.RemoteAddr)
 		}
 		if ok, wait := m.limiter.allow(key); !ok {
 			if o := m.cfg.Observer; o != nil {

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -165,6 +169,72 @@ func TestHandlerRateLimit(t *testing.T) {
 	clk.advance(time.Second)
 	if rr := doJSON(t, h, "POST", "/v1/auctions", submitBody(t, "alice", insts[0]), nil); rr.Code != http.StatusOK {
 		t.Fatalf("post-wait submit = %d, want 200", rr.Code)
+	}
+}
+
+// TestHandlerAnonymousRateLimitPerHost: anonymous submissions are
+// rate-limited by the peer's host, not its host and port. Two
+// connections from 127.0.0.1 on different ports draw on one bucket, so
+// the (burst+1)-th anonymous submission across the two answers 429,
+// while a named client on either connection keeps its own bucket.
+func TestHandlerAnonymousRateLimitPerHost(t *testing.T) {
+	inst := marketInstances(t, 1)[0]
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	const burst = 3
+	m := openMarket(t, Config{Workers: 1, RatePerSec: 1, Burst: burst, Now: clk.now})
+	var (
+		mu    sync.Mutex
+		peers = map[string]bool{}
+	)
+	h := Handler(m)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		peers[r.RemoteAddr] = true
+		mu.Unlock()
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	var conns [2]*http.Client
+	for i := range conns {
+		tr := &http.Transport{MaxConnsPerHost: 1}
+		defer tr.CloseIdleConnections()
+		conns[i] = &http.Client{Transport: tr}
+	}
+	post := func(c *http.Client, client string) int {
+		t.Helper()
+		resp, err := c.Post(srv.URL+"/v1/auctions", "application/json", submitBody(t, client, inst))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for i := 0; i < burst; i++ {
+		if code := post(conns[i%2], ""); code != http.StatusOK {
+			t.Fatalf("anonymous submission %d = %d, want 200", i, code)
+		}
+	}
+	if code := post(conns[burst%2], ""); code != http.StatusTooManyRequests {
+		t.Fatalf("anonymous submission %d across two connections = %d, want 429", burst, code)
+	}
+	for i, c := range conns {
+		if code := post(c, fmt.Sprintf("named-%d", i)); code != http.StatusOK {
+			t.Fatalf("named client on connection %d = %d, want 200", i, code)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	hosts := map[string]bool{}
+	for addr := range peers {
+		host, _, err := net.SplitHostPort(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hosts[host] = true
+	}
+	if len(peers) != 2 || len(hosts) != 1 || !hosts["127.0.0.1"] {
+		t.Fatalf("peers %v: want two ports of 127.0.0.1", peers)
 	}
 }
 

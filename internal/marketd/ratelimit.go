@@ -15,8 +15,8 @@ import (
 // Buckets are tracked lazily as float64 token counts with a last-refill
 // timestamp; a client that stays idle for burst/rate seconds is
 // indistinguishable from a new one. The map is keyed by client name or,
-// for anonymous submissions, by remote host and port, so it would grow
-// with every new name and every reconnect: whenever it has doubled since
+// for anonymous submissions, by remote host, so it would grow with every
+// new name and every new host: whenever it has doubled since
 // the last sweep, buckets that are full at the current time are dropped.
 // Under a non-decreasing clock a dropped key that returns gets the same
 // full bucket it would have refilled to, so no verdict or wait changes.
