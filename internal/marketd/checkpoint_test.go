@@ -40,40 +40,55 @@ func runMarket(t testing.TB, cfg Config, insts []batch.Instance) []byte {
 // TestCheckpointRecoveryMatchesFullReplay is the tentpole equivalence:
 // a checkpointing market's recovered state is byte-identical to the
 // unbounded-log replay of the same workload, while replaying only the
-// tail since the last checkpoint.
+// tail since the last checkpoint. Pruning keeps exactly the segments
+// from the oldest one the newest checkpoint locates a record in: with
+// every outcome retained that is segment 0, so all four segments stay
+// (bids and outcomes 0–2, the checkpoints after seqs 2 and 5 with the
+// next three auctions each, and the checkpoint after seq 8); with three
+// retained, only the segment holding outcomes 6–8 and the newest
+// checkpoint's stay.
 func TestCheckpointRecoveryMatchesFullReplay(t *testing.T) {
 	insts := marketInstances(t, 9)
-	golden := goldenSnapshot(t, insts)
+	for _, c := range []struct {
+		retain, segments int
+	}{{0, 4}, {3, 2}} {
+		t.Run(fmt.Sprintf("retain=%d", c.retain), func(t *testing.T) {
+			golden := goldenSnapshot(t, insts)
+			if c.retain > 0 {
+				golden = runMarket(t, Config{Dir: t.TempDir(), Workers: 1, RetainOutcomes: c.retain}, insts)
+			}
 
-	dir := t.TempDir()
-	cfg := Config{Dir: dir, Workers: 1, CheckpointEvery: 3}
-	if got := runMarket(t, cfg, insts); !bytes.Equal(got, golden) {
-		t.Fatalf("checkpointing run diverged from golden:\n got %s\nwant %s", got, golden)
-	}
+			dir := t.TempDir()
+			cfg := Config{Dir: dir, Workers: 1, CheckpointEvery: 3, RetainOutcomes: c.retain}
+			if got := runMarket(t, cfg, insts); !bytes.Equal(got, golden) {
+				t.Fatalf("checkpointing run diverged from golden:\n got %s\nwant %s", got, golden)
+			}
 
-	m, err := Open(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if snap := m.Snapshot(); !bytes.Equal(snap, golden) {
-		t.Fatalf("checkpoint recovery diverged from golden:\n got %s\nwant %s", snap, golden)
-	}
-	info := m.WALInfo()
-	if info.LastCheckpointSeq != 9 {
-		t.Fatalf("LastCheckpointSeq = %d, want 9", info.LastCheckpointSeq)
-	}
-	// 9 commits, checkpoint every 3: the newest checkpoint covers all 9,
-	// so recovery replays an empty tail.
-	if info.TailReplayed != 0 {
-		t.Fatalf("TailReplayed = %d, want 0 (recovery should start at the newest checkpoint)", info.TailReplayed)
-	}
-	if info.Segments > 2 {
-		t.Fatalf("pruning left %d segments", info.Segments)
-	}
-	next, committed, pending, _ := m.Counts()
-	if next != 9 || committed != 9 || pending != 0 {
-		t.Fatalf("Counts = %d/%d/%d, want 9/9/0", next, committed, pending)
+			m, err := Open(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			if snap := m.Snapshot(); !bytes.Equal(snap, golden) {
+				t.Fatalf("checkpoint recovery diverged from golden:\n got %s\nwant %s", snap, golden)
+			}
+			info := m.WALInfo()
+			if info.LastCheckpointSeq != 9 {
+				t.Fatalf("LastCheckpointSeq = %d, want 9", info.LastCheckpointSeq)
+			}
+			// 9 commits, checkpoint every 3: the newest checkpoint covers all 9,
+			// so recovery replays an empty tail.
+			if info.TailReplayed != 0 {
+				t.Fatalf("TailReplayed = %d, want 0 (recovery should start at the newest checkpoint)", info.TailReplayed)
+			}
+			if info.Segments != c.segments {
+				t.Fatalf("pruning left %d segments, want %d", info.Segments, c.segments)
+			}
+			next, committed, pending, _ := m.Counts()
+			if next != 9 || committed != 9 || pending != 0 {
+				t.Fatalf("Counts = %d/%d/%d, want 9/9/0", next, committed, pending)
+			}
+		})
 	}
 }
 

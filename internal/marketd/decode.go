@@ -630,7 +630,8 @@ var (
 	envelopeFields   = recordFields[:2]
 	ledgerFields     = []string{"client", "payment"}
 	pendingFields    = []string{"seq", "bids", "cfg", "solver"}
-	checkpointFields = []string{"type", "seq", "base", "folded_next", "ledger", "outcomes", "pending"}
+	checkpointFields = []string{"type", "seq", "base", "folded_next", "ledger", "outcomes", "pending", "outcome_at", "pending_at"}
+	frameRefFields   = []string{"seq", "seg", "off"}
 	submitFields     = []string{"client", "bids", "cfg"}
 	batchFields      = []string{"client", "instances"}
 	instanceFields   = []string{"bids", "cfg"}
@@ -801,10 +802,27 @@ func (r *reader) pendingEntry(e *pendingEntry) {
 	})
 }
 
+func (r *reader) frameRef(f *frameRef) {
+	r.object("frameRef", frameRefFields, func(name string) {
+		switch name {
+		case "seq":
+			r.int(&f.Seq)
+		case "seg":
+			r.int(&f.Seg)
+		case "off":
+			off := int(f.Off)
+			r.int(&off)
+			f.Off = int64(off)
+		default:
+			r.skip()
+		}
+	})
+}
+
 // checkpoint decodes a checkpoint record. With a nil pending callback
-// the pending entries decode into rec.Pending; otherwise each entry is
-// only scanned, and pending receives its seq and raw bytes, which alias
-// the input.
+// the embedded pending entries decode into rec.Pending; otherwise each
+// entry is only scanned, and pending receives its seq and raw bytes,
+// which alias the input.
 func (r *reader) checkpoint(rec *checkpointRecord, pending func(seq int, raw []byte)) {
 	r.object("checkpointRecord", checkpointFields, func(name string) {
 		switch name {
@@ -844,6 +862,10 @@ func (r *reader) checkpoint(rec *checkpointRecord, pending func(seq int, raw []b
 					pending(seq, r.p[start:r.i])
 				}
 			})
+		case "outcome_at":
+			decodeSlice(r, &rec.OutcomeAt, "[]frameRef", r.frameRef)
+		case "pending_at":
+			decodeSlice(r, &rec.PendingAt, "[]frameRef", r.frameRef)
 		default:
 			r.skip()
 		}

@@ -331,8 +331,28 @@ func appendOutcomeRecord(dst []byte, rec *OutcomeRecord) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
+// appendFrameRefs appends the locator list refs under key.
+func appendFrameRefs(dst []byte, key string, refs []frameRef) []byte {
+	dst = append(dst, `,"`...)
+	dst = append(dst, key...)
+	dst = append(dst, `":[`...)
+	for i, f := range refs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"seq":`...)
+		dst = strconv.AppendInt(dst, int64(f.Seq), 10)
+		dst = append(dst, `,"seg":`...)
+		dst = strconv.AppendInt(dst, int64(f.Seg), 10)
+		dst = append(dst, `,"off":`...)
+		dst = strconv.AppendInt(dst, f.Off, 10)
+		dst = append(dst, '}')
+	}
+	return append(dst, ']')
+}
+
 // appendCheckpoint appends the wire form of a checkpoint record; the
-// ledger, outcomes and pending lists are omitted when empty.
+// ledger and every record list are omitted when empty.
 func appendCheckpoint(dst []byte, rec *checkpointRecord) ([]byte, error) {
 	var err error
 	dst = append(dst, `{"type":`...)
@@ -385,6 +405,12 @@ func appendCheckpoint(dst []byte, rec *checkpointRecord) ([]byte, error) {
 			dst = append(dst, '}')
 		}
 		dst = append(dst, ']')
+	}
+	if len(rec.OutcomeAt) > 0 {
+		dst = appendFrameRefs(dst, "outcome_at", rec.OutcomeAt)
+	}
+	if len(rec.PendingAt) > 0 {
+		dst = appendFrameRefs(dst, "pending_at", rec.PendingAt)
 	}
 	return append(dst, '}'), nil
 }

@@ -196,6 +196,7 @@ func TestEncodeDifferential(t *testing.T) {
 			{Seq: 62, Cfg: &cfg, Solver: "lp-round"},
 			{Seq: 63, Bids: []core.Bid{bid(5), bid(6)}, Cfg: &hostileCfg},
 		}
+		locs := []frameRef{{Seq: 40, Seg: 0, Off: 0}, {Seq: 41, Seg: 3, Off: 1 << 40}, {Seq: 63, Seg: 1234567, Off: 8191}}
 		recs := []checkpointRecord{
 			{Type: recCheckpoint},
 			{Type: recCheckpoint, Seq: 64, Base: 40, FoldedNext: 55},
@@ -203,6 +204,8 @@ func TestEncodeDifferential(t *testing.T) {
 			{Type: recCheckpoint, Seq: 64, Base: 40, FoldedNext: 55, Outcomes: outcomes},
 			{Type: recCheckpoint, Seq: 64, Base: 40, FoldedNext: 55, Pending: pending},
 			{Type: recCheckpoint, Seq: 64, Base: 40, FoldedNext: 55, Ledger: ledger, Outcomes: outcomes, Pending: pending},
+			{Type: recCheckpoint, Seq: 64, Base: 40, FoldedNext: 55, Ledger: ledger, OutcomeAt: locs, PendingAt: locs[1:]},
+			{Type: recCheckpoint, Seq: 64, Base: 40, FoldedNext: 55, Ledger: ledger, Outcomes: outcomes[:2], Pending: pending[:1], OutcomeAt: locs, PendingAt: locs},
 		}
 		for i, rec := range recs {
 			got, err := appendCheckpoint(nil, &rec)
@@ -376,6 +379,7 @@ func TestDecodeFieldTables(t *testing.T) {
 		{ledgerEntry{}, ledgerFields},
 		{pendingEntry{}, pendingFields},
 		{checkpointRecord{}, checkpointFields},
+		{frameRef{}, frameRefFields},
 		{SubmitRequest{}, submitFields},
 		{BatchSubmitRequest{}, batchFields},
 		{BatchInstance{}, instanceFields},

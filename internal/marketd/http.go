@@ -88,7 +88,9 @@ type errorBody struct {
 //	                         410 for an outcome the retention policy
 //	                         pruned from history (its payments remain in
 //	                         the ledger),
-//	                         404 for a never-issued sequence number
+//	                         404 for a never-issued sequence number,
+//	                         500 when a committed outcome's record
+//	                         cannot be read back from the log
 //	GET  /v1/ledger          200 with the per-client cumulative payments
 //	GET  /v1/stats           200 with load and recovery counters plus
 //	                         the WAL footprint (bytes, segments, last
@@ -368,8 +370,11 @@ func (m *Market) handleOutcome(w http.ResponseWriter, r *http.Request) {
 		// evicted by the retention policy; history before the floor is
 		// permanently gone, which is what 410 means.
 		writeJSON(w, http.StatusGone, errorBody{Error: err.Error()})
-	case err != nil:
+	case errors.Is(err, ErrUnknownSeq):
 		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
+	case err != nil:
+		// Committed, but its record could not be read back from the log.
+		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 	case !done:
 		writeSeq(w, http.StatusAccepted, seq)
 	default:

@@ -30,15 +30,30 @@
 // numbers. The crash-point matrix (see Config.Crash and the test/e2e
 // suite) pins this for every interleaving of the commit protocol.
 //
+// The log is also the market's store of record. Once an outcome is
+// folded into the ledger the market keeps only its frame's position in
+// the log (a wal.Pos); Outcome, Wait, GET /v1/auctions/{seq} and
+// Snapshot read and decode that frame on demand, with the market's lock
+// released. Only outcomes waiting past a sequence gap stay decoded in
+// memory, and a Wait registered before the commit is handed its record
+// at install, so the serving hot path never reads the disk.
+//
 // The serving fast path layers three optimizations on that protocol
 // without changing its semantics:
 //
 //   - segmented WAL with checkpoints (Config.CheckpointEvery): every N
 //     commits the market rotates into a checkpoint-flagged segment and
-//     writes a snapshot record — folded ledger, retained outcomes, and
-//     pending submissions — then prunes the covered segments. Recovery
-//     opens at the newest checkpoint and replays only the tail, so
-//     restart cost is O(tail), not O(history);
+//     writes a snapshot record that is an index into the log: the folded
+//     ledger, the retention window's bounds, and a (segment, offset)
+//     locator for each retained outcome's record and each pending
+//     submission's bid record. It then prunes the segments below both
+//     the checkpoint and the oldest segment a locator points into.
+//     Recovery opens at the newest checkpoint, restores the index
+//     without decoding any outcome, and replays only the tail, so
+//     restart cost is O(tail + retention window), not O(history). The
+//     price is disk: the log keeps the retention window's bid and
+//     outcome records, about one more window than the snapshot alone
+//     would, and with RetainOutcomes 0 it keeps all of history;
 //   - group commit (Config.GroupCommit): the WAL's Commit is the
 //     market's only durability call, one per Submit (or SubmitBatch) and
 //     one per outcome, so an auction costs two fsyncs; with group commit
@@ -49,10 +64,10 @@
 //     byte-identical to json.Marshal into reused buffers, and one
 //     scanner with typed decoders reads them back, and the submit
 //     bodies, exactly as encoding/json would. Recovery keeps each
-//     submission's bytes undecoded until the log is scanned and decodes
-//     only the ones still pending, so a restart decodes the checkpoint's
-//     ledger and outcomes, the tail's outcome records and the survivors'
-//     bids, and nothing else.
+//     submission as a position until the log is scanned and reads and
+//     decodes only the ones still pending, so a restart decodes the
+//     checkpoint's ledger and locators, the tail's outcome records and
+//     the survivors' bids, and nothing else.
 package marketd
 
 import (
@@ -135,9 +150,12 @@ type Config struct {
 	// the syncer waits up to this long for more commits to pile onto the
 	// pending fsync. 0 syncs as soon as the syncer gets the CPU.
 	SyncInterval time.Duration
-	// CheckpointEvery writes a checkpoint — rotate into a checkpoint
-	// segment, append a snapshot of the folded state, prune covered
-	// segments — every this many committed outcomes. 0 disables
+	// CheckpointEvery writes a checkpoint every this many committed
+	// outcomes: rotate into a checkpoint segment, append a snapshot that
+	// holds the folded ledger and locates each retained outcome and each
+	// pending submission in the log, and prune the segments below both
+	// the checkpoint and the oldest one it locates a record in. Recovery
+	// then replays only the tail after the newest checkpoint. 0 disables
 	// checkpoints: the WAL is a single unbounded segment (the legacy
 	// layout) and recovery replays all of history.
 	CheckpointEvery int
@@ -145,10 +163,16 @@ type Config struct {
 	// checkpoints (see wal.DirOptions); 0 disables that trigger.
 	SegmentBytes   int64
 	SegmentRecords int
-	// RetainOutcomes bounds the in-memory and checkpointed per-auction
-	// history: once the contiguous committed prefix outgrows it, the
-	// oldest outcomes are evicted and served as ErrPruned (HTTP 410).
-	// Their payments stay folded in the ledger. 0 retains everything.
+	// RetainOutcomes bounds the servable per-auction history: once the
+	// contiguous committed prefix outgrows it, the oldest outcomes are
+	// evicted and served as ErrPruned (HTTP 410). Their payments stay
+	// folded in the ledger. A retained outcome lives in the log; the
+	// market holds its position, and checkpoints locate it. The window
+	// therefore sets what the log keeps too: with checkpoints, pruning
+	// stops at the segment of the oldest retained outcome (or pending
+	// bid), so the log holds about one window of bid and outcome records
+	// beyond the tail. 0 retains everything, in the log as well: no
+	// segment is ever pruned.
 	RetainOutcomes int
 	// RatePerSec and Burst configure the per-client token bucket applied
 	// at the HTTP edge. RatePerSec <= 0 disables rate limiting; Burst
@@ -203,20 +227,36 @@ type Market struct {
 	// acknowledged or is never acknowledged at all.
 	commits sync.WaitGroup
 
-	mu       sync.Mutex
-	closed   bool
-	next     int
-	pending  map[int]batch.Instance // acknowledged, not yet committed
-	outcomes map[int]OutcomeRecord  // retained window: seqs in [base, …)
-	waiters  map[int]chan struct{}
-	faults   int // WAL anomalies absorbed during recovery
+	mu      sync.Mutex
+	closed  bool
+	next    int
+	waiters map[int]*waiter
+	faults  int // WAL anomalies absorbed during recovery
+
+	// Acknowledged, not yet committed submissions: where the log holds
+	// each one's bid record. A submission restored from a checkpoint that
+	// embedded it has no frame (noFrame) and keeps its instance in
+	// unlogged, so the next checkpoint can embed it again.
+	pending  map[int]wal.Pos
+	unlogged map[int]batch.Instance
+
+	// Committed outcomes. Those not yet folded into the ledger (seq >=
+	// foldedNext, waiting past a sequence gap) stay in memory in
+	// outcomes. A folded one is only indexed: frames[seq-base] locates its
+	// outcome record in the log, and reads decode it on demand. A folded
+	// outcome the log holds no frame for — every outcome of a volatile
+	// market, and one restored from a checkpoint that embedded it — has
+	// noFrame there and stays in resident.
+	outcomes map[int]committed
+	frames   []wal.Pos
+	resident map[int]OutcomeRecord
 
 	// Incremental ledger: the fold of every committed outcome with seq <
 	// foldedNext, maintained frontier-style (strictly ascending seq
 	// order) so it is bit-identical to the full re-derivation the ledger
 	// used to be. base marks the retention floor: outcomes with seq <
 	// base are evicted (always < foldedNext, so their payments are in
-	// the ledger).
+	// the ledger). Every seq in [base, foldedNext) has committed.
 	ledger     map[int]float64
 	foldedNext int
 	base       int
@@ -225,6 +265,26 @@ type Market struct {
 	lastCkptSeq      int    // snapshot horizon of the newest checkpoint, -1 if none
 	recoveredTail    int    // records replayed by the last recovery
 	enc              []byte // append-encoder scratch, reused under mu
+}
+
+// committed is an outcome not yet folded into the ledger, and where the
+// log holds its outcome record (noFrame when it holds none).
+type committed struct {
+	rec OutcomeRecord
+	at  wal.Pos
+}
+
+// noFrame marks a record the log holds no frame for.
+var noFrame = wal.Pos{Seg: -1, Off: -1}
+
+// waiter is the rendezvous of the Waits on one pending seq: install
+// fills rec and sets ok before closing ch, so a Wait registered before
+// the commit receives its record without reading the log. Close closes
+// ch with ok false.
+type waiter struct {
+	ch  chan struct{}
+	rec OutcomeRecord
+	ok  bool
 }
 
 // Open starts (or restarts) a market. With a durability directory it
@@ -247,9 +307,11 @@ func Open(ctx context.Context, cfg Config) (*Market, error) {
 		cancel:       cancel,
 		killCh:       make(chan struct{}),
 		consumerDone: make(chan struct{}),
-		pending:      make(map[int]batch.Instance),
-		outcomes:     make(map[int]OutcomeRecord),
-		waiters:      make(map[int]chan struct{}),
+		pending:      make(map[int]wal.Pos),
+		unlogged:     make(map[int]batch.Instance),
+		outcomes:     make(map[int]committed),
+		resident:     make(map[int]OutcomeRecord),
+		waiters:      make(map[int]*waiter),
 		ledger:       make(map[int]float64),
 		lastCkptSeq:  -1,
 	}
@@ -279,7 +341,7 @@ func Open(ctx context.Context, cfg Config) (*Market, error) {
 		if o := cfg.Observer; o != nil {
 			o.Observe(obs.Event{
 				Kind: obs.EvMarketRecovered, Client: -1, Bid: -1,
-				Value: float64(len(m.outcomes)), Round: len(pendingInst),
+				Value: float64(m.foldedNext - m.base + len(m.outcomes)), Round: len(pendingInst),
 				OK: m.faults == 0, Dur: cfg.Now().Sub(start),
 			})
 		}
@@ -304,33 +366,53 @@ func Open(ctx context.Context, cfg Config) (*Market, error) {
 	return m, nil
 }
 
+// recovery is what the replay scan has found but not yet turned into
+// market state: the submissions with no outcome so far, as bid record
+// frames or as bytes embedded in the checkpoint, and the checkpoint's
+// unfolded outcomes, which are read once the scan is over.
+type recovery struct {
+	pend     map[int]wal.Pos
+	embedded map[int][]byte
+	late     map[int]wal.Pos
+}
+
+// replayCommitted reports whether seq's outcome has turned up in the
+// replay so far: folded by the checkpoint, located by it, or in the
+// tail.
+func (m *Market) replayCommitted(rc *recovery, seq int) bool {
+	if seq < m.foldedNext {
+		return true
+	}
+	if _, ok := m.outcomes[seq]; ok {
+		return true
+	}
+	_, ok := rc.late[seq]
+	return ok
+}
+
 // recover opens the WAL directory, replays its records into the
 // market's state, and returns the logged-but-uncommitted instances
 // keyed by sequence number. When the directory has a valid checkpoint,
 // the wal layer starts replay there: the first record is the snapshot,
 // every later record the tail. Replay peeks each record's envelope and
-// fully decodes only what it must: outcome bodies (installed) and the
-// checkpoint's ledger and outcomes (restored). A submission — a tail
-// bid record or a pending entry of the checkpoint — is kept as raw
-// bytes until the scan is over and then decoded only if no outcome
-// arrived for it, so superseded bids never pay for a decode, and the
-// pay records older logs carry are skipped unread. Runs before the
-// consumer starts, so no locking is needed.
+// fully decodes only the tail's outcome records. The checkpoint
+// restores the ledger and the index of retained outcomes without
+// decoding any of them. A submission — a tail bid record or a pending
+// locator of the checkpoint — is kept as a position until the scan is
+// over, and its bid record is read and decoded only if no outcome
+// arrived for it, so superseded bids are never read twice or decoded;
+// the pay records older logs carry are skipped unread. Tail outcomes
+// fold into the ledger once the scan is over, in ascending sequence
+// order as the live market folds them. Runs before the consumer starts,
+// so no locking is needed.
 func (m *Market) recover() (map[int]batch.Instance, error) {
-	// The WAL hands replay each payload in a reused frame buffer, so a
-	// kept submission is copied out, into the buffer of one whose outcome
-	// has already arrived when there is one.
-	raw := make(map[int][]byte) // seq -> bytes of a submission with no outcome yet
-	var spare [][]byte
-	keep := func(seq int, b []byte) {
-		var buf []byte
-		if n := len(spare); n > 0 {
-			buf, spare = spare[n-1], spare[:n-1]
-		}
-		raw[seq] = append(buf[:0], b...)
+	rc := &recovery{
+		pend:     make(map[int]wal.Pos),
+		embedded: make(map[int][]byte),
+		late:     make(map[int]wal.Pos),
 	}
 	first := true
-	replay := func(payload []byte) error {
+	replay := func(pos wal.Pos, payload []byte) error {
 		typ, seq, err := peekEnvelope(payload)
 		if err != nil {
 			return err
@@ -342,35 +424,22 @@ func (m *Market) recover() (map[int]batch.Instance, error) {
 			if !wasFirst {
 				return fmt.Errorf("marketd: checkpoint record mid-log at seq %d", seq)
 			}
-			return m.restoreCheckpoint(payload, keep)
+			return m.restoreCheckpoint(payload, rc)
 		case recBid:
-			if seq < m.base {
+			_, dup := rc.pend[seq]
+			if _, emb := rc.embedded[seq]; dup || emb || m.replayCommitted(rc, seq) {
 				m.fault("dup_record", float64(seq))
 				return nil
 			}
-			if _, done := m.outcomes[seq]; done {
-				m.fault("dup_record", float64(seq))
-				return nil
-			}
-			if _, dup := raw[seq]; dup {
-				m.fault("dup_record", float64(seq))
-				return nil
-			}
-			keep(seq, payload)
-			if seq >= m.next {
-				m.next = seq + 1
-			}
+			rc.pend[seq] = pos
+			m.next = max(m.next, seq+1)
 			return nil
 		case recPay:
 			// The per-winner write-ahead older logs carry; the outcome
 			// record holds every payment, so there is nothing to replay.
 			return nil
 		case recOutcome:
-			if seq < m.base {
-				m.fault("dup_record", float64(seq))
-				return nil
-			}
-			if _, done := m.outcomes[seq]; done {
+			if m.replayCommitted(rc, seq) {
 				m.fault("dup_record", float64(seq))
 				return nil
 			}
@@ -378,17 +447,14 @@ func (m *Market) recover() (map[int]batch.Instance, error) {
 			if err != nil {
 				return err
 			}
-			if r.Outcome == nil {
-				return fmt.Errorf("marketd: outcome record %d without a body", seq)
+			if r.Outcome == nil || r.Outcome.Seq != seq {
+				return fmt.Errorf("marketd: outcome record %d without a body of that seq", seq)
 			}
-			m.installLocked(*r.Outcome)
-			if b, ok := raw[seq]; ok {
-				spare = append(spare, b)
-				delete(raw, seq)
-			}
-			if seq >= m.next {
-				m.next = seq + 1
-			}
+			m.outcomes[seq] = committed{rec: *r.Outcome, at: pos}
+			m.commitsSinceCkpt++
+			delete(rc.pend, seq)
+			delete(rc.embedded, seq)
+			m.next = max(m.next, seq+1)
 			return nil
 		default:
 			return fmt.Errorf("marketd: unknown WAL record type %q", typ)
@@ -406,29 +472,80 @@ func (m *Market) recover() (map[int]batch.Instance, error) {
 		m.fault("torn_tail", float64(stats.DroppedBytes))
 	}
 
-	// The survivors: decode each once, now that no outcome can arrive,
-	// lowest sequence first.
-	seqs := make([]int, 0, len(raw))
-	for seq := range raw {
+	// The checkpoint's outcomes past a sequence gap join the tail's, then
+	// the frontier folds as far as it reaches.
+	for seq, at := range rc.late {
+		rec, err := m.readOutcome(seq, at)
+		if err != nil {
+			return nil, err
+		}
+		m.outcomes[seq] = committed{rec: rec, at: at}
+	}
+	m.foldLocked()
+
+	// The survivors: read and decode each once, now that no outcome can
+	// arrive, lowest sequence first.
+	seqs := make([]int, 0, len(rc.pend)+len(rc.embedded))
+	for seq := range rc.pend {
+		seqs = append(seqs, seq)
+	}
+	for seq := range rc.embedded {
 		seqs = append(seqs, seq)
 	}
 	sort.Ints(seqs)
-	pendingInst := make(map[int]batch.Instance, len(raw))
+	pendingInst := make(map[int]batch.Instance, len(seqs))
 	for _, seq := range seqs {
-		inst, err := decodePending(raw[seq])
+		raw, at := rc.embedded[seq], noFrame
+		if raw == nil {
+			at = rc.pend[seq]
+			if raw, err = m.readRecord(recBid, seq, at); err != nil {
+				return nil, err
+			}
+		}
+		inst, err := decodePending(raw)
 		if err != nil {
 			return nil, fmt.Errorf("marketd: pending seq %d: %w", seq, err)
 		}
 		pendingInst[seq] = inst
-	}
-
-	// The pending set must live in m.pending too: a checkpoint written
-	// after this restart re-homes these submissions into its snapshot,
-	// which is what makes pruning their original bid records safe.
-	for seq, inst := range pendingInst {
-		m.pending[seq] = inst
+		// The pending set lives in m.pending too: a checkpoint written
+		// after this restart locates each one's bid record, or embeds the
+		// ones the log holds no bid record for.
+		m.pending[seq] = at
+		if at == noFrame {
+			m.unlogged[seq] = inst
+		}
 	}
 	return pendingInst, nil
+}
+
+// readRecord reads the log frame at at and checks that it is the
+// record of type typ for seq, so a stale or damaged locator can never
+// hand back another record.
+func (m *Market) readRecord(typ string, seq int, at wal.Pos) ([]byte, error) {
+	payload, err := m.log.ReadAt(at)
+	if err != nil {
+		return nil, fmt.Errorf("marketd: reading %s %d: %w", typ, seq, err)
+	}
+	if got, gotSeq, err := peekEnvelope(payload); err != nil || got != typ || gotSeq != seq {
+		return nil, fmt.Errorf("marketd: frame at %+v is not the %s record of seq %d", at, typ, seq)
+	}
+	return payload, nil
+}
+
+// readOutcome reads and decodes the committed outcome record of seq.
+func (m *Market) readOutcome(seq int, at wal.Pos) (OutcomeRecord, error) {
+	payload, err := m.readRecord(recOutcome, seq, at)
+	if err != nil {
+		return OutcomeRecord{}, err
+	}
+	r, err := decodeRecord(payload)
+	if err != nil {
+		return OutcomeRecord{}, err
+	}
+	if r.Outcome == nil || r.Outcome.Seq != seq {
+		return OutcomeRecord{}, fmt.Errorf("marketd: outcome record %d without a body of that seq", seq)
+	}
+	return *r.Outcome, nil
 }
 
 // walOptions maps the market configuration onto the WAL directory
@@ -468,39 +585,56 @@ func (m *Market) fault(label string, value float64) {
 	}
 }
 
-// installLocked commits an outcome record to in-memory state: the
-// outcome index, any waiters, and the incremental ledger. The ledger
-// folds strictly along the contiguous committed frontier (ascending
-// seq) — float addition is order-sensitive, and commit order varies
-// with worker scheduling while frontier order does not, so the
-// incremental fold stays bit-identical to a full re-derivation.
-// Outcomes past a gap wait in the index until the frontier reaches
-// them. Once folded, outcomes older than the retention window are
-// evicted. Callers hold m.mu (or, during recovery, exclusive access).
-func (m *Market) installLocked(rec OutcomeRecord) {
-	m.outcomes[rec.Seq] = rec
+// installLocked commits an outcome record, whose log frame is at (noFrame
+// on a volatile market), to in-memory state: any waiters, the
+// incremental ledger and the outcome index. Callers hold m.mu.
+func (m *Market) installLocked(rec OutcomeRecord, at wal.Pos) {
+	m.outcomes[rec.Seq] = committed{rec: rec, at: at}
 	delete(m.pending, rec.Seq)
-	if ch, ok := m.waiters[rec.Seq]; ok {
-		close(ch)
+	delete(m.unlogged, rec.Seq)
+	if w, ok := m.waiters[rec.Seq]; ok {
+		w.rec, w.ok = rec, true
+		close(w.ch)
 		delete(m.waiters, rec.Seq)
 	}
+	m.foldLocked()
+	m.commitsSinceCkpt++
+}
+
+// foldLocked folds the committed outcomes at the frontier into the
+// ledger. The ledger folds strictly along the contiguous committed
+// frontier (ascending seq) — float addition is order-sensitive, and
+// commit order varies with worker scheduling while frontier order does
+// not, so the incremental fold stays bit-identical to a full
+// re-derivation. Outcomes past a gap wait in m.outcomes until the
+// frontier reaches them. A folded outcome leaves memory for the index
+// (frames, or resident when the log holds no frame for it), and once
+// folded, outcomes older than the retention window are evicted. Callers
+// hold m.mu (or, during recovery, exclusive access).
+func (m *Market) foldLocked() {
 	for {
-		next, ok := m.outcomes[m.foldedNext]
+		c, ok := m.outcomes[m.foldedNext]
 		if !ok {
 			break
 		}
-		for _, w := range next.Winners {
+		for _, w := range c.rec.Winners {
 			m.ledger[w.Client] += w.Payment
 		}
+		if c.at == noFrame {
+			m.resident[m.foldedNext] = c.rec
+		}
+		m.frames = append(m.frames, c.at)
+		delete(m.outcomes, m.foldedNext)
 		m.foldedNext++
 	}
-	if r := m.cfg.RetainOutcomes; r > 0 {
-		for m.foldedNext-m.base > r {
-			delete(m.outcomes, m.base)
-			m.base++
+	if r := m.cfg.RetainOutcomes; r > 0 && m.foldedNext-m.base > r {
+		n := m.foldedNext - m.base - r
+		for seq := m.base; seq < m.base+n; seq++ {
+			delete(m.resident, seq)
 		}
+		m.frames = m.frames[n:]
+		m.base += n
 	}
-	m.commitsSinceCkpt++
 }
 
 // crashLocked consults the crash-point hook; on true it kills the
@@ -609,11 +743,12 @@ func (m *Market) submitAll(ctx context.Context, client string, insts []batch.Ins
 	n := 0 // submissions whose bid record is appended
 	for ; n < len(insts); n++ {
 		seq := m.next
+		at := noFrame
 		if m.log != nil {
 			payload, err := appendBidRecord(m.enc[:0], seq, client, insts[n])
 			m.enc = payload[:0]
 			if err == nil {
-				err = m.log.Append(payload)
+				at, err = m.log.Append(payload)
 			}
 			if err != nil {
 				appendErr = err
@@ -621,7 +756,7 @@ func (m *Market) submitAll(ctx context.Context, client string, insts []batch.Ins
 			}
 		}
 		m.next = seq + 1
-		m.pending[seq] = insts[n]
+		m.pending[seq] = at
 		seqs[n] = seq
 	}
 	if m.log != nil && n > 0 {
@@ -709,7 +844,7 @@ func (m *Market) commit(oc batch.Outcome) bool {
 	}
 	rec := recordFromOutcome(oc)
 	m.mu.Lock()
-	if _, dup := m.outcomes[rec.Seq]; dup || rec.Seq < m.base {
+	if m.committedLocked(rec.Seq) {
 		// Exactly-once guard: a sequence number commits once per market
 		// lifetime, whatever the scheduler delivered.
 		m.mu.Unlock()
@@ -719,13 +854,14 @@ func (m *Market) commit(oc batch.Outcome) bool {
 		m.mu.Unlock()
 		return false
 	}
+	at := noFrame
 	if m.log != nil {
 		// The outcome record is the whole commit: make it durable before
 		// installing, waiting outside the lock like Submit does.
 		payload, err := appendOutcomeRecord(m.enc[:0], &rec)
 		m.enc = payload[:0]
 		if err == nil {
-			err = m.log.Append(payload)
+			at, err = m.log.Append(payload)
 		}
 		if err == nil {
 			err = m.commitLocked()
@@ -735,12 +871,12 @@ func (m *Market) commit(oc batch.Outcome) bool {
 			m.mu.Unlock()
 			return false
 		}
-		if _, dup := m.outcomes[rec.Seq]; dup {
+		if m.committedLocked(rec.Seq) {
 			m.mu.Unlock()
 			return true
 		}
 	}
-	m.installLocked(rec)
+	m.installLocked(rec, at)
 	ok := true
 	if m.log != nil && m.cfg.CheckpointEvery > 0 && m.commitsSinceCkpt >= m.cfg.CheckpointEvery {
 		ok = m.checkpointLocked()
@@ -752,14 +888,27 @@ func (m *Market) commit(oc batch.Outcome) bool {
 	return ok
 }
 
+// committedLocked reports whether seq has committed in this market's
+// lifetime (folded, evicted, or waiting past a gap). Caller holds m.mu.
+func (m *Market) committedLocked(seq int) bool {
+	if seq < m.foldedNext {
+		return true
+	}
+	_, ok := m.outcomes[seq]
+	return ok
+}
+
 // checkpointLocked writes one checkpoint: rotate into a fresh
-// checkpoint-flagged segment, append the folded-state snapshot as its
-// first record, force it durable, then prune every covered segment.
-// A crash at any point is safe: before the snapshot record lands, the
-// empty checkpoint segment is recovery debris (discarded, full replay
-// from the previous start); after it lands, recovery starts at the new
-// checkpoint whether or not the prune ran. Reports false when the
-// market died (crash point or log failure). Caller holds m.mu.
+// checkpoint-flagged segment, append the snapshot (ledger and the index
+// of retained outcomes and pending submissions) as its first record,
+// force it durable, then prune the segments below both the checkpoint
+// and the oldest segment it locates a record in. A crash at any point
+// is safe: before the snapshot record lands, the empty checkpoint
+// segment is recovery debris (discarded, replay from the previous start,
+// whose located records the last prune kept); after it lands, recovery
+// starts at the new checkpoint whether or not the prune ran. Reports
+// false when the market died (crash point or log failure). Caller holds
+// m.mu.
 func (m *Market) checkpointLocked() bool {
 	var start time.Time
 	if m.cfg.Observer != nil {
@@ -772,9 +921,9 @@ func (m *Market) checkpointLocked() bool {
 	if m.crashLocked(CrashCheckpointRotated, m.next) {
 		return false
 	}
-	payload, err := m.encodeCheckpointLocked()
+	payload, floor, err := m.encodeCheckpointLocked()
 	if err == nil {
-		err = m.log.Append(payload)
+		_, err = m.log.Append(payload)
 	}
 	if err == nil {
 		err = m.log.Commit()
@@ -794,7 +943,7 @@ func (m *Market) checkpointLocked() bool {
 	if m.crashLocked(CrashCheckpointWritten, m.next) {
 		return false
 	}
-	pruned, err := m.log.Prune()
+	pruned, err := m.log.Prune(floor)
 	if err != nil {
 		m.killLocked()
 		return false
@@ -809,68 +958,99 @@ func (m *Market) checkpointLocked() bool {
 	return true
 }
 
+// lookupLocked finds seq's outcome. done reports whether it has
+// committed; rec holds it when it is in memory, else at locates its
+// frame for the caller to read with m.mu released. Caller holds m.mu.
+func (m *Market) lookupLocked(seq int) (rec OutcomeRecord, at wal.Pos, done bool, err error) {
+	at = noFrame
+	if c, ok := m.outcomes[seq]; ok {
+		return c.rec, at, true, nil
+	}
+	switch {
+	case seq >= 0 && seq < m.base:
+		return rec, at, false, ErrPruned
+	case seq < 0 || seq >= m.next:
+		return rec, at, false, ErrUnknownSeq
+	case seq < m.foldedNext:
+		if r, ok := m.resident[seq]; ok {
+			return r, at, true, nil
+		}
+		return rec, m.frames[seq-m.base], true, nil
+	}
+	return rec, at, false, nil
+}
+
+// readFolded reads a folded outcome's frame, without m.mu. A read that
+// fails because the retention floor passed seq meanwhile (a checkpoint
+// pruned the segment) answers ErrPruned, as it would had it come a
+// moment later.
+func (m *Market) readFolded(seq int, at wal.Pos) (OutcomeRecord, error) {
+	rec, err := m.readOutcome(seq, at)
+	if err != nil {
+		m.mu.Lock()
+		pruned := seq < m.base
+		m.mu.Unlock()
+		if pruned {
+			return OutcomeRecord{}, ErrPruned
+		}
+	}
+	return rec, err
+}
+
 // Outcome returns the committed outcome for seq. ok reports whether it
 // has committed; a false ok with a nil error means the submission is
 // still pending. A committed outcome evicted by the retention policy
-// answers ErrPruned.
+// answers ErrPruned. An outcome already folded into the ledger is read
+// back from the log.
 func (m *Market) Outcome(seq int) (OutcomeRecord, bool, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if rec, ok := m.outcomes[seq]; ok {
-		return rec, true, nil
+	rec, at, done, err := m.lookupLocked(seq)
+	m.mu.Unlock()
+	if at != noFrame {
+		rec, err = m.readFolded(seq, at)
+		done = err == nil
 	}
-	if seq >= 0 && seq < m.base {
-		return OutcomeRecord{}, false, ErrPruned
-	}
-	if seq < 0 || seq >= m.next {
-		return OutcomeRecord{}, false, ErrUnknownSeq
-	}
-	return OutcomeRecord{}, false, nil
+	return rec, done, err
 }
 
-// Wait blocks until seq commits, ctx is done, or the market stops.
+// Wait blocks until seq commits, ctx is done, or the market stops. A
+// Wait that starts before the commit receives the record as it is
+// installed; one that starts after reads it as Outcome does.
 func (m *Market) Wait(ctx context.Context, seq int) (OutcomeRecord, error) {
 	m.mu.Lock()
-	if rec, ok := m.outcomes[seq]; ok {
+	rec, at, done, err := m.lookupLocked(seq)
+	if err != nil || done {
 		m.mu.Unlock()
-		return rec, nil
+		if at != noFrame {
+			return m.readFolded(seq, at)
+		}
+		return rec, err
 	}
-	if seq >= 0 && seq < m.base {
-		m.mu.Unlock()
-		return OutcomeRecord{}, ErrPruned
-	}
-	if seq < 0 || seq >= m.next {
-		m.mu.Unlock()
-		return OutcomeRecord{}, ErrUnknownSeq
-	}
-	ch, ok := m.waiters[seq]
+	w, ok := m.waiters[seq]
 	if !ok {
-		ch = make(chan struct{})
-		m.waiters[seq] = ch
+		w = &waiter{ch: make(chan struct{})}
+		m.waiters[seq] = w
 	}
 	m.mu.Unlock()
 
 	select {
-	case <-ch:
-		m.mu.Lock()
-		rec := m.outcomes[seq]
-		m.mu.Unlock()
-		return rec, nil
+	case <-w.ch:
+		if w.ok {
+			return w.rec, nil
+		}
 	case <-ctx.Done():
 		return OutcomeRecord{}, context.Cause(ctx)
 	case <-m.killCh:
 		return OutcomeRecord{}, ErrClosed
 	case <-m.consumerDone:
-		// Graceful close commits everything solvable first; reaching
-		// here means the market stopped with seq still pending.
-		m.mu.Lock()
-		rec, ok := m.outcomes[seq]
-		m.mu.Unlock()
-		if ok {
-			return rec, nil
-		}
-		return OutcomeRecord{}, ErrClosed
 	}
+	// Graceful close commits everything solvable first; reaching here
+	// means the market stopped, perhaps with seq still pending.
+	rec, done, err = m.Outcome(seq)
+	if err == nil && !done {
+		err = ErrClosed
+	}
+	return rec, err
 }
 
 // ledgerLocked returns per-client cumulative payments: a copy of the
@@ -884,15 +1064,8 @@ func (m *Market) ledgerLocked() map[int]float64 {
 	for c, p := range m.ledger {
 		out[c] = p
 	}
-	var tail []int
-	for seq := range m.outcomes {
-		if seq >= m.foldedNext {
-			tail = append(tail, seq)
-		}
-	}
-	sort.Ints(tail)
-	for _, seq := range tail {
-		for _, w := range m.outcomes[seq].Winners {
+	for _, seq := range sortedKeys(m.outcomes) {
+		for _, w := range m.outcomes[seq].rec.Winners {
 			out[w.Client] += w.Payment
 		}
 	}
@@ -914,7 +1087,7 @@ func (m *Market) Ledger() map[int]float64 {
 // depth.
 func (m *Market) Counts() (next, committed, pending, queueDepth int) {
 	m.mu.Lock()
-	next, committed, pending = m.next, len(m.outcomes)+m.base, len(m.pending)
+	next, committed, pending = m.next, m.foldedNext+len(m.outcomes), len(m.pending)
 	m.mu.Unlock()
 	return next, committed, pending, m.svc.QueueDepth()
 }
@@ -980,8 +1153,8 @@ func (m *Market) Close() error {
 	// process (killed mid-queue or canceled): Wait's consumerDone arm
 	// handles them, but close their channels so no waiter sleeps on a
 	// market with no consumer.
-	for seq, ch := range m.waiters {
-		close(ch)
+	for seq, w := range m.waiters {
+		close(w.ch)
 		delete(m.waiters, seq)
 	}
 	if m.log != nil && !m.killedFlag.Load() {

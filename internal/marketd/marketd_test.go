@@ -230,7 +230,7 @@ func appendRecords(t testing.TB, dir string, payloads ...[]byte) {
 		t.Fatal(err)
 	}
 	for _, payload := range payloads {
-		if err := log.Append(payload); err != nil {
+		if _, err := log.Append(payload); err != nil {
 			t.Fatal(err)
 		}
 	}

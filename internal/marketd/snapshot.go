@@ -4,25 +4,63 @@ import (
 	"bytes"
 	"encoding/json"
 	"sort"
+
+	"github.com/fedauction/afl/internal/wal"
 )
 
-// Snapshot renders the market's committed state — every outcome in
-// sequence order plus the per-client ledger in client order — as
-// canonical JSON. Two markets with identical state produce identical
-// bytes, which is how the restart suite asserts bit-identical recovery
-// against an uninterrupted golden run.
+// Snapshot renders the market's committed state — every retained
+// outcome in sequence order plus the per-client ledger in client order
+// — as canonical JSON. Two markets with identical state produce
+// identical bytes, which is how the restart suite asserts bit-identical
+// recovery against an uninterrupted golden run. The state is captured
+// under the market's lock; the outcomes already folded into the ledger
+// are then read back from the log without it. An outcome that cannot be
+// read is left out and the failure reported in an "error" member, so
+// such a snapshot never equals a healthy market's.
 func (m *Market) Snapshot() []byte {
-	m.mu.Lock()
-	seqs := make([]int, 0, len(m.outcomes))
-	for seq := range m.outcomes {
-		seqs = append(seqs, seq)
+	type read struct {
+		i  int // index into outcomes
+		at wal.Pos
 	}
-	sort.Ints(seqs)
-	outcomes := make([]OutcomeRecord, len(seqs))
-	for i, seq := range seqs {
-		outcomes[i] = m.outcomes[seq]
+	m.mu.Lock()
+	outcomes := make([]OutcomeRecord, 0, len(m.frames)+len(m.outcomes))
+	var reads []read
+	for i, at := range m.frames {
+		if at == noFrame {
+			outcomes = append(outcomes, m.resident[m.base+i])
+			continue
+		}
+		outcomes = append(outcomes, OutcomeRecord{Seq: m.base + i})
+		reads = append(reads, read{i: len(outcomes) - 1, at: at})
+	}
+	for _, seq := range sortedKeys(m.outcomes) {
+		outcomes = append(outcomes, m.outcomes[seq].rec)
 	}
 	ledger := m.ledgerLocked()
+	m.mu.Unlock()
+
+	var failed string
+	for _, r := range reads {
+		rec, err := m.readOutcome(outcomes[r.i].Seq, r.at)
+		if err != nil {
+			if failed == "" {
+				failed = err.Error()
+			}
+			outcomes[r.i].Seq = -1
+			continue
+		}
+		outcomes[r.i] = rec
+	}
+	if failed != "" {
+		kept := outcomes[:0]
+		for _, oc := range outcomes {
+			if oc.Seq >= 0 {
+				kept = append(kept, oc)
+			}
+		}
+		outcomes = kept
+	}
+
 	clients := make([]int, 0, len(ledger))
 	for c := range ledger {
 		clients = append(clients, c)
@@ -36,13 +74,13 @@ func (m *Market) Snapshot() []byte {
 	for i, c := range clients {
 		lines[i] = ledgerLine{Client: c, Payment: ledger[c]}
 	}
-	m.mu.Unlock()
 
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.Encode(struct {
 		Outcomes []OutcomeRecord `json:"outcomes"`
 		Ledger   []ledgerLine    `json:"ledger"`
-	}{outcomes, lines})
+		Error    string          `json:"error,omitempty"`
+	}{outcomes, lines, failed})
 	return buf.Bytes()
 }

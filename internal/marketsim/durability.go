@@ -231,8 +231,9 @@ func runIngest(ctx context.Context, inst batch.Instance, opts DurabilityOptions,
 // buildHistory fills dir with n committed auctions of inst, fsync-free
 // (history construction is not the thing being measured). Checkpointed
 // histories also bound retention to one checkpoint interval — the
-// deployment shape checkpoints exist for: without it the snapshot
-// embeds all of history and restoring it is O(history) again.
+// deployment shape checkpoints exist for: without it the checkpoint
+// locates every outcome of history, so restoring its index is
+// O(history) again and no segment is ever pruned.
 func buildHistory(ctx context.Context, dir string, inst batch.Instance, n, checkpointEvery int) error {
 	cfg := marketd.Config{Dir: dir, Workers: runtime.GOMAXPROCS(0), NoSync: true}
 	if checkpointEvery > 0 {

@@ -126,7 +126,8 @@ const (
 	EvCertificateComputed
 	// EvWALCheckpoint closes one durable-market checkpoint: a rotation
 	// into a checkpoint-flagged segment, the snapshot record append, and
-	// the prune of covered history. Value is the next sequence number
+	// the prune of the segments the snapshot neither replays nor points
+	// into. Value is the next sequence number
 	// captured by the snapshot, Round the number of segments pruned, Dur
 	// the checkpoint latency, OK false when the snapshot write failed.
 	EvWALCheckpoint

@@ -50,7 +50,7 @@ func FuzzWALRecord(f *testing.F) {
 			t.Fatal(err)
 		}
 		var first [][]byte
-		l, stats1, err := OpenDir(path, DirOptions{NoSync: true}, func(p []byte) error {
+		l, stats1, err := OpenDir(path, DirOptions{NoSync: true}, func(_ Pos, p []byte) error {
 			first = append(first, append([]byte(nil), p...))
 			return nil
 		})
@@ -60,7 +60,7 @@ func FuzzWALRecord(f *testing.F) {
 		l.Close()
 
 		var second [][]byte
-		l2, stats2, err := OpenDir(path, DirOptions{NoSync: true}, func(p []byte) error {
+		l2, stats2, err := OpenDir(path, DirOptions{NoSync: true}, func(_ Pos, p []byte) error {
 			second = append(second, append([]byte(nil), p...))
 			return nil
 		})

@@ -3,9 +3,9 @@ package wal
 // This file is the segmented log: a DirLog is a directory of segment
 // files in the frame format of wal.go, with size/record-count rotation,
 // checkpoint-flagged segments that bound recovery to the tail since the
-// last checkpoint, pruning of fully checkpointed history, and an
-// optional group-commit syncer that coalesces concurrent Commit callers
-// into one fsync.
+// last checkpoint, positioned reads of single frames, pruning below a
+// floor the caller sets, and an optional group-commit syncer that
+// coalesces concurrent Commit callers into one fsync.
 //
 // Layout. Segment 0 is the base file the caller names (for the market,
 // "market.wal"); a log that never rotated is that one file. Rotated
@@ -15,17 +15,25 @@ package wal
 // and never written again, so every byte before the active tail is
 // immutable.
 //
+// Positions. Append and the replay callback report each frame's Pos
+// (segment index, byte offset), and ReadAt reads the frame at a Pos back
+// on its own, CRC-checked. A caller can therefore keep a record in the
+// log and only a Pos in hand; its checkpoint can point at records in
+// older segments instead of copying them.
+//
 // Recovery. OpenDir picks the newest checkpoint-flagged segment whose
-// first frame is valid and replays forward from there; everything older
-// is prunable history the checkpoint already summarizes. A checkpoint
+// first frame is valid and replays forward from there; older segments
+// are not replayed, but stay readable by Pos until pruned. A checkpoint
 // segment whose first frame is torn or missing is the debris of a
 // checkpoint that never committed: it is deleted and recovery falls back
 // to the previous checkpoint (or segment 0) — the crash between
 // "rotate" and "checkpoint durable" loses nothing, because pruning only
-// ever runs after the checkpoint record is on disk. Within the replayed
-// range the scan stops at the first invalid frame of any segment: that
-// segment is truncated there and every later segment is deleted, so the
-// directory as a whole recovers to one deterministic valid prefix.
+// ever runs after the checkpoint record is on disk, and never removes a
+// segment at or above the floor the caller names (the oldest segment its
+// newest checkpoint points into). Within the replayed range the scan
+// stops at the first invalid frame of any segment: that segment is
+// truncated there and every later segment is deleted, so the directory
+// as a whole recovers to one deterministic valid prefix.
 //
 // Durability. Append never makes its record durable; Commit does. Without
 // group commit, Commit flushes and fsyncs inline. With
@@ -38,8 +46,12 @@ package wal
 
 import (
 	"bufio"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -80,6 +92,18 @@ type DirOptions struct {
 	// latency. Called without the log's lock.
 	OnGroupCommit func(records int, dur time.Duration)
 }
+
+// Pos locates one frame of a segmented log: the rotation index of its
+// segment and the byte offset of its header within that file.
+type Pos struct {
+	Seg int
+	Off int64
+}
+
+// ErrNoFrame is returned by ReadAt when no valid frame starts at the
+// position: its segment was pruned or is missing, or the bytes there are
+// torn, corrupt or not a frame boundary.
+var ErrNoFrame = errors.New("wal: no valid frame at position")
 
 // SegmentInfo describes one live segment file.
 type SegmentInfo struct {
@@ -125,9 +149,9 @@ type DirStats struct {
 	Syncs int64
 }
 
-// DirLog is a segmented single-writer append-only log. Append, Commit,
-// Rotate, Prune, Close and Abort are safe for concurrent use: group
-// commit makes concurrent committers the point.
+// DirLog is a segmented single-writer append-only log. Append, ReadAt,
+// Commit, Rotate, Prune, Close and Abort are safe for concurrent use:
+// group commit makes concurrent committers the point.
 type DirLog struct {
 	dir  string
 	stem string // base path without the ".wal" suffix
@@ -159,11 +183,12 @@ type DirLog struct {
 // OpenDir opens (creating if absent) the segmented log whose base
 // segment is path, recovers the directory to a deterministic valid
 // prefix, and replays it. fn, when non-nil, is called once per
-// recovered payload in order — starting from the newest valid
-// checkpoint segment, so a caller that wrote checkpoints gets the
-// checkpoint record first and only the tail after it. The returned
-// stats describe what recovery found.
-func OpenDir(path string, opts DirOptions, fn func(payload []byte) error) (*DirLog, DirStats, error) {
+// recovered payload in order, with the frame's position — starting
+// from the newest valid checkpoint segment, so a caller that wrote
+// checkpoints gets the checkpoint record first and only the tail after
+// it. The payload is valid only during the call. The returned stats
+// describe what recovery found.
+func OpenDir(path string, opts DirOptions, fn func(pos Pos, payload []byte) error) (*DirLog, DirStats, error) {
 	l := &DirLog{
 		dir:  filepath.Dir(path),
 		stem: strings.TrimSuffix(path, ".wal"),
@@ -267,7 +292,7 @@ func Segments(path string) ([]SegmentInfo, error) { return listSegments(path) }
 
 // recoverSegments replays the directory into fn and positions the log
 // for appending. Single-goroutine (runs before the syncer starts).
-func (l *DirLog) recoverSegments(segs []SegmentInfo, fn func([]byte) error) (DirStats, error) {
+func (l *DirLog) recoverSegments(segs []SegmentInfo, fn func(Pos, []byte) error) (DirStats, error) {
 	stats := DirStats{LastCheckpointSegment: -1}
 
 	// Recovery starts at the newest checkpoint segment whose first frame
@@ -294,7 +319,12 @@ func (l *DirLog) recoverSegments(segs []SegmentInfo, fn func([]byte) error) (Dir
 		if err != nil {
 			return stats, fmt.Errorf("wal: open segment %s: %w", segs[i].Path, err)
 		}
-		st, err := scan(f, fn)
+		var segFn func(int64, []byte) error
+		if fn != nil {
+			seg := segs[i].Index
+			segFn = func(off int64, p []byte) error { return fn(Pos{Seg: seg, Off: off}, p) }
+		}
+		st, err := scan(f, segFn)
 		if err != nil {
 			f.Close()
 			return stats, err
@@ -413,32 +443,95 @@ func (l *DirLog) segPath(idx int, checkpoint bool) string {
 }
 
 // Append writes one record through the log's buffer, rotating first
-// when the active segment is full. The payload is copied; the caller may
-// reuse it. The record is not durable until a Commit covers it.
-func (l *DirLog) Append(payload []byte) error {
+// when the active segment is full, and returns the frame's position.
+// The payload is copied; the caller may reuse it. The record is not
+// durable until a Commit covers it.
+func (l *DirLog) Append(payload []byte) (Pos, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return ErrClosed
+		return Pos{}, ErrClosed
 	}
 	if len(payload) > MaxRecordLen {
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
+		return Pos{}, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
 	}
 	frameLen := int64(frameHeaderLen + len(payload) + 1)
 	if l.shouldRotateLocked(frameLen) {
 		if err := l.rotateLocked(false); err != nil {
-			return err
+			return Pos{}, err
 		}
 	}
 	if err := writeFrame(l.w, l.scratch[:], payload); err != nil {
 		l.setErrLocked(err)
-		return err
+		return Pos{}, err
 	}
+	active := &l.segs[len(l.segs)-1]
+	pos := Pos{Seg: active.Index, Off: active.Size}
 	l.records++
 	l.activeRecords++
-	l.segs[len(l.segs)-1].Size += frameLen
+	active.Size += frameLen
 	l.totalBytes += frameLen
-	return nil
+	return pos, nil
+}
+
+// ReadAt reads back the payload of the frame at pos, checked as replay
+// checks it: length in bounds, terminator present, CRC matching. It
+// reads the segment file, so it sees a frame once a Commit or a
+// rotation has written it out; it works on a closed log as long as the
+// file is still there. A pruned or missing segment, and any bytes that
+// are not one valid frame, answer ErrNoFrame. The returned slice is the
+// caller's. Safe for concurrent use with every other method; a read
+// racing the Prune that removes its segment either completes or
+// answers ErrNoFrame.
+func (l *DirLog) ReadAt(pos Pos) ([]byte, error) {
+	l.mu.Lock()
+	path := ""
+	if i, ok := l.segIndexLocked(pos.Seg); ok {
+		path = l.segs[i].Path
+	}
+	l.mu.Unlock()
+	if path == "" || pos.Off < 0 {
+		return nil, fmt.Errorf("%w: segment %d offset %d", ErrNoFrame, pos.Seg, pos.Off)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil, fmt.Errorf("%w: segment %d is gone", ErrNoFrame, pos.Seg)
+		}
+		return nil, fmt.Errorf("wal: read segment %d: %w", pos.Seg, err)
+	}
+	defer f.Close()
+	var h [frameHeaderLen]byte
+	if _, err := f.ReadAt(h[:], pos.Off); err != nil {
+		return nil, readAtErr(pos, err)
+	}
+	n := binary.LittleEndian.Uint32(h[:4])
+	if n > MaxRecordLen {
+		return nil, fmt.Errorf("%w: segment %d offset %d", ErrNoFrame, pos.Seg, pos.Off)
+	}
+	buf := make([]byte, n+1)
+	if _, err := f.ReadAt(buf, pos.Off+frameHeaderLen); err != nil {
+		return nil, readAtErr(pos, err)
+	}
+	if buf[n] != '\n' || crc32.Checksum(buf[:n], castagnoli) != binary.LittleEndian.Uint32(h[4:8]) {
+		return nil, fmt.Errorf("%w: segment %d offset %d", ErrNoFrame, pos.Seg, pos.Off)
+	}
+	return buf[:n:n], nil
+}
+
+// readAtErr maps a failed positioned read: a frame that runs past the
+// end of its file is no frame; anything else is an I/O error.
+func readAtErr(pos Pos, err error) error {
+	if errors.Is(err, io.EOF) {
+		return fmt.Errorf("%w: segment %d offset %d", ErrNoFrame, pos.Seg, pos.Off)
+	}
+	return fmt.Errorf("wal: read segment %d: %w", pos.Seg, err)
+}
+
+// segIndexLocked finds the live segment with rotation index seg.
+func (l *DirLog) segIndexLocked(seg int) (int, bool) {
+	i := sort.Search(len(l.segs), func(i int) bool { return l.segs[i].Index >= seg })
+	return i, i < len(l.segs) && l.segs[i].Index == seg
 }
 
 // writeFrame writes one frame through w using scratch for the header.
@@ -514,11 +607,14 @@ func (l *DirLog) rotateLocked(checkpoint bool) error {
 	return nil
 }
 
-// Prune deletes every segment older than the newest checkpoint segment
-// — history the checkpoint's snapshot fully covers. Call it only after
-// the checkpoint record is durable (Commit returned). Returns the
-// number of segments removed.
-func (l *DirLog) Prune() (int, error) {
+// Prune deletes every segment whose index is below both the newest
+// checkpoint segment and floor: history the newest checkpoint neither
+// replays nor points into. The caller passes as floor the oldest
+// segment its checkpoint locates a record in (any value at or above the
+// checkpoint's own index when it locates none). Call it only after the
+// checkpoint record is durable (Commit returned). Returns the number of
+// segments removed.
+func (l *DirLog) Prune(floor int) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -530,6 +626,9 @@ func (l *DirLog) Prune() (int, error) {
 			cut = i
 			break
 		}
+	}
+	for cut > 0 && l.segs[cut-1].Index >= floor {
+		cut--
 	}
 	if cut <= 0 {
 		return 0, nil

@@ -61,7 +61,7 @@ func FuzzWALSegment(f *testing.F) {
 
 		open := func() (DirStats, [][]byte) {
 			var rec [][]byte
-			l, st, err := OpenDir(path, DirOptions{NoSync: true}, func(p []byte) error {
+			l, st, err := OpenDir(path, DirOptions{NoSync: true}, func(_ Pos, p []byte) error {
 				rec = append(rec, append([]byte(nil), p...))
 				return nil
 			})
@@ -95,12 +95,12 @@ func FuzzWALSegment(f *testing.F) {
 
 		// The healed directory is live: append one record, reopen, and
 		// the prefix plus the new record come back in order.
-		l, _, err := OpenDir(path, DirOptions{NoSync: true}, func([]byte) error { return nil })
+		l, _, err := OpenDir(path, DirOptions{NoSync: true}, func(Pos, []byte) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
 		extra := []byte(`{"type":"bid","seq":99}`)
-		if err := l.Append(extra); err != nil {
+		if _, err := l.Append(extra); err != nil {
 			t.Fatalf("Append on healed directory: %v", err)
 		}
 		if err := l.Close(); err != nil {

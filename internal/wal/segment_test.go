@@ -2,9 +2,11 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -14,7 +16,7 @@ import (
 func openDir(t *testing.T, path string, opts DirOptions) (*DirLog, DirStats, [][]byte) {
 	t.Helper()
 	var replayed [][]byte
-	l, st, err := OpenDir(path, opts, func(p []byte) error {
+	l, st, err := OpenDir(path, opts, func(_ Pos, p []byte) error {
 		replayed = append(replayed, append([]byte(nil), p...))
 		return nil
 	})
@@ -35,7 +37,7 @@ func TestDirLogSingleSegmentCompat(t *testing.T) {
 
 	l, _, _ := openDir(t, path, DirOptions{NoSync: true})
 	for i := 0; i < 10; i++ {
-		if err := l.Append(payloadN(i)); err != nil {
+		if _, err := l.Append(payloadN(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,7 +91,7 @@ func TestDirLogRotationByRecords(t *testing.T) {
 		},
 	})
 	for i := 0; i < 10; i++ {
-		if err := l.Append(payloadN(i)); err != nil {
+		if _, err := l.Append(payloadN(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,11 +125,11 @@ func TestDirLogRotationBySize(t *testing.T) {
 	path := filepath.Join(dir, "market.wal")
 	l, _, _ := openDir(t, path, DirOptions{NoSync: true, SegmentBytes: 64})
 	big := bytes.Repeat([]byte("x"), 100) // single record above the bound
-	if err := l.Append(big); err != nil {
+	if _, err := l.Append(big); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := l.Append(payloadN(i)); err != nil {
+		if _, err := l.Append(payloadN(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,7 +160,7 @@ func TestDirLogCheckpointRecoveryStartsAtTail(t *testing.T) {
 	path := filepath.Join(dir, "market.wal")
 	l, _, _ := openDir(t, path, DirOptions{NoSync: true})
 	for i := 0; i < 6; i++ {
-		if err := l.Append(payloadN(i)); err != nil {
+		if _, err := l.Append(payloadN(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,14 +168,14 @@ func TestDirLogCheckpointRecoveryStartsAtTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	ckpt := []byte(`{"ckpt":true}`)
-	if err := l.Append(ckpt); err != nil {
+	if _, err := l.Append(ckpt); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 6; i < 9; i++ {
-		if err := l.Append(payloadN(i)); err != nil {
+		if _, err := l.Append(payloadN(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,9 +201,13 @@ func TestDirLogCheckpointRecoveryStartsAtTail(t *testing.T) {
 		}
 	}
 
-	// Prune removes the base segment; recovery is unchanged.
+	// A floor at the base segment keeps it; a floor at the checkpoint
+	// removes it, and recovery is unchanged.
 	l2, _, _ := openDir(t, path, DirOptions{NoSync: true})
-	n, err := l2.Prune()
+	if n, err := l2.Prune(0); err != nil || n != 0 {
+		t.Fatalf("floor 0 pruned %d segments (%v), want 0", n, err)
+	}
+	n, err := l2.Prune(1)
 	if err != nil || n != 1 {
 		t.Fatalf("pruned %d segments (%v), want 1", n, err)
 	}
@@ -217,6 +223,91 @@ func TestDirLogCheckpointRecoveryStartsAtTail(t *testing.T) {
 	}
 }
 
+// TestDirLogPositionsAndReadAt: Append and replay report the same
+// position for a frame, ReadAt reads every frame back by it — replayed
+// or not, before or after Close — and Prune keeps every segment at or
+// above its floor, so only frames below it stop reading.
+func TestDirLogPositionsAndReadAt(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "market.wal")
+	l, _, _ := openDir(t, path, DirOptions{NoSync: true, SegmentRecords: 3})
+	var (
+		payloads [][]byte
+		at       []Pos
+	)
+	appendOne := func(p []byte) {
+		t.Helper()
+		pos, err := l.Append(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads, at = append(payloads, p), append(at, pos)
+	}
+	for i := 0; i < 7; i++ {
+		appendOne(payloadN(i))
+	}
+	if err := l.Rotate(true); err != nil {
+		t.Fatal(err)
+	}
+	appendOne([]byte(`{"ckpt":true}`))
+	ckpt := len(at) - 1
+	for i := 7; i < 11; i++ {
+		appendOne(payloadN(i))
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if at[0] != (Pos{}) || at[1].Seg != 0 || at[3].Seg != 1 || at[3].Off != 0 || at[ckpt].Off != 0 {
+		t.Fatalf("positions %v: want frames packed from offset 0 of each segment", at)
+	}
+	readAll := func(l *DirLog, from int) {
+		t.Helper()
+		for i := from; i < len(at); i++ {
+			got, err := l.ReadAt(at[i])
+			if err != nil || !bytes.Equal(got, payloads[i]) {
+				t.Fatalf("ReadAt(%v) = %q, %v; want %q", at[i], got, err, payloads[i])
+			}
+		}
+	}
+	readAll(l, 0)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	readAll(l, 0)
+
+	var replayed []Pos
+	l2, _, err := OpenDir(path, DirOptions{NoSync: true, SegmentRecords: 3}, func(pos Pos, p []byte) error {
+		replayed = append(replayed, pos)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if !slices.Equal(replayed, at[ckpt:]) {
+		t.Fatalf("replay positions %v, want %v", replayed, at[ckpt:])
+	}
+	readAll(l2, 0)
+	for _, bad := range []Pos{{Seg: at[1].Seg, Off: at[1].Off + 1}, {Seg: 99}, {Seg: 0, Off: -1}, {Seg: at[ckpt].Seg, Off: 1 << 20}} {
+		if got, err := l2.ReadAt(bad); !errors.Is(err, ErrNoFrame) {
+			t.Fatalf("ReadAt(%v) = %q, %v; want ErrNoFrame", bad, got, err)
+		}
+	}
+
+	// Floor at record 4's segment: the segment below it goes, the rest
+	// (older than the checkpoint included) stays readable.
+	n, err := l2.Prune(at[4].Seg)
+	if err != nil || n != at[4].Seg {
+		t.Fatalf("Prune(%d) removed %d segments (%v), want %d", at[4].Seg, n, err, at[4].Seg)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := l2.ReadAt(at[i]); !errors.Is(err, ErrNoFrame) {
+			t.Fatalf("ReadAt of pruned record %d: %v, want ErrNoFrame", i, err)
+		}
+	}
+	readAll(l2, 3)
+}
+
 // TestDirLogTornCheckpointFallsBack tears the checkpoint record itself
 // and requires recovery to fall back to full replay, deleting the
 // failed checkpoint segment.
@@ -227,7 +318,7 @@ func TestDirLogTornCheckpointFallsBack(t *testing.T) {
 			path := filepath.Join(dir, "market.wal")
 			l, _, _ := openDir(t, path, DirOptions{NoSync: true})
 			for i := 0; i < 5; i++ {
-				if err := l.Append(payloadN(i)); err != nil {
+				if _, err := l.Append(payloadN(i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -273,7 +364,7 @@ func TestDirLogTornTailMidDirectory(t *testing.T) {
 	path := filepath.Join(dir, "market.wal")
 	l, _, _ := openDir(t, path, DirOptions{NoSync: true, SegmentRecords: 2})
 	for i := 0; i < 6; i++ { // segments: [0 1] [2 3] [4 5]
-		if err := l.Append(payloadN(i)); err != nil {
+		if _, err := l.Append(payloadN(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -334,7 +425,7 @@ func TestDirLogGroupCommitDurability(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if err := l.Append(payloadN(w*100 + i)); err != nil {
+				if _, err := l.Append(payloadN(w*100 + i)); err != nil {
 					errs <- err
 					return
 				}
@@ -381,7 +472,7 @@ func TestDirLogGroupCommitAbortLosesTail(t *testing.T) {
 	path := filepath.Join(dir, "market.wal")
 	l, _, _ := openDir(t, path, DirOptions{GroupCommit: true})
 	for i := 0; i < 3; i++ {
-		if err := l.Append(payloadN(i)); err != nil {
+		if _, err := l.Append(payloadN(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -389,7 +480,7 @@ func TestDirLogGroupCommitAbortLosesTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 3; i < 7; i++ { // appended, never committed
-		if err := l.Append(payloadN(i)); err != nil {
+		if _, err := l.Append(payloadN(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -419,7 +510,7 @@ func TestDirLogCheckpointDebrisAfterRotateCrash(t *testing.T) {
 	path := filepath.Join(dir, "market.wal")
 	l, _, _ := openDir(t, path, DirOptions{NoSync: true})
 	for i := 0; i < 4; i++ {
-		if err := l.Append(payloadN(i)); err != nil {
+		if _, err := l.Append(payloadN(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -436,7 +527,7 @@ func TestDirLogCheckpointDebrisAfterRotateCrash(t *testing.T) {
 	}
 	// Appends continue; the dead checkpoint segment's index is reused by
 	// a plain segment on the next rotation, never by accident.
-	if err := l2.Append(payloadN(4)); err != nil {
+	if _, err := l2.Append(payloadN(4)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Close(); err != nil {
@@ -461,7 +552,7 @@ func TestDirLogSyncIntervalCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := l.Append(payloadN(w)); err == nil {
+			if _, err := l.Append(payloadN(w)); err == nil {
 				l.Commit()
 			}
 		}()
@@ -485,7 +576,7 @@ func TestDirLogCommitIsTheOnlySync(t *testing.T) {
 			l, _, _ := openDir(t, filepath.Join(t.TempDir(), "market.wal"), DirOptions{GroupCommit: group})
 			defer l.Close()
 			for i := 0; i < 3; i++ {
-				if err := l.Append(payloadN(i)); err != nil {
+				if _, err := l.Append(payloadN(i)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -68,10 +68,10 @@ type scanStats struct {
 }
 
 // scan validates frames from the start of f, calling fn (when non-nil)
-// once per valid payload, and reports the last valid boundary. It never
-// fails on corrupt data — corruption just ends the valid prefix — only
-// on I/O errors or a callback error.
-func scan(f *os.File, fn func([]byte) error) (scanStats, error) {
+// once per valid payload with the frame's byte offset, and reports the
+// last valid boundary. It never fails on corrupt data — corruption just
+// ends the valid prefix — only on I/O errors or a callback error.
+func scan(f *os.File, fn func(off int64, payload []byte) error) (scanStats, error) {
 	var st scanStats
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
@@ -94,7 +94,7 @@ func scan(f *os.File, fn func([]byte) error) (scanStats, error) {
 			break
 		}
 		if fn != nil {
-			if err := fn(rec); err != nil {
+			if err := fn(st.valid, rec); err != nil {
 				return st, err
 			}
 		}

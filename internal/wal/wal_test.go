@@ -26,7 +26,7 @@ func TestAppendRecoverRoundtrip(t *testing.T) {
 		t.Fatalf("fresh log recovered %d records", len(got))
 	}
 	for _, p := range want {
-		if err := l.Append(p); err != nil {
+		if _, err := l.Append(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,7 +55,7 @@ func appendRecords(t *testing.T, path string, n int) []byte {
 	t.Helper()
 	l, _, _ := openDir(t, path, DirOptions{})
 	for i := 0; i < n; i++ {
-		if err := l.Append([]byte(fmt.Sprintf(`{"seq":%d,"body":"record-%d"}`, i, i))); err != nil {
+		if _, err := l.Append([]byte(fmt.Sprintf(`{"seq":%d,"body":"record-%d"}`, i, i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,7 +95,7 @@ func TestTornTailTruncated(t *testing.T) {
 		if fi, err := os.Stat(path); err != nil || fi.Size() != int64(prefix) {
 			t.Fatalf("cut %d: file size %d, want %d (err %v)", cut, fi.Size(), prefix, err)
 		}
-		if err := l.Append([]byte(`{"seq":4,"body":"rewritten"}`)); err != nil {
+		if _, err := l.Append([]byte(`{"seq":4,"body":"rewritten"}`)); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Close(); err != nil {
@@ -210,7 +210,7 @@ func TestSyncBatching(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log.wal")
 	l, _, _ := openDir(t, path, DirOptions{})
 	for i := 0; i < 6; i++ {
-		if err := l.Append([]byte(fmt.Sprintf(`{"seq":%d}`, i))); err != nil {
+		if _, err := l.Append([]byte(fmt.Sprintf(`{"seq":%d}`, i))); err != nil {
 			t.Fatal(err)
 		}
 		if i == 3 {
@@ -230,7 +230,7 @@ func TestSyncBatching(t *testing.T) {
 	// Close, by contrast, flushes the uncommitted appends.
 	l2, _, _ := openDir(t, path, DirOptions{})
 	for i := 0; i < 6; i++ {
-		if err := l2.Append([]byte(fmt.Sprintf(`{"extra":%d}`, i))); err != nil {
+		if _, err := l2.Append([]byte(fmt.Sprintf(`{"extra":%d}`, i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,7 +249,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([]byte("x")); err != ErrClosed {
+	if _, err := l.Append([]byte("x")); err != ErrClosed {
 		t.Fatalf("Append after Close = %v, want ErrClosed", err)
 	}
 	if err := l.Commit(); err != ErrClosed {
@@ -268,7 +268,7 @@ func TestStatsTrackAppends(t *testing.T) {
 	}
 	payload := []byte(`{"a":1}`)
 	for i := 1; i <= 3; i++ {
-		if err := l.Append(payload); err != nil {
+		if _, err := l.Append(payload); err != nil {
 			t.Fatal(err)
 		}
 		s := l.Stats()

@@ -82,13 +82,14 @@ func WithGroupCommit(interval time.Duration) Option {
 	return func(rc *runConfig) { rc.groupCommit, rc.syncInterval = true, interval }
 }
 
-// WithCheckpointEvery writes a checkpoint every n committed auctions:
-// the market's folded state (ledger, retained outcomes, pending
-// submissions) is snapshotted into a fresh WAL segment and every
-// segment it covers is pruned, so restart replays the snapshot plus the
-// post-checkpoint tail instead of all of history — O(tail), not
-// O(history). n <= 0 (the default) disables checkpoints and keeps the
-// single ever-growing log.
+// WithCheckpointEvery writes a checkpoint every n committed auctions: a
+// snapshot record in a fresh WAL segment holding the payment ledger and
+// the log positions of the retained outcomes and pending submissions,
+// after which the segments below both the checkpoint and the oldest
+// position it holds are pruned. Restart restores the snapshot and
+// replays the post-checkpoint tail instead of all of history. n <= 0
+// (the default) disables checkpoints and keeps the single ever-growing
+// log.
 func WithCheckpointEvery(n int) Option {
 	return func(rc *runConfig) { rc.checkpointEvery = n }
 }
@@ -100,12 +101,14 @@ func WithSegmentBytes(n int64) Option {
 	return func(rc *runConfig) { rc.segmentBytes = n }
 }
 
-// WithRetainOutcomes bounds the per-auction history the market keeps:
+// WithRetainOutcomes bounds the per-auction history the market serves:
 // once more than n outcomes older than the fold frontier accumulate,
-// the oldest are evicted from memory and from future checkpoints. Their
-// payments remain in the ledger forever; reads of an evicted sequence
-// return ErrOutcomePruned (HTTP 410). n <= 0 (the default) retains
-// everything.
+// the oldest are evicted. Their payments remain in the ledger forever;
+// reads of an evicted sequence return ErrOutcomePruned (HTTP 410).
+// Retained outcomes are read back from the event log, so with
+// checkpoints the window also bounds the log: it keeps about one window
+// of auctions beyond the tail. n <= 0 (the default) retains everything,
+// and a checkpointed log then keeps all of its history.
 func WithRetainOutcomes(n int) Option {
 	return func(rc *runConfig) { rc.retainOutcomes = n }
 }
