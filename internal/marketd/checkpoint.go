@@ -85,11 +85,7 @@ func (m *Market) encodeCheckpointLocked() ([]byte, int, error) {
 		return append(refs, frameRef{Seq: seq, Seg: at.Seg, Off: at.Off})
 	}
 
-	clients := make([]int, 0, len(m.ledger))
-	for c := range m.ledger {
-		clients = append(clients, c)
-	}
-	sort.Ints(clients)
+	clients := sortedKeys(m.ledger)
 	rec.Ledger = make([]ledgerEntry, len(clients))
 	for i, c := range clients {
 		rec.Ledger[i] = ledgerEntry{Client: c, Payment: m.ledger[c]}

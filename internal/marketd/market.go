@@ -352,12 +352,7 @@ func Open(ctx context.Context, cfg Config) (*Market, error) {
 	// Re-submit survivors under their original sequence numbers, lowest
 	// first. The consumer is already draining, so queue backpressure
 	// cannot deadlock the replay however large the backlog is.
-	seqs := make([]int, 0, len(pendingInst))
-	for seq := range pendingInst {
-		seqs = append(seqs, seq)
-	}
-	sort.Ints(seqs)
-	for _, seq := range seqs {
+	for _, seq := range sortedKeys(pendingInst) {
 		if err := m.svc.SubmitSeq(ctx, seq, pendingInst[seq]); err != nil {
 			m.Close()
 			return nil, fmt.Errorf("marketd: replaying seq %d: %w", seq, err)

@@ -3,9 +3,6 @@ package marketd
 import (
 	"bytes"
 	"encoding/json"
-	"sort"
-
-	"github.com/fedauction/afl/internal/wal"
 )
 
 // Snapshot renders the market's committed state — every retained
@@ -18,54 +15,38 @@ import (
 // read is left out and the failure reported in an "error" member, so
 // such a snapshot never equals a healthy market's.
 func (m *Market) Snapshot() []byte {
-	type read struct {
-		i  int // index into outcomes
-		at wal.Pos
-	}
 	m.mu.Lock()
-	outcomes := make([]OutcomeRecord, 0, len(m.frames)+len(m.outcomes))
-	var reads []read
+	slots := make([]committed, 0, len(m.frames)+len(m.outcomes))
 	for i, at := range m.frames {
+		c := committed{rec: OutcomeRecord{Seq: m.base + i}, at: at}
 		if at == noFrame {
-			outcomes = append(outcomes, m.resident[m.base+i])
-			continue
+			c.rec = m.resident[m.base+i]
 		}
-		outcomes = append(outcomes, OutcomeRecord{Seq: m.base + i})
-		reads = append(reads, read{i: len(outcomes) - 1, at: at})
+		slots = append(slots, c)
 	}
 	for _, seq := range sortedKeys(m.outcomes) {
-		outcomes = append(outcomes, m.outcomes[seq].rec)
+		slots = append(slots, committed{rec: m.outcomes[seq].rec, at: noFrame})
 	}
 	ledger := m.ledgerLocked()
 	m.mu.Unlock()
 
+	outcomes := make([]OutcomeRecord, 0, len(slots))
 	var failed string
-	for _, r := range reads {
-		rec, err := m.readOutcome(outcomes[r.i].Seq, r.at)
-		if err != nil {
-			if failed == "" {
-				failed = err.Error()
+	for _, c := range slots {
+		if c.at != noFrame {
+			rec, err := m.readOutcome(c.rec.Seq, c.at)
+			if err != nil {
+				if failed == "" {
+					failed = err.Error()
+				}
+				continue
 			}
-			outcomes[r.i].Seq = -1
-			continue
+			c.rec = rec
 		}
-		outcomes[r.i] = rec
-	}
-	if failed != "" {
-		kept := outcomes[:0]
-		for _, oc := range outcomes {
-			if oc.Seq >= 0 {
-				kept = append(kept, oc)
-			}
-		}
-		outcomes = kept
+		outcomes = append(outcomes, c.rec)
 	}
 
-	clients := make([]int, 0, len(ledger))
-	for c := range ledger {
-		clients = append(clients, c)
-	}
-	sort.Ints(clients)
+	clients := sortedKeys(ledger)
 	type ledgerLine struct {
 		Client  int     `json:"client"`
 		Payment float64 `json:"payment"`

@@ -158,7 +158,8 @@ func OpenMarket(ctx context.Context, opts ...Option) (*Market, error) {
 //	POST /v1/auctions        submit; 200 {"seq":n}, 429/503 + Retry-After
 //	POST /v1/auctions:batch  submit many under one group commit; 200 {"seqs":[...]}
 //	GET  /v1/auctions/{seq}  200 committed outcome, 202 pending, 404 unknown,
-//	                         410 pruned by the retention policy
+//	                         410 pruned by the retention policy, 500 when
+//	                         the committed record cannot be read back
 //	GET  /v1/ledger          per-client cumulative payments
 //	GET  /v1/stats           load, recovery and WAL counters (bytes,
 //	                         segments, last checkpoint seq, tail replayed)
