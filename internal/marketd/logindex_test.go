@@ -342,3 +342,51 @@ func TestUnreadableOutcomeIs500(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointLocatesOutcomesPastAGap: an outcome that commits past a
+// sequence gap is not folded yet, and a checkpoint taken then locates it
+// like any other. Recovery reads it back after the scan and folds it
+// once the gap's re-solve commits, reaching the golden state. Seq 0's
+// solve is held while seq 1 commits and checkpoints, and the market
+// dies right after that checkpoint.
+func TestCheckpointLocatesOutcomesPastAGap(t *testing.T) {
+	insts := marketInstances(t, 2)
+	golden := goldenSnapshot(t, insts)
+	dir := t.TempDir()
+	gate := make(chan struct{})
+	m, err := Open(context.Background(), Config{
+		Dir: dir, Workers: 2, CheckpointEvery: 1,
+		Observer: obs.ObserverFunc(func(e obs.Event) {
+			if e.Kind == obs.EvAuctionDequeued && e.Bid == 0 {
+				<-gate
+			}
+		}),
+		Crash: func(p string, seq int) bool { return p == CrashCheckpointWritten },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.SubmitBatch(context.Background(), "c", insts); err != nil {
+		t.Fatal(err)
+	}
+	<-m.Dead()
+	close(gate)
+	m.Close()
+
+	ckpt, _ := newestCheckpoint(t, dir)
+	if ckpt.FoldedNext != 0 || fmt.Sprint(refSeqs(ckpt.OutcomeAt), refSeqs(ckpt.PendingAt)) != "[1] [0]" {
+		t.Fatalf("checkpoint folded to %d, locates outcomes %v and pending %v; want 0, [1] and [0]",
+			ckpt.FoldedNext, refSeqs(ckpt.OutcomeAt), refSeqs(ckpt.PendingAt))
+	}
+	m2, err := Open(context.Background(), Config{Dir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if _, err := m2.Wait(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := m2.Snapshot(); !bytes.Equal(got, golden) {
+		t.Fatalf("recovery past a gap diverged:\n got %s\nwant %s", got, golden)
+	}
+}
