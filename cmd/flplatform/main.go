@@ -21,7 +21,8 @@
 // -group-commit (with -sync-interval) coalesces concurrent commits
 // into shared fsyncs, -checkpoint-every and -segment-bytes bound
 // restart replay to the post-checkpoint tail, and -retain bounds the
-// in-memory outcome history (pruned reads answer 410). At startup the
+// servable outcome history (pruned reads answer 410) and, with
+// checkpoints, how much of it the WAL keeps. At startup the
 // daemon prints the WAL size, segment count, last checkpoint and tail
 // replayed, warning when the tail exceeds -tail-warn; the same figures
 // are served live under GET /v1/stats.
@@ -77,7 +78,7 @@ func main() {
 	syncInterval := flag.Duration("sync-interval", 0, "marketd: group-commit linger to collect larger fsync batches (0 = sync when free)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "marketd: checkpoint+prune the WAL every n committed auctions (0 = never)")
 	segmentBytes := flag.Int64("segment-bytes", 0, "marketd: rotate the WAL segment past this size (0 = never)")
-	retain := flag.Int("retain", 0, "marketd: keep at most n folded outcomes; older reads return 410 (0 = all)")
+	retain := flag.Int("retain", 0, "marketd: serve at most n folded outcomes, read back from the WAL; older reads return 410 (0 = all, and a checkpointed WAL keeps all of history)")
 	tailWarn := flag.Int("tail-warn", 10000, "marketd: warn at startup when recovery replayed more than n tail records")
 	rate := flag.Float64("rate", 0, "marketd: per-client sustained submissions/sec (0 = unlimited)")
 	burst := flag.Int("burst", 0, "marketd: per-client burst size (0 = ceil(rate))")
