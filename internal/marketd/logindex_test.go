@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/fedauction/afl/internal/batch"
 	"github.com/fedauction/afl/internal/obs"
@@ -93,7 +94,7 @@ func TestCheckpointFlatInHistory(t *testing.T) {
 			}
 		}
 		m.mu.Lock()
-		held, resident, indexed := len(m.outcomes), len(m.resident), len(m.frames)
+		held, resident, indexed := len(m.outcomes), len(m.resident)+len(m.parked), len(m.frames)
 		m.mu.Unlock()
 		if held != 0 || resident != 0 || indexed != window {
 			t.Fatalf("after %d commits the market holds %d unfolded and %d folded outcomes in memory and indexes %d; want 0, 0 and %d",
@@ -388,5 +389,68 @@ func TestCheckpointLocatesOutcomesPastAGap(t *testing.T) {
 	}
 	if got := m2.Snapshot(); !bytes.Equal(got, golden) {
 		t.Fatalf("recovery past a gap diverged:\n got %s\nwant %s", got, golden)
+	}
+}
+
+// TestLateWaitTakesParkedRecord: a commit that finds no waiter parks its
+// record for the first Wait that asks, so a Wait arriving just after
+// the commit does not read the log: it gets the record even with the
+// frame damaged, and takes it, so the next Wait on that seq reads the
+// frame and fails. At most maxParked records stay parked however many
+// commits go unwaited.
+func TestLateWaitTakesParkedRecord(t *testing.T) {
+	insts := marketInstances(t, 2)
+	dir := t.TempDir()
+	m := openMarket(t, Config{Dir: dir, Workers: 1})
+	seq, err := m.Submit(context.Background(), "c", insts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, committed, _, _ := m.Counts(); committed == 1 {
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	want := solveRecord(t, seq, insts[0])
+	m.mu.Lock()
+	at := m.frames[seq]
+	m.mu.Unlock()
+	f, err := os.OpenFile(filepath.Join(dir, WALFileName), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{'#'}, at.Off+20); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	got, err := m.Wait(context.Background(), seq)
+	if err != nil {
+		t.Fatalf("late Wait: %v", err)
+	}
+	assertRecordEqual(t, got, want)
+	if _, err := m.Wait(context.Background(), seq); err == nil {
+		t.Fatal("second Wait served a record: the parked one was not taken, or the damaged frame read clean")
+	}
+
+	chunk := make([]batch.Instance, 2*maxParked)
+	for i := range chunk {
+		chunk[i] = insts[i%len(insts)]
+	}
+	if _, err := m.SubmitBatch(context.Background(), "c", chunk); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, committed, _, _ := m.Counts(); committed == 1+len(chunk) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	m.mu.Lock()
+	parked, order := len(m.parked), len(m.parkOrder)
+	m.mu.Unlock()
+	if parked != maxParked || order != maxParked {
+		t.Fatalf("%d records parked (%d in order) after %d unwaited commits; want %d", parked, order, len(chunk), maxParked)
 	}
 }

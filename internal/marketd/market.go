@@ -35,8 +35,10 @@
 // the log (a wal.Pos); Outcome, Wait, GET /v1/auctions/{seq} and
 // Snapshot read and decode that frame on demand, with the market's lock
 // released. Only outcomes waiting past a sequence gap stay decoded in
-// memory, and a Wait registered before the commit is handed its record
-// at install, so the serving hot path never reads the disk.
+// memory. A Wait registered before the commit is handed its record at
+// install, and the records of the last few commits that found no waiter
+// are parked for the first Wait that asks, so the serving hot path does
+// not read the disk.
 //
 // The serving fast path layers three optimizations on that protocol
 // without changing its semantics:
@@ -251,6 +253,15 @@ type Market struct {
 	frames   []wal.Pos
 	resident map[int]OutcomeRecord
 
+	// parked holds the records of the last maxParked commits that found
+	// no waiter, oldest first in parkOrder, for the first Wait that asks:
+	// a client that learns its seq from the submit ack often Waits just
+	// after the commit, and reading its record back from the log would
+	// put a disk read on every such request. Wait takes the record out,
+	// so a market whose every seq was waited holds none.
+	parked    map[int]OutcomeRecord
+	parkOrder []int
+
 	// Incremental ledger: the fold of every committed outcome with seq <
 	// foldedNext, maintained frontier-style (strictly ascending seq
 	// order) so it is bit-identical to the full re-derivation the ledger
@@ -273,6 +284,11 @@ type committed struct {
 	rec OutcomeRecord
 	at  wal.Pos
 }
+
+// maxParked bounds the records held for late Waits (see Market.parked):
+// enough for the commits that land between a client's ack and its Wait
+// under load, few enough that memory stays flat in history.
+const maxParked = 64
 
 // noFrame marks a record the log holds no frame for.
 var noFrame = wal.Pos{Seg: -1, Off: -1}
@@ -311,6 +327,7 @@ func Open(ctx context.Context, cfg Config) (*Market, error) {
 		unlogged:     make(map[int]batch.Instance),
 		outcomes:     make(map[int]committed),
 		resident:     make(map[int]OutcomeRecord),
+		parked:       make(map[int]OutcomeRecord),
 		waiters:      make(map[int]*waiter),
 		ledger:       make(map[int]float64),
 		lastCkptSeq:  -1,
@@ -591,6 +608,15 @@ func (m *Market) installLocked(rec OutcomeRecord, at wal.Pos) {
 		w.rec, w.ok = rec, true
 		close(w.ch)
 		delete(m.waiters, rec.Seq)
+	} else if m.log != nil {
+		m.parked[rec.Seq] = rec
+		m.parkOrder = append(m.parkOrder, rec.Seq)
+		if n := len(m.parkOrder) - maxParked; n > 0 {
+			for _, seq := range m.parkOrder[:n] {
+				delete(m.parked, seq)
+			}
+			m.parkOrder = m.parkOrder[n:]
+		}
 	}
 	m.foldLocked()
 	m.commitsSinceCkpt++
@@ -626,6 +652,7 @@ func (m *Market) foldLocked() {
 		n := m.foldedNext - m.base - r
 		for seq := m.base; seq < m.base+n; seq++ {
 			delete(m.resident, seq)
+			delete(m.parked, seq)
 		}
 		m.frames = m.frames[n:]
 		m.base += n
@@ -970,6 +997,9 @@ func (m *Market) lookupLocked(seq int) (rec OutcomeRecord, at wal.Pos, done bool
 		if r, ok := m.resident[seq]; ok {
 			return r, at, true, nil
 		}
+		if r, ok := m.parked[seq]; ok {
+			return r, at, true, nil
+		}
 		return rec, m.frames[seq-m.base], true, nil
 	}
 	return rec, at, false, nil
@@ -996,7 +1026,7 @@ func (m *Market) readFolded(seq int, at wal.Pos) (OutcomeRecord, error) {
 // has committed; a false ok with a nil error means the submission is
 // still pending. A committed outcome evicted by the retention policy
 // answers ErrPruned. An outcome already folded into the ledger is read
-// back from the log.
+// back from the log, unless it is still parked for a late Wait.
 func (m *Market) Outcome(seq int) (OutcomeRecord, bool, error) {
 	m.mu.Lock()
 	rec, at, done, err := m.lookupLocked(seq)
@@ -1010,11 +1040,14 @@ func (m *Market) Outcome(seq int) (OutcomeRecord, bool, error) {
 
 // Wait blocks until seq commits, ctx is done, or the market stops. A
 // Wait that starts before the commit receives the record as it is
-// installed; one that starts after reads it as Outcome does.
+// installed. One that starts after takes the record parked for it when
+// its commit is among the last maxParked that found no waiter, and
+// otherwise reads it back from the log as Outcome does.
 func (m *Market) Wait(ctx context.Context, seq int) (OutcomeRecord, error) {
 	m.mu.Lock()
 	rec, at, done, err := m.lookupLocked(seq)
 	if err != nil || done {
+		delete(m.parked, seq) // the first Wait takes a parked record
 		m.mu.Unlock()
 		if at != noFrame {
 			return m.readFolded(seq, at)
