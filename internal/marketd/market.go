@@ -598,8 +598,9 @@ func (m *Market) fault(label string, value float64) {
 }
 
 // installLocked commits an outcome record, whose log frame is at (noFrame
-// on a volatile market), to in-memory state: any waiters, the
-// incremental ledger and the outcome index. Callers hold m.mu.
+// on a volatile market), to in-memory state: any waiters (or, with none,
+// the parked records), the incremental ledger and the outcome index.
+// Callers hold m.mu.
 func (m *Market) installLocked(rec OutcomeRecord, at wal.Pos) {
 	m.outcomes[rec.Seq] = committed{rec: rec, at: at}
 	delete(m.pending, rec.Seq)
