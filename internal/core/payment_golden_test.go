@@ -175,9 +175,10 @@ func completionMarket(bids []core.Bid, res core.Result, cfg core.Config) (qualif
 	return qualified, base, true
 }
 
-// TestWDPEntryPointsGolden pins the full output (%#v: winners, schedules,
-// payments, costs, rounds and the complete dual, unexported fields
-// included) of every way to solve one WDP outside the sweep, bit for bit:
+// TestWDPEntryPointsGolden pins the full output (%#v of its digest
+// projection: winners, schedules, payments, costs, rounds and the dual's
+// scalars, unexported fields included) of every way to solve one WDP
+// outside the sweep, bit for bit:
 // the row SolveWDP at every T̂_g in [1, T], Engine.RepairCtx on the
 // residual market of repairRequest, and SolveWDPBase on an LP-rounding
 // completion market (completionMarket). The sweep's own Result is folded
@@ -194,6 +195,7 @@ func TestWDPEntryPointsGolden(t *testing.T) {
 		fmt.Fprintf(h, "%s %#v\n", label, v)
 		outputs++
 	}
+	checkDigestFields(t)
 	for _, tc := range cases {
 		for i, variant := range goldenVariants(tc) {
 			for _, rule := range []core.PaymentRule{core.RuleCritical, core.RuleExactCritical} {
@@ -201,14 +203,14 @@ func TestWDPEntryPointsGolden(t *testing.T) {
 				cfg.PaymentRule = rule
 				label := fmt.Sprintf("%s/v%d/%s", tc.name, i, rule)
 				for tg := 1; tg <= cfg.T; tg++ {
-					emit(fmt.Sprintf("%s/tg%d", label, tg), core.SolveWDP(tc.bids, core.Qualified(tc.bids, tg, cfg), tg, cfg))
+					emit(fmt.Sprintf("%s/tg%d", label, tg), digestWDP(core.SolveWDP(tc.bids, core.Qualified(tc.bids, tg, cfg), tg, cfg)))
 				}
 				eng, err := core.NewEngine(tc.bids, cfg)
 				if err != nil {
 					t.Fatalf("%s: NewEngine: %v", label, err)
 				}
 				res := sweepEngine(t, eng, core.RunOptions{})
-				emit(label+"/sweep", res)
+				emit(label+"/sweep", digestResult(res))
 				if req, ok := repairRequest(res, cfg.K); ok {
 					rep, err := eng.RepairCtx(context.Background(), req, core.RunOptions{})
 					if err != nil {
@@ -217,7 +219,7 @@ func TestWDPEntryPointsGolden(t *testing.T) {
 					emit(label+"/repair", rep)
 				}
 				if qual, base, ok := completionMarket(tc.bids, res, cfg); ok {
-					emit(label+"/completion", core.SolveWDPBase(tc.bids, qual, res.Tg, cfg, base))
+					emit(label+"/completion", digestWDP(core.SolveWDPBase(tc.bids, qual, res.Tg, cfg, base)))
 				}
 			}
 		}
@@ -229,14 +231,15 @@ func TestWDPEntryPointsGolden(t *testing.T) {
 // TestFullResultGolden10k.
 var goldenResults10kFile = filepath.Join("testdata", "full_results_10k.sha256")
 
-// TestFullResultGolden10k pins the complete Result (%#v: every WDP, its
-// winners, schedules, payments and dual, unexported fields included) of
-// three 10⁴-bid populations of the perfbench solve-10k shape — 2000
-// clients × 5 bids, T = 50, K = 20, seeded by perfbench's formula — bit
-// for bit. Unlike TestDifferentialColumnar10kVsSeed the bids are
-// multi-minded, so winners leave unselected siblings in the grand set and
-// ExcludeOwnBids prunes the pricing instances. Each population runs under
-// RuleCritical and RuleExactCritical, at one worker and at two.
+// TestFullResultGolden10k pins the complete Result (%#v of its digest
+// projection: every WDP, its winners, schedules, payments and the dual's
+// scalars, unexported fields included) of three 10⁴-bid populations of
+// the perfbench solve-10k shape — 2000 clients × 5 bids, T = 50, K = 20,
+// seeded by perfbench's formula — bit for bit. Unlike
+// TestDifferentialColumnar10kVsSeed the bids are multi-minded, so winners
+// leave unselected siblings in the grand set and ExcludeOwnBids prunes
+// the pricing instances. Each population runs under RuleCritical and
+// RuleExactCritical, at one worker and at two.
 //
 // Regenerate with -update-golden only for a change that is meant to
 // move these outputs, and say so in the change description.
@@ -244,6 +247,7 @@ func TestFullResultGolden10k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10⁴-bid golden digest skipped under -short")
 	}
+	checkDigestFields(t)
 	h := sha256.New()
 	for j := int64(0); j < 3; j++ {
 		p := workload.NewDefaultParams()
@@ -269,8 +273,77 @@ func TestFullResultGolden10k(t *testing.T) {
 			if w2 := sweepEngine(t, eng, core.RunOptions{Workers: 2}); !reflect.DeepEqual(res, w2) {
 				t.Fatalf("pop %d/%s: two workers diverged from one", j, rule)
 			}
-			fmt.Fprintf(h, "pop%d/%s %#v\n", j, rule, res)
+			fmt.Fprintf(h, "pop%d/%s %#v\n", j, rule, digestResult(res))
 		}
 	}
 	checkGoldenDigest(t, goldenResults10kFile, h, "full 10⁴-bid Results")
+}
+
+// dualDigest is what the digests print of a core.Dual: its scalars, by
+// name. The digests never print the Dual struct itself, so they pin what
+// the certificate reports and not which vectors the struct stores.
+type dualDigest struct {
+	Tg                                                       int
+	Omega, HarmonicTg, Objective, TightObjective, RatioBound float64
+}
+
+func digestDual(d core.Dual) dualDigest {
+	return dualDigest{d.Tg, d.Omega, d.HarmonicTg, d.Objective, d.TightObjective, d.RatioBound}
+}
+
+// wdpDigest is what the digests print of a core.WDPResult: each of its
+// fields, in order, with the dual's scalars in place of its Dual.
+type wdpDigest struct {
+	Tg       int
+	Feasible bool
+	Cost     float64
+	Winners  []core.Winner
+	Dual     dualDigest
+	Rounds   int
+	Skipped  bool
+}
+
+func digestWDP(w core.WDPResult) wdpDigest {
+	return wdpDigest{w.Tg, w.Feasible, w.Cost, w.Winners, digestDual(w.Dual), w.Rounds, w.Skipped}
+}
+
+// resultDigest is the same projection of a core.Result.
+type resultDigest struct {
+	Feasible bool
+	Tg       int
+	Cost     float64
+	Winners  []core.Winner
+	Dual     dualDigest
+	WDPs     []wdpDigest
+	Cert     *core.Certificate
+}
+
+func digestResult(r core.Result) resultDigest {
+	wdps := make([]wdpDigest, len(r.WDPs))
+	for i, w := range r.WDPs {
+		wdps[i] = digestWDP(w)
+	}
+	return resultDigest{r.Feasible, r.Tg, r.Cost, r.Winners, digestDual(r.Dual), wdps, r.Cert}
+}
+
+// checkDigestFields fails the test unless each digest projection lists
+// the fields of the type it projects, by name and in order, so that a
+// field added to a Result cannot slip out of the digests unnoticed.
+func checkDigestFields(t *testing.T) {
+	t.Helper()
+	for _, p := range [][2]reflect.Type{
+		{reflect.TypeFor[core.WDPResult](), reflect.TypeFor[wdpDigest]()},
+		{reflect.TypeFor[core.Result](), reflect.TypeFor[resultDigest]()},
+	} {
+		var have, want []string
+		for i := 0; i < p[0].NumField(); i++ {
+			have = append(have, p[0].Field(i).Name)
+		}
+		for i := 0; i < p[1].NumField(); i++ {
+			want = append(want, p[1].Field(i).Name)
+		}
+		if !reflect.DeepEqual(have, want) {
+			t.Fatalf("%v has fields %v, its digest projection %v", p[0], have, want)
+		}
+	}
 }
