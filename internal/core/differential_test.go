@@ -9,7 +9,9 @@ package core_test
 // on the full Result, including unexported dual bookkeeping), and the
 // live result must match the seed oracle on everything the oracle
 // exposes: feasibility, T_g*, social cost, winners, schedules, payments,
-// per-WDP outcomes and the complete dual certificate.
+// per-WDP outcomes and the complete dual certificate — its scalars as
+// core.Dual stores them, and its dual variables g(t) and λ_il as
+// core.DualVectors derives them from the live solve.
 //
 // Payments are rule-aware since pricing went lazy: under RuleCritical the
 // claim stays full bit-identity, while under the post-processing rules
@@ -226,8 +228,12 @@ func assertSeedEqual(t *testing.T, got core.Result, want, wantA3 seedwdp.Result,
 	}
 	tol := payTolerance(cfg.PaymentRule)
 	assertSeedWinnersEqual(t, "auction", got.Winners, want.Winners, tol)
-	if !reflect.DeepEqual(got.Dual, want.Dual) {
-		t.Fatalf("Dual = %+v, seed oracle %+v", got.Dual, want.Dual)
+	if !reflect.DeepEqual(got.Dual, want.Dual.Dual) {
+		t.Fatalf("Dual = %+v, seed oracle %+v", got.Dual, want.Dual.Dual)
+	}
+	if got.Feasible {
+		selected := core.WDPResult{Tg: got.Tg, Feasible: true, Cost: got.Cost, Winners: got.Winners, Dual: got.Dual}
+		assertSeedDualVectors(t, "auction", selected, want.Dual, cfg.K)
 	}
 	if len(got.WDPs) != len(want.WDPs) || len(got.WDPs) != len(wantA3.WDPs) {
 		t.Fatalf("len(WDPs) = %d, seed oracle %d/%d", len(got.WDPs), len(want.WDPs), len(wantA3.WDPs))
@@ -245,9 +251,38 @@ func assertSeedEqual(t *testing.T, got core.Result, want, wantA3 seedwdp.Result,
 			// the in-greedy Algorithm 3 payments bit-for-bit.
 			assertSeedWinnersEqual(t, fmt.Sprintf("WDP[%d] (A3)", i), g.Winners, wantA3.WDPs[i].Winners, 0)
 		}
-		if g.Feasible && !reflect.DeepEqual(g.Dual, w.Dual) {
-			t.Fatalf("WDP[%d] dual diverged from seed oracle", i)
+		if g.Feasible {
+			if !reflect.DeepEqual(g.Dual, w.Dual.Dual) {
+				t.Fatalf("WDP[%d] dual diverged from seed oracle", i)
+			}
+			assertSeedDualVectors(t, fmt.Sprintf("WDP[%d]", i), g, w.Dual, cfg.K)
 		}
+	}
+}
+
+// assertSeedDualVectors holds the dual variables derived from the live
+// feasible solve got to the ones the seed oracle stores, and their
+// objective K·Σ_t g(t) − Σ λ_il, summed in finalizeDual's order (t
+// ascending, then winners in selection order), to got's Dual.Objective
+// bit for bit.
+func assertSeedDualVectors(t *testing.T, where string, got core.WDPResult, want seedwdp.Dual, k int) {
+	t.Helper()
+	g, lambda := core.DualVectors(got)
+	if !reflect.DeepEqual(g, want.G) {
+		t.Fatalf("%s: g(t) = %v, seed oracle %v", where, g, want.G)
+	}
+	if !reflect.DeepEqual(lambda, want.Lambda) {
+		t.Fatalf("%s: λ = %v, seed oracle %v", where, lambda, want.Lambda)
+	}
+	var sumG, sumLambda float64
+	for _, v := range g {
+		sumG += v
+	}
+	for _, w := range got.Winners {
+		sumLambda += lambda[w.BidIndex]
+	}
+	if d := float64(k)*sumG - sumLambda; math.Float64bits(d) != math.Float64bits(got.Dual.Objective) {
+		t.Fatalf("%s: K·Σg − Σλ = %v, Dual.Objective %v", where, d, got.Dual.Objective)
 	}
 }
 
@@ -372,8 +407,11 @@ func TestDifferentialFixedTg(t *testing.T) {
 				t.Fatalf("seed %d tg=%d: WDP outcome diverged from seed oracle", seed, tg)
 			}
 			assertSeedWinnersEqual(t, fmt.Sprintf("seed %d tg=%d", seed, tg), direct.Winners, oracle.Winners, 0)
-			if direct.Feasible && !reflect.DeepEqual(direct.Dual, oracle.Dual) {
-				t.Fatalf("seed %d tg=%d: dual diverged from seed oracle", seed, tg)
+			if direct.Feasible {
+				if !reflect.DeepEqual(direct.Dual, oracle.Dual.Dual) {
+					t.Fatalf("seed %d tg=%d: dual diverged from seed oracle", seed, tg)
+				}
+				assertSeedDualVectors(t, fmt.Sprintf("seed %d tg=%d", seed, tg), direct, oracle.Dual, cfg.K)
 			}
 		}
 		for _, wdp := range sweepEngine(t, eng, core.RunOptions{}).WDPs {

@@ -19,8 +19,9 @@
 // The entry point is Run (Algorithm 1, A_FL). It enumerates T̂_g,
 // filters the qualified bid set for each candidate value, and solves the
 // resulting winner-determination problem with SolveWDP (Algorithm 2,
-// A_winner), which also produces the dual variables (g(t), λ, ω, H_{T̂_g})
-// that certify the approximation ratio of Lemma 5 and serve as a lower
-// bound on the WDP optimum. Payments follow the critical-value rule of
-// Algorithm 3 (A_payment).
+// A_winner), which also computes the dual certificate of Lemma 5 (ω,
+// H_{T̂_g} and the objective that the dual variables g(t) and λ sum to),
+// which certifies the approximation ratio and serves as a lower bound on
+// the WDP optimum. Payments follow the critical-value rule of Algorithm 3
+// (A_payment).
 package core

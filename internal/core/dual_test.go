@@ -27,8 +27,7 @@ func TestDualFeasibilityLemma3(t *testing.T) {
 		if !res.Feasible {
 			continue
 		}
-		g := res.Dual.G
-		lambda := res.Dual.Lambda
+		g, lambda := dualVectors(res)
 		selectedSlots := map[int][]int{}
 		for _, w := range res.Winners {
 			selectedSlots[w.BidIndex] = w.Slots
@@ -63,6 +62,41 @@ func TestDualFeasibilityLemma3(t *testing.T) {
 			}
 		}
 	}
+}
+
+// dualVectors derives the dual variables of LP (8) that A_winner's solve
+// res constructs (lines 16-23 of Algorithm 2), which its Dual sums into
+// Objective without keeping: g(t) = η_φ(t)/(H_{T̂_g}·ω) for t = 1..T̂_g
+// at index t-1, with η_φ(t) the largest φ a winner recorded on t, and,
+// keyed by each winner's BidIndex, λ_il = Σ_{t∈F_il} (η_φ(t) − φ_il)/
+// (H_{T̂_g}·ω) over the slots F_il the winner covered. Each λ_il is summed
+// in the order of F_il, as finalizeDual sums it. res must be a feasible
+// A_winner solve: an LP-rounded cover carries its greedy seed's dual,
+// which its own winners do not determine.
+func dualVectors(res WDPResult) (g []float64, lambda map[int]float64) {
+	d := res.Dual
+	eta := make([]float64, d.Tg)
+	for _, win := range res.Winners {
+		for _, t := range win.covered {
+			if win.phi > eta[t-1] {
+				eta[t-1] = win.phi
+			}
+		}
+	}
+	scale := d.HarmonicTg * d.Omega
+	g = make([]float64, d.Tg)
+	for t := range g {
+		g[t] = eta[t] / scale
+	}
+	lambda = make(map[int]float64, len(res.Winners))
+	for _, win := range res.Winners {
+		var l float64
+		for _, t := range win.covered {
+			l += (eta[t-1] - win.phi) / scale
+		}
+		lambda[win.BidIndex] = l
+	}
+	return g, lambda
 }
 
 func slotDualSum(g []float64, slots []int) float64 {

@@ -65,6 +65,12 @@ func ResidualBids(e *Engine, req RepairRequest) ([]Bid, []int) {
 	return residualBids(e.ax.set, req)
 }
 
+// DualVectors derives the dual variables g(t) and λ_il of the A_winner
+// solve res (see dualVectors).
+func DualVectors(res WDPResult) (g []float64, lambda map[int]float64) {
+	return dualVectors(res)
+}
+
 // TightDual is one solve's tight dual certificate: the TightObjective the
 // solve reported, the objectives of the walk's scale and of the full scan
 // over the touched classes, and how many initial-order entries are keyed

@@ -75,8 +75,9 @@ func TestQuickWDPInvariants(t *testing.T) {
 			t.Logf("negative dual objective")
 			return false
 		}
-		for _, g := range d.G {
-			if g < -1e-12 {
+		g, _ := dualVectors(res)
+		for _, v := range g {
+			if v < -1e-12 {
 				t.Logf("negative g(t)")
 				return false
 			}

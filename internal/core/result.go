@@ -25,7 +25,7 @@ type Winner struct {
 	// covered lists the slots that were still available (γ_t < K) at
 	// selection time — the set F_il of the paper — and phi is the recorded
 	// average cost φ(t,l) shared by those slots. Both feed the dual
-	// variables.
+	// objective.
 	covered []int
 	phi     float64
 }
@@ -33,17 +33,17 @@ type Winner struct {
 // Utility returns the winner's utility p_i − v_ij under its true cost.
 func (w Winner) Utility() float64 { return w.Payment - w.Bid.Cost() }
 
-// Dual carries the dual variables of LP (8) constructed by A_winner
+// Dual is the certificate of the dual of LP (8) that A_winner constructs
 // (lines 16-23 of Algorithm 2). Its objective value is a lower bound on
 // the optimal WDP cost, which makes the pair (primal cost, dual objective)
-// a per-instance approximation certificate (Lemma 5).
+// a per-instance approximation certificate (Lemma 5). It keeps only the
+// certificate's scalars: the dual variables g(t) = η_φ(t)/(H_{T̂_g}·ω)
+// and λ_il are summed into Objective as they are computed and stored
+// nowhere. Both follow from ω, H_{T̂_g} and the φ each winner recorded
+// on the slots it covered.
 type Dual struct {
 	// Tg is the number of global iterations of the WDP this dual certifies.
 	Tg int
-	// G holds g(t) for t = 1..Tg at index t-1.
-	G []float64
-	// Lambda maps a winner's BidIndex to its λ_il value.
-	Lambda map[int]float64
 	// Omega is ω = max_t ψ_max^t / ψ_min^t (line 18).
 	Omega float64
 	// HarmonicTg is H_{T̂_g} = Σ_{t=1..T̂_g} 1/t.

@@ -7,9 +7,9 @@ import "sync"
 // slot indices, heaps, dual accumulators — afresh for every SolveWDP
 // call, i.e. O(I·J) allocations per candidate T̂_g. The scratch arena
 // turns all of that into flat slices that persist across calls (via a
-// sync.Pool), so a solve only allocates what escapes into its result:
-// the winner records, their schedules, and the dual certificate —
-// O(winners + T̂_g) instead of O(I·J).
+// sync.Pool), so a feasible solve only allocates what escapes into its
+// result: one winner list and one copy of their schedules, instead of
+// O(I·J).
 //
 // Correct reuse relies on every field being (re)initialized by
 // wdpScratch.begin (and, for a full solve, init) before it is read:

@@ -106,8 +106,7 @@ func solveOnce(set *BidSet, qualified []int, tg int, cfg Config, base []int) WDP
 
 // wdpState is the mutable state of one A_winner run. All of its storage
 // is backed by a wdpScratch arena, the winner list and its schedules
-// included; only result data (their copies, the duals) is freshly
-// allocated.
+// included; only their copies in the result are freshly allocated.
 type wdpState struct {
 	set *BidSet
 	tg  int
@@ -374,16 +373,13 @@ func (w *wdpState) take(idx int, slots []int) {
 	}
 }
 
-// finalizeDual computes lines 16-23 of Algorithm 2: ω, g(t), λ_il and the
-// dual objective D, which lower-bounds the optimal WDP cost.
+// finalizeDual computes lines 16-23 of Algorithm 2: ω, H_{T̂_g} and the
+// dual objective D = K·Σ_t g(t) − Σ λ_il, which lower-bounds the optimal
+// WDP cost. It sums each g(t) in t order and each λ_il in winner order
+// straight into D without keeping either.
 func (w *wdpState) finalizeDual(k int) Dual {
 	tg := w.tg
-	d := Dual{
-		Tg:         tg,
-		G:          make([]float64, tg),
-		Lambda:     make(map[int]float64, len(w.sc.winners)),
-		HarmonicTg: stats.Harmonic(tg),
-	}
+	d := Dual{Tg: tg, HarmonicTg: stats.Harmonic(tg)}
 	// ω = max_t ψ_max^t / ψ_min^t with ψ_min^t the smallest recorded
 	// average cost at t among selected schedules and best-unselected
 	// snapshots (line 17-18).
@@ -400,21 +396,17 @@ func (w *wdpState) finalizeDual(k int) Dual {
 		d.Omega = 1
 	}
 	scale := d.HarmonicTg * d.Omega
-	for t := 0; t < tg; t++ {
-		d.G[t] = w.phiMax[t] / scale
-	}
 	var sumLambda float64
 	for _, win := range w.sc.winners {
 		var l float64
 		for _, t := range win.covered {
 			l += (w.phiMax[t-1] - win.phi) / scale
 		}
-		d.Lambda[win.BidIndex] = l
 		sumLambda += l
 	}
 	var sumG float64
 	for t := 0; t < tg; t++ {
-		sumG += d.G[t]
+		sumG += w.phiMax[t] / scale
 	}
 	d.Objective = float64(k)*sumG - sumLambda
 	d.RatioBound = scale

@@ -400,12 +400,13 @@ func TestDualCertificate(t *testing.T) {
 			t.Fatalf("trial %d: P=%v exceeds τ·D=%v (τ=%v, D=%v)",
 				trial, res.Cost, d.RatioBound*d.Objective, d.RatioBound, d.Objective)
 		}
-		for _, g := range d.G {
-			if g < -1e-12 {
-				t.Fatalf("trial %d: negative dual g(t)=%v", trial, g)
+		g, lambda := dualVectors(res)
+		for _, v := range g {
+			if v < -1e-12 {
+				t.Fatalf("trial %d: negative dual g(t)=%v", trial, v)
 			}
 		}
-		for idx, l := range d.Lambda {
+		for idx, l := range lambda {
 			if l < -1e-12 {
 				t.Fatalf("trial %d: negative dual λ[%d]=%v", trial, idx, l)
 			}

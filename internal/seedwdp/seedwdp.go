@@ -14,8 +14,11 @@
 // it is a differential oracle, that code is intentionally a verbatim
 // transliteration of the seed algorithm — do not "improve" it. The only
 // deliberate differences are cosmetic: it reuses the exported core types
-// (Bid, Config, Dual), and its Winner exports the Covered/Phi dual
-// bookkeeping that core keeps unexported.
+// Bid and Config, its Winner exports the Covered/Phi dual bookkeeping
+// that core keeps unexported, and its Dual stores the dual variables g(t)
+// and λ_il beside the embedded core.Dual's scalars, as the seed's did.
+// core stores only the scalars; its tests derive g(t) and λ_il from a
+// solve and compare them with these.
 //
 // The second is RunEager, the eager-serial pricing reference: the sweep
 // with every candidate T̂_g fully priced, which the lazy pricing stage of
@@ -45,13 +48,23 @@ type Winner struct {
 	Phi     float64
 }
 
+// Dual is the seed's dual certificate: core.Dual's scalars and the dual
+// variables they were computed from.
+type Dual struct {
+	core.Dual
+	// G holds g(t) for t = 1..Tg at index t-1.
+	G []float64
+	// Lambda maps a winner's BidIndex to its λ_il value.
+	Lambda map[int]float64
+}
+
 // WDPResult mirrors core.WDPResult.
 type WDPResult struct {
 	Tg       int
 	Feasible bool
 	Cost     float64
 	Winners  []Winner
-	Dual     core.Dual
+	Dual     Dual
 	Rounds   int
 }
 
@@ -61,7 +74,7 @@ type Result struct {
 	Tg       int
 	Cost     float64
 	Winners  []Winner
-	Dual     core.Dual
+	Dual     Dual
 	WDPs     []WDPResult
 }
 
@@ -448,13 +461,12 @@ func (w *wdpState) criticalPayment(idx int, b core.Bid, r int) float64 {
 	return b.Price
 }
 
-func (w *wdpState) finalizeDual(k int) core.Dual {
+func (w *wdpState) finalizeDual(k int) Dual {
 	tg := w.tg
-	d := core.Dual{
-		Tg:         tg,
-		G:          make([]float64, tg),
-		Lambda:     make(map[int]float64, len(w.winners)),
-		HarmonicTg: stats.Harmonic(tg),
+	d := Dual{
+		Dual:   core.Dual{Tg: tg, HarmonicTg: stats.Harmonic(tg)},
+		G:      make([]float64, tg),
+		Lambda: make(map[int]float64, len(w.winners)),
 	}
 	for t := 0; t < tg; t++ {
 		psiMin := math.Min(w.phiMin[t], w.phiPrime[t])
