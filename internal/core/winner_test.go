@@ -414,6 +414,33 @@ func TestDualCertificate(t *testing.T) {
 	}
 }
 
+// TestFeasibleWDPAllocBound pins what a feasible A_winner solve
+// allocates on a warm arena: exactly its winner list and the copy of
+// their schedules. Nothing is allocated per winner, and nothing for the
+// dual, whose variables are summed into its objective without being
+// stored.
+func TestFeasibleWDPAllocBound(t *testing.T) {
+	const maxT, k = 30, 4
+	bids := randomAuctionBids(stats.NewRNG(71), maxT, 150)
+	set := CompileBids(bids)
+	cfg := Config{T: maxT, K: k}
+	sc := acquireScratch(set.n, maxT)
+	defer releaseScratch(sc)
+	for _, tg := range []int{10, 20, maxT} {
+		qualified := Qualified(bids, tg, cfg)
+		solve := func() WDPResult {
+			sc.resetClasses(set.classes(), qualified)
+			return solveWDP(set, qualified, tg, cfg, sc, nil, nil)
+		}
+		if res := solve(); !res.Feasible || len(res.Winners) < 2 {
+			t.Fatalf("tg=%d: workload not discriminating: feasible=%v winners=%d", tg, res.Feasible, len(res.Winners))
+		}
+		if got := testing.AllocsPerRun(20, func() { solve() }); got != 2 {
+			t.Fatalf("tg=%d: a feasible solve on a warm arena allocates %v objects, want 2 (winner list and schedules)", tg, got)
+		}
+	}
+}
+
 func TestDualIsLowerBoundOnEnumeratedOptimum(t *testing.T) {
 	// On tiny instances, enumerate all feasible bid subsets to find the
 	// optimal WDP cost and confirm D ≤ OPT (weak duality).
