@@ -10,10 +10,10 @@
 // each other, and has neither backpressure nor a cancellation story. This
 // package replaces that with:
 //
-//   - a sharded work-stealing scheduler (Run): instances are dealt
-//     round-robin onto per-worker shards; a worker drains its own shard
-//     from the front and steals from the back of its neighbours' when
-//     idle, so skewed instance costs cannot strand a worker;
+//   - one clamped worker pool (Run) whose workers claim instances in
+//     submission order from one atomic cursor, so a worker that finishes
+//     early takes the next instance and skewed instance costs cannot
+//     strand a worker;
 //   - pooled engines: each instance is solved on a pooled engine
 //     (core.ReacquireEngineSet) whose qualification arena is recycled
 //     through shape-keyed pools, so steady-state batch solves allocate
@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -200,25 +199,24 @@ func Run(ctx context.Context, instances []Instance, opts Options) ([]Outcome, er
 		}
 	}
 
-	sched := newShards(len(instances), workers)
-	var queued atomic.Int64
-	queued.Store(int64(len(instances)))
-	core.FanOut(workers, func(self int) {
+	var next atomic.Int64
+	core.FanOut(workers, func(int) {
 		// The worker keeps its engine across instances: same-class
 		// auctions rebind the held arena in place, so a GC flushing the
 		// shape pools mid-batch never forces reconstruction.
 		var eng *core.Engine
 		defer func() { eng.Release() }()
 		for {
-			idx, ok := sched.next(self)
-			if !ok {
+			idx := int(next.Add(1)) - 1
+			if idx >= len(instances) {
 				return
 			}
-			depth := queued.Add(-1)
 			if obsv != nil {
+				// Value is the queue depth after the dequeue: the
+				// instances no worker has claimed yet.
 				obsv.Observe(obs.Event{
 					Kind: obs.EvAuctionDequeued, Client: -1, Bid: idx,
-					Value: float64(depth),
+					Value: float64(len(instances) - 1 - idx),
 				})
 			}
 			out[idx], eng = solveOne(ctx, idx, instances[idx], obsv, now, lpc, eng)
@@ -274,73 +272,3 @@ func canceledErr(ctx context.Context) error {
 
 // ErrClosed is returned by Service.Submit after Close.
 var ErrClosed = errors.New("batch: service closed")
-
-// shards is the work-stealing scheduler state of one Run call: one
-// index deque per worker. Owners pop from the front of their own shard
-// (preserving submission order under no contention); idle workers steal
-// from the back of their neighbours', which keeps steals far from the
-// owner's end and makes hand-tuned distribution unnecessary when
-// instance costs are skewed.
-type shards struct {
-	qs []shard
-}
-
-type shard struct {
-	mu   sync.Mutex
-	jobs []int
-	head int
-}
-
-func newShards(n, workers int) *shards {
-	s := &shards{qs: make([]shard, workers)}
-	per := (n + workers - 1) / workers
-	for w := range s.qs {
-		s.qs[w].jobs = make([]int, 0, per)
-	}
-	// Round-robin deal: shard w gets instances w, w+workers, ... so every
-	// shard sees a representative mix of early and late submissions.
-	for i := 0; i < n; i++ {
-		q := &s.qs[i%workers]
-		q.jobs = append(q.jobs, i)
-	}
-	return s
-}
-
-// next returns the next instance index for worker self: its own shard's
-// front, or a steal from the back of another shard. ok is false only
-// when every shard is empty, which (the instance set being fixed) means
-// the batch is fully dealt.
-func (s *shards) next(self int) (int, bool) {
-	if idx, ok := s.qs[self].popFront(); ok {
-		return idx, true
-	}
-	for off := 1; off < len(s.qs); off++ {
-		victim := (self + off) % len(s.qs)
-		if idx, ok := s.qs[victim].popBack(); ok {
-			return idx, true
-		}
-	}
-	return 0, false
-}
-
-func (q *shard) popFront() (int, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.head >= len(q.jobs) {
-		return 0, false
-	}
-	idx := q.jobs[q.head]
-	q.head++
-	return idx, true
-}
-
-func (q *shard) popBack() (int, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.head >= len(q.jobs) {
-		return 0, false
-	}
-	idx := q.jobs[len(q.jobs)-1]
-	q.jobs = q.jobs[:len(q.jobs)-1]
-	return idx, true
-}

@@ -70,8 +70,9 @@ func ClampWorkers(workers, tasks int) int {
 // guarantees. work(0) runs on the calling goroutine, so a one-worker
 // fan-out starts no goroutine. It is the one worker loop of every
 // fan-out — the sweep's segments, the pricing stage's winners, the batch
-// scheduler's shards and the experiment trials — which differ only in
-// how a worker claims its tasks.
+// layer's instances and the experiment trials — which differ only in
+// how a worker claims its tasks: a segment per worker, or the next task
+// from one shared atomic cursor.
 func FanOut(workers int, work func(w int)) {
 	var wg sync.WaitGroup
 	wg.Add(workers - 1)
