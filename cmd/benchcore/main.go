@@ -635,7 +635,8 @@ func main() {
 	// instances, not the latency of one sweep. throughput_naive is the
 	// obvious fleet runner — one goroutine per auction, each paying a
 	// full engine construction — and throughput_batch is afl.RunBatch:
-	// the sharded work-stealing scheduler over pooled engines. The first
+	// one clamped worker pool claiming instances from an atomic cursor,
+	// each worker holding a pooled engine across its instances. The first
 	// -workers width is the headline (plain path names); further widths
 	// are recorded with a _w<n> suffix so baseline-guarded tests keep
 	// resolving the stable names.
