@@ -20,15 +20,9 @@ import (
 //  3. after recovery the file is clean: reopening recovers the same
 //     records with zero dropped bytes.
 func FuzzWALRecord(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(EncodeFrame(nil, []byte(`{"type":"bid","seq":1}`)))
-	two := EncodeFrame(nil, []byte(`{"a":1}`))
-	two = EncodeFrame(two, []byte(`{"b":2}`))
-	f.Add(two)
-	f.Add(two[:len(two)-3])                                 // torn tail
-	f.Add(append(two, 0xFF, 0x00, 0xAB))                    // trailing garbage
-	f.Add(append(two, two[len(two)-17:]...))                // duplicated tail fragment
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0, '\n'}) // absurd length
+	for _, seed := range walRecordSeeds() {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Frame-level: decode what we can, check decode∘encode identity.
@@ -82,4 +76,19 @@ func FuzzWALRecord(f *testing.F) {
 			}
 		}
 	})
+}
+
+// walRecordSeeds is FuzzWALRecord's seed corpus: whole segment files.
+func walRecordSeeds() [][]byte {
+	two := EncodeFrame(nil, []byte(`{"a":1}`))
+	two = EncodeFrame(two, []byte(`{"b":2}`))
+	return [][]byte{
+		{},
+		EncodeFrame(nil, []byte(`{"type":"bid","seq":1}`)),
+		two,
+		two[:len(two)-3], // torn tail
+		append(two[:len(two):len(two)], 0xFF, 0x00, 0xAB),     // trailing garbage
+		append(two[:len(two):len(two)], two[len(two)-17:]...), // duplicated tail fragment
+		{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0, '\n'},            // absurd length
+	}
 }

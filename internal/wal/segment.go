@@ -186,8 +186,8 @@ type DirLog struct {
 // recovered payload in order, with the frame's position — starting
 // from the newest valid checkpoint segment, so a caller that wrote
 // checkpoints gets the checkpoint record first and only the tail after
-// it. The payload is valid only during the call. The returned stats
-// describe what recovery found.
+// it. The payload is valid only during the call, and fn must not write
+// to it. The returned stats describe what recovery found.
 func OpenDir(path string, opts DirOptions, fn func(pos Pos, payload []byte) error) (*DirLog, DirStats, error) {
 	l := &DirLog{
 		dir:  filepath.Dir(path),

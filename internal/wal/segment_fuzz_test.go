@@ -21,26 +21,9 @@ import (
 //  3. the healed directory accepts appends and a third open sees the
 //     recovered prefix plus the new record, in order.
 func FuzzWALSegment(f *testing.F) {
-	frames := func(payloads ...string) []byte {
-		var b []byte
-		for _, p := range payloads {
-			b = EncodeFrame(b, []byte(p))
-		}
-		return b
+	for _, s := range walSegmentSeeds() {
+		f.Add(s.seg0, s.seg1, s.seg2, s.ckpt)
 	}
-	base := frames(`{"type":"bid","seq":1}`, `{"type":"outcome","seq":1}`)
-	ckpt := frames(`{"type":"checkpoint","next":2}`, `{"type":"bid","seq":2}`)
-	tail := frames(`{"type":"bid","seq":3}`, `{"type":"outcome","seq":3}`)
-
-	f.Add(base, ckpt, tail, true)
-	f.Add(base, []byte{}, tail, true)                 // rotate-crash debris: empty checkpoint
-	f.Add(base, ckpt[:len(ckpt)-5], tail, true)       // torn checkpoint tail
-	f.Add(base, ckpt[:3], tail, true)                 // torn checkpoint header
-	f.Add(base, ckpt, tail[:len(tail)-7], true)       // torn final tail
-	f.Add(base[:9], ckpt, tail, true)                 // torn base before the checkpoint
-	f.Add(base, ckpt, tail, false)                    // plain rotation, no checkpoint
-	f.Add([]byte{}, []byte{}, []byte{}, true)         // all empty
-	f.Add(base, append(ckpt, 0xFF, 0xAB), tail, true) // garbage after checkpoint frames
 
 	f.Fuzz(func(t *testing.T, seg0, seg1 []byte, seg2 []byte, ckptFlag bool) {
 		dir := t.TempDir()
@@ -119,4 +102,36 @@ func FuzzWALSegment(f *testing.F) {
 			t.Fatalf("appended record lost: %s", rec3[len(rec3)-1])
 		}
 	})
+}
+
+// walSegmentSeed is one FuzzWALSegment input: the bytes of segment 0, of
+// segment 1 (checkpoint-flagged when ckpt) and of segment 2.
+type walSegmentSeed struct {
+	seg0, seg1, seg2 []byte
+	ckpt             bool
+}
+
+// walSegmentSeeds is FuzzWALSegment's seed corpus.
+func walSegmentSeeds() []walSegmentSeed {
+	frames := func(payloads ...string) []byte {
+		var b []byte
+		for _, p := range payloads {
+			b = EncodeFrame(b, []byte(p))
+		}
+		return b
+	}
+	base := frames(`{"type":"bid","seq":1}`, `{"type":"outcome","seq":1}`)
+	ckpt := frames(`{"type":"checkpoint","next":2}`, `{"type":"bid","seq":2}`)
+	tail := frames(`{"type":"bid","seq":3}`, `{"type":"outcome","seq":3}`)
+	return []walSegmentSeed{
+		{base, ckpt, tail, true},
+		{base, []byte{}, tail, true},                                       // rotate-crash debris: empty checkpoint
+		{base, ckpt[:len(ckpt)-5], tail, true},                             // torn checkpoint tail
+		{base, ckpt[:3], tail, true},                                       // torn checkpoint header
+		{base, ckpt, tail[:len(tail)-7], true},                             // torn final tail
+		{base[:9], ckpt, tail, true},                                       // torn base before the checkpoint
+		{base, ckpt, tail, false},                                          // plain rotation, no checkpoint
+		{[]byte{}, []byte{}, []byte{}, true},                               // all empty
+		{base, append(ckpt[:len(ckpt):len(ckpt)], 0xFF, 0xAB), tail, true}, // garbage after checkpoint frames
+	}
 }

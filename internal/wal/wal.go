@@ -71,12 +71,55 @@ type scanStats struct {
 // once per valid payload with the frame's byte offset, and reports the
 // last valid boundary. It never fails on corrupt data — corruption just
 // ends the valid prefix — only on I/O errors or a callback error.
+//
+// The file is mapped read-only and its frames are walked in place with
+// DecodeFrame, so the payloads fn sees are views of the page cache, not
+// copies; the mapping is gone when scan returns, before a caller
+// truncates the file. Where no mapping is available (a build without
+// one, an empty file, one too large to map, or a failed map) scan reads
+// the file through a buffer instead. Both walks report the same frames
+// at the same offsets and the same stats.
 func scan(f *os.File, fn func(off int64, payload []byte) error) (scanStats, error) {
-	var st scanStats
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
-		return st, fmt.Errorf("wal: size: %w", err)
+		return scanStats{}, fmt.Errorf("wal: size: %w", err)
 	}
+	if data, ok := mapFile(f, size); ok {
+		st, err := scanMapped(data, fn)
+		if uerr := unmapFile(data); err == nil && uerr != nil {
+			err = fmt.Errorf("wal: unmap: %w", uerr)
+		}
+		return st, err
+	}
+	return scanBuffered(f, size, fn)
+}
+
+// scanMapped is scan's walk over a file's bytes held in memory.
+func scanMapped(data []byte, fn func(off int64, payload []byte) error) (scanStats, error) {
+	var st scanStats
+	for {
+		p, n, ok := DecodeFrame(data[st.valid:])
+		if !ok {
+			break
+		}
+		if fn != nil {
+			// Capped, so a callback that appends to the payload copies it
+			// instead of writing into the read-only mapping.
+			if err := fn(st.valid, p[:len(p):len(p)]); err != nil {
+				return st, err
+			}
+		}
+		st.valid += int64(n)
+		st.records++
+	}
+	st.dropped = int64(len(data)) - st.valid
+	return st, nil
+}
+
+// scanBuffered is scan's walk through a read buffer, for files that
+// cannot be mapped; size is the file's length.
+func scanBuffered(f *os.File, size int64, fn func(off int64, payload []byte) error) (scanStats, error) {
+	var st scanStats
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return st, fmt.Errorf("wal: rewind: %w", err)
 	}
