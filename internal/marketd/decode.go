@@ -913,8 +913,10 @@ func peekEnvelope(p []byte) (typ string, seq int, err error) {
 
 var errBadEnvelope = fmt.Errorf("marketd: undecodable WAL record envelope")
 
-// decodeRecord fully decodes a bid or outcome record; replay calls it
-// only after peekEnvelope has classified the payload.
+// decodeRecord fully decodes a bid or outcome record. It is the one full
+// outcome decoder: every outcome read back from the log goes through it
+// (readOutcome), while replay's fold reads only payments
+// (decodePayments).
 func decodeRecord(payload []byte) (walRecord, error) {
 	var rec walRecord
 	r := reader{p: payload}
@@ -929,6 +931,61 @@ func decodeRecord(payload []byte) (walRecord, error) {
 	default:
 		return rec, fmt.Errorf("marketd: unknown WAL record type %q", rec.Type)
 	}
+}
+
+// winnerPayment decodes the two members of a winner the ledger reads,
+// client and payment, and only syntax-checks the others.
+func (r *reader) winnerPayment(w *WinnerRecord) {
+	r.object("WinnerRecord", winnerFields, func(name string) {
+		switch name {
+		case "client":
+			r.int(&w.Client)
+		case "payment":
+			r.float(&w.Payment)
+		default:
+			r.skip()
+		}
+	})
+}
+
+// outcomePayments decodes an outcome body's seq and its winners'
+// payments, and only syntax-checks the other members.
+func (r *reader) outcomePayments(o *OutcomeRecord) {
+	r.object("OutcomeRecord", outcomeFields, func(name string) {
+		switch name {
+		case "seq":
+			r.int(&o.Seq)
+		case "winners":
+			decodeSlice(r, &o.Winners, "[]WinnerRecord", r.winnerPayment)
+		default:
+			r.skip()
+		}
+	})
+}
+
+// decodePayments decodes what recovery folds of a tail outcome record:
+// the body's seq and each winner's client and payment, into an
+// OutcomeRecord that holds nothing else. Every other member is only
+// syntax-checked. Keys, null and repeated keys read as in decodeRecord,
+// so wherever decodeRecord accepts an outcome record this returns the
+// same seq and the same (client, payment) pairs, bit for bit
+// (FuzzTailOutcomePayments). A record without a body returns nil.
+// Replay calls it only after peekEnvelope has classified the payload.
+func decodePayments(payload []byte) (*OutcomeRecord, error) {
+	var o *OutcomeRecord
+	r := reader{p: payload}
+	r.object("walRecord", recordFields, func(name string) {
+		if name == "outcome" {
+			decodePtr(&r, &o, r.outcomePayments)
+		} else {
+			r.skip()
+		}
+	})
+	r.end()
+	if r.err != nil {
+		return nil, fmt.Errorf("marketd: undecodable WAL record: %w", r.err)
+	}
+	return o, nil
 }
 
 // decodeCheckpoint decodes a checkpoint record; pending is as for

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -226,5 +227,87 @@ func FuzzSubmitBody(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkSubmitBody(t, body)
+	})
+}
+
+// FuzzTailOutcomePayments pins the payments decoder recovery folds tail
+// outcome records with to decodeRecord, the full decoder that serves
+// them: whenever decodeRecord accepts a record, decodePayments accepts
+// it too, returns a body exactly when decodeRecord does, and that body
+// holds decodeRecord's seq and (client, payment) pairs, payments equal
+// bit for bit, and nothing else.
+func FuzzTailOutcomePayments(f *testing.F) {
+	seed := func(rec OutcomeRecord) {
+		payload, err := appendOutcomeRecord(nil, &rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	for _, rec := range differentialOutcomes() {
+		seed(rec)
+	}
+	for _, rec := range hostileOutcomes() {
+		seed(rec)
+	}
+	every := OutcomeRecord{Seq: 7, Feasible: true, Tg: 3}
+	for i, p := range hostileFloats {
+		every.Winners = append(every.Winners, WinnerRecord{Client: i, Slots: []int{i}, Payment: p})
+	}
+	seed(every)
+	for _, payload := range []string{
+		`{"type":"outcome","seq":5,"outcome":null}`,
+		`{"type":"outcome","seq":5,"outcome":{"seq":5,"winners":[{"client":1,"payment":2}]},"outcome":null}`,
+		// Repeated and case-folded keys: bodies merge, and a repeated
+		// winners array decodes element by element over the earlier one.
+		`{"type":"outcome","seq":6,"OUTCOME":{"seq":6,"winners":[{"client":1,"payment":2.5},{"client":2,"payment":3}]},` +
+			`"outcome":{"Winners":[{"PAYMENT":7}],"Seq":6},"Type":"outcome","SEQ":6}`,
+		`{"type":"outcome","seq":8,"outcome":{"seq":8,"winners":[{"client":1,"payment":1},{"client":2,"payment":2},{"client":3,"payment":3}],` +
+			`"winners":[{"payment":4}],"WINNERS":[{},{"Client":5},{}],"seq":9,"sEq":8}}`,
+		`{"type":"outcome","seq":9,"outcome":{"seq":9,"winners":[{"client":1,"payment":1}],"winners":[],"winners":[{}]}}`,
+		`{"type":"outcome","seq":10,"outcome":{"seq":10,"winners":[{"client":1,"payment":1,"client":2,"Payment":-0}],"winners":null}}`,
+		"{\"type\":\"outcome\",\"seq\":11,\"outcome\":{\"\u0073eq\":11,\"winners\":[{\"\u0063lient\":4,\"payment\":1e-320}]}}",
+		// Members the payments decoder skips, with values of the wrong type.
+		`{"type":"outcome","seq":12,"outcome":{"seq":12,"cost":"x","winners":[{"client":1,"price":"p","slots":{},"payment":5}]}}`,
+	} {
+		f.Add([]byte(payload))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		full, err := decodeRecord(payload)
+		if err != nil {
+			return
+		}
+		got, err := decodePayments(payload)
+		if err != nil {
+			t.Fatalf("decodePayments rejects %q, which decodeRecord accepts: %v", payload, err)
+		}
+		want := full.Outcome
+		if (got == nil) != (want == nil) {
+			t.Fatalf("decodePayments body %v, decodeRecord body %v on %q", got, want, payload)
+		}
+		if got == nil {
+			return
+		}
+		if got.Seq != want.Seq || len(got.Winners) != len(want.Winners) {
+			t.Fatalf("decodePayments seq %d with %d winners, decodeRecord seq %d with %d on %q",
+				got.Seq, len(got.Winners), want.Seq, len(want.Winners), payload)
+		}
+		for i, w := range want.Winners {
+			g := got.Winners[i]
+			if g.Client != w.Client || math.Float64bits(g.Payment) != math.Float64bits(w.Payment) {
+				t.Fatalf("winner %d: decodePayments (%d, %v), decodeRecord (%d, %v) on %q",
+					i, g.Client, g.Payment, w.Client, w.Payment, payload)
+			}
+		}
+		bare := OutcomeRecord{Seq: want.Seq}
+		if want.Winners != nil {
+			bare.Winners = make([]WinnerRecord, len(want.Winners))
+			for i, w := range want.Winners {
+				bare.Winners[i] = WinnerRecord{Client: w.Client, Payment: w.Payment}
+			}
+		}
+		if g, w := fmt.Sprintf("%#v", *got), fmt.Sprintf("%#v", bare); g != w {
+			t.Fatalf("decodePayments filled more than the seq and the payments:\n got %s\nwant %s", g, w)
+		}
 	})
 }

@@ -90,6 +90,46 @@ func decodeFullCheckpoint(payload []byte) (checkpointRecord, error) {
 	return decodeCheckpoint(payload, nil)
 }
 
+// differentialOutcomes are the outcome records TestEncodeDifferential
+// encodes on their own.
+func differentialOutcomes() []OutcomeRecord {
+	return []OutcomeRecord{
+		{Seq: 0, Feasible: false},
+		{Seq: 1, Err: `no "bids" <found>`, Feasible: false},
+		{Seq: 2, Feasible: true, Tg: 7, Cost: 1.0 / 3.0, Total: 12.5,
+			Winners: []WinnerRecord{
+				{BidIndex: 0, Client: 1, Index: 2, Price: 3.5, Theta: 0.25, Slots: []int{1, 2, 3}, Payment: 4.75},
+				{BidIndex: 4, Client: 0, Index: 0, Price: 1e-7, Theta: 0.9, Slots: nil, Payment: 1e21},
+				{Slots: []int{}},
+			}},
+		{Seq: 3, Feasible: true, Tg: 1, Cost: 2, Solver: "lp-round",
+			CertLowerBound: 1.5, CertRatio: 1.333333, Winners: []WinnerRecord{{Slots: []int{9}}}},
+	}
+}
+
+// hostileOutcomes are the outcomes TestEncodeDifferential embeds in
+// checkpoints: each hostile string as an error and a solver name, and
+// the hostile floats as costs, totals, prices and payments.
+func hostileOutcomes() []OutcomeRecord {
+	var outcomes []OutcomeRecord
+	for i, s := range hostileStrings {
+		f := hostileFloats[i%len(hostileFloats)]
+		oc := OutcomeRecord{
+			Seq: 40 + i, Err: s, Feasible: i%2 == 0, Tg: i, Cost: f, Total: -f,
+			Solver: hostileStrings[len(hostileStrings)-1-i], CertLowerBound: f / 3, CertRatio: f,
+		}
+		if i%3 != 2 {
+			oc.Winners = []WinnerRecord{
+				{BidIndex: i, Client: i, Index: 1, Price: f, Theta: 0.5, Slots: []int{1, i}, Payment: f * 2},
+				{Slots: nil, Payment: f},
+				{Slots: []int{}, Price: -f},
+			}
+		}
+		outcomes = append(outcomes, oc)
+	}
+	return outcomes
+}
+
 // TestEncodeDifferential locks the append encoders to encoding/json:
 // for a spread of hostile values, every record kind must byte-match
 // json.Marshal on the walRecord envelope the reference encoders build.
@@ -135,19 +175,7 @@ func TestEncodeDifferential(t *testing.T) {
 	})
 
 	t.Run("outcome", func(t *testing.T) {
-		recs := []OutcomeRecord{
-			{Seq: 0, Feasible: false},
-			{Seq: 1, Err: `no "bids" <found>`, Feasible: false},
-			{Seq: 2, Feasible: true, Tg: 7, Cost: 1.0 / 3.0, Total: 12.5,
-				Winners: []WinnerRecord{
-					{BidIndex: 0, Client: 1, Index: 2, Price: 3.5, Theta: 0.25, Slots: []int{1, 2, 3}, Payment: 4.75},
-					{BidIndex: 4, Client: 0, Index: 0, Price: 1e-7, Theta: 0.9, Slots: nil, Payment: 1e21},
-					{Slots: []int{}},
-				}},
-			{Seq: 3, Feasible: true, Tg: 1, Cost: 2, Solver: "lp-round",
-				CertLowerBound: 1.5, CertRatio: 1.333333, Winners: []WinnerRecord{{Slots: []int{9}}}},
-		}
-		for _, rec := range recs {
+		for _, rec := range differentialOutcomes() {
 			rec := rec
 			got, err := appendOutcomeRecord(nil, &rec)
 			if err != nil {
@@ -174,22 +202,7 @@ func TestEncodeDifferential(t *testing.T) {
 		for i, f := range hostileFloats {
 			ledger = append(ledger, ledgerEntry{Client: i * 7, Payment: f})
 		}
-		var outcomes []OutcomeRecord
-		for i, s := range hostileStrings {
-			f := hostileFloats[i%len(hostileFloats)]
-			oc := OutcomeRecord{
-				Seq: 40 + i, Err: s, Feasible: i%2 == 0, Tg: i, Cost: f, Total: -f,
-				Solver: hostileStrings[len(hostileStrings)-1-i], CertLowerBound: f / 3, CertRatio: f,
-			}
-			if i%3 != 2 {
-				oc.Winners = []WinnerRecord{
-					{BidIndex: i, Client: i, Index: 1, Price: f, Theta: 0.5, Slots: []int{1, i}, Payment: f * 2},
-					{Slots: nil, Payment: f},
-					{Slots: []int{}, Price: -f},
-				}
-			}
-			outcomes = append(outcomes, oc)
-		}
+		outcomes := hostileOutcomes()
 		pending := []pendingEntry{
 			{Seq: 60, Bids: []core.Bid{bid(1), bid(2), bid(3)}, Cfg: &cfg},
 			{Seq: 61, Bids: []core.Bid{bid(4)}, Cfg: &hostileCfg, Solver: "coarse-fine"},

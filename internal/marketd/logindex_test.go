@@ -392,6 +392,72 @@ func TestCheckpointLocatesOutcomesPastAGap(t *testing.T) {
 	}
 }
 
+// TestTailOutcomePastAGapServedInFull: replay decodes only the payments
+// of a tail outcome record, so one still waiting past a sequence gap
+// after the fold must be read back in full before anything serves it.
+// With no checkpoint, seq 0's solve is held while seq 1 commits, and the
+// market dies right after that commit. Reopened with seq 0's re-solve
+// held again, the market serves seq 1's full record through Outcome and
+// GET while seq 0 is still pending, and reaches the golden state once
+// seq 0 commits.
+func TestTailOutcomePastAGapServedInFull(t *testing.T) {
+	insts := marketInstances(t, 2)
+	golden := goldenSnapshot(t, insts)
+	want := solveRecord(t, 1, insts[1])
+	holdSeq0 := func(gate chan struct{}) obs.Observer {
+		return obs.ObserverFunc(func(e obs.Event) {
+			if e.Kind == obs.EvAuctionDequeued && e.Bid == 0 {
+				<-gate
+			}
+		})
+	}
+	dir := t.TempDir()
+	gate := make(chan struct{})
+	m, err := Open(context.Background(), Config{
+		Dir: dir, Workers: 2, Observer: holdSeq0(gate),
+		Crash: func(p string, seq int) bool { return p == CrashPostCommit && seq == 1 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.SubmitBatch(context.Background(), "c", insts); err != nil {
+		t.Fatal(err)
+	}
+	<-m.Dead()
+	close(gate)
+	m.Close()
+
+	gate = make(chan struct{})
+	var release sync.Once
+	m2, err := Open(context.Background(), Config{Dir: dir, Workers: 2, Observer: holdSeq0(gate)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	defer release.Do(func() { close(gate) })
+	if _, done, err := m2.Outcome(0); done || err != nil {
+		t.Fatalf("Outcome(0) with its re-solve held: done %v, err %v; want pending", done, err)
+	}
+	got, done, err := m2.Outcome(1)
+	if err != nil || !done {
+		t.Fatalf("Outcome(1) past the gap: done %v, err %v", done, err)
+	}
+	assertRecordEqual(t, got, want)
+	var served OutcomeRecord
+	if rr := doJSON(t, Handler(m2), "GET", "/v1/auctions/1", nil, &served); rr.Code != http.StatusOK {
+		t.Fatalf("GET /v1/auctions/1 = %d %s", rr.Code, rr.Body.Bytes())
+	}
+	assertRecordEqual(t, served, want)
+
+	release.Do(func() { close(gate) })
+	if _, err := m2.Wait(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := m2.Snapshot(); !bytes.Equal(got, golden) {
+		t.Fatalf("recovery past a tail gap diverged:\n got %s\nwant %s", got, golden)
+	}
+}
+
 // TestLateWaitTakesParkedRecord: a commit that finds no waiter parks its
 // record for the first Wait that asks, so a Wait arriving just after
 // the commit does not read the log: it gets the record even with the

@@ -68,8 +68,9 @@
 //     bodies, exactly as encoding/json would. Recovery keeps each
 //     submission as a position until the log is scanned and reads and
 //     decodes only the ones still pending, so a restart decodes the
-//     checkpoint's ledger and locators, the tail's outcome records and
-//     the survivors' bids, and nothing else.
+//     checkpoint's ledger and locators, the payments of the tail's
+//     outcome records (in full only for the few still waiting past a
+//     sequence gap) and the survivors' bids, and nothing else.
 package marketd
 
 import (
@@ -407,15 +408,18 @@ func (m *Market) replayCommitted(rc *recovery, seq int) bool {
 // keyed by sequence number. When the directory has a valid checkpoint,
 // the wal layer starts replay there: the first record is the snapshot,
 // every later record the tail. Replay peeks each record's envelope and
-// fully decodes only the tail's outcome records. The checkpoint
-// restores the ledger and the index of retained outcomes without
-// decoding any of them. A submission — a tail bid record or a pending
-// locator of the checkpoint — is kept as a position until the scan is
-// over, and its bid record is read and decoded only if no outcome
-// arrived for it, so superseded bids are never read twice or decoded;
-// the pay records older logs carry are skipped unread. Tail outcomes
-// fold into the ledger once the scan is over, in ascending sequence
-// order as the live market folds them. Runs before the consumer starts,
+// decodes, of the tail's outcome records, only each one's seq and its
+// winners' clients and payments. The checkpoint restores the ledger and
+// the index of retained outcomes without decoding any of them. A
+// submission — a tail bid record or a pending locator of the checkpoint
+// — is kept as a position until the scan is over, and its bid record is
+// read and decoded only if no outcome arrived for it, so superseded
+// bids are never read twice or decoded; the pay records older logs
+// carry are skipped unread. Tail outcomes fold into the ledger once the
+// scan is over, in ascending sequence order as the live market folds
+// them; a folded one is kept as its position, and one still waiting
+// past a sequence gap is read back and decoded in full, as the
+// checkpoint's unfolded outcomes are. Runs before the consumer starts,
 // so no locking is needed.
 func (m *Market) recover() (map[int]batch.Instance, error) {
 	rc := &recovery{
@@ -455,14 +459,16 @@ func (m *Market) recover() (map[int]batch.Instance, error) {
 				m.fault("dup_record", float64(seq))
 				return nil
 			}
-			r, err := decodeRecord(payload)
+			// The fold reads only the payments; an outcome still past a gap
+			// after it is read back in full.
+			o, err := decodePayments(payload)
 			if err != nil {
 				return err
 			}
-			if r.Outcome == nil || r.Outcome.Seq != seq {
+			if o == nil || o.Seq != seq {
 				return fmt.Errorf("marketd: outcome record %d without a body of that seq", seq)
 			}
-			m.outcomes[seq] = committed{rec: *r.Outcome, at: pos}
+			m.outcomes[seq] = committed{rec: *o, at: pos}
 			m.commitsSinceCkpt++
 			delete(rc.pend, seq)
 			delete(rc.embedded, seq)
@@ -494,6 +500,19 @@ func (m *Market) recover() (map[int]batch.Instance, error) {
 		m.outcomes[seq] = committed{rec: rec, at: at}
 	}
 	m.foldLocked()
+	// A tail outcome still past a gap holds only its payments: read it
+	// back in full, as the checkpoint's were, before Outcome, Wait or a
+	// checkpoint can see it.
+	for seq, c := range m.outcomes {
+		if _, full := rc.late[seq]; full || c.at == noFrame {
+			continue
+		}
+		rec, err := m.readOutcome(seq, c.at)
+		if err != nil {
+			return nil, err
+		}
+		m.outcomes[seq] = committed{rec: rec, at: c.at}
+	}
 
 	// The survivors: read and decode each once, now that no outcome can
 	// arrive, lowest sequence first.
