@@ -96,8 +96,11 @@ type summary struct {
 	SpeedupPayments         float64 `json:"speedup_payments"`
 	SpeedupPaymentsParallel float64 `json:"speedup_payments_parallel"`
 	// Throughput ratios compare goroutine-per-auction (throughput_naive)
-	// with the batch engine (throughput_batch) at the headline worker
-	// width; > 1 means the batch engine is better.
+	// with the batch row of the same effective width: the naive runner
+	// starts a goroutine per auction, so it runs at GOMAXPROCS, and only
+	// a batch row at that width isolates scheduling and engine reuse.
+	// > 1 means the batch engine is better; 0 means no batch row ran at
+	// the naive width.
 	ThroughputInstances  int     `json:"throughput_instances"`
 	ThroughputClients    int     `json:"throughput_clients"`
 	SpeedupThroughput    float64 `json:"speedup_throughput"`
@@ -729,7 +732,9 @@ func main() {
 	// does (a marketplace that drops auction outcomes has not run the
 	// auctions), so both paths hold the same live set and the comparison
 	// isolates scheduling and engine reuse.
-	tpaths := []tputPath{{name: "throughput_naive", width: widths[0], op: func(chunk []afl.Instance) bool {
+	// The naive runner has no width of its own: one goroutine per auction
+	// runs at GOMAXPROCS, so its row records that width.
+	tpaths := []tputPath{{name: "throughput_naive", width: 0, op: func(chunk []afl.Instance) bool {
 		var wg sync.WaitGroup
 		var failed atomic.Bool
 		results := make([]afl.Result, len(chunk))
@@ -850,6 +855,20 @@ func main() {
 		}
 		return a / b
 	}
+	// The throughput ratios compare the naive runner with the batch row
+	// of its width, if one ran.
+	naive := perPath["throughput_naive"]
+	var tputBatch measurement
+	for _, pth := range tpaths[1:] {
+		if m := perPath[pth.name]; m.Workers == naive.Workers {
+			tputBatch = m
+			break
+		}
+	}
+	if tputBatch.Path == "" {
+		fmt.Fprintf(os.Stderr, "note: no batch throughput row ran at the naive runner's width %d (GOMAXPROCS); throughput ratios reported as 0 (add 0 or %d to -batch-workers)\n",
+			naive.Workers, naive.Workers)
+	}
 	pseed := perPath["payments_seed"]
 	rep.Summary = summary{
 		Clients:                 seed.Clients,
@@ -863,12 +882,10 @@ func main() {
 		SpeedupPaymentsParallel: ratio(pseed.NsPerOp, perPath["payments_parallel"].NsPerOp),
 		ThroughputInstances:     ti,
 		ThroughputClients:       tc,
-		SpeedupThroughput: ratio(perPath["throughput_batch"].AuctionsPerSec,
-			perPath["throughput_naive"].AuctionsPerSec),
-		ThroughputAllocRatio: ratio(float64(perPath["throughput_naive"].AllocsPerOp),
-			float64(perPath["throughput_batch"].AllocsPerOp)),
-		ColumnarClients:  colHead.Clients,
-		ColumnarSolveSec: colHead.NsPerOp / 1e9,
+		SpeedupThroughput:       ratio(tputBatch.AuctionsPerSec, naive.AuctionsPerSec),
+		ThroughputAllocRatio:    ratio(float64(naive.AllocsPerOp), float64(tputBatch.AllocsPerOp)),
+		ColumnarClients:         colHead.Clients,
+		ColumnarSolveSec:        colHead.NsPerOp / 1e9,
 		SpeedupSweepWide: ratio(perPath["sweep_w1"].NsPerOp,
 			perPath[fmt.Sprintf("sweep_w%d", colWidths[len(colWidths)-1])].NsPerOp),
 	}
