@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test -run=FuzzWALSegment -fuzz=FuzzWALSegment -fuzztime=30s ./internal/wal/
 	$(GO) test -run=FuzzWALReadAt -fuzz=FuzzWALReadAt -fuzztime=30s ./internal/wal/
 	$(GO) test -run=FuzzSubmitBody -fuzz=FuzzSubmitBody -fuzztime=30s ./internal/marketd/
+	$(GO) test -run=FuzzTailOutcomePayments -fuzz=FuzzTailOutcomePayments -fuzztime=30s ./internal/marketd/
 	$(GO) test -run=FuzzMarketScript -fuzz=FuzzMarketScript -fuzztime=30s ./internal/marketsim/
 
 # Kill/restart harness for the durable market daemon: crash-point matrix,
