@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race race cover bench bench-json bench-big bench-frontier fuzz market-e2e marketsim bench-market figures ablations vet clean api-check api-update
+.PHONY: all build test test-race race cover bench bench-core fuzz market-e2e marketsim figures ablations vet clean api-check api-update
 
 all: build test
 
@@ -23,28 +23,19 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Regenerate BENCH_core.json: incremental sweep engine vs the frozen seed
-# solver at I ∈ {100, 500, 1000}, the sweep_w{1,2,4,8} worker scaling
-# table, the 10⁴-client columnar row, the exact-critical payments paths
-# (eager-serial seed vs lazy/parallel chosen-T̂_g pricing) and the batch
-# throughput paths.
-bench-json:
-	$(GO) run ./cmd/benchcore -out BENCH_core.json
-
-# bench-json extended to the large columnar populations: 10⁵- and
-# 10⁶-client single-minded instances through CompileBids→RunSet, with the
-# worker scaling table at each size. Minutes, not CI material.
-bench-big:
-	$(GO) run ./cmd/benchcore -big -out BENCH_core.json
-
-# The solver quality-vs-speed frontier at the 10⁵-client population:
-# exact vs coarse-fine (default and stride-16) vs lp-round, each row
-# carrying its certified approximation ratio, plus the pooled-simplex
-# alloc row. The summary reports the fastest tier certified within 1.05×
-# and within 1.2× of the exact sweep. Minutes, not CI material (the CI
-# bench smoke runs the -quick frontier pair instead).
-bench-frontier:
-	$(GO) run ./cmd/benchcore -frontier -out BENCH_core.json
+# Micro-benchmarks of the solve paths and the durable market, ten runs
+# each with allocation counts, written to BENCH_core.txt (headed by the Go
+# version and the CPU count) in the text format benchstat reads:
+# BenchmarkColumnar at GOMAXPROCS 1, 2 and 4 for the sweep's worker
+# scaling; the solver frontier; the sweep, pricing and fleet benchmarks;
+# durable ingest and recovery. About 20 minutes and 0.5 GB on 2 vCPUs;
+# CI runs each once at its smallest size instead.
+bench-core:
+	{ $(GO) version && echo "nproc: $$(nproc)" && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkColumnar' -cpu 1,2,4 -benchmem -count 10 -timeout 0 . && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkSolverFrontier|BenchmarkSweep|BenchmarkExactCriticalPricing|BenchmarkBatchThroughput' -benchmem -count 10 -timeout 0 . && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkDurableIngest|BenchmarkRecovery' -benchmem -count 10 -timeout 0 ./internal/marketd/ ; \
+	} > BENCH_core.txt.tmp && mv BENCH_core.txt.tmp BENCH_core.txt
 
 # Short fuzzing pass over the fuzz targets (regression corpus always runs
 # as part of `make test`).
@@ -73,14 +64,6 @@ market-e2e:
 # under A_FL. Writes throughput/latency to BENCH_market.json.
 marketsim:
 	$(GO) run ./cmd/marketsim -sessions 1000 -seed 1 -out BENCH_market.json
-
-# Regenerate BENCH_market.json in full: the fleet load figures plus the
-# durability fast-path tables — sustained fully durable ingest with and
-# without group commit, and cold-restart recovery time at 10³..10⁶
-# auctions of history with and without checkpoints. Minutes, not CI
-# material (the CI market-e2e job runs the -quick smoke instead).
-bench-market:
-	$(GO) run ./cmd/marketsim -sessions 1000 -seed 1 -durability -out BENCH_market.json
 
 # Full-scale reproduction of the paper's Fig. 3-9 (CSV + ASCII to results/).
 figures:

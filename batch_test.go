@@ -142,8 +142,8 @@ auction_dequeued bid=0 value=1 ok=false
 // construction (the seed baseline, ~18x more allocations).
 func TestRunBatchNilObserverAllocGuard(t *testing.T) {
 	const m = 4
-	// Mirror the benchcore I=100 configuration (T=50, K=10) so the
-	// engine_reuse baseline is comparable.
+	// Mirror BenchmarkSweepEngineReuse/I100's configuration (T=50, K=10)
+	// so the engine_reuse baseline is comparable.
 	insts := batchTestInstances(t, m, 100, 50, 10)
 	ctx := context.Background()
 	if _, err := afl.RunBatch(ctx, insts, afl.WithWorkers(1)); err != nil {

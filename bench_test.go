@@ -12,6 +12,7 @@ package afl_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -151,9 +152,9 @@ func BenchmarkBaselines(b *testing.B) {
 // BenchmarkSweep* compare the T̂_g sweep across implementations at
 // I ∈ {100, 500, 1000} (J=5, T=50, K=20): the frozen pre-refactor solver
 // (internal/seedwdp), the incremental sequential and concurrent paths, and
-// a reused Engine. cmd/benchcore runs the same pairs and writes
-// BENCH_core.json; the differential suite guarantees all paths return
-// bit-identical results, so these measure pure overhead.
+// a reused Engine. `make bench-core` records them in BENCH_core.txt; the
+// differential suite guarantees all paths return bit-identical results,
+// so these measure pure overhead.
 
 var sweepSizes = []int{100, 500, 1000}
 
@@ -250,7 +251,7 @@ func BenchmarkWorkloadGenerate(b *testing.B) {
 }
 
 // BenchmarkExactCriticalPricing compares the exact-critical payment
-// paths on the benchcore payments configuration (I=200, J=5, T=10, K=4):
+// paths on a small pricing-bound configuration (I=200, J=5, T=10, K=4):
 // eager_reference prices every candidate T̂_g (seedwdp.RunEager), lazy
 // prices only the chosen T̂_g sequentially, and
 // parallel fans the per-winner bisections over GOMAXPROCS workers. The
@@ -304,7 +305,8 @@ func BenchmarkExactCriticalPricing(b *testing.B) {
 // call paying full engine construction), batch is afl.RunBatch over the
 // shared worker pool with pooled engines. One op is the whole fleet, so
 // divide ns/op and allocs/op by the instance count for per-auction
-// numbers; cmd/benchcore records the normalized series in BENCH_core.json.
+// numbers. Both runners run at GOMAXPROCS, so -cpu sets the width of the
+// comparison.
 func BenchmarkBatchThroughput(b *testing.B) {
 	const m, clients = 32, 60
 	ctx := context.Background()
@@ -387,5 +389,115 @@ func BenchmarkExactCriticalPayments(b *testing.B) {
 		if !res.Feasible {
 			b.Fatal("WDP infeasible")
 		}
+	}
+}
+
+// --- the columnar path at market scale ---
+
+// singleMinded generates and compiles a population of n clients with one
+// bid each, the market-scale shape, under the paper's default T and K.
+func singleMinded(b *testing.B, n int) (*afl.BidSet, afl.Config) {
+	b.Helper()
+	bids, cfg := paperBids(b, n, 1)
+	return afl.CompileBids(bids), cfg
+}
+
+// BenchmarkColumnar times RunSet on compiled single-minded populations of
+// 10⁴, 10⁵ and 10⁶ clients, with the T̂_g sweep fanned over GOMAXPROCS
+// workers: engine construction and the whole sweep are inside each op,
+// CompileBids is not. Run it with -cpu 1,2,4 for the sweep's worker
+// scaling. A size is generated, and checked feasible, once, on the first
+// run that selects it.
+func BenchmarkColumnar(b *testing.B) {
+	ctx := context.Background()
+	for _, n := range []int{10_000, 100_000, 1_000_000} {
+		var set *afl.BidSet
+		var cfg afl.Config
+		b.Run(fmt.Sprintf("bids=%d", n), func(b *testing.B) {
+			if set == nil {
+				set, cfg = singleMinded(b, n)
+				if res, err := afl.RunSet(ctx, set, cfg, afl.WithWorkers(-1)); err != nil || !res.Feasible {
+					b.Fatalf("columnar auction infeasible: %v", err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := afl.RunSet(ctx, set, cfg, afl.WithWorkers(-1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSolverFrontier times the solver tiers on a single-minded
+// population of 10⁴ and of 10⁵ clients: the exact sweep, coarse-to-fine
+// at its default stride and at stride 16, and LP-guided rounding. Each
+// tier reports as "ratio" the certified approximation ratio of its result
+// on the timed instance (1 for the exact tier), so a row reading twice the
+// speed at ratio 1.04 is a proven cost loss of at most 4%. Before timing,
+// the tier contracts are checked on that instance: the exact tier attaches
+// no certificate, stride-1 coarse-to-fine solves every candidate and
+// equals the exact result once its certificate is cleared, and every
+// approximate certificate has Ratio ≥ 1 and a lower bound no higher than
+// the exact cost.
+func BenchmarkSolverFrontier(b *testing.B) {
+	ctx := context.Background()
+	coarse := afl.WithSolver(afl.SolverCoarseFine)
+	tiers := []struct {
+		name string
+		opts []afl.Option
+	}{
+		{"exact", nil},
+		{"coarse-fine", []afl.Option{coarse}},
+		{"coarse-fine-s16", []afl.Option{coarse, afl.WithStride(16)}},
+		{"lp-round", []afl.Option{afl.WithSolver(afl.SolverLPRound)}},
+	}
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("bids=%d", n), func(b *testing.B) {
+			set, cfg := singleMinded(b, n)
+			exact, err := afl.RunSet(ctx, set, cfg)
+			if err != nil || !exact.Feasible {
+				b.Fatalf("frontier auction infeasible: %v", err)
+			}
+			if exact.Cert != nil {
+				b.Fatalf("exact tier attached a certificate: %+v", exact.Cert)
+			}
+			dense, err := afl.RunSet(ctx, set, cfg, coarse, afl.WithStride(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if dense.Cert == nil || dense.Cert.Solved != dense.Cert.Candidates {
+				b.Fatalf("stride-1 coarse-to-fine skipped candidates: %+v", dense.Cert)
+			}
+			dense.Cert = nil
+			if !reflect.DeepEqual(dense, exact) {
+				b.Fatal("stride-1 coarse-to-fine differs from the exact sweep")
+			}
+			for _, tier := range tiers {
+				ratio := 1.0
+				if tier.opts != nil {
+					res, err := afl.RunSet(ctx, set, cfg, tier.opts...)
+					if err != nil {
+						b.Fatal(err)
+					}
+					c := res.Cert
+					if c == nil || c.Ratio < 1 || c.LowerBound > exact.Cost*(1+1e-9) {
+						b.Fatalf("%s certificate contract violated against exact cost %v: %+v", tier.name, exact.Cost, c)
+					}
+					ratio = c.Ratio
+				}
+				b.Run(tier.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := afl.RunSet(ctx, set, cfg, tier.opts...); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(ratio, "ratio")
+				})
+			}
+		})
 	}
 }

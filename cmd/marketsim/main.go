@@ -18,14 +18,7 @@
 //	          [-clients 16] [-t 8] [-k 2] [-rounds 3]
 //	          [-target market|engine|http] [-addr http://host:port]
 //	          [-rate 0] [-burst 0] [-max-pending 0]
-//	          [-durability] [-quick]
 //	          [-out BENCH_market.json] [-report path]
-//
-// -durability adds the fast-path tables to the bench artifact:
-// sustained fully durable ingest (every commit fsynced before its ack)
-// with and without group commit, and cold-restart recovery time against history length with
-// and without checkpoints. -quick shrinks it for CI smoke;
-// -sessions 0 skips the fleet and emits just those tables.
 //
 // Targets:
 //
@@ -69,41 +62,9 @@ func run(args []string) int {
 	maxPending := fs.Int("max-pending", 0, "admission bound for the hosted market (0 = off)")
 	out := fs.String("out", "BENCH_market.json", "load artifact path (- for stdout)")
 	reportPath := fs.String("report", "", "economics report path (default stdout)")
-	durability := fs.Bool("durability", false, "run the durability fast-path bench (ingest + recovery tables)")
-	quick := fs.Bool("quick", false, "shrink the durability bench for CI smoke (small histories, fewer auctions)")
 	fs.Parse(args)
 
 	ctx := context.Background()
-
-	var dur marketsim.DurabilityBench
-	if *durability {
-		var err error
-		dur, err = marketsim.RunDurabilityBench(ctx, marketsim.DurabilityOptions{Quick: *quick})
-		if err != nil {
-			return fail("durability bench: %v", err)
-		}
-		for _, row := range dur.Ingest {
-			fmt.Fprintf(os.Stderr, "marketsim: ingest %-12s %7.0f auctions/s (%d submitters, %d fsyncs, %.1f records/fsync, %.0f allocs/auction)\n",
-				row.Mode, row.AuctionsPerSec, row.Submitters, row.Fsyncs, row.RecordsPerFsync, row.AllocsPerAuction)
-		}
-		for _, row := range dur.Recovery {
-			fmt.Fprintf(os.Stderr, "marketsim: recovery history=%-8d ckpt=%-5v open %8.1fms (tail %d records, %d segments, %d bytes)\n",
-				row.History, row.Checkpoints, row.OpenMs, row.TailReplayed, row.Segments, row.WALBytes)
-		}
-	}
-
-	if cfg.Sessions == 0 {
-		// -sessions 0 skips the fleet: emit just the durability tables.
-		benchBytes, err := marketsim.Bench{Ingest: dur.Ingest, Recovery: dur.Recovery}.Encode()
-		if err != nil {
-			return fail("encode bench: %v", err)
-		}
-		if err := emit(*out, benchBytes); err != nil {
-			return fail("write bench: %v", err)
-		}
-		return 0
-	}
-
 	metrics := obs.NewMetrics(nil)
 	mcfg := marketd.Config{
 		Workers:    cfg.Workers,
@@ -159,8 +120,6 @@ func run(args []string) int {
 	if err := emit(*reportPath, repBytes); err != nil {
 		return fail("write report: %v", err)
 	}
-	bench.Ingest = dur.Ingest
-	bench.Recovery = dur.Recovery
 	benchBytes, err := bench.Encode()
 	if err != nil {
 		return fail("encode bench: %v", err)

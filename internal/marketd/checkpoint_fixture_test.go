@@ -17,21 +17,29 @@ import (
 func copyFixture(t *testing.T, name string) string {
 	t.Helper()
 	dir := t.TempDir()
-	src := filepath.Join("testdata", name)
+	copyDir(t, filepath.Join("testdata", name), dir)
+	return dir
+}
+
+// copyDir copies the files of directory src into dst, creating dst.
+func copyDir(tb testing.TB, src, dst string) {
+	tb.Helper()
 	entries, err := os.ReadDir(src)
+	if err == nil {
+		err = os.MkdirAll(dst, 0o755)
+	}
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	for _, e := range entries {
 		b, err := os.ReadFile(filepath.Join(src, e.Name()))
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
-			t.Fatal(err)
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			tb.Fatal(err)
 		}
 	}
-	return dir
 }
 
 // TestCheckpointFixtureReplay opens a market directory whose checkpoint

@@ -141,12 +141,6 @@ type Bench struct {
 	// from the target's client-side counters.
 	RateLimited       int64 `json:"rate_limited"`
 	AdmissionRejected int64 `json:"admission_rejected"`
-	// Ingest and Recovery are the durability fast-path tables (present
-	// when the run included -durability): sustained fully durable
-	// ingest with and without group commit, and cold-restart recovery
-	// time against history length with and without checkpoints.
-	Ingest   []IngestRow   `json:"ingest,omitempty"`
-	Recovery []RecoveryRow `json:"recovery,omitempty"`
 }
 
 // Encode renders the artifact as indented JSON with a trailing newline.

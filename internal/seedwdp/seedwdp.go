@@ -9,9 +9,10 @@
 // oracle of the differential-testing harness
 // (internal/core/differential_test.go), which asserts the incremental
 // engine returns bit-identical winners, schedules, payments and duals on
-// hundreds of seeded workloads, and the baseline of cmd/benchcore, which
-// records the seed-vs-incremental speedup into BENCH_core.json. Because
-// it is a differential oracle, that code is intentionally a verbatim
+// hundreds of seeded workloads, and the baseline of BenchmarkSweepSeed,
+// which `make bench-core` records beside the incremental paths in
+// BENCH_core.txt. Only tests import this package. Because it is a
+// differential oracle, that code is intentionally a verbatim
 // transliteration of the seed algorithm — do not "improve" it. The only
 // deliberate differences are cosmetic: it reuses the exported core types
 // Bid and Config, its Winner exports the Covered/Phi dual bookkeeping
@@ -162,7 +163,8 @@ func RunAuction(bids []core.Bid, cfg core.Config) (Result, error) {
 // RunEager is the sweep with eager payment application: every candidate
 // T̂_g's WDP is solved and fully priced under cfg.PaymentRule by
 // core.Engine.SolveWDP, serially, as the pre-lazification sweep did. The
-// differential suite and cmd/benchcore hold the lazy pricing path to it:
+// differential suite holds the lazy pricing path to it, and
+// BenchmarkExactCriticalPricing times it as its eager_reference:
 // the selected T̂_g's winners and payments must be bit-identical between
 // the two. Ties keep the smallest T̂_g, as in the lazy sweep.
 func RunEager(bids []core.Bid, cfg core.Config) (core.Result, error) {

@@ -350,8 +350,8 @@ auction_done tg=2 value=7 ok=true dur=11ms
 
 // TestPricingAllocGuard locks the allocation budget of the lazy
 // exact-critical pricing path against the payments_lazy baseline (see
-// allocBaseline). It mirrors the benchcore payments configuration so the
-// counts are comparable.
+// allocBaseline). It mirrors BenchmarkExactCriticalPricing/lazy's
+// configuration so the counts are comparable.
 func TestPricingAllocGuard(t *testing.T) {
 	p := afl.DefaultWorkloadParams()
 	p.Clients = 200
@@ -437,8 +437,8 @@ func TestPricingAllocBound(t *testing.T) {
 // the observability redesign: an uninstrumented Engine.RunCtx stays
 // within the engine_reuse baseline (see allocBaseline).
 func TestNilObserverAllocGuard(t *testing.T) {
-	// Mirror the benchcore I=100 configuration (T=50, K=10) so the
-	// engine_reuse baseline is comparable.
+	// Mirror BenchmarkSweepEngineReuse/I100's configuration (T=50, K=10)
+	// so the engine_reuse baseline is comparable.
 	bids, cfg := testWorkload(t, 100, 50, 10)
 	eng, err := afl.NewEngine(bids, cfg)
 	if err != nil {
@@ -470,10 +470,10 @@ func TestNilObserverAllocGuard(t *testing.T) {
 }
 
 // allocBaselinesFile records the allocs/op baselines of the allocation
-// guards, one row per benchcore configuration and population size.
+// guards, one row per benchmark configuration and population size.
 const allocBaselinesFile = "testdata/alloc_baselines.json"
 
-// allocBaseline returns the recorded allocs/op of the benchcore
+// allocBaseline returns the recorded allocs/op of the benchmark
 // configuration path at the given population size. A missing file or row
 // fails the test: a guard without its baseline guards nothing.
 func allocBaseline(t *testing.T, path string, clients int) float64 {
