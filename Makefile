@@ -27,13 +27,13 @@ bench:
 # each with allocation counts, written to BENCH_core.txt (headed by the Go
 # version and the CPU count) in the text format benchstat reads:
 # BenchmarkColumnar at GOMAXPROCS 1, 2 and 4 for the sweep's worker
-# scaling; the solver frontier; the sweep, pricing and fleet benchmarks;
-# durable ingest and recovery. About 20 minutes and 0.5 GB on 2 vCPUs;
+# scaling; perfbench's solve-10k operation; the solver frontier; the
+# sweep, pricing and fleet benchmarks; durable ingest and recovery. About 20 minutes and 0.5 GB on 2 vCPUs;
 # CI runs each once at its smallest size instead.
 bench-core:
 	{ $(GO) version && echo "nproc: $$(nproc)" && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkColumnar' -cpu 1,2,4 -benchmem -count 10 -timeout 0 . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkSolverFrontier|BenchmarkSweep|BenchmarkExactCriticalPricing|BenchmarkBatchThroughput' -benchmem -count 10 -timeout 0 . && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkSolve10k|BenchmarkSolverFrontier|BenchmarkSweep|BenchmarkExactCriticalPricing|BenchmarkBatchThroughput' -benchmem -count 10 -timeout 0 . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDurableIngest|BenchmarkRecovery' -benchmem -count 10 -timeout 0 ./internal/marketd/ ; \
 	} > BENCH_core.txt.tmp && mv BENCH_core.txt.tmp BENCH_core.txt
 

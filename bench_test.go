@@ -392,6 +392,43 @@ func BenchmarkExactCriticalPayments(b *testing.B) {
 	}
 }
 
+// BenchmarkSolve10k is perfbench's solve-10k operation as a go test
+// benchmark: per op, CompileBids and RunSet with two workers and
+// exact-critical pricing on one of eight 2000×5 populations (10⁴ bids,
+// T=50, K=20), taken in turn. Before the timer starts, the first
+// population's Result is checked against a one-worker solve. Profile it
+// with -cpuprofile.
+func BenchmarkSolve10k(b *testing.B) {
+	ctx := context.Background()
+	pops := make([][]afl.Bid, 8)
+	var cfg afl.Config
+	for j := range pops {
+		p := afl.DefaultWorkloadParams()
+		p.Clients, p.BidsPerUser, p.Seed = 2000, 5, int64(100+j)
+		bids, err := afl.GenerateWorkload(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pops[j], cfg = bids, p.Config()
+	}
+	rule := afl.WithPaymentRule(afl.RuleExactCritical)
+	ref, err := afl.Run(ctx, pops[0], cfg, afl.WithWorkers(1), rule)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if got, err := afl.RunSet(ctx, afl.CompileBids(pops[0]), cfg, afl.WithWorkers(2), rule); err != nil || !reflect.DeepEqual(got, ref) {
+		b.Fatalf("two-worker columnar solve differs from the one-worker reference (err %v)", err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		set := afl.CompileBids(pops[i%len(pops)])
+		if _, err := afl.RunSet(ctx, set, cfg, afl.WithWorkers(2), rule); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- the columnar path at market scale ---
 
 // singleMinded generates and compiles a population of n clients with one

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -12,26 +13,27 @@ import (
 // Bids sharing an availability-window shape (start, end, rounds) are
 // interchangeable to the greedy except for price: their effective slot
 // ranges coincide, so their marginal utilities are equal at every point
-// of the run, and the average-cost order within the shape class is
-// exactly the (price, bid) order — fixed at compile time. The candidate
-// queue therefore needs only one entry per CLASS (its head: the cheapest
-// member still in C), not one per bid. For T = 50 there are at
-// most Σ_{W=1..50} (51−W)·W = 22 100 shapes, so a million-bid candidate
-// set collapses to a few thousand entries, and the staleness churn of a
-// slot filling up (it lowers the marginal of every bid whose window
-// contains the slot) costs one lazy re-key per affected class instead of
-// one per affected bid.
+// of the run, and the average-cost order within the shape class follows
+// the (price, bid) order fixed at compile time, up to ties between
+// near-equal prices (see Exactness). The candidate queue therefore needs
+// only one entry per CLASS (its head), not one per bid. For T = 50 there
+// are at most Σ_{W=1..50} (51−W)·W = 22 100 shapes, so a million-bid
+// candidate set collapses to a few thousand entries, and the staleness
+// churn of a slot filling up (it lowers the marginal of every bid whose
+// window contains the slot) costs one lazy re-key per affected class
+// instead of one per affected bid.
 //
 // Exactness. Algorithm 2 selects the minimum (key, bid) over C with
-// key = price/marginal. Within a class, marginal is uniform, so the
-// class head (first member in (price, bid) order that is still in C)
-// attains the class's minimum (key, bid); the global minimum is the
-// minimum over class heads. Stored entries only ever underestimate —
-// keys grow as slots fill, and head replacement moves to a member with
-// larger (price, bid) — so the smallest stored entry, once its head and
-// key are confirmed current, is the exact minimum. (key, bid) is the
-// whole selection order, so a confirmed entry needs no other staleness
-// marker.
+// key = price/marginal. Within a class, marginal is uniform, so keys never
+// fall along the (price, bid) member order; but prices a few ulps apart
+// can divide to one key, so the class head is the (key, bid)-minimum of
+// the candidates whose key ties the first candidate's (classHead). The
+// global minimum is the minimum over class heads. Stored entries only
+// ever underestimate — keys grow as slots fill, and a later head that
+// ties a stored key was among the candidates it minimized — so the
+// smallest stored entry, once its head and key are confirmed current, is
+// the exact minimum. (key, bid) is the whole selection order, so a
+// confirmed entry needs no other staleness marker.
 //
 // The queue has two fronts (see validTop): the run's initial entries,
 // one per touched class keyed at its first qualified member and sorted
@@ -77,11 +79,12 @@ import (
 //     client's membership and its class marginal stay readable.
 
 // classHolder caches the lazily built classIndex of one compiled
-// population. compile attaches a fresh holder, so engine-pool rebuilds
-// invalidate the cache.
+// population, and the capacities its runs needed (see ensure). compile
+// attaches a fresh holder, so engine-pool rebuilds invalidate the cache.
 type classHolder struct {
 	once sync.Once
 	idx  classIndex
+	caps runCaps
 }
 
 // classes returns the population's shape-class index, building it on
@@ -98,13 +101,13 @@ func (s *BidSet) classes() *classIndex {
 
 // classIndex groups the population's bids by availability-window shape
 // (start, end, rounds), with each class's members sorted by (price, bid)
-// — ascending average cost for any shared marginal. Like the sibling
+// — non-descending average cost for any shared marginal. Like the sibling
 // CSR it covers ALL bids; per-run qualification is applied by the
 // membership stamp during head scans.
 type classIndex struct {
 	n int
-	// Shape of class c.
-	lo, hi, r []int
+	// shape[c] is class c's window and rounds.
+	shape []classShape
 	// Member CSR: members[memberStart[c]:memberStart[c+1]] lists class
 	// c's bids in (price, bid) order.
 	memberStart []int
@@ -112,6 +115,9 @@ type classIndex struct {
 	// classOf[i] is bid i's class row; memberPos[i] its position inside
 	// the class's member row.
 	classOf, memberPos []int
+	// nearTie[c] reports that class c's row has neighbours with distinct
+	// prices that might divide to one key (see build).
+	nearTie []bool
 	// walkPrices reports that every price lies in [2⁻²⁵⁶, 2²⁵⁶], so the
 	// tight dual's walk forms only normal floats (see tightDualObjective).
 	walkPrices bool
@@ -121,7 +127,8 @@ type classIndex struct {
 // stable counting passes over rounds, end and start (least significant
 // first) leave the bids grouped by shape, ascending inside each group.
 // Classes are numbered in first-appearance order, placed into the member
-// CSR group by group, and each class's row is sorted by (price, bid).
+// CSR group by group, and each class's row, which starts in bid order, is
+// sorted stably by price.
 func (ci *classIndex) build(s *BidSet) {
 	n := s.n
 	order, buf := make([]int, n), make([]int, n)
@@ -145,14 +152,12 @@ func (ci *classIndex) build(s *BidSet) {
 	for g := range first {
 		first[g] = -1
 	}
-	ci.lo, ci.hi, ci.r = make([]int, 0, groups), make([]int, 0, groups), make([]int, 0, groups)
+	ci.shape = make([]classShape, 0, groups)
 	for i, g := range ci.classOf {
 		if first[g] < 0 {
 			first[g] = ci.n
 			ci.n++
-			ci.lo = append(ci.lo, s.start[i])
-			ci.hi = append(ci.hi, s.end[i])
-			ci.r = append(ci.r, s.rounds[i])
+			ci.shape = append(ci.shape, classShape{lo: s.start[i], hi: s.end[i], r: s.rounds[i]})
 		}
 		ci.classOf[i] = first[g]
 	}
@@ -174,21 +179,18 @@ func (ci *classIndex) build(s *BidSet) {
 		cur[c]++
 	}
 	ci.memberPos = order // every entry is rewritten below
+	ci.nearTie = make([]bool, ci.n)
 	for c := 0; c < ci.n; c++ {
 		row := ci.members[ci.memberStart[c]:ci.memberStart[c+1]]
-		// (price, bid) is a total order (validated prices are finite), so
-		// the unstable sort's permutation is deterministic.
-		slices.SortFunc(row, func(a, b int) int {
-			switch pa, pb := s.price[a], s.price[b]; {
-			case pa < pb:
-				return -1
-			case pa > pb:
-				return 1
-			}
-			return a - b
-		})
+		sortByPrice(row, s.price)
 		for j, b := range row {
 			ci.memberPos[b] = j
+			// Prices p < q divide to one key z = fl(p/m) = fl(q/m) only if
+			// (q − p)/m ≤ ulp(z), so q − p ≤ 2⁻⁵¹·q while z is normal,
+			// which q > 2⁻⁹⁶⁰ ensures for any marginal m below 2⁶².
+			if p, q := s.price[row[max(j-1, 0)]], s.price[b]; p != q && (q-p <= q*0x1p-50 || q <= 0x1p-960) {
+				ci.nearTie[c] = true
+			}
 		}
 	}
 	ci.walkPrices = true
@@ -199,6 +201,28 @@ func (ci *classIndex) build(s *BidSet) {
 		}
 	}
 }
+
+// sortByPrice sorts row, a list of bids in ascending order, into (price,
+// bid) order: by a stable insertion by price up to shortSortMax members,
+// else by a comparator sort.
+func sortByPrice(row []int, price []float64) {
+	if len(row) > shortSortMax {
+		slices.SortFunc(row, func(a, b int) int { return cmp.Or(cmp.Compare(price[a], price[b]), a-b) })
+		return
+	}
+	for i := 1; i < len(row); i++ {
+		b := row[i]
+		p, j := price[b], i
+		for ; j > 0 && price[row[j-1]] > p; j-- {
+			row[j] = row[j-1]
+		}
+		row[j] = b
+	}
+}
+
+// classShape is one class's availability window [lo, hi] and rounds r,
+// kept together because every queue validation reads all three.
+type classShape struct{ lo, hi, r int }
 
 // radixBits caps the digit width of radixSortBy: at most 2¹¹ buckets.
 const radixBits = 11
@@ -262,12 +286,12 @@ func (w *wdpState) initClasses() {
 
 // orderClasses brings the carried initial order (clsOrder) up to the
 // class heads: one entry per touched class with a positive starting
-// marginal, keyed at its first qualified member, in (key, bid) order.
-// The first run after resetClasses keys every touched class and sorts
-// them. A later run keys only the classes folded since (clsFresh: heads
-// an entrant set or lowered), sorts just those, drops the superseded
-// entries of the previous order — exactly those whose bid is no longer
-// their class's first qualified member — and merges the two.
+// marginal, keyed at its first qualified member (firstEntry), in (key,
+// bid) order. The first run after resetClasses keys every touched class
+// and sorts them. A later run keys only the classes folded since
+// (clsFresh: heads an entrant set or lowered), sorts just those, drops
+// the superseded entries of the previous order — exactly those of the
+// classes it keyed — and merges the two.
 //
 // The other entries keep their keys. Owners that run at one T̂_g and
 // base (a pricing pass, a one-off solve) never fold again. A sweep
@@ -279,11 +303,11 @@ func (w *wdpState) orderClasses() {
 	if !sc.clsOrdered {
 		order := sc.clsOrder[:0]
 		for _, c := range sc.clsTouched {
-			if e, alive := w.classEntryAt(c, w.firstHead(c)); alive {
+			if e, alive := w.firstEntry(c); alive {
 				order = append(order, e)
 			}
 		}
-		slices.SortFunc(order, classEntry.cmp)
+		sortEntries(order)
 		sc.clsOrder, sc.clsOrdered = order, true
 		sc.clsFresh = sc.clsFresh[:0]
 		return
@@ -291,19 +315,24 @@ func (w *wdpState) orderClasses() {
 	if len(sc.clsFresh) == 0 {
 		return
 	}
+	// The head cursors are free until initClasses resets them: −1 marks a
+	// class keyed here.
 	fresh := sc.clsFresh[:0]
 	for _, e := range sc.clsFresh {
-		if ne, alive := w.classEntryAt(e.cls, w.firstHead(e.cls)); alive {
+		c := e.cls
+		if w.cur[c] < 0 {
+			continue // folded twice since the last run: keyed once
+		}
+		w.cur[c] = -1
+		if ne, alive := w.firstEntry(c); alive {
 			fresh = append(fresh, ne)
 		}
 	}
-	slices.SortFunc(fresh, classEntry.cmp)
-	// A class folded twice since the last run is keyed twice, identically.
-	fresh = slices.Compact(fresh)
+	sortEntries(fresh)
 	old := sc.clsOrder
 	n := 0
 	for _, e := range old {
-		if e.bid == w.firstHead(e.cls) {
+		if w.cur[e.cls] >= 0 {
 			old[n] = e
 			n++
 		}
@@ -324,6 +353,62 @@ func (w *wdpState) orderClasses() {
 	sc.clsFresh = fresh[:0]
 }
 
+// sortEntries sorts es into (key, bid) order: by insertion up to
+// shortSortMax entries, else by a comparator sort.
+func sortEntries(es []classEntry) {
+	if len(es) > shortSortMax {
+		slices.SortFunc(es, func(a, b classEntry) int { return cmp.Or(cmp.Compare(a.key, b.key), a.bid-b.bid) })
+		return
+	}
+	for i := 1; i < len(es); i++ {
+		e, j := es[i], i
+		for ; j > 0 && e.before(es[j-1].heapEntry); j-- {
+			es[j] = es[j-1]
+		}
+		es[j] = e
+	}
+}
+
+// shortSortMax is the longest list the solve's short-list sorts (class
+// member rows, the fresh entries of orderClasses, the η order and the
+// slot runs of sortByCoverage) sort by insertion rather than by a
+// comparator sort; DESIGN.md ("No comparator on short lists") gives the
+// measurements.
+const shortSortMax = 128
+
+// firstEntry keys class c at its first qualified member under the current
+// marginal (alive is false at 0), with the smallest bid among the members,
+// qualified or not, whose key ties it: an underestimate (see validTop).
+func (w *wdpState) firstEntry(c int) (classEntry, bool) {
+	marg := w.classMarginal(c)
+	if marg <= 0 {
+		return classEntry{}, false
+	}
+	row := w.classMembers(c)
+	i := w.sc.clsInit[c]
+	head := row[i]
+	if w.cls.nearTie[c] {
+		head = w.tieMin(row[i+1:], head, marg, false)
+	}
+	return w.keyed(c, head, marg), true
+}
+
+// tieMin returns the smallest bid among head and the members of rest, the
+// row after head, whose key under marg ties head's (a prefix of rest),
+// counting only the run's candidates when cand is set.
+func (w *wdpState) tieMin(rest []int, head, marg int, cand bool) int {
+	key := w.set.price[head] / float64(marg)
+	for _, b := range rest {
+		if w.set.price[b]/float64(marg) != key {
+			break
+		}
+		if b < head && (!cand || w.candidate(b)) {
+			head = b
+		}
+	}
+	return head
+}
+
 // foldClasses lowers the carried class heads by newly qualified bids:
 // clsInit[c] becomes the smallest member position of class c among the
 // bids folded in since resetClasses, and a class enters clsTouched at its
@@ -334,14 +419,28 @@ func (w *wdpState) orderClasses() {
 // order has been built, every class whose head a fold sets or lowers is
 // queued in clsFresh for orderClasses to re-key.
 //
+// With h > 0 it folds the owner's ψ_max column psi[:h] in the same pass:
+// each bid's window clipped at h, unless its class already folded a
+// later, so no cheaper, member (clsTop); see sweepSegmentMask.
+//
 // A bid whose window starts beyond a solve's horizon (only a caller-
 // supplied qualified list can hold one) touches its class like any
 // other; the class marginal is 0 there, so it is never selected, never
 // critical and never binds the tight dual.
-func (sc *wdpScratch) foldClasses(cls *classIndex, bids []int) {
+func (sc *wdpScratch) foldClasses(set *BidSet, bids []int, h int) {
+	cls := set.classes()
 	for _, idx := range bids {
 		c := cls.classOf[idx]
 		p := cls.memberPos[idx]
+		if h > 0 && p > sc.clsTop[c] {
+			sc.clsTop[c] = p
+			price := set.price[idx]
+			for t := cls.shape[c].lo; t <= min(cls.shape[c].hi, h); t++ {
+				if price > sc.psi[t-1] {
+					sc.psi[t-1] = price
+				}
+			}
+		}
 		switch {
 		case sc.clsInit[c] < 0:
 			sc.clsTouched = append(sc.clsTouched, c)
@@ -366,76 +465,55 @@ func (w *wdpState) classMembers(c int) []int {
 	return w.cls.members[w.cls.memberStart[c]:w.cls.memberStart[c+1]]
 }
 
-// classShi returns the upper end of class c's rule-effective slot range,
-// clipped to the solve horizon: slotRangeOf's hi for every member.
-func (w *wdpState) classShi(c int) int {
-	hi := w.cls.hi[c]
-	if hi > w.tg {
-		hi = w.tg
+// classMarginal is the class-uniform marginal utility R_il(S) of every
+// member's representative schedule. m, the number of still-open (γ_t < K)
+// iterations in the class's rule-effective slot range (slotRangeOf's for
+// every member), comes from the filled-slot prefix sums. Under the
+// paper's least-covered rule the schedule takes the c_ij smallest-γ
+// iterations of the window, and available iterations sort before full
+// ones, so the gain is min(c_ij, m); under earliest-fit the slot set is
+// fixed and the gain is m alone. It only ever shrinks within a run, so a
+// class whose marginal hits zero is dead for the rest of the run.
+func (w *wdpState) classMarginal(c int) int {
+	sh := w.cls.shape[c]
+	hi := min(sh.hi, w.tg)
+	earliest := w.cfg.ScheduleRule == ScheduleEarliest
+	if earliest {
+		hi = min(hi, sh.lo+sh.r-1)
 	}
-	if w.cfg.ScheduleRule == ScheduleEarliest {
-		if e := w.cls.lo[c] + w.cls.r[c] - 1; e < hi {
-			hi = e
-		}
-	}
-	return hi
-}
-
-// classM is the class-uniform m: the number of still-open (γ_t < K)
-// iterations in the effective slot range, read from the filled-slot
-// prefix sums.
-func (w *wdpState) classM(c int) int {
-	lo, shi := w.cls.lo[c], w.classShi(c)
-	if shi < lo {
+	if hi < sh.lo {
 		return 0 // the window starts beyond the horizon
 	}
-	return (shi - lo + 1) - (w.filledPrefix[shi] - w.filledPrefix[lo-1])
-}
-
-// classMarginal is the class-uniform marginal utility R_il(S) of every
-// member's representative schedule: under the paper's least-covered rule
-// the schedule takes the c_ij smallest-γ iterations of the window, and
-// available iterations (γ_t < K) sort before full ones, so the gain is
-// min(c_ij, m); under earliest-fit the slot set is fixed and the gain is
-// m alone. It only ever shrinks within a run, so a class whose marginal
-// hits zero is dead for the rest of the run.
-func (w *wdpState) classMarginal(c int) int {
-	m := w.classM(c)
-	if w.cfg.ScheduleRule == ScheduleEarliest {
+	m := (hi - sh.lo + 1) - (w.filledPrefix[hi] - w.filledPrefix[sh.lo-1])
+	if earliest {
 		return m
 	}
-	if r := w.cls.r[c]; r < m {
-		return r
-	}
-	return m
+	return min(sh.r, m)
 }
 
-// classEntryAt keys class c under head and the current marginal; alive
-// is false when the class's marginal has hit zero.
-func (w *wdpState) classEntryAt(c, head int) (classEntry, bool) {
-	marg := w.classMarginal(c)
-	if marg <= 0 {
-		return classEntry{}, false
-	}
-	return classEntry{heapEntry: heapEntry{key: w.set.price[head] / float64(marg), bid: head}, cls: c}, true
+// keyed is class c's entry for head under the class marginal marg > 0.
+func (w *wdpState) keyed(c, head, marg int) classEntry {
+	return classEntry{heapEntry: heapEntry{key: w.set.price[head] / float64(marg), bid: head}, cls: c}
 }
 
 // classHead advances cur[c] past members that are not candidates — not
 // qualified for this run, removed from C, or held out — and returns the
-// head bid, or −1 when the class is exhausted. Every skip reason is
-// permanent within one run, so the cursor only moves forward —
-// O(class size) total advancement per run.
-func (w *wdpState) classHead(c int) int {
+// head bid under the class marginal marg > 0 (see tieMin), or −1 when
+// the class is exhausted. Every skip reason is permanent within one run,
+// so the cursor only moves forward — O(class size) total advancement per
+// run.
+func (w *wdpState) classHead(c, marg int) int {
 	members := w.classMembers(c)
-	i := w.cur[c]
-	for i < len(members) {
+	for i := w.cur[c]; i < len(members); i++ {
 		if b := members[i]; w.candidate(b) {
 			w.cur[c] = i
+			if w.cls.nearTie[c] {
+				b = w.tieMin(members[i+1:], b, marg, true)
+			}
 			return b
 		}
-		i++
 	}
-	w.cur[c] = i
+	w.cur[c] = len(members)
 	return -1
 }
 
@@ -468,7 +546,7 @@ func (w *wdpState) validTop(bound heapEntry) (e classEntry, inList, ok bool) {
 		head := -1
 		marg := w.classMarginal(e.cls)
 		if marg > 0 {
-			head = w.classHead(e.cls)
+			head = w.classHead(e.cls, marg)
 		}
 		if head < 0 {
 			w.removeTop(inList)
@@ -575,8 +653,9 @@ func (w *wdpState) selectWinnerClass(ce classEntry) {
 		if sib == idx || !w.inC(sib) {
 			continue
 		}
-		if e, alive := w.classEntryAt(w.cls.classOf[sib], sib); alive {
-			w.sc.spare.push(e)
+		c := w.cls.classOf[sib]
+		if marg := w.classMarginal(c); marg > 0 {
+			w.sc.spare.push(w.keyed(c, sib, marg))
 		}
 	}
 
@@ -620,9 +699,9 @@ func (w *wdpState) bestSpare() (heapEntry, bool) {
 // requeue re-enters class c into the candidate queue's heap under its
 // current head, after a selection consumed the class's only entry.
 func (w *wdpState) requeue(c int) {
-	if head := w.classHead(c); head >= 0 {
-		if e, alive := w.classEntryAt(c, head); alive {
-			w.sc.clsHeap.push(e)
+	if marg := w.classMarginal(c); marg > 0 {
+		if head := w.classHead(c, marg); head >= 0 {
+			w.sc.clsHeap.push(w.keyed(c, head, marg))
 		}
 	}
 }
@@ -686,17 +765,6 @@ func (w *wdpState) criticalPaymentClass(ce classEntry, r int) float64 {
 type classEntry struct {
 	heapEntry     // head's ρ / R and identity when keyed
 	cls       int // class row
-}
-
-// cmp orders entries by the greedy's selection order over their heads.
-func (e classEntry) cmp(o classEntry) int {
-	if e.before(o.heapEntry) {
-		return -1
-	}
-	if o.before(e.heapEntry) {
-		return 1
-	}
-	return 0
 }
 
 // classHeap is a min-heap of classEntry in the greedy's selection order

@@ -14,7 +14,8 @@ import (
 // referenceOrder builds a run's initial candidate order from scratch:
 // every class qualified touches, keyed at its first qualified member in
 // (price, bid) order under the class marginal at the run's start (base
-// pre-committed), classes with no marginal left out, sorted by (key,
+// pre-committed), with the smallest bid among the members from there on
+// whose key ties it, classes with no marginal left out, sorted by (key,
 // bid).
 func referenceOrder(set *BidSet, qualified []int, tg int, cfg Config, base []int) []classEntry {
 	cls := set.classes()
@@ -27,9 +28,9 @@ func referenceOrder(set *BidSet, qualified []int, tg int, cfg Config, base []int
 	}
 	var out []classEntry
 	for c, p := range first {
-		lo, hi := cls.lo[c], min(cls.hi[c], tg)
+		lo, hi := cls.shape[c].lo, min(cls.shape[c].hi, tg)
 		if cfg.ScheduleRule == ScheduleEarliest {
-			hi = min(hi, lo+cls.r[c]-1)
+			hi = min(hi, lo+cls.shape[c].r-1)
 		}
 		open := 0
 		for t := lo; t <= hi; t++ {
@@ -39,13 +40,19 @@ func referenceOrder(set *BidSet, qualified []int, tg int, cfg Config, base []int
 		}
 		marg := open
 		if cfg.ScheduleRule == ScheduleLeastCovered {
-			marg = min(open, cls.r[c])
+			marg = min(open, cls.shape[c].r)
 		}
 		if marg == 0 {
 			continue
 		}
-		head := cls.members[cls.memberStart[c]+p]
-		out = append(out, classEntry{heapEntry: heapEntry{key: set.price[head] / float64(marg), bid: head}, cls: c})
+		row := cls.members[cls.memberStart[c]:cls.memberStart[c+1]]
+		key, head := set.price[row[p]]/float64(marg), row[p]
+		for _, b := range row[p:] {
+			if set.price[b]/float64(marg) == key {
+				head = min(head, b)
+			}
+		}
+		out = append(out, classEntry{heapEntry: heapEntry{key: key, bid: head}, cls: c})
 	}
 	slices.SortFunc(out, func(a, b classEntry) int {
 		switch {
@@ -91,7 +98,7 @@ func TestCarriedOrderMatchesFreshSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const maxT = 12
 	a, b := twinPopulations(rng, 90, 30, maxT)
-	sc := acquireScratch(len(a), maxT)
+	sc := acquireScratch(CompileBids(a), Config{T: maxT, K: 2}, maxT)
 	defer releaseScratch(sc)
 	solves := 0
 	for _, sched := range []ScheduleRule{ScheduleLeastCovered, ScheduleEarliest} {

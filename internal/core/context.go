@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // auctionContext is the shared immutable per-auction state of the
 // incremental WDP engine. It is built once per auction over the columnar
 // BidSet and then read by every SolveWDP call of the T̂_g sweep
@@ -24,11 +22,10 @@ import "sort"
 // (enterTg, index) yields one shared backing array whose prefixes are
 // exactly the qualified sets — J_{T̂_g} = qualOrder[:qualCount[T̂_g]] —
 // so the sweep performs zero re-filtering and zero per-T̂_g allocation
-// for qualification. The same pass derives a full-horizon slot CSR
-// (slotStart/slotElems) for the sweep's incremental ψ_max replay, and the
-// enterTg column plus qualCount prefix sums drive both that replay and
-// the weighted segmentation of the parallel sweep (see run.go /
-// parallel.go).
+// for qualification. The entrants of each T̂_g, a slice of that order,
+// are all a sweep segment folds into its class heads and its ψ_max
+// column (see sweepArena), and the qualCount prefix sums weight the
+// segmentation of the parallel sweep (see parallel.go).
 //
 // All fields are written only by rebuild and read-only afterwards, which
 // is what makes sharing the context across sweep segments safe.
@@ -47,16 +44,7 @@ type auctionContext struct {
 	// for tg is qualOrder[:qualCount[tg]].
 	qualCount []int
 
-	// slotStart/slotElems form the full-horizon slot CSR: for iteration
-	// t ∈ [1, T], slotElems[slotStart[t-1]:slotStart[t]] lists (ascending)
-	// every ever-qualifying bid whose availability window contains t. It
-	// feeds only the sweep's ψ_max column under ScheduleLeastCovered (see
-	// sweepSegmentMask), which filters each row by enterTg: the row for a
-	// new horizon tg yields the slot's maximum over the bids qualified at
-	// tg.
-	slotStart, slotElems []int
-
-	// cnt is construction scratch for the counting sorts, retained across
+	// cnt is construction scratch for the counting sort, retained across
 	// pool rebuilds.
 	cnt []int
 }
@@ -102,16 +90,19 @@ func (ax *auctionContext) rebuild(set *BidSet, cfg Config) {
 		}
 		// Smallest tg satisfying the θ constraint, located by binary
 		// search over the monotone predicate using the exact float
-		// expression of Qualified.
-		thetaOK := func(tg int) bool {
-			thetaMax := 1 - 1/float64(tg)
-			return !(theta > thetaMax+eps)
-		}
-		if !thetaOK(T) {
+		// expression of Qualified; the predicate holds at up throughout.
+		if theta > 1-1/float64(T)+eps {
 			ax.enterTg[i] = never // never qualifies within the horizon
 			continue
 		}
-		enter := sort.Search(T, func(k int) bool { return thetaOK(k + 1) }) + 1
+		enter, up := 1, T
+		for enter < up {
+			if mid := int(uint(enter+up) >> 1); theta > 1-1/float64(mid)+eps {
+				enter = mid + 1
+			} else {
+				up = mid
+			}
+		}
 		// The window-fit constraint a_ij + c_ij − 1 ≤ T̂_g.
 		if fit := set.start[i] + set.rounds[i] - 1; fit > enter {
 			enter = fit
@@ -149,58 +140,6 @@ func (ax *auctionContext) rebuild(set *BidSet, cfg Config) {
 		}
 	}
 	ax.cnt = cnt
-
-	ax.buildSlotCSR()
-}
-
-// buildSlotCSR derives the full-horizon slot rows (see the field comment
-// on slotStart). Row sizes come from a difference array, so counting is
-// O(n + T); filling is O(Σ window lengths).
-func (ax *auctionContext) buildSlotCSR() {
-	set, T := ax.set, ax.cfg.T
-	d := ax.cnt[:T+1] // reuse the counting-sort scratch as a diff array
-	for i := range d {
-		d[i] = 0
-	}
-	for i := 0; i < set.n; i++ {
-		if ax.enterTg[i] > T {
-			continue
-		}
-		lo, hi := set.start[i], min(set.end[i], T)
-		d[lo-1]++
-		if hi < T {
-			d[hi]--
-		}
-	}
-	ax.slotStart = growI(ax.slotStart, T+1)
-	ax.slotStart[0] = 0
-	run, total := 0, 0
-	for t := 1; t <= T; t++ {
-		run += d[t-1]
-		total += run
-		ax.slotStart[t] = total
-	}
-	ax.slotElems = growI(ax.slotElems, total)
-	// Rewrite the diff array into per-row write cursors; ascending bid
-	// order per row falls out of the ascending fill loop.
-	for t := 1; t <= T; t++ {
-		d[t-1] = ax.slotStart[t-1]
-	}
-	for i := 0; i < set.n; i++ {
-		if ax.enterTg[i] > T {
-			continue
-		}
-		lo, hi := set.start[i], min(set.end[i], T)
-		for t := lo; t <= hi; t++ {
-			ax.slotElems[d[t-1]] = i
-			d[t-1]++
-		}
-	}
-}
-
-// slotRow returns the full-horizon slot row for iteration t ∈ [1, T].
-func (ax *auctionContext) slotRow(t int) []int {
-	return ax.slotElems[ax.slotStart[t-1]:ax.slotStart[t]]
 }
 
 // qualifiedAt returns the qualified bid set J_{T̂_g} as a capped

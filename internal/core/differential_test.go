@@ -376,9 +376,10 @@ func TestDifferentialEngineVsSeed(t *testing.T) {
 // through the standalone SolveWDP, the Engine's context path and the
 // seed oracle, covering the fixed-T̂_g entry points (RunWDP, Fig. 3/7
 // experiments) that the full-auction harness exercises only indirectly.
-// It also holds every WDP of the sweep, whose class heads a segment
-// carries across its T̂_g, to Engine.SolveWDP, which folds them fresh for
-// its one T̂_g, duals included.
+// It also holds every WDP of the sweep, whose class heads and ψ_max
+// column a segment carries across its T̂_g, to Engine.SolveWDP, which
+// folds both fresh for its one T̂_g, duals included — at one worker, and
+// at three, whose later segments start mid-range.
 func TestDifferentialFixedTg(t *testing.T) {
 	p := workload.NewDefaultParams()
 	p.Clients = 25
@@ -412,11 +413,59 @@ func TestDifferentialFixedTg(t *testing.T) {
 				assertSeedDual(t, fmt.Sprintf("seed %d tg=%d", seed, tg), direct, oracle.Dual, cfg.K)
 			}
 		}
-		for _, wdp := range sweepEngine(t, eng, core.RunOptions{}).WDPs {
-			if !reflect.DeepEqual(wdp, eng.SolveWDP(wdp.Tg)) {
-				t.Fatalf("seed %d tg=%d: sweep WDP with class heads carried across its segment diverged from Engine.SolveWDP with heads folded fresh", seed, wdp.Tg)
+		for _, workers := range []int{1, 3} {
+			for _, wdp := range sweepEngine(t, eng, core.RunOptions{Workers: workers}).WDPs {
+				if !reflect.DeepEqual(wdp, eng.SolveWDP(wdp.Tg)) {
+					t.Fatalf("seed %d tg=%d workers=%d: sweep WDP with class heads and ψ carried across its segment diverged from Engine.SolveWDP with both folded fresh", seed, wdp.Tg, workers)
+				}
 			}
 		}
+	}
+}
+
+// TestClassHeadKeyTie holds a class whose two cheapest members have keys
+// that tie although their prices differ by one ulp to the seed oracle:
+// 12.25 and its successor both divide by 5 to 2.45, so Algorithm 2's
+// (key, bid) order selects the dearer bid, which has the smaller index,
+// not the cheaper one that heads the class's (price, bid) row. The only
+// candidate T̂_g is 5 (θ 0.5, five rounds in [1, 5]). Both payment rules
+// are checked through the sweep at one and two workers and through the
+// standalone solve.
+func TestClassHeadKeyTie(t *testing.T) {
+	bid := func(client int, price float64) core.Bid {
+		return core.Bid{Client: client, Price: price, TrueCost: price, Theta: 0.5, Start: 1, End: 5, Rounds: 5}
+	}
+	bids := []core.Bid{bid(0, math.Nextafter(12.25, 13)), bid(1, 12.25), bid(2, 100)}
+	if bids[0].Price/5 != bids[1].Price/5 {
+		t.Fatal("fixture: the two prices no longer tie at marginal 5")
+	}
+	for _, rule := range []core.PaymentRule{core.RuleCritical, core.RuleExactCritical} {
+		cfg := core.Config{T: 5, K: 1, PaymentRule: rule}
+		cfgA3 := cfg
+		cfgA3.PaymentRule = core.RuleCritical
+		oracle, err := seedwdp.RunAuction(bids, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracleA3, err := seedwdp.RunAuction(bids, cfgA3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !oracle.Feasible || oracle.Winners[0].BidIndex != 0 {
+			t.Fatalf("rule %v: fixture: the oracle no longer selects bid 0: %+v", rule, oracle.Winners)
+		}
+		for _, workers := range []int{1, 2} {
+			assertSeedEqual(t, sweep(t, bids, cfg, core.RunOptions{Workers: workers}), oracle, oracleA3, cfg)
+		}
+		qual := core.Qualified(bids, 5, cfg)
+		direct := core.SolveWDP(bids, qual, 5, cfg)
+		want := seedwdp.SolveWDP(bids, seedwdp.Qualified(bids, 5, cfg), 5, cfg)
+		where := fmt.Sprintf("rule %v standalone", rule)
+		if direct.Feasible != want.Feasible || direct.Cost != want.Cost {
+			t.Fatalf("%s: {Feasible %v Cost %v}, seed oracle {Feasible %v Cost %v}", where, direct.Feasible, direct.Cost, want.Feasible, want.Cost)
+		}
+		assertSeedWinnersEqual(t, where, direct.Winners, want.Winners, payTolerance(rule))
+		assertSeedDual(t, where, direct, want.Dual, cfg.K)
 	}
 }
 

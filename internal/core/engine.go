@@ -5,8 +5,8 @@ import "context"
 // Engine is the reusable incremental A_FL solver. It wraps the shared
 // immutable auction context — the columnar bid store, per-bid
 // qualification entry points (exploiting the monotonicity of line 6 of
-// Algorithm 1 in T̂_g), the full-horizon slot rows, and the feasible
-// sweep range [T_0, T] — so a caller that runs the same bid population
+// Algorithm 1 in T̂_g), the qualification order and the feasible sweep
+// range [T_0, T] — so a caller that runs the same bid population
 // several times (re-pricing studies, what-if sweeps, serving layers) pays
 // the precomputation once. RunCtx runs the sweep and RepairCtx re-awards
 // coverage after dropouts; Run is the one-shot form.

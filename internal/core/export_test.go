@@ -32,7 +32,7 @@ func (h *HeldOut) Wins(price float64) bool { return h.pr.wins(price) }
 // selection's average cost.
 func (h *HeldOut) Thresholds() []float64 {
 	var out []float64
-	for _, s := range h.pr.steps {
+	for _, s := range h.pr.sc.heldSteps {
 		if s.sel.bid >= 0 {
 			out = append(out, s.sel.key*float64(s.r))
 		}
@@ -122,7 +122,7 @@ func SweepTightDuals(bids []Bid, cfg Config) ([]TightDual, error) {
 	if lo > hi {
 		return nil, nil
 	}
-	sc := acquireScratch(ax.set.n, hi)
+	sc := acquireScratch(ax.set, cfg, hi)
 	defer releaseScratch(sc)
 	out := make([]WDPResult, hi-lo+1)
 	var duals []TightDual
@@ -145,10 +145,10 @@ func SweepTightDuals(bids []Bid, cfg Config) ([]TightDual, error) {
 // coverage pre-committed, as a repair does, and returns its tight dual.
 func BaseTightDual(bids []Bid, qualified []int, tg int, cfg Config, base []int) TightDual {
 	set := CompileBids(bids)
-	sc := acquireScratch(set.n, tg)
+	sc := acquireScratch(set, cfg, tg)
 	defer releaseScratch(sc)
-	sc.resetClasses(set.classes(), qualified)
-	res := solveWDP(set, qualified, tg, cfg, sc, base, nil)
+	sc.resetClasses(set, qualified, tg)
+	res := solveWDP(set, qualified, tg, cfg, sc, base)
 	d := sc.state.tightDual()
 	d.Reported = res.Dual.TightObjective
 	return d
@@ -159,4 +159,17 @@ func BaseTightDual(bids []Bid, qualified []int, tg int, cfg Config, base []int) 
 func ClassPosition(s *BidSet, i int) (class, pos int) {
 	ci := s.classes()
 	return ci.classOf[i], ci.memberPos[i]
+}
+
+// PrimeScratch leaves n scratch arenas sized for solves over set under
+// cfg in the pool, as n sweep segments or pricers holding one at once
+// would.
+func PrimeScratch(set *BidSet, cfg Config, n int) {
+	scs := make([]*wdpScratch, n)
+	for i := range scs {
+		scs[i] = acquireScratch(set, cfg, cfg.T)
+	}
+	for _, sc := range scs {
+		releaseScratch(sc)
+	}
 }

@@ -100,8 +100,11 @@ const sweepFuzzStride = 6
 // population for a horizon of maxT ≤ 12: at most 15 clients with at most
 // 3 bids each (a client's further bids are dropped), prices drawn from
 // {1, …, prices}, θ exactly on an entry boundary 1 − 1/e with
-// e ∈ [2, 12], and windows and rounds inside [1, maxT].
-func decodeSweepBids(data []byte, maxT, prices int) []core.Bid {
+// e ∈ [2, 12], and windows and rounds inside [1, maxT]. With nearTie the
+// top price is swapped for 12.25 or its float successor, by the parity of
+// d[1]/prices: the two divide to the same key at marginals 5 and 10, a
+// tie inside one class that integer prices can never produce.
+func decodeSweepBids(data []byte, maxT, prices int, nearTie bool) []core.Bid {
 	var bids []core.Bid
 	per := map[int]int{}
 	for i := 0; i+sweepFuzzStride <= len(data); i += sweepFuzzStride {
@@ -112,10 +115,17 @@ func decodeSweepBids(data []byte, maxT, prices int) []core.Bid {
 		}
 		start := 1 + int(d[3])%maxT
 		end := start + int(d[4])%(maxT-start+1)
+		price := float64(1 + int(d[1])%prices)
+		if nearTie && price == float64(prices) {
+			price = 12.25
+			if int(d[1])/prices%2 == 1 {
+				price = math.Nextafter(price, 13)
+			}
+		}
 		b := core.Bid{
 			Client: client,
 			Index:  per[client],
-			Price:  float64(1 + int(d[1])%prices),
+			Price:  price,
 			Theta:  1 - 1/float64(2+int(d[2])%11),
 			Start:  start,
 			End:    end,
@@ -157,11 +167,12 @@ func encodeSweepBids(bids []core.Bid) []byte {
 // oracle on small tie-heavy populations (see decodeSweepBids): with three
 // or four integer prices, (key, bid) ties between classes, equal keys
 // across marginals and sibling spares are common. flags selects the
-// earliest-fit schedule rule (bit 0), ExcludeOwnBids (bit 1) and a
-// fourth price (bit 2); payments follow Algorithm 3 (RuleCritical), so
-// every field the oracle exposes must match exactly. Run at one worker
-// and at three, the sweep must agree with itself bit for bit. The corpus
-// starts from the differential harness's degenerate cases.
+// earliest-fit schedule rule (bit 0), ExcludeOwnBids (bit 1), a fourth
+// price (bit 2) and the near-tie pair in place of the top price (bit 3);
+// payments follow Algorithm 3 (RuleCritical), so every field the oracle
+// exposes must match exactly. Run at one worker and at three, the sweep
+// must agree with itself bit for bit. The corpus starts from the
+// differential harness's degenerate cases and TestClassHeadKeyTie's pair.
 func FuzzSweepVsSeed(f *testing.F) {
 	for _, tc := range degenerateCases() {
 		data := encodeSweepBids(tc.bids)
@@ -176,13 +187,16 @@ func FuzzSweepVsSeed(f *testing.F) {
 		f.Add(data, rawT, rawK, flags)
 		f.Add(data, rawT, rawK, flags^3)
 	}
+	// Clients 0 and 1 at 12.25's successor and 12.25, both in [1, 5] for
+	// five rounds at θ 0.5, under T = 5 and K = 1.
+	f.Add([]byte{0, 5, 0, 0, 4, 4, 1, 2, 0, 0, 4, 4}, uint8(4), uint8(0), uint8(8))
 	f.Fuzz(func(t *testing.T, data []byte, rawT, rawK, flags uint8) {
 		maxT := 1 + int(rawT)%12
 		prices := 3
 		if flags&4 != 0 {
 			prices = 4
 		}
-		bids := decodeSweepBids(data, maxT, prices)
+		bids := decodeSweepBids(data, maxT, prices, flags&8 != 0)
 		cfg := core.Config{T: maxT, K: 1 + int(rawK)%3, ExcludeOwnBids: flags&2 != 0}
 		if flags&1 != 0 {
 			cfg.ScheduleRule = core.ScheduleEarliest

@@ -15,7 +15,7 @@ import (
 // Contiguous segments replace the historical one-T̂_g-at-a-time task
 // channel for two reasons. First, ascending T̂_g order inside a segment
 // is what lets each worker carry the incremental ψ_max column forward
-// (see sweepSegment) instead of rebuilding it per solve. Second, each
+// (see sweepSegmentMask) instead of rebuilding it per solve. Second, each
 // worker writes a contiguous, disjoint half-open range of the shared
 // result array and owns all of its mutable scratch outright, so workers
 // never interleave writes within a cache line — no false sharing and no
@@ -37,7 +37,7 @@ func (ax *auctionContext) sweepPar(ctx context.Context, res *Result, workers int
 	FanOut(len(bounds)-1, func(s int) {
 		segLo, segHi := bounds[s], bounds[s+1]-1
 		// The only segment error is cancellation, reported once below.
-		_ = ax.sweepSegment(ctx, segLo, segHi, wdps[segLo-lo:segHi-lo+1], obsv, now)
+		_ = ax.sweepSegmentMask(ctx, segLo, segHi, wdps[segLo-lo:segHi-lo+1], nil, obsv, now)
 	})
 	if ctx.Err() != nil {
 		return canceledErr(ctx)

@@ -6,8 +6,8 @@ import (
 )
 
 // Engine pooling for cross-auction throughput. A one-shot NewEngineSet
-// pays the full precomputation allocation — the qualification order, the
-// slot CSR — on every auction. A batch layer solving thousands of
+// pays the full precomputation allocation — the entry points and the
+// qualification order — on every auction. A batch layer solving thousands of
 // instances per second would spend most of its cycles re-growing those
 // structures, so AcquireEngineSet hands out engines whose backing arenas
 // are recycled through shape-keyed sync.Pools: a released arena keeps
@@ -23,8 +23,8 @@ import (
 // On top of the shape pools sits cross-auction warm-starting
 // (ReacquireEngineSet): when consecutive instances of a batch share one
 // *BidSet and an equivalent Config, the rebind skips validation and the
-// entire context rebuild — the adjacent instance's qualification order,
-// entry points and slot rows are reused as-is, so re-running a million-bid
+// entire context rebuild — the adjacent instance's qualification order
+// and entry points are reused as-is, so re-running a million-bid
 // population under the same market rules costs nothing between solves.
 // Row populations are compiled at the edge (CompileBids) before they
 // reach the pool.
@@ -105,7 +105,7 @@ func (ar *engineArena) bindSet(set *BidSet, cfg Config) {
 // was validated and its context derived on the first acquisition and
 // neither depends on anything else, so the rebind returns prev unchanged
 // — no validation, no rebuild, every precomputed structure (entry points,
-// qualification order, slot CSR) carried over to seed the next
+// qualification order) carried over to seed the next
 // instance's sweep. Otherwise, when the shape class matches, the context
 // is rebuilt into the arena prev already holds. A nil prev, an arena-less
 // prev (NewEngine) or a shape mismatch falls back to Release +

@@ -29,9 +29,6 @@ type pricer struct {
 	bid       int
 	probeQual []int
 	qual      []int
-
-	// steps records the winner's held-out run (see heldOut).
-	steps []heldStep
 }
 
 // heldStep is one selection step of a held-out run at which the held
@@ -54,9 +51,9 @@ type heldStep struct {
 func newPricer(set *BidSet, qualified []int, tg int, cfg Config, base []int) *pricer {
 	pr := &pricer{
 		set: set, qualified: qualified, tg: tg, cfg: cfg, base: base,
-		sc: acquireScratch(set.n, tg),
+		sc: acquireScratch(set, cfg, tg),
 	}
-	pr.sc.resetClasses(set.classes(), qualified)
+	pr.sc.resetClasses(set, qualified, 0)
 	return pr
 }
 
@@ -85,7 +82,7 @@ func (pr *pricer) hold(win Winner) {
 		pr.qual = q
 		pr.probeQual = q
 	}
-	pr.steps = pr.steps[:0]
+	pr.sc.heldSteps = pr.sc.heldSteps[:0]
 	pr.heldOut(-1)
 }
 
@@ -99,8 +96,8 @@ func (pr *pricer) hold(win Winner) {
 // whether it covers the demand depends on the step alone and is
 // memoized. Without such a step the winner loses.
 func (pr *pricer) wins(price float64) bool {
-	for k := range pr.steps {
-		s := &pr.steps[k]
+	for k := range pr.sc.heldSteps {
+		s := &pr.sc.heldSteps[k]
 		own := heapEntry{key: price / float64(s.r), bid: pr.bid}
 		if s.sel.bid >= 0 && !own.before(s.sel) {
 			continue
@@ -121,7 +118,7 @@ func (pr *pricer) wins(price float64) bool {
 // held out of selection but kept in C, so its class marginal stays
 // readable.
 //
-// With force < 0 it records pr.steps: one step per selection while the
+// With force < 0 it records the steps: one step per selection while the
 // winner's client is still in C and its marginal utility is positive,
 // ending when either stops holding (neither comes back), when supply
 // runs out, or when the demand is covered. With force = k it selects the
@@ -151,7 +148,7 @@ func (pr *pricer) heldOut(force int) bool {
 			if !ok {
 				sel.bid = -1
 			}
-			pr.steps = append(pr.steps, heldStep{sel: sel, r: w.classMarginal(heldCls)})
+			pr.sc.heldSteps = append(pr.sc.heldSteps, heldStep{sel: sel, r: w.classMarginal(heldCls)})
 		}
 		if !ok {
 			return false

@@ -44,13 +44,13 @@ func referenceSchedule(w *wdpState, idx int) (slots, covered []int) {
 // now and then one huge level.
 func coverageState(t *testing.T, rng *rand.Rand, set *BidSet, tg int, cfg Config) *wdpState {
 	t.Helper()
-	sc := acquireScratch(set.Len(), tg)
+	sc := acquireScratch(set, cfg, tg)
 	t.Cleanup(func() { releaseScratch(sc) })
 	qualified := make([]int, set.Len())
 	for i := range qualified {
 		qualified[i] = i
 	}
-	sc.resetClasses(set.classes(), qualified)
+	sc.resetClasses(set, qualified, 0)
 	w := sc.begin(set, qualified, tg, cfg, nil, -1)
 	levels := 1 + rng.Intn(cfg.K+3)
 	for s := range w.gamma {
@@ -75,7 +75,7 @@ func TestRepScheduleMatchesComparatorSort(t *testing.T) {
 		long := trial%3 == 2
 		maxT := 1 + rng.Intn(40)
 		if long {
-			maxT = 2*insertionMax + rng.Intn(insertionMax)
+			maxT = 2*shortSortMax + rng.Intn(shortSortMax)
 		}
 		var bids []Bid
 		for i := 0; i < 30; i++ {
@@ -90,7 +90,7 @@ func TestRepScheduleMatchesComparatorSort(t *testing.T) {
 		cfg := Config{T: maxT, K: 1 + rng.Intn(4), ScheduleRule: ScheduleRule(trial % 2)}
 		tg := 1 + rng.Intn(maxT)
 		if long {
-			tg = maxT - rng.Intn(insertionMax/2)
+			tg = maxT - rng.Intn(shortSortMax/2)
 		}
 		w := coverageState(t, rng, set, tg, cfg)
 		for idx := range bids {

@@ -156,47 +156,43 @@ func (ax *auctionContext) priceChosen(ctx context.Context, res *Result, workers 
 	return priceWinners(ctx, ax.set, ax.qualifiedAt(res.Tg), res.Tg, ax.cfg, nil, wdp, workers, obsv, now)
 }
 
-// sweepSegment solves the contiguous candidate range T̂_g ∈ [lo, hi] into
-// out[0 : hi-lo+1], with out[tg-lo] receiving the solve for tg. It is the
-// unit of work of the sharded sweep (one segment per worker, see
+// sweepSegmentMask solves the contiguous candidate range T̂_g ∈ [lo, hi]
+// into out[0 : hi-lo+1], with out[tg-lo] receiving the solve for tg. It
+// is the unit of work of the sharded sweep (one segment per worker, see
 // sweepPar). Each segment owns one pooled scratch arena — no state is
 // shared between concurrent segments except the read-only context and
 // disjoint halves of out, so there is nothing to false-share.
 //
-// Under the paper's least-covered rule the segment maintains the ψ_max
-// column incrementally across its ascending T̂_g: extending the horizon
-// by one slot adds column maxima only for the new slot (its CSR row,
-// filtered to already-qualified bids) and for the windows of the bids
-// entering at the new T̂_g. Both updates may overlap; max is idempotent
-// and order-independent, so the column is bit-identical to the per-solve
-// accumulation it replaces, at amortized O(row + entrant windows) instead
-// of O(Σ qualified windows) per T̂_g. Under ScheduleEarliest the
-// per-solve accumulation is kept. The class heads of the class-based
-// selection (each touched class's first qualified member) and the
-// initial candidate order over them are carried the same way under
-// either rule: qualified sets only grow, so each T̂_g folds in only its
-// entrants, and its solve re-keys and merges only the classes they
-// touched (see orderClasses).
+// The segment maintains the ψ_max column incrementally across its
+// ascending T̂_g: each bid qualified at lo, and then each entrant of a
+// later T̂_g, folds its whole window, clipped only at the segment's last
+// horizon hi, into the column once. A solve at tg reads only slots
+// t ≤ tg, and slot t then holds the maximum over exactly the bids
+// qualified at tg whose window contains t — what a one-off solve folds
+// for its one T̂_g, bit for bit, since max is idempotent and
+// order-independent. A bid whose class (same window) has already folded a
+// price at least as high changes nothing and is skipped, so the column
+// costs amortized O(entrant windows) per T̂_g instead of O(Σ qualified
+// windows). The class heads of the class-based selection (each touched
+// class's first qualified member) and the initial candidate order over
+// them are carried the same way: qualified sets only grow, so each T̂_g
+// folds in only its entrants, and its solve re-keys and merges only the
+// classes they touched (see orderClasses).
 //
 // Cancellation is checked between solves, so a canceled context abandons
 // the remaining candidates without tearing down a solve midway.
-func (ax *auctionContext) sweepSegment(ctx context.Context, lo, hi int, out []WDPResult, obsv obs.Observer, now func() time.Time) error {
-	return ax.sweepSegmentMask(ctx, lo, hi, out, nil, obsv, now)
-}
-
-// sweepSegmentMask is sweepSegment with a candidate filter: pick(tg)
-// decides, per ascending candidate, whether the WDP at tg is solved or
-// skipped. The ψ_max column is maintained across EVERY candidate of the
-// range — maintenance is O(slot row + entrant windows) per step, far
-// cheaper than a solve — so the solves that do run are bit-identical to
-// the ones the unmasked sweep would have produced at the same tg. A
-// skipped candidate leaves (or installs) a Skipped placeholder in out;
-// an entry already carrying a solve from a previous pass is never
-// overwritten by a skip, which is what lets the approximate tiers
-// re-walk a range to refine only its unsolved candidates. nil pick
-// solves everything — the exact sweep.
+//
+// pick(tg) decides, per ascending candidate, whether the WDP at tg is
+// solved or skipped. The ψ_max column is maintained across EVERY
+// candidate of the range — O(entrant windows) per step, far cheaper than
+// a solve — so the solves that do run are bit-identical to the ones the
+// unmasked sweep would have produced at the same tg. A skipped candidate
+// leaves (or installs) a Skipped placeholder in out; an entry already
+// carrying a solve from a previous pass is never overwritten by a skip,
+// which is what lets the approximate tiers re-walk a range to refine only
+// its unsolved candidates. nil pick solves everything — the exact sweep.
 func (ax *auctionContext) sweepSegmentMask(ctx context.Context, lo, hi int, out []WDPResult, pick func(tg int) bool, obsv obs.Observer, now func() time.Time) error {
-	sc := acquireScratch(ax.set.n, hi)
+	sc := acquireScratch(ax.set, ax.cfg, hi)
 	defer releaseScratch(sc)
 	return ax.sweepArena(ctx, sc, lo, hi, out, pick, obsv, now)
 }
@@ -209,63 +205,14 @@ func (ax *auctionContext) sweepArena(ctx context.Context, sc *wdpScratch, lo, hi
 	// The sweep's solves share one compile-time class index (classsel.go),
 	// built once per population (concurrent segments share it through the
 	// holder's Once) and reused by every auction warm-started on the same
-	// BidSet. The class heads are carried across the segment like the ψ
-	// column: folded over everything qualified at lo, then over each later
-	// T̂_g's entrants (see foldClasses); the first solve orders them, and
-	// each later one merges in the classes its entrants touched.
-	cls := set.classes()
-	sc.resetClasses(cls, ax.qualifiedAt(lo))
-	var psi []float64
-	if ax.cfg.ScheduleRule == ScheduleLeastCovered {
-		// Seed the column for the segment's first horizon: ψ over the
-		// clipped windows of everything qualified at lo.
-		psi = sc.sweepPsi[:hi]
-		for t := range psi[:lo] {
-			psi[t] = 0
-		}
-		for _, idx := range ax.qualifiedAt(lo) {
-			p := set.price[idx]
-			wlo, whi := set.start[idx], set.end[idx]
-			if whi > lo {
-				whi = lo
-			}
-			for t := wlo; t <= whi; t++ {
-				if p > psi[t-1] {
-					psi[t-1] = p
-				}
-			}
-		}
-	}
+	// BidSet. The class heads and the ψ column are folded together: over
+	// everything qualified at lo, then over each later T̂_g's entrants (see
+	// foldClasses); the first solve orders the heads, and each later one
+	// merges in the classes its entrants touched.
+	sc.resetClasses(set, ax.qualifiedAt(lo), hi)
 	for tg := lo; tg <= hi; tg++ {
 		if tg > lo {
-			entrants := ax.qualOrder[ax.qualCount[tg-1]:ax.qualCount[tg]]
-			if psi != nil {
-				// New slot tg: its maximum over already-qualified bids
-				// comes from the precomputed CSR row, filtered by entry
-				// point.
-				psi[tg-1] = 0
-				for _, idx := range ax.slotRow(tg) {
-					if ax.enterTg[idx] <= tg {
-						if p := set.price[idx]; p > psi[tg-1] {
-							psi[tg-1] = p
-						}
-					}
-				}
-				// Bids entering at tg: fold their clipped windows in.
-				for _, idx := range entrants {
-					p := set.price[idx]
-					wlo, whi := set.start[idx], set.end[idx]
-					if whi > tg {
-						whi = tg
-					}
-					for t := wlo; t <= whi; t++ {
-						if p > psi[t-1] {
-							psi[t-1] = p
-						}
-					}
-				}
-			}
-			sc.foldClasses(cls, entrants)
+			sc.foldClasses(set, ax.qualOrder[ax.qualCount[tg-1]:ax.qualCount[tg]], hi)
 		}
 		if ctx.Err() != nil {
 			return canceledErr(ctx)
@@ -280,7 +227,7 @@ func (ax *auctionContext) sweepArena(ctx context.Context, sc *wdpScratch, lo, hi
 		if obsv != nil {
 			t0 = now()
 		}
-		wdp := solveWDP(set, ax.qualifiedAt(tg), tg, ax.cfg, sc, nil, psi)
+		wdp := solveWDP(set, ax.qualifiedAt(tg), tg, ax.cfg, sc, nil)
 		if obsv != nil {
 			obsv.Observe(obs.Event{
 				Kind: obs.EvWDPSolved, Tg: tg, Client: -1, Bid: -1,

@@ -1,11 +1,15 @@
 package core_test
 
 import (
+	"context"
 	"reflect"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"github.com/fedauction/afl/internal/core"
+	"github.com/fedauction/afl/internal/workload"
 )
 
 // TestWinnerSlicesAppendSafe locks in the safety contract of the
@@ -78,5 +82,58 @@ func TestKeptWinnersRetainOnlyOwnSchedules(t *testing.T) {
 	t.Logf("kept lists retain %d B, %d B each; their own memory is %d B", retained, retained/(auctions/every), own)
 	if limit := 2 * own; retained > limit {
 		t.Fatalf("kept winner lists retain %d B, more than twice their own %d B", retained, own)
+	}
+}
+
+// TestSolveAllocGuardWarmPool holds a solve's allocation count to a
+// constant of the population. Back-to-back solves of one 2000×5
+// population — compiled once, two workers, exact-critical pricing,
+// GOMAXPROCS 1 — with the collector off, so no cycle empties the pools
+// between them, must allocate the same number of objects each: the
+// arenas they draw are sized for the population and horizon when
+// acquired, whichever segments and pricers those arenas served before.
+func TestSolveAllocGuardWarmPool(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race, sync.Pool.Put drops a random share of arenas")
+	}
+	p := workload.NewDefaultParams()
+	p.Clients, p.BidsPerUser = 2000, 5
+	bids, err := workload.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := p.Config()
+	cfg.PaymentRule = core.RuleExactCritical
+	set := core.CompileBids(bids)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	solve := func() {
+		eng, err := core.NewEngineSet(set, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.RunCtx(context.Background(), core.RunOptions{Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Two collections empty the pools; a first solve records the
+	// population's run capacities; priming then leaves two arenas sized
+	// to them.
+	runtime.GC()
+	runtime.GC()
+	solve()
+	core.PrimeScratch(set, cfg, 2)
+	solve()
+	counts := make([]uint64, 8)
+	var ms runtime.MemStats
+	for i := range counts {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		solve()
+		runtime.ReadMemStats(&ms)
+		counts[i] = ms.Mallocs - before
+	}
+	if slices.Min(counts) != slices.Max(counts) {
+		t.Fatalf("back-to-back solves on a warm pool allocate %v objects; want one count", counts)
 	}
 }

@@ -40,7 +40,8 @@ func (s *BidSet) ShapeClassCount() int {
 // ShapeClass returns the window shape of class c.
 func (s *BidSet) ShapeClass(c int) (start, end, rounds int) {
 	ci := s.classes()
-	return ci.lo[c], ci.hi[c], ci.r[c]
+	sh := ci.shape[c]
+	return sh.lo, sh.hi, sh.r
 }
 
 // ShapeClassMembers returns class c's bid indices in ascending

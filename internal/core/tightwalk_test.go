@@ -43,7 +43,7 @@ func TestTightWalkMatchesScan(t *testing.T) {
 		rng.Read(data)
 		maxT := 2 + rng.Intn(11)
 		cfg := core.Config{T: maxT, K: 1 + rng.Intn(3), ScheduleRule: core.ScheduleRule(trial % 2)}
-		pops = append(pops, population{decodeSweepBids(data, maxT, 3+trial/2%2), cfg, false})
+		pops = append(pops, population{decodeSweepBids(data, maxT, 3+trial/2%2, false), cfg, false})
 	}
 	for i, p := range pops[1:41] {
 		// Every price times 10⁻²⁰⁰ or 10²⁰⁰, or one price set to either.

@@ -25,10 +25,12 @@ func SolveWDP(bids []Bid, qualified []int, tg int, cfg Config) WDPResult {
 
 // solveWDP is the engine behind SolveWDP: the same greedy, payments and
 // dual bookkeeping, operating on the columnar BidSet with caller-provided
-// scratch. sc must carry class heads folded over exactly qualified (see
-// resetClasses): a sweep segment carries them, with the initial candidate
-// order built on them, across its ascending T̂_g, and a one-off solve
-// folds its own (solveOnce).
+// scratch. sc must carry class heads and a ψ_max column of at least tg
+// slots folded over exactly qualified (see resetClasses): a sweep segment
+// carries both, with the initial candidate order built on the heads,
+// across its ascending T̂_g, and a one-off solve folds its own
+// (solveOnce). psi[t-1] is then the maximum bidding price among qualified
+// bids whose clipped window contains t.
 //
 // base, when non-nil, pre-commits base[t-1] units of coverage to
 // iteration t before the greedy starts — the residual market of a
@@ -36,15 +38,7 @@ func SolveWDP(bids []Bid, qualified []int, tg int, cfg Config) WDPResult {
 // demand. The greedy then only buys the missing coverage; payments are
 // critical values in that residual market. base is read-only; nil keeps
 // the original empty-market behaviour bit-for-bit.
-//
-// psi, when non-nil, is the externally maintained ψ_max column for slots
-// [1, len(psi)] with len(psi) ≥ tg: psi[t-1] is the maximum bidding price
-// among qualified bids whose clipped window contains t. The sweep
-// maintains it incrementally across ascending T̂_g (ScheduleLeastCovered
-// only — see sweepSegment); float max over a set is order-independent, so
-// the replayed column is bit-identical to the per-solve accumulation that
-// a nil psi selects.
-func solveWDP(set *BidSet, qualified []int, tg int, cfg Config, sc *wdpScratch, base []int, psi []float64) WDPResult {
+func solveWDP(set *BidSet, qualified []int, tg int, cfg Config, sc *wdpScratch, base []int) WDPResult {
 	res := WDPResult{Tg: tg}
 	if tg < 1 || len(qualified) == 0 {
 		return res
@@ -56,7 +50,7 @@ func solveWDP(set *BidSet, qualified []int, tg int, cfg Config, sc *wdpScratch, 
 		// an empty selection feasible.)
 		return res
 	}
-	w := sc.init(set, qualified, tg, cfg, base, psi)
+	w := sc.init(set, qualified, tg, cfg, base)
 	target := cfg.K * tg
 	for w.covered < target {
 		ce, ok := w.popValidClass()
@@ -94,14 +88,13 @@ func solveWDP(set *BidSet, qualified []int, tg int, cfg Config, sc *wdpScratch, 
 }
 
 // solveOnce is one standalone solve on a pooled arena: it folds the class
-// heads over qualified, like a sweep segment of a single T̂_g, so its run
-// sorts its own initial order, and it accumulates the ψ_max column per
-// solve.
+// heads and the ψ_max column over qualified, like a sweep segment of a
+// single T̂_g, so its run sorts its own initial order.
 func solveOnce(set *BidSet, qualified []int, tg int, cfg Config, base []int) WDPResult {
-	sc := acquireScratch(set.n, tg)
+	sc := acquireScratch(set, cfg, tg)
 	defer releaseScratch(sc)
-	sc.resetClasses(set.classes(), qualified)
-	return solveWDP(set, qualified, tg, cfg, sc, base, nil)
+	sc.resetClasses(set, qualified, tg)
+	return solveWDP(set, qualified, tg, cfg, sc, base)
 }
 
 // wdpState is the mutable state of one A_winner run. All of its storage
@@ -135,8 +128,8 @@ type wdpState struct {
 	// unselected schedule of each round.
 	phiMax, phiMin, phiPrime []float64
 	// psiMax[t-1] = ψ_max^t, the maximum bidding price among qualified
-	// bids whose window contains t. Either accumulated during init or
-	// borrowed read-only from the sweep's column.
+	// bids whose window contains t, borrowed read-only from the arena's
+	// column (wdpScratch.psi).
 	psiMax []float64
 
 	// Class selection state (see classsel.go): the population's shape-
@@ -151,9 +144,8 @@ type wdpState struct {
 }
 
 // init prepares one full solve: the allocation state of begin plus the
-// dual accumulators and the ψ_max column (borrowed from psi, or
-// accumulated over qualified when psi is nil).
-func (sc *wdpScratch) init(set *BidSet, qualified []int, tg int, cfg Config, base []int, psi []float64) *wdpState {
+// dual accumulators and the owner's ψ_max column.
+func (sc *wdpScratch) init(set *BidSet, qualified []int, tg int, cfg Config, base []int) *wdpState {
 	w := sc.begin(set, qualified, tg, cfg, base, -1)
 	w.phiMax = sc.phiMax[:tg]
 	w.phiMin = sc.phiMin[:tg]
@@ -163,23 +155,7 @@ func (sc *wdpScratch) init(set *BidSet, qualified []int, tg int, cfg Config, bas
 		w.phiMin[t] = math.Inf(1)
 		w.phiPrime[t] = math.Inf(1)
 	}
-	if psi != nil {
-		w.psiMax = psi[:tg]
-		return w
-	}
-	w.psiMax = sc.psiMax[:tg]
-	for t := range w.psiMax {
-		w.psiMax[t] = 0
-	}
-	for _, idx := range qualified {
-		lo, hi := w.windowOf(idx)
-		p := set.price[idx]
-		for t := lo; t <= hi; t++ {
-			if p > w.psiMax[t-1] {
-				w.psiMax[t-1] = p
-			}
-		}
-	}
+	w.psiMax = sc.psi[:tg]
 	return w
 }
 
@@ -313,10 +289,10 @@ func (w *wdpState) repSchedule(idx int) (slots, open []int) {
 }
 
 // sortByCoverage sorts ts, an ascending run of slots, into (γ_t, t)
-// order: a stable sort by γ_t. A run of up to insertionMax slots sorts by
+// order: a stable sort by γ_t. A run of up to shortSortMax slots sorts by
 // insertion and a longer one by a stable comparator sort.
 func sortByCoverage(ts, gamma []int) {
-	if len(ts) > insertionMax {
+	if len(ts) > shortSortMax {
 		slices.SortStableFunc(ts, func(a, b int) int { return cmp.Compare(gamma[a-1], gamma[b-1]) })
 		return
 	}
@@ -329,12 +305,6 @@ func sortByCoverage(ts, gamma []int) {
 		ts[j] = t
 	}
 }
-
-// insertionMax is the longest run sortByCoverage sorts by insertion. On
-// random γ over 20 levels, insertion took a third of the comparator's
-// time at 64 slots, 2.4 µs in all (2-vCPU Intel Xeon VM, go1.24.0).
-// Every run of a horizon of up to 64 slots stays under it.
-const insertionMax = 64
 
 // representativeSchedule returns the bid's representative schedule (slots,
 // ascending) and the subset F_il that is still available (γ_t < K, in
@@ -480,7 +450,7 @@ func (w *wdpState) tightWalk() float64 {
 			break
 		}
 		c := e.cls
-		if s := w.tightScale(scale, cls.lo[c], cls.hi[c], cls.r[c], w.set.price[e.bid]); s != scale {
+		if s := w.tightScale(scale, cls.shape[c], w.set.price[w.firstHead(c)]); s != scale {
 			scale, bound = s, s*etaMax*tightSlack
 		}
 	}
@@ -492,8 +462,7 @@ func (w *wdpState) tightScan() float64 {
 	cls := w.cls
 	scale := math.Inf(1)
 	for _, c := range w.sc.clsTouched {
-		minPrice := w.set.price[cls.members[cls.memberStart[c]+w.sc.clsInit[c]]]
-		scale = w.tightScale(scale, cls.lo[c], cls.hi[c], cls.r[c], minPrice)
+		scale = w.tightScale(scale, cls.shape[c], w.set.price[w.firstHead(c)])
 	}
 	return scale
 }
@@ -506,24 +475,29 @@ const tightSlack = 1 + 0x1p-29
 // (T̂_g + 4)·2⁻⁵³ ≤ 2⁻²⁹.
 const tightWalkMaxTg = 1<<24 - 4
 
-// orderEta sorts the iterations 1..tg by descending η_φ into sc.etaOrder
-// and stores that order's prefix sums in sc.etaTop (etaTop[r] is the sum
-// of its first r values, added in order). It is the one sort behind every
-// tight-dual constraint of a solve.
+// orderEta sorts the iterations 1..tg by (descending η_φ, ascending t)
+// into sc.etaOrder — by insertion up to shortSortMax iterations, else by
+// a comparator sort — and stores that order's prefix sums in sc.etaTop
+// (etaTop[r] is the sum of its first r values, added in order). It is the
+// one sort behind every tight-dual constraint of a solve.
 func (w *wdpState) orderEta() {
+	eta := w.phiMax
 	order := w.sc.etaOrder[:0]
 	for t := 1; t <= w.tg; t++ {
 		order = append(order, t)
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		switch ea, eb := w.phiMax[a-1], w.phiMax[b-1]; {
-		case ea > eb:
-			return -1
-		case ea < eb:
-			return 1
+	if len(order) > shortSortMax {
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(eta[b-1], eta[a-1]) })
+	} else {
+		for i := 1; i < len(order); i++ {
+			t := order[i]
+			e, j := eta[t-1], i
+			for ; j > 0 && eta[order[j-1]-1] < e; j-- {
+				order[j] = order[j-1]
+			}
+			order[j] = t
 		}
-		return a - b
-	})
+	}
 	top := append(w.sc.etaTop[:0], 0)
 	var sum float64
 	for _, t := range order {
@@ -534,8 +508,8 @@ func (w *wdpState) orderEta() {
 }
 
 // tightScale lowers scale to price / worst when that is smaller, where
-// worst is the sum of the r largest η_φ over the window [lo, hi] clipped
-// to the horizon: the first r in-window entries of the descending order,
+// worst is the sum of the r largest η_φ over the window [lo, hi] of shape
+// sh clipped to the horizon: the first r in-window entries of the descending order,
 // which is the same value sequence, in the same order, as the sorted
 // window, so the float sum is bit-identical to sorting the window.
 //
@@ -543,10 +517,8 @@ func (w *wdpState) orderEta() {
 // overall, and float addition rounds monotonically, so worst ≤ etaTop[r];
 // for a non-negative price, price / etaTop[r] ≥ scale then means
 // price / worst ≥ scale too, and the window cannot lower the scale.
-func (w *wdpState) tightScale(scale float64, lo, hi, r int, price float64) float64 {
-	if hi > w.tg {
-		hi = w.tg
-	}
+func (w *wdpState) tightScale(scale float64, sh classShape, price float64) float64 {
+	lo, hi, r := sh.lo, min(sh.hi, w.tg), sh.r
 	if r < 1 || hi-lo+1 < r {
 		return scale
 	}

@@ -149,13 +149,13 @@ func TestCandidateStampWrapAround(t *testing.T) {
 	if !want.Feasible || want.Winners[0].BidIndex != 0 || want.Winners[0].Payment != 2.5 {
 		t.Fatalf("fixture: want bid 0 first at payment 2.5, got %+v", want)
 	}
-	sc := acquireScratch(set.Len(), 3)
+	sc := acquireScratch(set, cfg, 3)
 	defer releaseScratch(sc)
-	sc.resetClasses(set.classes(), qualified)
+	sc.resetClasses(set, qualified, 3)
 	sc.gen = math.MaxUint32 - 1
 	sc.stamp[1] = 1
 	for run := 0; run < 2; run++ { // generations MaxUint32, then 1 after the wrap
-		if got := solveWDP(set, qualified, 3, cfg, sc, nil, nil); !reflect.DeepEqual(got, want) {
+		if got := solveWDP(set, qualified, 3, cfg, sc, nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("run %d (gen %d): solve diverged from a fresh arena:\n%+v\nwant:\n%+v", run, sc.gen, got, want)
 		}
 	}
@@ -424,13 +424,13 @@ func TestFeasibleWDPAllocBound(t *testing.T) {
 	bids := randomAuctionBids(stats.NewRNG(71), maxT, 150)
 	set := CompileBids(bids)
 	cfg := Config{T: maxT, K: k}
-	sc := acquireScratch(set.n, maxT)
+	sc := acquireScratch(set, cfg, maxT)
 	defer releaseScratch(sc)
 	for _, tg := range []int{10, 20, maxT} {
 		qualified := Qualified(bids, tg, cfg)
 		solve := func() WDPResult {
-			sc.resetClasses(set.classes(), qualified)
-			return solveWDP(set, qualified, tg, cfg, sc, nil, nil)
+			sc.resetClasses(set, qualified, tg)
+			return solveWDP(set, qualified, tg, cfg, sc, nil)
 		}
 		if res := solve(); !res.Feasible || len(res.Winners) < 2 {
 			t.Fatalf("tg=%d: workload not discriminating: feasible=%v winners=%d", tg, res.Feasible, len(res.Winners))
@@ -587,4 +587,46 @@ func subsetCovers(bids []Bid, chosen []int, tg, k int) bool {
 		return combo(0, b.Rounds)
 	}
 	return place(0)
+}
+
+// TestRunCapsSettle has three arenas, warmed at different horizons, take
+// turns at three horizons on fresh compilations of one population, as
+// the segments and pricers of successive auctions draw pooled arenas, and
+// holds their capacities fixed once every arena has served every role.
+// An arena grown to a recorded capacity must get exactly that capacity,
+// and one that did not grow must record nothing: otherwise each records a
+// rounded-up or borrowed capacity that the next grows to, and the arenas
+// inflate one another without bound.
+func TestRunCapsSettle(t *testing.T) {
+	const maxT, k = 30, 4
+	bids := randomAuctionBids(stats.NewRNG(71), maxT, 150)
+	cfg := Config{T: maxT, K: k}
+	arenas := []*wdpScratch{new(wdpScratch), new(wdpScratch), new(wdpScratch)}
+	serve := func(sc *wdpScratch, set *BidSet, tg int) {
+		sc.ensure(set, maxT)
+		qualified := Qualified(bids, tg, cfg)
+		sc.resetClasses(set, qualified, tg)
+		if !solveWDP(set, qualified, tg, cfg, sc, nil).Feasible {
+			t.Fatalf("tg=%d: workload infeasible", tg)
+		}
+		set.cls.caps.note(sc)
+	}
+	for i, sc := range arenas {
+		serve(sc, CompileBids(bids), 10*(i+1))
+	}
+	var settled [3][4]int
+	for round := 0; round < 12; round++ {
+		set := CompileBids(bids)
+		for i, tg := range []int{10, 20, maxT} {
+			serve(arenas[(round+i)%len(arenas)], set, tg)
+		}
+		for i, sc := range arenas {
+			switch {
+			case round == 3:
+				settled[i] = sc.runBufs()
+			case round > 3 && sc.runBufs() != settled[i]:
+				t.Fatalf("round %d: arena %d capacities %v, settled at %v", round, i, sc.runBufs(), settled[i])
+			}
+		}
+	}
 }
