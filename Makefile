@@ -28,13 +28,14 @@ bench:
 # version and the CPU count) in the text format benchstat reads:
 # BenchmarkColumnar at GOMAXPROCS 1, 2 and 4 for the sweep's worker
 # scaling; perfbench's solve-10k operation; the solver frontier; the
-# sweep, pricing and fleet benchmarks; durable ingest and recovery. About 20 minutes and 0.5 GB on 2 vCPUs;
+# sweep, pricing and fleet benchmarks; durable ingest, recovery and
+# perfbench's restart operation. About 20 minutes and 0.5 GB on 2 vCPUs;
 # CI runs each once at its smallest size instead.
 bench-core:
 	{ $(GO) version && echo "nproc: $$(nproc)" && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkColumnar' -cpu 1,2,4 -benchmem -count 10 -timeout 0 . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSolve10k|BenchmarkSolverFrontier|BenchmarkSweep|BenchmarkExactCriticalPricing|BenchmarkBatchThroughput' -benchmem -count 10 -timeout 0 . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkDurableIngest|BenchmarkRecovery' -benchmem -count 10 -timeout 0 ./internal/marketd/ ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkDurableIngest|BenchmarkRecovery|BenchmarkRestart' -benchmem -count 10 -timeout 0 ./internal/marketd/ ; \
 	} > BENCH_core.txt.tmp && mv BENCH_core.txt.tmp BENCH_core.txt
 
 # Short fuzzing pass over the fuzz targets (regression corpus always runs
@@ -50,6 +51,7 @@ fuzz:
 	$(GO) test -run=FuzzWALReadAt -fuzz=FuzzWALReadAt -fuzztime=30s ./internal/wal/
 	$(GO) test -run=FuzzSubmitBody -fuzz=FuzzSubmitBody -fuzztime=30s ./internal/marketd/
 	$(GO) test -run=FuzzTailOutcomePayments -fuzz=FuzzTailOutcomePayments -fuzztime=30s ./internal/marketd/
+	$(GO) test -run=FuzzPackedBids -fuzz=FuzzPackedBids -fuzztime=30s ./internal/marketd/
 	$(GO) test -run=FuzzMarketScript -fuzz=FuzzMarketScript -fuzztime=30s ./internal/marketsim/
 
 # Kill/restart harness for the durable market daemon: crash-point matrix,

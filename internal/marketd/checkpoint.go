@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"github.com/fedauction/afl/internal/core"
 	"github.com/fedauction/afl/internal/wal"
 )
 
@@ -27,7 +26,7 @@ type ledgerEntry struct {
 // whose bid record the log no longer holds.
 type pendingEntry struct {
 	Seq    int         `json:"seq"`
-	Bids   []core.Bid  `json:"bids,omitempty"`
+	Bids   packedBids  `json:"bids,omitempty"`
 	Cfg    *ConfigWire `json:"cfg,omitempty"`
 	Solver string      `json:"solver,omitempty"`
 }

@@ -5,11 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/fedauction/afl/internal/batch"
+	"github.com/fedauction/afl/internal/core"
 	"github.com/fedauction/afl/internal/obs"
 )
 
@@ -405,6 +408,57 @@ func TestSubmitBatchMatchesLoop(t *testing.T) {
 	m.Close()
 	if !bytes.Equal(snap, golden) {
 		t.Fatalf("batched submission diverged from golden:\n got %s\nwant %s", snap, golden)
+	}
+}
+
+// TestSubmitBatchLeavesCallerInstances: SubmitBatch applies the market's
+// Rule and Solver overrides and materializes a Set-only instance's rows
+// on its own copy of the batch. The caller's slice is unchanged after
+// the call, so reusing it with a market that has neither override
+// solves the instances as the caller wrote them.
+func TestSubmitBatchLeavesCallerInstances(t *testing.T) {
+	ctx := context.Background()
+	insts := marketInstances(t, 3)
+	insts[1] = batch.Instance{Set: core.CompileBids(insts[1].Bids), Cfg: insts[1].Cfg}
+	untouched := slices.Clone(insts)
+
+	rule, solver := core.RuleExactCritical, core.SolverCoarseFine
+	m1, err := Open(ctx, Config{Dir: t.TempDir(), Workers: 1, Rule: &rule, Solver: &solver})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs, err := m1.SubmitBatch(ctx, "c", insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seq := range seqs {
+		if _, err := m1.Wait(ctx, seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m1.Close()
+	for i, got := range insts {
+		if want := untouched[i]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("SubmitBatch rewrote its caller's instance %d: rule %v → %v, solver %v → %v, bids %d → %d",
+				i, want.Cfg.PaymentRule, got.Cfg.PaymentRule, want.Solver, got.Solver, len(want.Bids), len(got.Bids))
+		}
+	}
+
+	m2, err := Open(ctx, Config{Dir: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	seqs, err = m2.SubmitBatch(ctx, "c", insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seq := range seqs {
+		got, err := m2.Wait(ctx, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertRecordEqual(t, got, solveRecord(t, seq, untouched[i]))
 	}
 }
 

@@ -2,6 +2,8 @@ package marketd
 
 import (
 	"bytes"
+	"encoding/base64"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strconv"
@@ -17,7 +19,12 @@ import (
 // invert the append encoders in encode.go. They read the bid rows,
 // ConfigWire, WinnerRecord and OutcomeRecord, the bid and outcome WAL
 // records, the checkpoint, and the bodies of the two submit handlers.
-// Arbitrary clients write those bodies, so every decoder accepts and
+// The bids member of a bid record or a pending entry dispatches on its
+// first byte: a string holds packed rows, which are base64-decoded and
+// unpacked without the string scanner's unescaping (packedBids,
+// FuzzPackedBids), and an array holds the row objects of logs written
+// before rows were packed. Arbitrary clients write the HTTP bodies,
+// whose bids are always row objects, so every decoder accepts and
 // rejects exactly what encoding/json does for the same Go type and
 // fills the same value (FuzzSubmitBody and TestEncodeDifferential pin
 // both against encoding/json):
@@ -670,9 +677,99 @@ func (r *reader) bid(b *core.Bid) {
 	})
 }
 
-// bids is the one bid-row decoder: HTTP bodies, bid records and the
-// checkpoint's pending entries all read their rows through it.
+// bids is the one bid-row decoder: HTTP bodies read their rows through
+// it, and so do the bid records and pending entries of logs written
+// before rows were packed.
 func (r *reader) bids(s *[]core.Bid) { decodeSlice(r, s, "[]core.Bid", r.bid) }
+
+// packedBids decodes the bids member of a bid record or a pending
+// entry: a string of packed rows, or an older log's rows. Base64 holds
+// no escape, so the string ends at the next quote; a string that would
+// need unescaping is not base64, and unpackBids rejects it.
+func (r *reader) packedBids(s *packedBids) {
+	if r.ws() != '"' {
+		r.bids((*[]core.Bid)(s))
+		return
+	}
+	p := r.p[r.i+1:]
+	n := bytes.IndexByte(p, '"')
+	if n < 0 {
+		r.i = len(r.p)
+		r.fail("unexpected end of JSON input in string")
+		return
+	}
+	bids, err := unpackBids(p[:n], &r.buf)
+	if err != nil {
+		r.fail("%v", err)
+		return
+	}
+	*s = bids
+	r.i += n + 2
+}
+
+// unpackBids decodes the contents of a packedBids string into an
+// exact-length slice, decoding the base64 into *scratch. It accepts
+// only what appendPackedBids writes: strict base64 without the line
+// breaks the base64 decoder would skip, whole rows, minimal varints,
+// finite floats and ints that fit an int.
+func unpackBids(enc []byte, scratch *[]byte) ([]core.Bid, error) {
+	*scratch = slices.Grow((*scratch)[:0], base64.StdEncoding.DecodedLen(len(enc)))
+	n, err := base64.StdEncoding.Strict().Decode((*scratch)[:cap(*scratch)], enc)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("packed bids: %w", err)
+	case base64.StdEncoding.EncodedLen(n) != len(enc):
+		return nil, fmt.Errorf("packed bids: line break in base64")
+	}
+	raw := (*scratch)[:n]
+	rows, err := packedRows(raw)
+	if err != nil {
+		return nil, err
+	}
+	bids := make([]core.Bid, rows)
+	for i := range bids {
+		var w [10]uint64
+		for j := range w {
+			if floatWord[j] {
+				if w[j] = binary.LittleEndian.Uint64(raw); !finiteBits(w[j]) {
+					return nil, fmt.Errorf("packed bids: row %d holds a non-finite float", i)
+				}
+				raw = raw[8:]
+				continue
+			}
+			v, k := binary.Varint(raw)
+			if int64(int(v)) != v {
+				return nil, fmt.Errorf("packed bids: row %d holds %d, which overflows int", i, v)
+			}
+			w[j] = uint64(v)
+			raw = raw[k:]
+		}
+		bids[i] = wordsBid(&w)
+	}
+	return bids, nil
+}
+
+// packedRows counts the rows of raw, requiring it to split into whole
+// rows whose varints are minimal and fit 64 bits. A minimal varint of
+// more than one byte ends in a non-zero byte.
+func packedRows(raw []byte) (int, error) {
+	rows := 0
+	for ; len(raw) > 0; rows++ {
+		for _, float := range floatWord {
+			k := 8
+			if !float {
+				if _, k = binary.Uvarint(raw); k <= 0 || k > 1 && raw[k-1] == 0 {
+					return 0, fmt.Errorf("packed bids: row %d holds a truncated, overlong or overflowing varint", rows)
+				}
+			}
+			if k > len(raw) {
+				return 0, fmt.Errorf("packed bids: row %d is truncated", rows)
+			}
+			raw = raw[k:]
+		}
+	}
+	return rows, nil
+}
 
 func (r *reader) config(c *ConfigWire) {
 	r.object("ConfigWire", configFields, func(name string) {
@@ -759,7 +856,7 @@ func (r *reader) record(rec *walRecord) {
 		case "client":
 			r.str(&rec.Client)
 		case "bids":
-			r.bids(&rec.Bids)
+			r.packedBids(&rec.Bids)
 		case "cfg":
 			decodePtr(r, &rec.Cfg, r.config)
 		case "solver":
@@ -791,7 +888,7 @@ func (r *reader) pendingEntry(e *pendingEntry) {
 		case "seq":
 			r.int(&e.Seq)
 		case "bids":
-			r.bids(&e.Bids)
+			r.packedBids(&e.Bids)
 		case "cfg":
 			decodePtr(r, &e.Cfg, r.config)
 		case "solver":

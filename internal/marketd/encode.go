@@ -1,6 +1,8 @@
 package marketd
 
 import (
+	"encoding/base64"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -18,8 +20,12 @@ import (
 // record. The commit and checkpoint paths reuse one scratch buffer per
 // market under m.mu. Field order, omitempty semantics and float
 // formatting all mirror encoding/json, so logs written by either
-// implementation replay identically. decode.go holds the inverse: one
-// reflection-free reader for everything these write.
+// implementation replay identically. The bids of a bid record and of a
+// checkpoint's pending entry are not JSON numbers: they are one base64
+// string of packed binary rows (packedBids, whose MarshalJSON keeps
+// json.Marshal the reference), so the log path formats no bid float.
+// decode.go holds the inverse: one reflection-free reader for
+// everything these write.
 
 const hexDigits = "0123456789abcdef"
 
@@ -97,39 +103,35 @@ func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
 	return dst, nil
 }
 
-func appendBid(dst []byte, b core.Bid) ([]byte, error) {
-	var err error
-	dst = append(dst, `{"Client":`...)
-	dst = strconv.AppendInt(dst, int64(b.Client), 10)
-	dst = append(dst, `,"Index":`...)
-	dst = strconv.AppendInt(dst, int64(b.Index), 10)
-	dst = append(dst, `,"Price":`...)
-	if dst, err = appendJSONFloat(dst, b.Price); err != nil {
-		return dst, err
+// appendPackedBids appends bids in their packed wire form, the JSON
+// string of packedBids. The rows go through a stack buffer, whose
+// longest prefix of whole base64 groups (a multiple of 3 bytes) is
+// encoded whenever another row might not fit, so only the last group
+// is padded and nothing is allocated. A non-finite float is refused as
+// appendJSONFloat refuses one.
+func appendPackedBids(dst []byte, bids []core.Bid) ([]byte, error) {
+	var buf [8 * maxRowBytes]byte
+	raw := buf[:0]
+	dst = append(dst, '"')
+	for i := range bids {
+		if len(raw) > len(buf)-maxRowBytes {
+			n := len(raw) / 3 * 3
+			dst = base64.StdEncoding.AppendEncode(dst, raw[:n])
+			raw = buf[:copy(buf[:], raw[n:])]
+		}
+		for j, w := range bidWords(&bids[i]) {
+			switch {
+			case !floatWord[j]:
+				raw = binary.AppendVarint(raw, int64(w))
+			case finiteBits(w):
+				raw = binary.LittleEndian.AppendUint64(raw, w)
+			default:
+				return dst, fmt.Errorf("marketd: unsupported float value %v in WAL record", math.Float64frombits(w))
+			}
+		}
 	}
-	dst = append(dst, `,"TrueCost":`...)
-	if dst, err = appendJSONFloat(dst, b.TrueCost); err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"Theta":`...)
-	if dst, err = appendJSONFloat(dst, b.Theta); err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"Start":`...)
-	dst = strconv.AppendInt(dst, int64(b.Start), 10)
-	dst = append(dst, `,"End":`...)
-	dst = strconv.AppendInt(dst, int64(b.End), 10)
-	dst = append(dst, `,"Rounds":`...)
-	dst = strconv.AppendInt(dst, int64(b.Rounds), 10)
-	dst = append(dst, `,"CompTime":`...)
-	if dst, err = appendJSONFloat(dst, b.CompTime); err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"CommTime":`...)
-	if dst, err = appendJSONFloat(dst, b.CommTime); err != nil {
-		return dst, err
-	}
-	return append(dst, '}'), nil
+	dst = base64.StdEncoding.AppendEncode(dst, raw)
+	return append(dst, '"'), nil
 }
 
 func appendConfigWire(dst []byte, c ConfigWire) ([]byte, error) {
@@ -263,22 +265,16 @@ func appendOutcomeBody(dst []byte, rec *OutcomeRecord) ([]byte, error) {
 }
 
 // appendSubmission appends the members a bid record and a checkpoint's
-// pending entry share, in their field order: "bids" (omitted when
-// empty), "cfg" (omitted when nil) and "solver" (omitted when empty,
-// which means exact).
+// pending entry share, in their field order: "bids" (packed, omitted
+// when empty), "cfg" (omitted when nil) and "solver" (omitted when
+// empty, which means exact).
 func appendSubmission(dst []byte, bids []core.Bid, cfg *ConfigWire, solver string) ([]byte, error) {
 	var err error
 	if len(bids) > 0 {
-		dst = append(dst, `,"bids":[`...)
-		for i := range bids {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			if dst, err = appendBid(dst, bids[i]); err != nil {
-				return dst, err
-			}
+		dst = append(dst, `,"bids":`...)
+		if dst, err = appendPackedBids(dst, bids); err != nil {
+			return dst, err
 		}
-		dst = append(dst, ']')
 	}
 	if cfg != nil {
 		dst = append(dst, `,"cfg":`...)

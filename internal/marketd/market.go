@@ -65,7 +65,11 @@
 //     write every record, the checkpoint and the hot responses
 //     byte-identical to json.Marshal into reused buffers, and one
 //     scanner with typed decoders reads them back, and the submit
-//     bodies, exactly as encoding/json would. Recovery keeps each
+//     bodies, exactly as encoding/json would. A logged submission's
+//     bids are one base64 string of packed binary rows rather than row
+//     objects, so logging a bid formats no float and a 100-bid record
+//     is about a third of its row-object size; logs written with row
+//     objects still replay. Recovery keeps each
 //     submission as a position until the log is scanned and reads and
 //     decodes only the ones still pending, so a restart decodes the
 //     checkpoint's ledger and locators, the payments of the tail's
@@ -78,6 +82,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -748,10 +753,14 @@ func (m *Market) Submit(ctx context.Context, client string, inst batch.Instance)
 // commit — which is what makes batched ingest cheaper than a loop of
 // Submits. On error the returned slice still carries a valid sequence
 // number (>= 0) for every submission that was durably acknowledged.
+// insts is left as the caller passed it.
 func (m *Market) SubmitBatch(ctx context.Context, client string, insts []batch.Instance) ([]int, error) {
-	return m.submitAll(ctx, client, insts)
+	return m.submitAll(ctx, client, slices.Clone(insts))
 }
 
+// submitAll acknowledges and enqueues insts, which it owns: it writes
+// the market's Rule and Solver overrides and a Set's materialized rows
+// into the elements.
 func (m *Market) submitAll(ctx context.Context, client string, insts []batch.Instance) ([]int, error) {
 	if ctx == nil {
 		ctx = context.Background()
