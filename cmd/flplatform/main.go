@@ -17,12 +17,11 @@
 // outcomes and payments are logged to -wal and replayed bit-identically
 // on restart; without -wal it is a volatile demo. Per-client token-bucket
 // rate limiting (-rate/-burst) and queue-depth admission control
-// (-maxpending) guard the edge. The fast-path knobs shape the WAL:
-// -group-commit (with -sync-interval) coalesces concurrent commits
-// into shared fsyncs, -checkpoint-every and -segment-bytes bound
-// restart replay to the post-checkpoint tail, and -retain bounds the
-// servable outcome history (pruned reads answer 410) and, with
-// checkpoints, how much of it the WAL keeps. At startup the
+// (-maxpending) guard the edge. Concurrent commits always share fsyncs.
+// The fast-path knobs shape the WAL: -checkpoint-every and
+// -segment-bytes bound restart replay to the post-checkpoint tail, and
+// -retain bounds the servable outcome history (pruned reads answer 410)
+// and, with checkpoints, how much of it the WAL keeps. At startup the
 // daemon prints the WAL size, segment count, last checkpoint and tail
 // replayed, warning when the tail exceeds -tail-warn; the same figures
 // are served live under GET /v1/stats.
@@ -74,8 +73,6 @@ func main() {
 	workers := flag.Int("workers", 0, "marketd: service worker pool width (0 = GOMAXPROCS)")
 	queueN := flag.Int("queue", 0, "marketd: submission queue bound (0 = twice the workers)")
 	walDir := flag.String("wal", "", "marketd: durability directory for the event log (empty = volatile)")
-	groupCommit := flag.Bool("group-commit", false, "marketd: coalesce concurrent commits into shared fsyncs")
-	syncInterval := flag.Duration("sync-interval", 0, "marketd: group-commit linger to collect larger fsync batches (0 = sync when free)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "marketd: checkpoint+prune the WAL every n committed auctions (0 = never)")
 	segmentBytes := flag.Int64("segment-bytes", 0, "marketd: rotate the WAL segment past this size (0 = never)")
 	retain := flag.Int("retain", 0, "marketd: serve at most n folded outcomes, read back from the WAL; older reads return 410 (0 = all, and a checkpointed WAL keeps all of history)")
@@ -118,7 +115,6 @@ func main() {
 	case "marketd":
 		runMarketd(marketdFlags{
 			addr: *addr, walDir: *walDir, workers: *workers, queue: *queueN,
-			groupCommit: *groupCommit, syncInterval: *syncInterval,
 			checkpointEvery: *checkpointEvery, segmentBytes: *segmentBytes, retain: *retain,
 			tailWarn: *tailWarn, rate: *rate, burst: *burst, maxPending: *maxPending,
 		})
@@ -318,8 +314,6 @@ func runChaos(agents int, seed int64, maxT, k, dim int, retry afl.RetryPolicy, d
 type marketdFlags struct {
 	addr, walDir      string
 	workers, queue    int
-	groupCommit       bool
-	syncInterval      time.Duration
 	checkpointEvery   int
 	segmentBytes      int64
 	retain            int
@@ -347,9 +341,6 @@ func runMarketd(f marketdFlags) {
 		afl.WithMaxPending(f.maxPending),
 		afl.WithObserver(observer),
 	}
-	if f.groupCommit {
-		opts = append(opts, afl.WithGroupCommit(f.syncInterval))
-	}
 	m, err := afl.OpenMarket(context.Background(), opts...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -371,8 +362,8 @@ func runMarketd(f marketdFlags) {
 	srv := &http.Server{Addr: f.addr, Handler: afl.MarketHandler(m)}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	fmt.Printf("marketd: serving on %s (wal=%q rate=%g burst=%d maxpending=%d group-commit=%v checkpoint-every=%d)\n",
-		f.addr, f.walDir, f.rate, f.burst, f.maxPending, f.groupCommit, f.checkpointEvery)
+	fmt.Printf("marketd: serving on %s (wal=%q rate=%g burst=%d maxpending=%d checkpoint-every=%d)\n",
+		f.addr, f.walDir, f.rate, f.burst, f.maxPending, f.checkpointEvery)
 
 	select {
 	case <-ctx.Done():

@@ -72,8 +72,8 @@
 // WithSolver selects the sweep's enumeration strategy per call. The
 // default, SolverExact, solves every candidate T̂_g — bit-identical to
 // the historical behaviour, Result.Cert nil. SolverCoarseFine solves a
-// curvature-adaptive subset (WithStride sets the coarse granularity;
-// stride 1 degenerates to the exact sweep bit-for-bit) and
+// curvature-adaptive subset, each candidate it solves bit-identical to
+// the exact sweep's solve at that T̂_g, and
 // SolverLPRound adds an LP-rounding pass that can return a cover
 // cheaper than the greedy sweep. Both approximate tiers attach a
 // Certificate whose Ratio certifies how far the reported cost can be

@@ -66,10 +66,8 @@ type Instance struct {
 	Cfg core.Config
 	// Solver selects this instance's sweep strategy (core.Solver); the
 	// zero value is the exact enumeration, so historical instances are
-	// untouched. Stride is the approximate tiers' base coarse stride
-	// (zero selects the default).
+	// untouched.
 	Solver core.Solver
-	Stride int
 }
 
 // Outcome is the per-instance result of a batch run. Exactly one Outcome
@@ -119,19 +117,6 @@ type Options struct {
 	// Solver, when non-nil, overrides every instance's Solver at intake,
 	// with the same copy-on-override semantics as Rule.
 	Solver *core.Solver
-	// LP is the certifier hook handed to SolverLPRound instances. Nil
-	// selects the column-generation default, so batch callers get a
-	// working LP tier without wiring anything.
-	LP core.LPCertifier
-}
-
-// certifier resolves the LP hook once per run or service: the configured
-// hook, or the column-generation default.
-func (o Options) certifier() core.LPCertifier {
-	if o.LP != nil {
-		return o.LP
-	}
-	return colgen.Certifier{}
 }
 
 // workers resolves the pool width for n runnable tasks.
@@ -174,7 +159,6 @@ func Run(ctx context.Context, instances []Instance, opts Options) ([]Outcome, er
 		}
 		instances = overridden
 	}
-	lpc := opts.certifier()
 	workers := opts.workers(len(instances))
 	obsv := opts.Observer
 	now := opts.Now
@@ -219,7 +203,7 @@ func Run(ctx context.Context, instances []Instance, opts Options) ([]Outcome, er
 					Value: float64(len(instances) - 1 - idx),
 				})
 			}
-			out[idx], eng = solveOne(ctx, idx, instances[idx], obsv, now, lpc, eng)
+			out[idx], eng = solveOne(ctx, idx, instances[idx], obsv, now, eng)
 		}
 	})
 	err := ctx.Err()
@@ -237,12 +221,13 @@ func Run(ctx context.Context, instances []Instance, opts Options) ([]Outcome, er
 
 // solveOne runs a single instance on a pooled engine, compiling a row
 // instance first and rebinding the worker's held engine in place when the
-// shape class matches (prev may be nil). The rebound engine is returned
-// for the worker's next instance — nil after a validation error, so the
-// next call falls back to a fresh acquisition. Cancellation is checked
-// before touching the engine so a canceled batch drains its remaining
-// instances in microseconds.
-func solveOne(ctx context.Context, idx int, inst Instance, obsv obs.Observer, now func() time.Time, lpc core.LPCertifier, prev *core.Engine) (Outcome, *core.Engine) {
+// shape class matches (prev may be nil). SolverLPRound instances get the
+// column-generation certifier. The rebound engine is returned for the
+// worker's next instance — nil after a validation error, so the next
+// call falls back to a fresh acquisition. Cancellation is checked before
+// touching the engine so a canceled batch drains its remaining instances
+// in microseconds.
+func solveOne(ctx context.Context, idx int, inst Instance, obsv obs.Observer, now func() time.Time, prev *core.Engine) (Outcome, *core.Engine) {
 	o := Outcome{Index: idx}
 	if ctx.Err() != nil {
 		o.Err = canceledErr(ctx)
@@ -257,10 +242,11 @@ func solveOne(ctx context.Context, idx int, inst Instance, obsv obs.Observer, no
 		o.Err = err
 		return o, nil
 	}
-	o.Result, o.Err = eng.RunCtx(ctx, core.RunOptions{
-		Workers: 1, Observer: obsv, Now: now,
-		Solver: inst.Solver, Stride: inst.Stride, LP: lpc,
-	})
+	ro := core.RunOptions{Workers: 1, Observer: obsv, Now: now, Solver: inst.Solver}
+	if inst.Solver == core.SolverLPRound {
+		ro.LP = colgen.Certifier{}
+	}
+	o.Result, o.Err = eng.RunCtx(ctx, ro)
 	return o, eng
 }
 

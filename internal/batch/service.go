@@ -31,7 +31,6 @@ import (
 type Service struct {
 	base   context.Context
 	opts   Options
-	lpc    core.LPCertifier
 	jobs   chan serviceJob
 	out    chan Outcome
 	wg     sync.WaitGroup
@@ -71,7 +70,6 @@ func NewService(ctx context.Context, opts Options) *Service {
 	s := &Service{
 		base: ctx,
 		opts: opts,
-		lpc:  opts.certifier(),
 		jobs: make(chan serviceJob, queue),
 		out:  make(chan Outcome, queue+workers),
 	}
@@ -112,7 +110,7 @@ func (s *Service) worker() {
 				})
 			}
 			var outcome Outcome
-			outcome, eng = solveOne(s.base, j.idx, j.inst, s.opts.Observer, s.opts.Now, s.lpc, eng)
+			outcome, eng = solveOne(s.base, j.idx, j.inst, s.opts.Observer, s.opts.Now, eng)
 			s.solved.Add(1)
 			select {
 			case s.out <- outcome:

@@ -16,8 +16,8 @@ import (
 // enumeration would have returned. See solver.go for the certificate
 // semantics.
 
-// defaultStride is the base coarse stride when RunOptions.Stride is 0:
-// solve every 4th candidate, adapt with the observed cost curvature.
+// defaultStride is the base coarse stride: solve every 4th candidate,
+// adapt with the observed cost curvature.
 const defaultStride = 4
 
 // Curvature thresholds of the adaptive stride: the relative second
@@ -39,7 +39,6 @@ const (
 type strideController struct {
 	out    []WDPResult
 	t0, T  int
-	base   int
 	stride int
 	next   int // next candidate to solve
 	last   int // most recently picked candidate, -1 when consumed
@@ -47,11 +46,8 @@ type strideController struct {
 	ncosts int
 }
 
-func newStrideController(out []WDPResult, t0, T, base int) *strideController {
-	if base < 1 {
-		base = defaultStride
-	}
-	return &strideController{out: out, t0: t0, T: T, base: base, stride: base, next: t0, last: -1}
+func newStrideController(out []WDPResult, t0, T int) *strideController {
+	return &strideController{out: out, t0: t0, T: T, stride: defaultStride, next: t0, last: -1}
 }
 
 // pick reports whether tg joins the coarse set, absorbing the previous
@@ -75,7 +71,7 @@ func (c *strideController) pick(tg int) bool {
 // stride toward dense sampling where the cost curve turns.
 func (c *strideController) absorb(w *WDPResult) {
 	if !w.Feasible {
-		c.stride = c.base
+		c.stride = defaultStride
 		c.ncosts = 0
 		return
 	}
@@ -95,8 +91,7 @@ func (c *strideController) absorb(w *WDPResult) {
 			c.stride /= 2
 		}
 	case d2 < curvLow:
-		// Base 1 is the documented exact-dense mode: never coarsen it.
-		if c.base > 1 && c.stride < 2*c.base {
+		if c.stride < 2*defaultStride {
 			c.stride++
 		}
 	}
@@ -173,7 +168,7 @@ func (ci *capacityIndex) lowerBound(ax *auctionContext, tg int) float64 {
 func (ax *auctionContext) sweepApprox(ctx context.Context, res *Result, o RunOptions, obsv obs.Observer, now func() time.Time) error {
 	t0, T := ax.t0, ax.cfg.T
 	wdps := make([]WDPResult, T-t0+1)
-	ctrl := newStrideController(wdps, t0, T, o.Stride)
+	ctrl := newStrideController(wdps, t0, T)
 	if err := ax.sweepSegmentMask(ctx, t0, T, wdps, ctrl.pick, obsv, now); err != nil {
 		return err
 	}

@@ -8,10 +8,11 @@ import (
 	"testing"
 )
 
-// Property suite of the approximate solver tiers: stride-1 coarse-to-fine
-// is bit-identical to the exact sweep, certificates genuinely bound the
-// full-enumeration optimum, ratios never dip below one, the exact tier
-// never attaches a certificate, and feasibility is tier-independent.
+// Property suite of the approximate solver tiers: every candidate the
+// coarse-to-fine tier solves is the exact sweep's solve, certificates
+// genuinely bound the full-enumeration optimum, ratios never dip below
+// one, the exact tier never attaches a certificate, and feasibility is
+// tier-independent.
 
 func approxConfigs() []Config {
 	return []Config{
@@ -36,78 +37,85 @@ func runTier(t *testing.T, bids []Bid, cfg Config, o RunOptions) Result {
 	return res
 }
 
-func TestCoarseFineStrideOneBitIdenticalToExact(t *testing.T) {
+// TestApproxSolvedWDPsMatchExact: every candidate T̂_g a coarse-to-fine
+// sweep solves, coarse pass, refinement and tightening alike, is the
+// exact sweep's solve at that T̂_g, bit for bit, under both critical
+// payment rules.
+func TestApproxSolvedWDPsMatchExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
+	solved := 0
 	for trial := 0; trial < 60; trial++ {
 		cfg := approxConfigs()[trial%len(approxConfigs())]
 		bids := randomBids(rng, 1+rng.Intn(50), 1+rng.Intn(12), cfg.T)
-		exact := runTier(t, bids, cfg, RunOptions{})
-		approx := runTier(t, bids, cfg, RunOptions{Solver: SolverCoarseFine, Stride: 1})
-		if approx.Feasible {
-			if approx.Cert == nil {
-				t.Fatalf("trial %d: coarse-fine attached no certificate", trial)
+		for _, rule := range []PaymentRule{RuleCritical, RuleExactCritical} {
+			cfg.PaymentRule = rule
+			exact := runTier(t, bids, cfg, RunOptions{})
+			approx := runTier(t, bids, cfg, RunOptions{Solver: SolverCoarseFine})
+			if len(approx.WDPs) != len(exact.WDPs) {
+				t.Fatalf("trial %d %v: %d WDP entries, exact has %d", trial, rule, len(approx.WDPs), len(exact.WDPs))
 			}
-			if approx.Cert.Solved != approx.Cert.Candidates {
-				t.Fatalf("trial %d: stride 1 skipped candidates (%d/%d)",
-					trial, approx.Cert.Solved, approx.Cert.Candidates)
+			for i, w := range approx.WDPs {
+				if w.Skipped {
+					continue
+				}
+				solved++
+				if !reflect.DeepEqual(w, exact.WDPs[i]) {
+					t.Fatalf("trial %d %v: solved T̂_g %d diverges from exact\nexact:  %+v\napprox: %+v",
+						trial, rule, w.Tg, exact.WDPs[i], w)
+				}
 			}
 		}
-		approx.Cert = nil
-		if !reflect.DeepEqual(exact, approx) {
-			t.Fatalf("trial %d: stride-1 result diverges from exact\nexact:  %+v\napprox: %+v",
-				trial, exact, approx)
-		}
+	}
+	t.Logf("%d solved WDPs matched the exact sweep's", solved)
+	if solved < 200 {
+		t.Fatalf("only %d solved WDPs checked", solved)
 	}
 }
 
 func TestApproxCertificateBoundsExactCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	checked := 0
-	for trial := 0; trial < 80; trial++ {
+	for trial := 0; trial < 240; trial++ {
 		cfg := approxConfigs()[trial%len(approxConfigs())]
 		bids := randomBids(rng, 1+rng.Intn(60), 1+rng.Intn(14), cfg.T)
 		exact := runTier(t, bids, cfg, RunOptions{})
-		for _, stride := range []int{0, 2, 5} {
-			approx := runTier(t, bids, cfg, RunOptions{Solver: SolverCoarseFine, Stride: stride})
-			// Feasibility parity: the gap-fallback pass guarantees the
-			// approximate tiers agree with exact on the one boolean
-			// callers branch on.
-			if approx.Feasible != exact.Feasible {
-				t.Fatalf("trial %d stride %d: feasibility %v ≠ exact %v",
-					trial, stride, approx.Feasible, exact.Feasible)
+		approx := runTier(t, bids, cfg, RunOptions{Solver: SolverCoarseFine})
+		// Feasibility parity: the gap-fallback pass guarantees the
+		// approximate tiers agree with exact on the one boolean callers
+		// branch on.
+		if approx.Feasible != exact.Feasible {
+			t.Fatalf("trial %d: feasibility %v ≠ exact %v", trial, approx.Feasible, exact.Feasible)
+		}
+		if !approx.Feasible {
+			if approx.Cert != nil {
+				t.Fatalf("trial %d: certificate on infeasible result", trial)
 			}
-			if !approx.Feasible {
-				if approx.Cert != nil {
-					t.Fatalf("trial %d stride %d: certificate on infeasible result", trial, stride)
-				}
-				continue
+			continue
+		}
+		checked++
+		c := approx.Cert
+		if c == nil {
+			t.Fatalf("trial %d: no certificate", trial)
+		}
+		if c.Solver != SolverCoarseFine {
+			t.Fatalf("trial %d: certificate solver %v", trial, c.Solver)
+		}
+		// The certificate lower-bounds min_tg OPT(tg), which the exact
+		// greedy sweep upper-bounds — and the reported cost sits above
+		// the same optimum, so the ratio is ≥ 1.
+		if c.LowerBound > exact.Cost+1e-7 {
+			t.Fatalf("trial %d: LB %v exceeds exact sweep cost %v", trial, c.LowerBound, exact.Cost)
+		}
+		if !math.IsInf(c.Ratio, 1) {
+			if c.Ratio < 1-1e-9 {
+				t.Fatalf("trial %d: ratio %v < 1", trial, c.Ratio)
 			}
-			checked++
-			c := approx.Cert
-			if c == nil {
-				t.Fatalf("trial %d stride %d: no certificate", trial, stride)
+			if got := approx.Cost / c.LowerBound; math.Abs(got-c.Ratio) > 1e-9 {
+				t.Fatalf("trial %d: ratio %v ≠ cost/LB %v", trial, c.Ratio, got)
 			}
-			if c.Solver != SolverCoarseFine {
-				t.Fatalf("trial %d stride %d: certificate solver %v", trial, stride, c.Solver)
-			}
-			// The certificate lower-bounds min_tg OPT(tg), which the exact
-			// greedy sweep upper-bounds — and the reported cost sits above
-			// the same optimum, so the ratio is ≥ 1.
-			if c.LowerBound > exact.Cost+1e-7 {
-				t.Fatalf("trial %d stride %d: LB %v exceeds exact sweep cost %v",
-					trial, stride, c.LowerBound, exact.Cost)
-			}
-			if !math.IsInf(c.Ratio, 1) {
-				if c.Ratio < 1-1e-9 {
-					t.Fatalf("trial %d stride %d: ratio %v < 1", trial, stride, c.Ratio)
-				}
-				if got := approx.Cost / c.LowerBound; math.Abs(got-c.Ratio) > 1e-9 {
-					t.Fatalf("trial %d stride %d: ratio %v ≠ cost/LB %v", trial, stride, c.Ratio, got)
-				}
-			}
-			if c.Solved < 1 || c.Solved > c.Candidates {
-				t.Fatalf("trial %d stride %d: solved %d of %d", trial, stride, c.Solved, c.Candidates)
-			}
+		}
+		if c.Solved < 1 || c.Solved > c.Candidates {
+			t.Fatalf("trial %d: solved %d of %d", trial, c.Solved, c.Candidates)
 		}
 	}
 	if checked < 30 {

@@ -36,11 +36,6 @@ type RunOptions struct {
 	// candidate walk sequentially — the coarse set is chosen online from
 	// preceding solves — but Workers still fans out the pricing stage.
 	Solver Solver
-	// Stride is the base coarse stride of the approximate tiers: solve
-	// every Stride-th candidate, adapting to the observed cost curvature.
-	// Zero selects the default (4). Stride 1 solves every candidate —
-	// bit-identical to the exact sweep, with a certificate attached.
-	Stride int
 	// LP is the column-generation hook of SolverLPRound. Nil degrades
 	// that tier to SolverCoarseFine's certificate; the facade, batch
 	// scheduler and market daemon always install the colgen implementation.

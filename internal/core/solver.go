@@ -21,8 +21,8 @@ const (
 	// pass, stride adapted to the observed cost curvature), then refines
 	// around the coarse argmin until its immediate neighbours are solved.
 	// The ψ_max column and the shared scratch arena warm-start every
-	// solve exactly as in the exact sweep. Stride 1 degenerates to the
-	// exact sweep bit-for-bit, with a certificate attached.
+	// solve exactly as in the exact sweep, so every candidate it solves
+	// is bit-identical to the exact sweep's solve at that T̂_g.
 	SolverCoarseFine
 	// SolverLPRound runs the coarse-to-fine pass and then solves the
 	// column-generation LP relaxation at the selected T̂_g
@@ -89,8 +89,8 @@ func ParseSolver(name string) (Solver, error) {
 //
 // The sweep tightens the bound toward a fixed target ratio by greedily
 // solving the skipped candidates whose capacity bound binds the minimum
-// (see the tightening loop in sweepApprox); a stride-1 coarse-to-fine
-// run solves everything and certifies Ratio == 1 exactly.
+// (see the tightening loop in sweepApprox); a run that ends up solving
+// every candidate certifies Ratio == 1 exactly.
 type Certificate struct {
 	// Solver identifies the tier that produced the result.
 	Solver Solver

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/fedauction/afl/internal/batch"
 	"github.com/fedauction/afl/internal/workload"
@@ -36,66 +37,81 @@ func benchInstance(b *testing.B) batch.Instance {
 	return inst
 }
 
+// cpuMeter sums the process CPU time of a benchmark's timed windows.
+// Fsync waits dominate a durable benchmark's wall time and vary with the
+// host's disk, so wall time alone does not show a change in the work the
+// process does.
+type cpuMeter struct{ start, total time.Duration }
+
+// begin opens a timed window; end closes it.
+func (c *cpuMeter) begin() { c.start = processCPU() }
+func (c *cpuMeter) end()   { c.total += processCPU() - c.start }
+
+// report adds the CPU milliseconds per op as cpu-ms/op where a process
+// CPU clock is read (Linux).
+func (c *cpuMeter) report(b *testing.B) {
+	if haveProcessCPU {
+		b.ReportMetric(float64(c.total)/1e6/float64(b.N), "cpu-ms/op")
+	}
+}
+
 // BenchmarkDurableIngest times fully durable ingest: 16 submitters push
-// auctions through a market that fsyncs every Submit and commit before
-// acknowledging it, each fsync on its own (serial-fsync) or coalesced
-// across requests (group-commit). One op is one acknowledged, committed
-// auction; allocations count the whole pipeline. It reports the fsyncs
-// per auction and the WAL records per fsync. Before timing, one auction's
+// auctions through a market that makes every Submit and commit durable
+// before acknowledging it, concurrent commits sharing fsyncs. One op is
+// one acknowledged, committed auction; allocations count the whole
+// pipeline. It reports the process CPU per auction, the fsyncs per
+// auction and the WAL records per fsync. Before timing, one auction's
 // outcome is checked against the serial reference solve.
 func BenchmarkDurableIngest(b *testing.B) {
 	const submitters = 16
 	ctx := context.Background()
 	inst := benchInstance(b)
 	want := solveRecord(b, 0, inst)
-	for _, mode := range []struct {
-		name  string
-		group bool
-	}{{"serial-fsync", false}, {"group-commit", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			m, err := Open(ctx, Config{Dir: b.TempDir(), Workers: submitters, GroupCommit: mode.group})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer m.Close()
-			seq, err := m.Submit(ctx, "bench", inst)
-			if err != nil {
-				b.Fatal(err)
-			}
-			got, err := m.Wait(ctx, seq)
-			if err != nil {
-				b.Fatal(err)
-			}
-			assertRecordEqual(b, got, want)
-			before := m.WALInfo()
-			b.ReportAllocs()
-			b.ResetTimer()
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < submitters; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for next.Add(1) <= int64(b.N) {
-						seq, err := m.Submit(ctx, "bench", inst)
-						if err == nil {
-							_, err = m.Wait(ctx, seq)
-						}
-						if err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			b.StopTimer()
-			info := m.WALInfo()
-			syncs := info.Syncs - before.Syncs
-			b.ReportMetric(float64(syncs)/float64(b.N), "fsyncs/auction")
-			b.ReportMetric(float64(info.Records-before.Records)/float64(syncs), "records/fsync")
-		})
+	m, err := Open(ctx, Config{Dir: b.TempDir(), Workers: submitters})
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer m.Close()
+	seq, err := m.Submit(ctx, "bench", inst)
+	if err != nil {
+		b.Fatal(err)
+	}
+	got, err := m.Wait(ctx, seq)
+	if err != nil {
+		b.Fatal(err)
+	}
+	assertRecordEqual(b, got, want)
+	before := m.WALInfo()
+	var cpu cpuMeter
+	b.ReportAllocs()
+	b.ResetTimer()
+	cpu.begin()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < submitters; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for next.Add(1) <= int64(b.N) {
+				seq, err := m.Submit(ctx, "bench", inst)
+				if err == nil {
+					_, err = m.Wait(ctx, seq)
+				}
+				if err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	cpu.end()
+	b.StopTimer()
+	info := m.WALInfo()
+	syncs := info.Syncs - before.Syncs
+	cpu.report(b)
+	b.ReportMetric(float64(syncs)/float64(b.N), "fsyncs/auction")
+	b.ReportMetric(float64(info.Records-before.Records)/float64(syncs), "records/fsync")
 }
 
 // buildHistory writes n committed auctions into dir without fsync (the
@@ -274,10 +290,10 @@ func buildRestart(b *testing.B, dir string, pool []batch.Instance, history int) 
 // a history of committed 50×2-bid auctions, checkpointed every 1000
 // commits into 8 MiB segments with 1000 outcomes retained, and 8
 // submissions logged but not solved. One op reopens a copy of it
-// durably with group commit and waits until the 8 have committed; the
-// copy and the close are outside the timer. Before timing, one restart
-// must commit each of the 8 as the serial solve does and reach the
-// build's ledger plus their payments, bit for bit. It reports the WAL
+// durably and waits until the 8 have committed; the copy and the close
+// are outside the timer. Before timing, one restart must commit each of
+// the 8 as the serial solve does and reach the build's ledger plus their
+// payments, bit for bit. It reports the process CPU per restart, the WAL
 // records the restart replayed and the live WAL size. The timed window
 // runs under the pprof label op=restart, which the market's goroutines
 // inherit, so a -cpuprofile of it is read with -tagfocus op=restart.
@@ -289,8 +305,8 @@ func BenchmarkRestart(b *testing.B) {
 		var rd *restartDir
 		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
 			cfg := Config{
-				Dir:         filepath.Join(b.TempDir(), "copy"),
-				GroupCommit: true, CheckpointEvery: 1000, SegmentBytes: 8 << 20, RetainOutcomes: 1000,
+				Dir:             filepath.Join(b.TempDir(), "copy"),
+				CheckpointEvery: 1000, SegmentBytes: 8 << 20, RetainOutcomes: 1000,
 			}
 			copyPristine := func() {
 				os.RemoveAll(cfg.Dir)
@@ -326,17 +342,20 @@ func BenchmarkRestart(b *testing.B) {
 				m.Close()
 			}
 			var info WALInfo
+			var cpu cpuMeter
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				copyPristine()
 				b.StartTimer()
+				cpu.begin()
 				var m *Market
 				pprof.Do(ctx, pprof.Labels("op", "restart"), func(context.Context) {
 					m = openBench(b, cfg)
 					wait(m)
 				})
+				cpu.end()
 				b.StopTimer()
 				info = m.WALInfo()
 				if err := m.Close(); err != nil {
@@ -345,6 +364,7 @@ func BenchmarkRestart(b *testing.B) {
 				b.StartTimer()
 			}
 			b.StopTimer()
+			cpu.report(b)
 			b.ReportMetric(float64(info.TailReplayed), "tail-records")
 			b.ReportMetric(float64(info.Bytes)/1e6, "live-MB")
 		})

@@ -265,11 +265,11 @@ func TestRetentionPrunesOutcomes(t *testing.T) {
 // are checked per instance rather than against the ordered golden.
 //
 // The sharing is forced, not left to the scheduler: the observer holds
-// the syncer inside its first group commit until all eight bid records
-// are appended, so the next fsync covers every bid not yet durable.
-// Every later fsync covers at least one new outcome record (the syncer
-// skips wake-ups that find everything durable), which bounds the fsyncs
-// at 1 + 1 + 8 = 10, below the 16 of one fsync per record.
+// the leader of the first group commit in its callback until all eight
+// bid records are appended, so the next fsync covers every bid not yet
+// durable. Every later fsync covers at least one new outcome record (a
+// committer whose records are already durable leads none), which bounds
+// the fsyncs at 1 + 1 + 8 = 10, below the 16 of one fsync per record.
 func TestGroupCommitMarket(t *testing.T) {
 	insts := marketInstances(t, 8)
 	dir := t.TempDir()
@@ -296,7 +296,7 @@ func TestGroupCommitMarket(t *testing.T) {
 			}
 		})
 	})
-	cfg := Config{Dir: dir, Workers: 2, GroupCommit: true, Observer: observer}
+	cfg := Config{Dir: dir, Workers: 2, Observer: observer}
 
 	var err error
 	m, err = Open(context.Background(), cfg)
@@ -363,7 +363,7 @@ func TestGroupCommitWithCheckpoints(t *testing.T) {
 	golden := goldenSnapshot(t, insts)
 	dir := t.TempDir()
 	cfg := Config{
-		Dir: dir, Workers: 2, GroupCommit: true,
+		Dir: dir, Workers: 2,
 		CheckpointEvery: 4, SegmentRecords: 6,
 	}
 	if got := runMarket(t, cfg, insts); !bytes.Equal(got, golden) {
@@ -385,7 +385,7 @@ func TestSubmitBatchMatchesLoop(t *testing.T) {
 	insts := marketInstances(t, 5)
 	golden := goldenSnapshot(t, insts)
 	dir := t.TempDir()
-	m, err := Open(context.Background(), Config{Dir: dir, Workers: 2, GroupCommit: true})
+	m, err := Open(context.Background(), Config{Dir: dir, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -126,6 +127,11 @@ func TestCheckpointFlatInHistory(t *testing.T) {
 // so a read can lose its segment to a prune. Every answer must be the
 // exact committed record, pending, or ErrPruned (HTTP 410): never
 // another record and never a 5xx.
+//
+// The readers straddle the floor by construction, not by the
+// scheduler's grace: after each batch the writer waits until every
+// reader has made one full pass over the seqs it cycles through, which
+// reach from the newest commit to past the retention window.
 func TestOutcomeReadRacesPrune(t *testing.T) {
 	insts := marketInstances(t, 4)
 	refs := make([]OutcomeRecord, len(insts))
@@ -142,6 +148,7 @@ func TestOutcomeReadRacesPrune(t *testing.T) {
 		return b
 	}
 	const retain, total = 4, 240
+	const cycle = 2*retain + 2 // seqs a reader cycles through below the newest
 	m := openMarket(t, Config{
 		Dir: t.TempDir(), Workers: 2, NoSync: true,
 		CheckpointEvery: 3, RetainOutcomes: retain, SegmentRecords: 4,
@@ -150,6 +157,7 @@ func TestOutcomeReadRacesPrune(t *testing.T) {
 
 	var (
 		served, gone atomic.Int64
+		passes       [2]atomic.Int64 // completed read attempts per reader
 		stop         = make(chan struct{})
 		wg           sync.WaitGroup
 	)
@@ -158,18 +166,18 @@ func TestOutcomeReadRacesPrune(t *testing.T) {
 		wg.Wait()
 	})
 	defer stopReaders()
-	for r := 0; r < 2; r++ {
+	for r := range passes {
 		wg.Add(1)
-		go func(viaHTTP bool) {
+		go func(viaHTTP bool, done *atomic.Int64) {
 			defer wg.Done()
-			for i := 0; ; i++ {
+			for i := 0; ; i, _ = i+1, done.Add(1) {
 				select {
 				case <-stop:
 					return
 				default:
 				}
 				_, committed, _, _ := m.Counts()
-				seq := committed - 1 - i%(2*retain+2)
+				seq := committed - 1 - i%cycle
 				if seq < 0 {
 					continue
 				}
@@ -208,7 +216,7 @@ func TestOutcomeReadRacesPrune(t *testing.T) {
 					served.Add(1)
 				}
 			}
-		}(r == 1)
+		}(r == 1, &passes[r])
 	}
 	for done := 0; done < total; done += 6 {
 		chunk := make([]batch.Instance, 6)
@@ -224,6 +232,17 @@ func TestOutcomeReadRacesPrune(t *testing.T) {
 		for _, seq := range seqs {
 			if _, err := m.Wait(context.Background(), seq); err != nil && !errors.Is(err, ErrPruned) {
 				t.Fatal(err)
+			}
+		}
+		// The floor moved: wait for every reader to complete a full
+		// cycle of attempts that all began after this batch committed
+		// (one more than a cycle, for the attempt in flight now).
+		for r := range passes {
+			for want := passes[r].Load() + cycle + 1; passes[r].Load() < want; {
+				if t.Failed() {
+					t.FailNow()
+				}
+				runtime.Gosched()
 			}
 		}
 	}

@@ -56,11 +56,12 @@
 //     price is disk: the log keeps the retention window's bid and
 //     outcome records, about one more window than the snapshot alone
 //     would, and with RetainOutcomes 0 it keeps all of history;
-//   - group commit (Config.GroupCommit): the WAL's Commit is the
-//     market's only durability call, one per Submit (or SubmitBatch) and
-//     one per outcome, so an auction costs two fsyncs; with group commit
-//     a dedicated syncer coalesces concurrent Commits into one fsync, so
-//     full durability no longer serializes producers on disk latency;
+//   - group commit: the WAL's Commit is the market's only durability
+//     call, one per Submit (or SubmitBatch) and one per outcome, and
+//     every durable market coalesces: a committer that finds no fsync in
+//     flight leads one, and the committers that arrive meanwhile share
+//     the next, so an auction costs at most two fsyncs and full
+//     durability does not serialize producers on disk latency;
 //   - one reflection-free codec (encode.go, decode.go): append encoders
 //     write every record, the checkpoint and the hot responses
 //     byte-identical to json.Marshal into reused buffers, and one
@@ -147,17 +148,11 @@ type Config struct {
 	Workers, Queue int
 	// NoSync disables fsync (tests and benchmarks only).
 	NoSync bool
-	// GroupCommit enables cross-request fsync coalescing: a dedicated
-	// syncer goroutine batches every in-flight Submit and outcome commit
-	// into one fsync, so full durability no longer serializes producers
-	// on disk latency. Without it each Submit and each outcome commit
-	// fsyncs inline. Either way acknowledgments happen only after the
-	// covering fsync returns.
+	// GroupCommit has no effect: every durable market coalesces
+	// concurrent Submit and outcome commits into shared fsyncs.
+	//
+	// Deprecated: group commit is the only commit path.
 	GroupCommit bool
-	// SyncInterval caps group-commit latency trading it for batch size:
-	// the syncer waits up to this long for more commits to pile onto the
-	// pending fsync. 0 syncs as soon as the syncer gets the CPU.
-	SyncInterval time.Duration
 	// CheckpointEvery writes a checkpoint every this many committed
 	// outcomes: rotate into a checkpoint segment, append a snapshot that
 	// holds the folded ledger and locates each retained outcome and each
@@ -192,8 +187,12 @@ type Config struct {
 	// submissions await their outcome. <= 0 disables the check.
 	MaxPending int
 	// Observer receives the market's events (market_recovered, wal_fault,
-	// rate_limited, admission_rejected) in addition to the batch and
-	// per-auction streams. Nil disables instrumentation.
+	// rate_limited, admission_rejected, the WAL's group_commit,
+	// wal_segment_rotated and wal_checkpoint) in addition to the batch and
+	// per-auction streams. Some arrive while the market holds its lock: a
+	// checkpoint rotates, commits and reports under it. An observer must
+	// therefore return quickly and must not call back into the market.
+	// Nil disables instrumentation.
 	Observer obs.Observer
 	// Now supplies timestamps for event latencies and the rate limiter;
 	// nil selects time.Now.
@@ -591,8 +590,6 @@ func (m *Market) walOptions() wal.DirOptions {
 		NoSync:         m.cfg.NoSync,
 		SegmentBytes:   m.cfg.SegmentBytes,
 		SegmentRecords: m.cfg.SegmentRecords,
-		GroupCommit:    m.cfg.GroupCommit,
-		SyncInterval:   m.cfg.SyncInterval,
 	}
 	if o := m.cfg.Observer; o != nil {
 		opts.OnRotate = func(seg int, checkpoint bool) {
@@ -1163,8 +1160,9 @@ type WALInfo struct {
 	// after its starting checkpoint (all of history when there was
 	// none) — the restart-cost figure checkpoints exist to bound.
 	TailReplayed int `json:"tail_replayed"`
-	// Syncs counts fsyncs since open; with group commit, dividing the
-	// commit count by it gives the realized coalescing factor.
+	// Syncs counts fsyncs since open. Every durable market coalesces its
+	// commits, so dividing the commit count by it gives the realized
+	// coalescing factor.
 	Syncs int64 `json:"wal_syncs"`
 	// Records counts WAL records replayed at open plus appended since.
 	Records int `json:"wal_records"`

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -327,44 +326,40 @@ func TestRecoveryDropsDuplicateRecords(t *testing.T) {
 // to encode part-way, SubmitBatch acknowledges the submissions before it
 // and fails the rest, and the acknowledged ones are on disk before it
 // returns. A kill that drops the log's unflushed buffer must not lose
-// them, with or without group commit.
+// them.
 func TestSubmitBatchAckedPrefixIsDurable(t *testing.T) {
-	for _, group := range []bool{false, true} {
-		t.Run(fmt.Sprintf("group=%v", group), func(t *testing.T) {
-			insts := marketInstances(t, 2)
-			golden := goldenSnapshot(t, insts[:1])
-			bad := insts[1]
-			bad.Bids = append([]core.Bid(nil), bad.Bids...)
-			bad.Bids[0].Price = math.NaN() // has no JSON form
+	insts := marketInstances(t, 2)
+	golden := goldenSnapshot(t, insts[:1])
+	bad := insts[1]
+	bad.Bids = append([]core.Bid(nil), bad.Bids...)
+	bad.Bids[0].Price = math.NaN() // has no JSON form
 
-			dir := t.TempDir()
-			m1, err := Open(context.Background(), Config{Dir: dir, Workers: 1, GroupCommit: group})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The failed batch is never queued, so nothing else appends or
-			// commits before the kill.
-			seqs, err := m1.SubmitBatch(context.Background(), "c", []batch.Instance{insts[0], bad})
-			if err == nil || len(seqs) != 2 || seqs[0] != 0 || seqs[1] != -1 {
-				t.Fatalf("SubmitBatch = %v, %v; want [0 -1] and an encode error", seqs, err)
-			}
-			m1.mu.Lock()
-			m1.killLocked()
-			m1.mu.Unlock()
-			m1.Close()
+	dir := t.TempDir()
+	m1, err := Open(context.Background(), Config{Dir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The failed batch is never queued, so nothing else appends or
+	// commits before the kill.
+	seqs, err := m1.SubmitBatch(context.Background(), "c", []batch.Instance{insts[0], bad})
+	if err == nil || len(seqs) != 2 || seqs[0] != 0 || seqs[1] != -1 {
+		t.Fatalf("SubmitBatch = %v, %v; want [0 -1] and an encode error", seqs, err)
+	}
+	m1.mu.Lock()
+	m1.killLocked()
+	m1.mu.Unlock()
+	m1.Close()
 
-			m2, err := Open(context.Background(), Config{Dir: dir, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer m2.Close()
-			if _, err := m2.Wait(context.Background(), 0); err != nil {
-				t.Fatalf("acknowledged seq 0 lost by the kill: %v", err)
-			}
-			if snap := m2.Snapshot(); !bytes.Equal(snap, golden) {
-				t.Fatalf("recovered state diverged:\n got %s\nwant %s", snap, golden)
-			}
-		})
+	m2, err := Open(context.Background(), Config{Dir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if _, err := m2.Wait(context.Background(), 0); err != nil {
+		t.Fatalf("acknowledged seq 0 lost by the kill: %v", err)
+	}
+	if snap := m2.Snapshot(); !bytes.Equal(snap, golden) {
+		t.Fatalf("recovered state diverged:\n got %s\nwant %s", snap, golden)
 	}
 }
 

@@ -43,7 +43,6 @@ const approxProbeEnvelope = 16.0
 func approxTiers() []core.RunOptions {
 	return []core.RunOptions{
 		{Solver: core.SolverCoarseFine},
-		{Solver: core.SolverCoarseFine, Stride: 6},
 		{Solver: core.SolverLPRound, LP: colgen.Certifier{}},
 	}
 }

@@ -135,9 +135,13 @@ const (
 	// opening a new one. Value is the new segment index, OK true when the
 	// new segment starts with a checkpoint record.
 	EvWALSegmentRotated
-	// EvGroupCommit closes one coalesced fsync of the group-commit
-	// syncer. Value is the number of records made durable by the single
-	// fsync (the batch size), Dur the fsync latency.
+	// EvGroupCommit closes one coalesced WAL fsync. Every durable market
+	// coalesces its commits: the committer that leads an fsync reports it
+	// after releasing the committers it covered, before the next fsync
+	// starts, so the event can arrive while the market holds its lock (a
+	// checkpoint commits under it). Value is the number of records made
+	// durable by the single fsync (the batch size), Dur the flush and
+	// fsync latency.
 	EvGroupCommit
 
 	numEventKinds = int(EvGroupCommit) + 1

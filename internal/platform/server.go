@@ -35,10 +35,6 @@ type ServerConfig struct {
 	// awards, payments and the training schedule then derive from the
 	// approximately-selected T̂_g.
 	Solver core.Solver
-	// Stride is the base coarse stride of the approximate solver tiers
-	// (zero selects the default; 1 is bit-identical to exact). It has no
-	// effect under SolverExact.
-	Stride int
 	// L2 is the ridge penalty of the global objective.
 	L2 float64
 	// Eval is the server-side evaluation set for reporting loss/accuracy.
@@ -269,7 +265,7 @@ func (s *Server) RunSession(conns map[int]Conn) (SessionReport, error) {
 	// a VirtualClock, wall time otherwise.
 	ro := core.RunOptions{
 		Observer: s.cfg.Observer, Now: clk.Now,
-		Solver: s.cfg.Solver, Stride: s.cfg.Stride,
+		Solver: s.cfg.Solver,
 	}
 	if s.cfg.Solver == core.SolverLPRound {
 		ro.LP = colgen.Certifier{}

@@ -4,8 +4,8 @@ package wal
 // files in the frame format of wal.go, with size/record-count rotation,
 // checkpoint-flagged segments that bound recovery to the tail since the
 // last checkpoint, positioned reads of single frames, pruning below a
-// floor the caller sets, and an optional group-commit syncer that
-// coalesces concurrent Commit callers into one fsync.
+// floor the caller sets, and a Commit that coalesces concurrent callers
+// into shared fsyncs.
 //
 // Layout. Segment 0 is the base file the caller names (for the market,
 // "market.wal"); a log that never rotated is that one file. Rotated
@@ -35,14 +35,14 @@ package wal
 // truncated there and every later segment is deleted, so the directory
 // as a whole recovers to one deterministic valid prefix.
 //
-// Durability. Append never makes its record durable; Commit does. Without
-// group commit, Commit flushes and fsyncs inline. With
-// DirOptions.GroupCommit a dedicated syncer goroutine owns fsync, and
-// Commit blocks until a group fsync covers the caller's records.
-// Concurrent committers that arrive while a sync is in flight are
-// coalesced into the next one (bounded by SyncInterval), so the disk
+// Durability. Append never makes its record durable; Commit does, and
+// every log coalesces. A committer that finds no fsync in flight leads
+// one: it flushes under the log's lock, fsyncs with the lock released
+// and wakes the waiters. Committers that arrive meanwhile wait, and one
+// whose records that fsync did not cover leads the next, which covers
+// everything appended while the previous one ran. The disk therefore
 // pays one fsync per batch of concurrent producers instead of one per
-// commit.
+// commit, and the log runs no goroutine of its own.
 
 import (
 	"bufio"
@@ -72,24 +72,17 @@ type DirOptions struct {
 	// SegmentRecords rotates the active segment once it holds this many
 	// records. 0 disables record-count rotation.
 	SegmentRecords int
-	// GroupCommit enables the dedicated syncer goroutine: Commit blocks
-	// until a group fsync covers the caller's appends instead of
-	// fsyncing inline.
-	GroupCommit bool
-	// SyncInterval is the group-commit coalescing window: the syncer
-	// waits this long after the first pending commit before fsyncing, so
-	// more committers can join the batch. 0 (the default) syncs as soon
-	// as the syncer is free — the fsync latency itself is then the
-	// coalescing window.
-	SyncInterval time.Duration
 	// OnRotate, when non-nil, is called after each segment rotation with
 	// the new segment's index and checkpoint flag. Called with the log's
 	// lock held: it must return quickly and must not call back into the
 	// log.
 	OnRotate func(seg int, checkpoint bool)
-	// OnGroupCommit, when non-nil, is called after each successful group
-	// fsync with the number of records it made durable and the sync
-	// latency. Called without the log's lock.
+	// OnGroupCommit, when non-nil, is called after each successful
+	// fsync that a committer led, with the number of records it made
+	// durable and its flush-and-sync latency. The leader calls it without
+	// the log's lock, after it has released the committers that fsync
+	// covered and before the next fsync may start. The fsyncs of Rotate
+	// and Close are not reported.
 	OnGroupCommit func(records int, dur time.Duration)
 }
 
@@ -151,7 +144,7 @@ type DirStats struct {
 
 // DirLog is a segmented single-writer append-only log. Append, ReadAt,
 // Commit, Rotate, Prune, Close and Abort are safe for concurrent use:
-// group commit makes concurrent committers the point.
+// concurrent committers share fsyncs.
 type DirLog struct {
 	dir  string
 	stem string // base path without the ".wal" suffix
@@ -171,13 +164,11 @@ type DirLog struct {
 	totalBytes    int64
 	closed        bool
 	syncErr       error
-
-	// Group-commit machinery (nil/unused when !opts.GroupCommit).
-	syncCond    *sync.Cond
-	waitCond    *sync.Cond
-	pendingSync bool
-	syncing     bool
-	syncerDone  chan struct{}
+	// syncing is set from the start of a led fsync until its
+	// OnGroupCommit callback returns, both with mu released; waitCond
+	// wakes the committers, Rotate and Close that wait it out.
+	syncing  bool
+	waitCond *sync.Cond
 }
 
 // OpenDir opens (creating if absent) the segmented log whose base
@@ -213,12 +204,6 @@ func OpenDir(path string, opts DirOptions, fn func(pos Pos, payload []byte) erro
 		return nil, stats, err
 	}
 	l.openStats = stats
-
-	if opts.GroupCommit {
-		l.syncCond = sync.NewCond(&l.mu)
-		l.syncerDone = make(chan struct{})
-		go l.syncLoop()
-	}
 	return l, stats, nil
 }
 
@@ -291,7 +276,7 @@ func listSegments(base string) ([]SegmentInfo, error) {
 func Segments(path string) ([]SegmentInfo, error) { return listSegments(path) }
 
 // recoverSegments replays the directory into fn and positions the log
-// for appending. Single-goroutine (runs before the syncer starts).
+// for appending. Single-goroutine (runs before OpenDir returns the log).
 func (l *DirLog) recoverSegments(segs []SegmentInfo, fn func(Pos, []byte) error) (DirStats, error) {
 	stats := DirStats{LastCheckpointSegment: -1}
 
@@ -580,8 +565,8 @@ func (l *DirLog) Rotate(checkpoint bool) error {
 
 func (l *DirLog) rotateLocked(checkpoint bool) error {
 	// A completed segment is immutable and durable: flush and fsync
-	// before switching, even in group-commit mode (waiting committers
-	// are covered by this sync and return immediately).
+	// before switching (waiting committers are covered by this sync and
+	// return immediately).
 	if err := l.syncNowLocked(); err != nil {
 		return err
 	}
@@ -645,39 +630,72 @@ func (l *DirLog) Prune(floor int) (int, error) {
 }
 
 // Commit makes every record appended so far durable; it is the log's
-// only durability call. In group-commit mode it joins the syncer's next
-// batch and blocks until an fsync covers the caller's appends;
-// otherwise it is an inline flush+fsync (a no-op when every append is
-// already covered).
+// only durability call. A committer that finds no fsync in flight leads
+// one (leadSyncLocked). One that finds an fsync in flight waits for it,
+// and leads the next if that fsync did not cover its records. A Commit
+// with nothing new appended returns at once.
 func (l *DirLog) Commit() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
-	if !l.opts.GroupCommit {
-		if l.synced < l.records {
-			return l.syncNowLocked()
-		}
-		return l.syncErr
-	}
 	target := l.records
 	for l.synced < target {
-		if l.syncErr != nil {
+		switch {
+		case l.syncErr != nil:
 			return l.syncErr
-		}
-		if l.closed {
+		case l.closed:
 			return ErrClosed
+		case l.syncing:
+			l.waitCond.Wait()
+		default:
+			l.leadSyncLocked()
 		}
-		l.pendingSync = true
-		l.syncCond.Signal()
-		l.waitCond.Wait()
 	}
 	return l.syncErr
 }
 
+// leadSyncLocked is one shared fsync. It flushes every record appended
+// so far under the lock, fsyncs with the lock released, so appends and
+// other committers proceed meanwhile, and wakes the waiters. It runs
+// OnGroupCommit with the lock released but before clearing syncing, so
+// the next fsync starts only after the callback returns. Caller holds
+// l.mu, and no fsync is in flight.
+func (l *DirLog) leadSyncLocked() {
+	start := time.Now()
+	if err := l.w.Flush(); err != nil {
+		l.setErrLocked(fmt.Errorf("wal: flush: %w", err))
+		return
+	}
+	target, f := l.records, l.f
+	l.syncing = true
+	l.mu.Unlock()
+	var err error
+	if !l.opts.NoSync {
+		err = f.Sync()
+	}
+	dur := time.Since(start)
+	l.mu.Lock()
+	l.syncs++
+	batch := int(target - l.synced)
+	if err != nil {
+		l.setErrLocked(fmt.Errorf("wal: fsync: %w", err))
+	} else {
+		l.synced = target
+	}
+	l.waitCond.Broadcast()
+	if cb := l.opts.OnGroupCommit; cb != nil && err == nil {
+		l.mu.Unlock()
+		cb(batch, dur)
+		l.mu.Lock()
+	}
+	l.syncing = false
+	l.waitCond.Broadcast()
+}
+
 // syncNowLocked flushes the buffer and fsyncs under the lock, first
-// waiting out any in-flight group fsync so the two never interleave on
+// waiting out any in-flight shared fsync so the two never interleave on
 // the file descriptor.
 func (l *DirLog) syncNowLocked() error {
 	for l.syncing {
@@ -700,71 +718,6 @@ func (l *DirLog) syncNowLocked() error {
 	l.synced = l.records
 	l.waitCond.Broadcast()
 	return nil
-}
-
-// syncLoop is the group-commit syncer: it owns fsync, coalescing every
-// Commit caller that arrives before (or during) a sync into one batch.
-func (l *DirLog) syncLoop() {
-	defer close(l.syncerDone)
-	l.mu.Lock()
-	for {
-		for !l.pendingSync && !l.closed {
-			l.syncCond.Wait()
-		}
-		if l.closed {
-			l.mu.Unlock()
-			return
-		}
-		l.pendingSync = false
-		if iv := l.opts.SyncInterval; iv > 0 {
-			// The coalescing window: let more committers join the batch.
-			l.mu.Unlock()
-			time.Sleep(iv)
-			l.mu.Lock()
-			if l.closed {
-				l.mu.Unlock()
-				return
-			}
-			l.pendingSync = false
-		}
-		if l.synced == l.records {
-			// Every record is already durable: the request came from a
-			// committer whose record the previous fsync covered.
-			continue
-		}
-		start := time.Now()
-		if err := l.w.Flush(); err != nil {
-			l.setErrLocked(err)
-			l.waitCond.Broadcast()
-			continue
-		}
-		target := l.records
-		f := l.f
-		l.syncing = true
-		l.mu.Unlock()
-
-		var err error
-		if !l.opts.NoSync {
-			err = f.Sync()
-		}
-		dur := time.Since(start)
-
-		l.mu.Lock()
-		l.syncing = false
-		l.syncs++
-		batch := int(target - l.synced)
-		if err != nil {
-			l.setErrLocked(err)
-		} else if target > l.synced {
-			l.synced = target
-		}
-		l.waitCond.Broadcast()
-		if cb := l.opts.OnGroupCommit; cb != nil && err == nil && batch > 0 {
-			l.mu.Unlock()
-			cb(batch, dur)
-			l.mu.Lock()
-		}
-	}
 }
 
 func (l *DirLog) setErrLocked(err error) {
@@ -791,22 +744,13 @@ func (l *DirLog) Close() error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		if l.syncerDone != nil {
-			<-l.syncerDone
-		}
 		return nil
 	}
 	err := l.syncNowLocked()
 	l.closed = true
-	if l.syncCond != nil {
-		l.syncCond.Broadcast()
-	}
 	l.waitCond.Broadcast()
 	f := l.f
 	l.mu.Unlock()
-	if l.syncerDone != nil {
-		<-l.syncerDone
-	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -822,22 +766,13 @@ func (l *DirLog) Abort() error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		if l.syncerDone != nil {
-			<-l.syncerDone
-		}
 		return nil
 	}
 	l.closed = true
-	if l.syncCond != nil {
-		l.syncCond.Broadcast()
-	}
 	l.waitCond.Broadcast()
 	f := l.f
 	l.mu.Unlock()
-	f.Close() // races any in-flight group fsync, which then just errors
-	if l.syncerDone != nil {
-		<-l.syncerDone
-	}
+	f.Close() // races any in-flight shared fsync, which then just errors
 	return nil
 }
 

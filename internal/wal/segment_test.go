@@ -399,16 +399,15 @@ func TestDirLogTornTailMidDirectory(t *testing.T) {
 	}
 }
 
-// TestDirLogGroupCommitDurability: records appended in group mode are
-// not durable until Commit returns, and concurrent commits coalesce
-// into fewer fsyncs than records.
+// TestDirLogGroupCommitDurability: records appended by concurrent
+// committers are durable once Commit returns, and the reported fsync
+// batches cover every record exactly once.
 func TestDirLogGroupCommitDurability(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "market.wal")
 	var batches []int
 	var batchMu sync.Mutex
 	l, _, _ := openDir(t, path, DirOptions{
-		GroupCommit: true,
 		OnGroupCommit: func(n int, _ time.Duration) {
 			batchMu.Lock()
 			batches = append(batches, n)
@@ -464,13 +463,12 @@ func TestDirLogGroupCommitDurability(t *testing.T) {
 	}
 }
 
-// TestDirLogGroupCommitAbortLosesTail: in group mode an Abort after
-// uncommitted appends loses exactly the buffered tail — committed
-// records survive.
+// TestDirLogGroupCommitAbortLosesTail: an Abort after uncommitted
+// appends loses exactly the buffered tail — committed records survive.
 func TestDirLogGroupCommitAbortLosesTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "market.wal")
-	l, _, _ := openDir(t, path, DirOptions{GroupCommit: true})
+	l, _, _ := openDir(t, path, DirOptions{})
 	for i := 0; i < 3; i++ {
 		if _, err := l.Append(payloadN(i)); err != nil {
 			t.Fatal(err)
@@ -539,58 +537,250 @@ func TestDirLogCheckpointDebrisAfterRotateCrash(t *testing.T) {
 	}
 }
 
-// TestDirLogSyncIntervalCoalesces: with a sync interval, many quick
-// sequential commits share fsyncs.
-func TestDirLogSyncIntervalCoalesces(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "market.wal")
-	l, _, _ := openDir(t, path, DirOptions{GroupCommit: true, SyncInterval: 5 * time.Millisecond})
-	const writers = 6
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := l.Append(payloadN(w)); err == nil {
-				l.Commit()
-			}
-		}()
+// TestDirLogCommitIsTheOnlySync: Append never fsyncs. Commit fsyncs
+// once for everything appended before it, and a Commit with nothing new
+// appended costs no further fsync.
+func TestDirLogCommitIsTheOnlySync(t *testing.T) {
+	l, _, _ := openDir(t, filepath.Join(t.TempDir(), "market.wal"), DirOptions{})
+	defer l.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append(payloadN(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	wg.Wait()
-	st := l.Stats()
-	if st.Syncs >= writers {
-		t.Fatalf("interval coalescing did nothing: %d fsyncs for %d commits", st.Syncs, writers)
+	if s := l.Stats().Syncs; s != 0 {
+		t.Fatalf("%d fsyncs after 3 appends, want 0", s)
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := l.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if s := l.Stats().Syncs; s != 1 {
+			t.Fatalf("commit %d: %d fsyncs, want 1", i, s)
+		}
 	}
 }
 
-// TestDirLogCommitIsTheOnlySync: Append never fsyncs, with or without
-// group commit. Commit fsyncs once for everything appended before it,
-// and a Commit with nothing new appended costs no further fsync.
-func TestDirLogCommitIsTheOnlySync(t *testing.T) {
-	for _, group := range []bool{false, true} {
-		t.Run(fmt.Sprintf("group=%v", group), func(t *testing.T) {
-			l, _, _ := openDir(t, filepath.Join(t.TempDir(), "market.wal"), DirOptions{GroupCommit: group})
-			defer l.Close()
-			for i := 0; i < 3; i++ {
-				if _, err := l.Append(payloadN(i)); err != nil {
+// holdFirstCommit opens a log at path whose first led fsync holds its
+// leader in OnGroupCommit: the returned channel is closed once the
+// leader is held there, and closing release lets it return. It records
+// every batch the callback reports.
+func holdFirstCommit(t *testing.T, path string) (l *DirLog, held <-chan struct{}, release chan<- struct{}, batches func() []int) {
+	t.Helper()
+	var (
+		mu   sync.Mutex
+		seen []int
+		in   = make(chan struct{})
+		out  = make(chan struct{})
+	)
+	l, _, _ = openDir(t, path, DirOptions{
+		OnGroupCommit: func(n int, _ time.Duration) {
+			mu.Lock()
+			seen = append(seen, n)
+			first := len(seen) == 1
+			mu.Unlock()
+			if first {
+				close(in)
+				<-out
+			}
+		},
+	})
+	return l, in, out, func() []int {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(seen)
+	}
+}
+
+// TestDirLogCommitCoalesces shows coalescing by construction: the first
+// committer leads an fsync and is held in OnGroupCommit, where the next
+// fsync cannot start, while eight more committers append and commit.
+// Once it is released, exactly one more fsync covers all eight.
+func TestDirLogCommitCoalesces(t *testing.T) {
+	const followers = 8
+	l, held, release, batches := holdFirstCommit(t, filepath.Join(t.TempDir(), "market.wal"))
+	defer l.Close()
+	if _, err := l.Append(payloadN(0)); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, followers+1)
+	go func() { errs <- l.Commit() }()
+	<-held
+
+	var appended sync.WaitGroup
+	for i := 1; i <= followers; i++ {
+		appended.Add(1)
+		go func() {
+			_, err := l.Append(payloadN(i))
+			appended.Done()
+			if err == nil {
+				err = l.Commit()
+			}
+			errs <- err
+		}()
+	}
+	appended.Wait()
+	close(release)
+	for i := 0; i <= followers; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s, b := l.Stats().Syncs, batches(); s != 2 || !slices.Equal(b, []int{1, followers}) {
+		t.Fatalf("%d fsyncs with batches %v, want 2 with [1 %d]", s, b, followers)
+	}
+}
+
+// TestDirLogWaitsOutLedSync: Rotate and Close issued while a led fsync
+// is still in flight (its leader held in OnGroupCommit) wait for it to
+// finish before they flush and fsync the same file, then make the
+// records appended meanwhile durable. Their own fsyncs are not reported
+// as commit batches.
+func TestDirLogWaitsOutLedSync(t *testing.T) {
+	for _, op := range []string{"rotate", "close"} {
+		t.Run(op, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "market.wal")
+			l, held, release, batches := holdFirstCommit(t, path)
+			if _, err := l.Append(payloadN(0)); err != nil {
+				t.Fatal(err)
+			}
+			committed := make(chan error, 1)
+			go func() { committed <- l.Commit() }()
+			<-held
+
+			if _, err := l.Append(payloadN(1)); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				if op == "rotate" {
+					done <- l.Rotate(false)
+				} else {
+					done <- l.Close()
+				}
+			}()
+			select {
+			case err := <-done:
+				t.Fatalf("%s returned %v while a led fsync was in flight", op, err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			close(release)
+			if err := <-committed; err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if op == "rotate" {
+				if n := l.Stats().Segments; n != 2 {
+					t.Fatalf("%d segments after rotate, want 2", n)
+				}
+				if err := l.Close(); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if s := l.Stats().Syncs; s != 0 {
-				t.Fatalf("%d fsyncs after 3 appends, want 0", s)
+			if b := batches(); !slices.Equal(b, []int{1}) {
+				t.Fatalf("commit batches %v, want [1]", b)
 			}
-			for i := 0; i < 2; i++ {
-				if err := l.Commit(); err != nil {
-					t.Fatal(err)
-				}
-				if s := l.Stats().Syncs; s != 1 {
-					t.Fatalf("commit %d: %d fsyncs, want 1", i, s)
-				}
+			_, st, replayed := openDir(t, path, DirOptions{NoSync: true})
+			if st.Records != 2 || !bytes.Equal(replayed[0], payloadN(0)) || !bytes.Equal(replayed[1], payloadN(1)) {
+				t.Fatalf("recovered %d records %q, want both in order", st.Records, replayed)
 			}
 		})
+	}
+}
+
+// TestDirLogAbortFailsUncoveredCommits: an Abort while a led fsync is in
+// flight fails the commit of a record that fsync did not cover with
+// ErrClosed, and loses that record, while the leader's commit succeeds
+// and its record survives.
+func TestDirLogAbortFailsUncoveredCommits(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "market.wal")
+	l, held, release, _ := holdFirstCommit(t, path)
+	if _, err := l.Append(payloadN(0)); err != nil {
+		t.Fatal(err)
+	}
+	committed := make(chan error, 1)
+	go func() { committed <- l.Commit() }()
+	<-held
+
+	if _, err := l.Append(payloadN(1)); err != nil {
+		t.Fatal(err)
+	}
+	follower := make(chan error, 1)
+	go func() { follower <- l.Commit() }()
+	// Let the follower start waiting on the led fsync, so that Abort
+	// usually has to wake it; the checks below hold either way.
+	time.Sleep(20 * time.Millisecond)
+	if err := l.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-committed; err != nil {
+		t.Fatalf("leader's commit = %v, want nil", err)
+	}
+	if err := <-follower; err != ErrClosed {
+		t.Fatalf("uncovered commit = %v, want ErrClosed", err)
+	}
+	_, st, replayed := openDir(t, path, DirOptions{NoSync: true})
+	if st.Records != 1 || !bytes.Equal(replayed[0], payloadN(0)) {
+		t.Fatalf("recovered %d records %q, want only the leader's", st.Records, replayed)
+	}
+}
+
+// TestDirLogFailedSyncIsNeverRetried: once a led fsync fails, every
+// later Commit returns its error without leading another fsync, since a
+// retried fsync can report success for pages the failed one dropped.
+// The log's base segment is the null device, whose fsync fails with
+// EINVAL on Linux; the test skips where it succeeds.
+func TestDirLogFailedSyncIsNeverRetried(t *testing.T) {
+	if null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0); err != nil {
+		t.Skipf("no null device: %v", err)
+	} else {
+		err := null.Sync()
+		null.Close()
+		if err == nil {
+			t.Skip("fsync of the null device succeeds on this platform")
+		}
+	}
+	path := filepath.Join(t.TempDir(), "market.wal")
+	if err := os.Symlink(os.DevNull, path); err != nil {
+		t.Skipf("cannot link the log to the null device: %v", err)
+	}
+	l, _, _ := openDir(t, path, DirOptions{})
+	defer l.Abort()
+	if _, err := l.Append(payloadN(0)); err != nil {
+		t.Fatal(err)
+	}
+	first := l.Commit()
+	if first == nil {
+		t.Fatal("commit over a failing fsync succeeded")
+	}
+
+	const committers = 8
+	errs := make(chan error, committers)
+	for i := 1; i <= committers; i++ {
+		go func() {
+			_, err := l.Append(payloadN(i))
+			if err == nil {
+				err = l.Commit()
+			}
+			errs <- err
+		}()
+	}
+	fresh := 0
+	for i := 0; i < committers; i++ {
+		switch err := <-errs; {
+		case err == nil:
+			t.Fatal("commit after a failed fsync succeeded")
+		case err != first:
+			fresh++
+		}
+	}
+	if s := l.Stats().Syncs; s != 1 {
+		t.Fatalf("%d fsyncs led, want the 1 that failed", s)
+	}
+	if fresh > 0 {
+		t.Fatalf("%d of %d later commits returned a new error, not the first failure %v", fresh, committers, first)
 	}
 }

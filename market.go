@@ -70,16 +70,13 @@ func WithMaxPending(n int) Option {
 	return func(rc *runConfig) { rc.maxPending = n }
 }
 
-// WithGroupCommit coalesces concurrent commits into shared fsyncs: a
-// dedicated syncer makes batches of records durable together, so full
-// per-commit durability no longer serializes every submission behind
-// its own disk flush. Acknowledgments still wait for durability —
-// group commit changes who pays for the fsync, not what it guarantees.
-// interval > 0 additionally lets the syncer linger that long collecting
-// a larger batch (capping commit latency at roughly the interval);
-// interval 0 syncs as soon as the syncer is free.
+// WithGroupCommit has no effect: every durable market coalesces
+// concurrent commits into shared fsyncs, and acknowledgments still wait
+// for the fsync that covers them.
+//
+// Deprecated: group commit is the only commit path; omit the option.
 func WithGroupCommit(interval time.Duration) Option {
-	return func(rc *runConfig) { rc.groupCommit, rc.syncInterval = true, interval }
+	return func(*runConfig) {}
 }
 
 // WithCheckpointEvery writes a checkpoint every n committed auctions: a
@@ -122,23 +119,20 @@ func WithRetainOutcomes(n int) Option {
 // original sequence numbers. ctx bounds the market's lifetime; cancel
 // it or call Market.Close.
 //
-// The recognized options are WithDurability, WithGroupCommit,
-// WithCheckpointEvery, WithSegmentBytes,
-// WithRetainOutcomes, WithWorkers (0 or negative selects GOMAXPROCS),
-// WithQueue, WithRateLimit, WithMaxPending, WithObserver, WithNow,
-// WithPaymentRule and WithSolver (both applied to every submission
-// before its bid record is logged, so recovery re-solves under the same
-// rule and solver tier; an approximate-tier outcome additionally
-// persists its certified lower bound and ratio in the committed
-// record).
+// The recognized options are WithDurability, WithCheckpointEvery,
+// WithSegmentBytes, WithRetainOutcomes, WithWorkers (0 or negative
+// selects GOMAXPROCS), WithQueue, WithRateLimit, WithMaxPending,
+// WithObserver, WithNow, WithPaymentRule and WithSolver (both applied
+// to every submission before its bid record is logged, so recovery
+// re-solves under the same rule and solver tier; an approximate-tier
+// outcome additionally persists its certified lower bound and ratio in
+// the committed record).
 func OpenMarket(ctx context.Context, opts ...Option) (*Market, error) {
 	rc := applyOptions(opts)
 	return marketd.Open(ctx, marketd.Config{
 		Dir:             rc.walDir,
 		Workers:         rc.workers,
 		Queue:           rc.queue,
-		GroupCommit:     rc.groupCommit,
-		SyncInterval:    rc.syncInterval,
 		CheckpointEvery: rc.checkpointEvery,
 		SegmentBytes:    rc.segmentBytes,
 		RetainOutcomes:  rc.retainOutcomes,

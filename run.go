@@ -22,15 +22,12 @@ type runConfig struct {
 	ruleSet   bool
 	solver    Solver
 	solverSet bool
-	stride    int
 
 	// Market-only knobs (see OpenMarket).
 	walDir          string
 	ratePerSec      float64
 	rateBurst       int
 	maxPending      int
-	groupCommit     bool
-	syncInterval    time.Duration
 	checkpointEvery int
 	segmentBytes    int64
 	retainOutcomes  int
@@ -103,15 +100,6 @@ func WithSolver(s Solver) Option {
 	return func(rc *runConfig) { rc.solver = s; rc.solverSet = true }
 }
 
-// WithStride sets the base coarse stride of the approximate solver
-// tiers: solve every n-th candidate T̂_g, adapting to the observed cost
-// curvature. Zero or omitted selects the default (4); 1 solves every
-// candidate — bit-identical to the exact sweep, with a certificate
-// attached. It has no effect under SolverExact.
-func WithStride(n int) Option {
-	return func(rc *runConfig) { rc.stride = n }
-}
-
 // Run executes the full A_FL auction (Algorithm 1 of the paper) honoring
 // ctx and the functional options: it enumerates the feasible numbers of
 // global iterations, solves a winner-determination problem for each, and
@@ -166,7 +154,6 @@ func (rc *runConfig) runOptions() core.RunOptions {
 		Observer: rc.obsv,
 		Now:      rc.now,
 		Solver:   rc.solver,
-		Stride:   rc.stride,
 	}
 	if rc.solver == SolverLPRound {
 		o.LP = colgen.Certifier{}

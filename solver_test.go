@@ -59,20 +59,6 @@ func TestRunSolverTiers(t *testing.T) {
 			t.Fatalf("%v: RunSet diverges from Run", tier)
 		}
 	}
-
-	// Stride 1 is the documented exact-dense mode of the coarse tier.
-	dense, err := afl.Run(context.Background(), bids, cfg,
-		afl.WithSolver(afl.SolverCoarseFine), afl.WithStride(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dense.Cert == nil || dense.Cert.Solved != dense.Cert.Candidates {
-		t.Fatalf("stride 1 skipped candidates: %+v", dense.Cert)
-	}
-	dense.Cert = nil
-	if !reflect.DeepEqual(dense, exact) {
-		t.Fatal("stride-1 coarse-fine diverges from exact")
-	}
 }
 
 func TestRunBatchSolverOverride(t *testing.T) {

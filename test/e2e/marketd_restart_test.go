@@ -388,16 +388,14 @@ func injectSegmentFault(t testing.TB, dir, fault string) {
 // between rotation and the snapshot append, or after the snapshot but
 // before the prune — optionally with the wreckage further damaged
 // (torn active-segment tail, torn checkpoint record). Recovery must
-// still converge byte-identically to the uninterrupted golden run,
-// with and without group commit.
+// still converge byte-identically to the uninterrupted golden run.
 func TestKillRestartCheckpointMatrix(t *testing.T) {
 	points := []string{marketd.CrashCheckpointRotated, marketd.CrashCheckpointWritten}
 	faults := []string{"none", "torn-tail", "torn-ckpt"}
 	for pi, point := range points {
 		for fi, fault := range faults {
 			point, fault := point, fault
-			group := (pi+fi)%2 == 0
-			t.Run(fmt.Sprintf("%s/%s/group=%v", point, fault, group), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s", point, fault), func(t *testing.T) {
 				t.Parallel()
 				seed := int64(40 + pi*10 + fi)
 				insts := scriptInstances(t, seed, 9)
@@ -406,7 +404,7 @@ func TestKillRestartCheckpointMatrix(t *testing.T) {
 				dir := t.TempDir()
 				cfg := marketd.Config{
 					Dir: dir, Workers: 2,
-					CheckpointEvery: 3, SegmentRecords: 8, GroupCommit: group,
+					CheckpointEvery: 3, SegmentRecords: 8,
 					Crash: func(p string, seq int) bool { return p == point },
 				}
 				m1, err := marketd.Open(context.Background(), cfg)
@@ -437,7 +435,7 @@ func TestKillRestartCheckpointMatrix(t *testing.T) {
 
 				m2, err := marketd.Open(context.Background(), marketd.Config{
 					Dir: dir, Workers: 2,
-					CheckpointEvery: 3, SegmentRecords: 8, GroupCommit: group,
+					CheckpointEvery: 3, SegmentRecords: 8,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -462,8 +460,8 @@ func TestKillRestartCheckpointMatrix(t *testing.T) {
 				}
 				snap := m2.Snapshot()
 				if !bytes.Equal(snap, golden) {
-					t.Fatalf("recovered state diverged from golden (point %s, fault %s, group %v):\n got %s\nwant %s",
-						point, fault, group, snap, golden)
+					t.Fatalf("recovered state diverged from golden (point %s, fault %s):\n got %s\nwant %s",
+						point, fault, snap, golden)
 				}
 			})
 		}
@@ -471,22 +469,18 @@ func TestKillRestartCheckpointMatrix(t *testing.T) {
 }
 
 // TestKillRestartSegmentedMatrix reruns the commit-protocol crash-point
-// matrix on a fully configured fast-path market — segment rotation,
-// periodic checkpoints, and even seeds with group commit — so every
-// crash point stays byte-identical under that machinery too, with and
-// without group commit.
+// matrix on a fully configured fast-path market — segment rotation and
+// periodic checkpoints — so every crash point stays byte-identical under
+// that machinery too.
 func TestKillRestartSegmentedMatrix(t *testing.T) {
 	const firstSeed, lastSeed = 21, 31
 	covered := map[string]bool{}
 	for seed := int64(firstSeed); seed <= lastSeed; seed++ {
-		covered[fmt.Sprintf("%s/group=%v", genScript(seed).point, seed%2 == 0)] = true
+		covered[genScript(seed).point] = true
 	}
 	for _, point := range crashPoints {
-		for _, group := range []bool{false, true} {
-			if !covered[fmt.Sprintf("%s/group=%v", point, group)] {
-				t.Fatalf("seeds %d..%d never run crash point %s with group commit %v",
-					firstSeed, lastSeed, point, group)
-			}
+		if !covered[point] {
+			t.Fatalf("seeds %d..%d never run crash point %s", firstSeed, lastSeed, point)
 		}
 	}
 	for seed := int64(firstSeed); seed <= lastSeed; seed++ {
@@ -500,7 +494,7 @@ func TestKillRestartSegmentedMatrix(t *testing.T) {
 			dir := t.TempDir()
 			cfg := marketd.Config{
 				Dir: dir, Workers: 2,
-				CheckpointEvery: 2, SegmentRecords: 6, GroupCommit: seed%2 == 0,
+				CheckpointEvery: 2, SegmentRecords: 6,
 				Crash: func(p string, seq int) bool { return p == sc.point && seq == sc.crashSeq },
 			}
 			m1, err := marketd.Open(context.Background(), cfg)
@@ -529,7 +523,7 @@ func TestKillRestartSegmentedMatrix(t *testing.T) {
 
 			m2, err := marketd.Open(context.Background(), marketd.Config{
 				Dir: dir, Workers: 2,
-				CheckpointEvery: 2, SegmentRecords: 6, GroupCommit: seed%2 == 0,
+				CheckpointEvery: 2, SegmentRecords: 6,
 			})
 			if err != nil {
 				t.Fatal(err)
