@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test -run=FuzzSubmitBody -fuzz=FuzzSubmitBody -fuzztime=30s ./internal/marketd/
 	$(GO) test -run=FuzzTailOutcomePayments -fuzz=FuzzTailOutcomePayments -fuzztime=30s ./internal/marketd/
 	$(GO) test -run=FuzzPackedBids -fuzz=FuzzPackedBids -fuzztime=30s ./internal/marketd/
+	$(GO) test -run=FuzzPackedPayments -fuzz=FuzzPackedPayments -fuzztime=30s ./internal/marketd/
 	$(GO) test -run=FuzzMarketScript -fuzz=FuzzMarketScript -fuzztime=30s ./internal/marketsim/
 
 # Kill/restart harness for the durable market daemon: crash-point matrix,

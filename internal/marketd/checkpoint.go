@@ -41,6 +41,24 @@ type frameRef struct {
 
 func (f frameRef) pos() wal.Pos { return wal.Pos{Seg: f.Seg, Off: f.Off} }
 
+// frameRefs is a checkpoint's locator list. On the wire it is one
+// string of packed rows (packed.go), each locator's seq, segment and
+// offset as varints: about 9–11 bytes a locator against about 36 as a
+// JSON object. Checkpoints written before locators were packed hold an
+// array of locator objects under the same key; decoding reads both. The
+// methods make encoding/json read and write the same form, so it stays
+// the reference the append encoder and the reader are tested against.
+type frameRefs []frameRef
+
+// MarshalJSON writes the packed form.
+func (f frameRefs) MarshalJSON() ([]byte, error) { return appendRows(nil, locatorRow, f, locatorWords) }
+
+// UnmarshalJSON reads the packed form or, from older checkpoints, the
+// locator objects.
+func (f *frameRefs) UnmarshalJSON(data []byte) error {
+	return unmarshalPacked(data, (*[]frameRef)(f), locatorRow, wordsLocator)
+}
+
 // checkpointRecord is the market's state at snapshot time. Seq carries
 // the next sequence number (the snapshot horizon); Base and FoldedNext
 // delimit the retained outcome window exactly as the live market holds
@@ -63,8 +81,8 @@ type checkpointRecord struct {
 	Ledger     []ledgerEntry   `json:"ledger,omitempty"`
 	Outcomes   []OutcomeRecord `json:"outcomes,omitempty"`
 	Pending    []pendingEntry  `json:"pending,omitempty"`
-	OutcomeAt  []frameRef      `json:"outcome_at,omitempty"`
-	PendingAt  []frameRef      `json:"pending_at,omitempty"`
+	OutcomeAt  frameRefs       `json:"outcome_at,omitempty"`
+	PendingAt  frameRefs       `json:"pending_at,omitempty"`
 }
 
 // encodeCheckpointLocked encodes the market's current state into m.enc's
@@ -198,9 +216,24 @@ func (m *Market) restoreCheckpoint(payload []byte, rc *recovery) error {
 			return fmt.Errorf("marketd: checkpoint holds no record of retained outcome %d", rec.Base+i)
 		}
 	}
+	// A submission whose outcome the snapshot folds or locates has
+	// committed: listed as pending too, it would be re-solved on every
+	// restart and never leave the pending set, since commit drops the
+	// outcome of a committed seq. The market never writes such a
+	// snapshot, but a damaged one is absorbed like a duplicate bid record.
 	for _, f := range rec.PendingAt {
+		if m.replayCommitted(rc, f.Seq) {
+			m.fault("dup_record", float64(f.Seq))
+			continue
+		}
 		rc.pend[f.Seq] = f.pos()
 		next = max(next, f.Seq+1)
+	}
+	for _, seq := range sortedKeys(rc.embedded) {
+		if m.replayCommitted(rc, seq) {
+			m.fault("dup_record", float64(seq))
+			delete(rc.embedded, seq)
+		}
 	}
 	m.next = max(rec.Seq, next)
 	return nil

@@ -2,8 +2,6 @@ package marketd
 
 import (
 	"bytes"
-	"encoding/base64"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"strconv"
@@ -19,11 +17,13 @@ import (
 // invert the append encoders in encode.go. They read the bid rows,
 // ConfigWire, WinnerRecord and OutcomeRecord, the bid and outcome WAL
 // records, the checkpoint, and the bodies of the two submit handlers.
-// The bids member of a bid record or a pending entry dispatches on its
-// first byte: a string holds packed rows, which are base64-decoded and
-// unpacked without the string scanner's unescaping (packedBids,
-// FuzzPackedBids), and an array holds the row objects of logs written
-// before rows were packed. Arbitrary clients write the HTTP bodies,
+// The bids member of a bid record or a pending entry, and a checkpoint's
+// locator lists, dispatch on their first byte: a string holds packed
+// rows (packed.go), which are base64-decoded and unpacked without the
+// string scanner's unescaping (FuzzPackedBids), and an array holds the
+// objects that logs written before rows were packed hold. Replay reads
+// an outcome record's packed payments member on its own
+// (replayPayments). Arbitrary clients write the HTTP bodies,
 // whose bids are always row objects, so every decoder accepts and
 // rejects exactly what encoding/json does for the same Go type and
 // fills the same value (FuzzSubmitBody and TestEncodeDifferential pin
@@ -683,92 +683,13 @@ func (r *reader) bid(b *core.Bid) {
 func (r *reader) bids(s *[]core.Bid) { decodeSlice(r, s, "[]core.Bid", r.bid) }
 
 // packedBids decodes the bids member of a bid record or a pending
-// entry: a string of packed rows, or an older log's rows. Base64 holds
-// no escape, so the string ends at the next quote; a string that would
-// need unescaping is not base64, and unpackBids rejects it.
+// entry: a string of packed rows, or an older log's rows.
 func (r *reader) packedBids(s *packedBids) {
 	if r.ws() != '"' {
 		r.bids((*[]core.Bid)(s))
 		return
 	}
-	p := r.p[r.i+1:]
-	n := bytes.IndexByte(p, '"')
-	if n < 0 {
-		r.i = len(r.p)
-		r.fail("unexpected end of JSON input in string")
-		return
-	}
-	bids, err := unpackBids(p[:n], &r.buf)
-	if err != nil {
-		r.fail("%v", err)
-		return
-	}
-	*s = bids
-	r.i += n + 2
-}
-
-// unpackBids decodes the contents of a packedBids string into an
-// exact-length slice, decoding the base64 into *scratch. It accepts
-// only what appendPackedBids writes: strict base64 without the line
-// breaks the base64 decoder would skip, whole rows, minimal varints,
-// finite floats and ints that fit an int.
-func unpackBids(enc []byte, scratch *[]byte) ([]core.Bid, error) {
-	*scratch = slices.Grow((*scratch)[:0], base64.StdEncoding.DecodedLen(len(enc)))
-	n, err := base64.StdEncoding.Strict().Decode((*scratch)[:cap(*scratch)], enc)
-	switch {
-	case err != nil:
-		return nil, fmt.Errorf("packed bids: %w", err)
-	case base64.StdEncoding.EncodedLen(n) != len(enc):
-		return nil, fmt.Errorf("packed bids: line break in base64")
-	}
-	raw := (*scratch)[:n]
-	rows, err := packedRows(raw)
-	if err != nil {
-		return nil, err
-	}
-	bids := make([]core.Bid, rows)
-	for i := range bids {
-		var w [10]uint64
-		for j := range w {
-			if floatWord[j] {
-				if w[j] = binary.LittleEndian.Uint64(raw); !finiteBits(w[j]) {
-					return nil, fmt.Errorf("packed bids: row %d holds a non-finite float", i)
-				}
-				raw = raw[8:]
-				continue
-			}
-			v, k := binary.Varint(raw)
-			if int64(int(v)) != v {
-				return nil, fmt.Errorf("packed bids: row %d holds %d, which overflows int", i, v)
-			}
-			w[j] = uint64(v)
-			raw = raw[k:]
-		}
-		bids[i] = wordsBid(&w)
-	}
-	return bids, nil
-}
-
-// packedRows counts the rows of raw, requiring it to split into whole
-// rows whose varints are minimal and fit 64 bits. A minimal varint of
-// more than one byte ends in a non-zero byte.
-func packedRows(raw []byte) (int, error) {
-	rows := 0
-	for ; len(raw) > 0; rows++ {
-		for _, float := range floatWord {
-			k := 8
-			if !float {
-				if _, k = binary.Uvarint(raw); k <= 0 || k > 1 && raw[k-1] == 0 {
-					return 0, fmt.Errorf("packed bids: row %d holds a truncated, overlong or overflowing varint", rows)
-				}
-			}
-			if k > len(raw) {
-				return 0, fmt.Errorf("packed bids: row %d is truncated", rows)
-			}
-			raw = raw[k:]
-		}
-	}
-	return rows, nil
+	readPacked(r, (*[]core.Bid)(s), bidRow, wordsBid)
 }
 
 func (r *reader) config(c *ConfigWire) {
@@ -899,6 +820,16 @@ func (r *reader) pendingEntry(e *pendingEntry) {
 	})
 }
 
+// frameRefs decodes a checkpoint's locator list: a string of packed
+// locators, or an older checkpoint's locator objects.
+func (r *reader) frameRefs(s *frameRefs) {
+	if r.ws() != '"' {
+		decodeSlice(r, (*[]frameRef)(s), "[]frameRef", r.frameRef)
+		return
+	}
+	readPacked(r, (*[]frameRef)(s), locatorRow, wordsLocator)
+}
+
 func (r *reader) frameRef(f *frameRef) {
 	r.object("frameRef", frameRefFields, func(name string) {
 		switch name {
@@ -960,9 +891,9 @@ func (r *reader) checkpoint(rec *checkpointRecord, pending func(seq int, raw []b
 				}
 			})
 		case "outcome_at":
-			decodeSlice(r, &rec.OutcomeAt, "[]frameRef", r.frameRef)
+			r.frameRefs(&rec.OutcomeAt)
 		case "pending_at":
-			decodeSlice(r, &rec.PendingAt, "[]frameRef", r.frameRef)
+			r.frameRefs(&rec.PendingAt)
 		default:
 			r.skip()
 		}
@@ -973,8 +904,9 @@ func (r *reader) checkpoint(rec *checkpointRecord, pending func(seq int, raw []b
 // without decoding the record's body: it stops as soon as it has both,
 // which every encoder writes first, so the bids of a bid record are
 // never scanned. Both keys must be present, the type a string and the
-// seq an int.
-func peekEnvelope(p []byte) (typ string, seq int, err error) {
+// seq an int. end is the offset just past the seq's value, where an
+// outcome record's encoder writes the payments member.
+func peekEnvelope(p []byte) (typ string, seq, end int, err error) {
 	r := reader{p: p}
 	haveType, haveSeq := false, false
 	if r.ws() == '{' {
@@ -984,16 +916,16 @@ func peekEnvelope(p []byte) (typ string, seq int, err error) {
 			switch c := r.ws(); field(k, envelopeFields, &next) {
 			case "type":
 				if c != '"' {
-					return "", 0, errBadEnvelope
+					return "", 0, 0, errBadEnvelope
 				}
 				r.str(&typ, recordTypes...)
 				haveType = true
 			case "seq":
 				if c != '-' && !isDigit(c) {
-					return "", 0, errBadEnvelope
+					return "", 0, 0, errBadEnvelope
 				}
 				r.int(&seq)
-				haveSeq = true
+				haveSeq, end = true, r.i
 			default:
 				r.skip()
 			}
@@ -1001,11 +933,11 @@ func peekEnvelope(p []byte) (typ string, seq int, err error) {
 				break
 			}
 			if haveType && haveSeq {
-				return typ, seq, nil
+				return typ, seq, end, nil
 			}
 		}
 	}
-	return "", 0, errBadEnvelope
+	return "", 0, 0, errBadEnvelope
 }
 
 var errBadEnvelope = fmt.Errorf("marketd: undecodable WAL record envelope")
@@ -1013,7 +945,8 @@ var errBadEnvelope = fmt.Errorf("marketd: undecodable WAL record envelope")
 // decodeRecord fully decodes a bid or outcome record. It is the one full
 // outcome decoder: every outcome read back from the log goes through it
 // (readOutcome), while replay's fold reads only payments
-// (decodePayments).
+// (replayPayments). It skips an outcome record's payments member, which
+// walRecord has no field for.
 func decodeRecord(payload []byte) (walRecord, error) {
 	var rec walRecord
 	r := reader{p: payload}
@@ -1060,14 +993,16 @@ func (r *reader) outcomePayments(o *OutcomeRecord) {
 	})
 }
 
-// decodePayments decodes what recovery folds of a tail outcome record:
-// the body's seq and each winner's client and payment, into an
-// OutcomeRecord that holds nothing else. Every other member is only
-// syntax-checked. Keys, null and repeated keys read as in decodeRecord,
-// so wherever decodeRecord accepts an outcome record this returns the
-// same seq and the same (client, payment) pairs, bit for bit
-// (FuzzTailOutcomePayments). A record without a body returns nil.
-// Replay calls it only after peekEnvelope has classified the payload.
+// decodePayments decodes what recovery folds of a tail outcome record
+// without a payments member: the body's seq and each winner's client
+// and payment, into an OutcomeRecord that holds nothing else. Every
+// other member is only syntax-checked. Keys, null and repeated keys read
+// as in decodeRecord, so wherever decodeRecord accepts an outcome record
+// this returns the same seq and the same (client, payment) pairs, bit
+// for bit (FuzzTailOutcomePayments). A record without a body returns
+// nil. Replay calls it only after peekEnvelope has classified the
+// payload; it is also how a binary from before the payments member
+// reads a record that has one.
 func decodePayments(payload []byte) (*OutcomeRecord, error) {
 	var o *OutcomeRecord
 	r := reader{p: payload}
@@ -1081,6 +1016,38 @@ func decodePayments(payload []byte) (*OutcomeRecord, error) {
 	r.end()
 	if r.err != nil {
 		return nil, fmt.Errorf("marketd: undecodable WAL record: %w", r.err)
+	}
+	return o, nil
+}
+
+// replayPayments decodes what replay folds of the outcome record of seq,
+// whose envelope peekEnvelope read up to end: each winner's client and
+// payment, into an OutcomeRecord that holds nothing else. A record with
+// the payments member right after seq, where appendOutcomeRecord puts
+// it, is read from that member alone, and its body is never scanned:
+// the member is the commit's ledger delta, trusted as the checkpoint's
+// ledger is. Any other record (one written before outcome records
+// carried the member, or one without winners) is read through
+// decodePayments, and its body's seq must be seq. The base64 decodes
+// into *scratch, which replay reuses across records, so a record with
+// the member allocates only its exact-length winner slice.
+func replayPayments(payload []byte, seq, end int, scratch *[]byte) (OutcomeRecord, error) {
+	if !bytes.HasPrefix(payload[end:], []byte(paymentsKey+`"`)) {
+		o, err := decodePayments(payload)
+		if err != nil {
+			return OutcomeRecord{}, err
+		}
+		if o == nil || o.Seq != seq {
+			return OutcomeRecord{}, fmt.Errorf("marketd: outcome record %d without a body of that seq", seq)
+		}
+		return *o, nil
+	}
+	o := OutcomeRecord{Seq: seq}
+	r := reader{p: payload, i: end + len(paymentsKey), buf: *scratch}
+	readPacked(&r, &o.Winners, paymentRow, wordsPayment)
+	*scratch = r.buf
+	if r.err != nil {
+		return OutcomeRecord{}, fmt.Errorf("marketd: undecodable WAL record: %w", r.err)
 	}
 	return o, nil
 }

@@ -1,8 +1,6 @@
 package marketd
 
 import (
-	"encoding/base64"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -21,11 +19,12 @@ import (
 // market under m.mu. Field order, omitempty semantics and float
 // formatting all mirror encoding/json, so logs written by either
 // implementation replay identically. The bids of a bid record and of a
-// checkpoint's pending entry are not JSON numbers: they are one base64
-// string of packed binary rows (packedBids, whose MarshalJSON keeps
-// json.Marshal the reference), so the log path formats no bid float.
-// decode.go holds the inverse: one reflection-free reader for
-// everything these write.
+// checkpoint's pending entry, an outcome record's payments and a
+// checkpoint's locators are not JSON numbers: each is one base64 string
+// of packed binary rows (packed.go; packedBids and frameRefs have
+// MarshalJSON methods that keep json.Marshal the reference), so the log
+// path formats no bid float. decode.go holds the inverse: one
+// reflection-free reader for everything these write.
 
 const hexDigits = "0123456789abcdef"
 
@@ -101,37 +100,6 @@ func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
 		}
 	}
 	return dst, nil
-}
-
-// appendPackedBids appends bids in their packed wire form, the JSON
-// string of packedBids. The rows go through a stack buffer, whose
-// longest prefix of whole base64 groups (a multiple of 3 bytes) is
-// encoded whenever another row might not fit, so only the last group
-// is padded and nothing is allocated. A non-finite float is refused as
-// appendJSONFloat refuses one.
-func appendPackedBids(dst []byte, bids []core.Bid) ([]byte, error) {
-	var buf [8 * maxRowBytes]byte
-	raw := buf[:0]
-	dst = append(dst, '"')
-	for i := range bids {
-		if len(raw) > len(buf)-maxRowBytes {
-			n := len(raw) / 3 * 3
-			dst = base64.StdEncoding.AppendEncode(dst, raw[:n])
-			raw = buf[:copy(buf[:], raw[n:])]
-		}
-		for j, w := range bidWords(&bids[i]) {
-			switch {
-			case !floatWord[j]:
-				raw = binary.AppendVarint(raw, int64(w))
-			case finiteBits(w):
-				raw = binary.LittleEndian.AppendUint64(raw, w)
-			default:
-				return dst, fmt.Errorf("marketd: unsupported float value %v in WAL record", math.Float64frombits(w))
-			}
-		}
-	}
-	dst = base64.StdEncoding.AppendEncode(dst, raw)
-	return append(dst, '"'), nil
 }
 
 func appendConfigWire(dst []byte, c ConfigWire) ([]byte, error) {
@@ -315,36 +283,37 @@ func appendBidRecord(dst []byte, seq int, client string, inst batch.Instance) ([
 	return append(dst, '}'), nil
 }
 
-// appendOutcomeRecord appends the wire form of a commit marker.
+// paymentsKey is what appendOutcomeRecord writes between the envelope's
+// seq and the payments member's string.
+const paymentsKey = `,"payments":`
+
+// appendOutcomeRecord appends the wire form of a commit marker. Between
+// seq and the body it writes the payments member, the packed client and
+// payment of each winner, which replay folds without scanning the body;
+// an outcome without winners has none.
 func appendOutcomeRecord(dst []byte, rec *OutcomeRecord) ([]byte, error) {
+	var err error
 	dst = append(dst, `{"type":"outcome","seq":`...)
 	dst = strconv.AppendInt(dst, int64(rec.Seq), 10)
+	if len(rec.Winners) > 0 {
+		dst = append(dst, paymentsKey...)
+		if dst, err = appendRows(dst, paymentRow, rec.Winners, paymentWords); err != nil {
+			return dst, err
+		}
+	}
 	dst = append(dst, `,"outcome":`...)
-	dst, err := appendOutcomeBody(dst, rec)
-	if err != nil {
+	if dst, err = appendOutcomeBody(dst, rec); err != nil {
 		return dst, err
 	}
 	return append(dst, '}'), nil
 }
 
-// appendFrameRefs appends the locator list refs under key.
-func appendFrameRefs(dst []byte, key string, refs []frameRef) []byte {
+// appendFrameRefs appends the locator list refs, packed, under key.
+func appendFrameRefs(dst []byte, key string, refs frameRefs) ([]byte, error) {
 	dst = append(dst, `,"`...)
 	dst = append(dst, key...)
-	dst = append(dst, `":[`...)
-	for i, f := range refs {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, `{"seq":`...)
-		dst = strconv.AppendInt(dst, int64(f.Seq), 10)
-		dst = append(dst, `,"seg":`...)
-		dst = strconv.AppendInt(dst, int64(f.Seg), 10)
-		dst = append(dst, `,"off":`...)
-		dst = strconv.AppendInt(dst, f.Off, 10)
-		dst = append(dst, '}')
-	}
-	return append(dst, ']')
+	dst = append(dst, `":`...)
+	return appendRows(dst, locatorRow, refs, locatorWords)
 }
 
 // appendCheckpoint appends the wire form of a checkpoint record; the
@@ -403,10 +372,14 @@ func appendCheckpoint(dst []byte, rec *checkpointRecord) ([]byte, error) {
 		dst = append(dst, ']')
 	}
 	if len(rec.OutcomeAt) > 0 {
-		dst = appendFrameRefs(dst, "outcome_at", rec.OutcomeAt)
+		if dst, err = appendFrameRefs(dst, "outcome_at", rec.OutcomeAt); err != nil {
+			return dst, err
+		}
 	}
 	if len(rec.PendingAt) > 0 {
-		dst = appendFrameRefs(dst, "pending_at", rec.PendingAt)
+		if dst, err = appendFrameRefs(dst, "pending_at", rec.PendingAt); err != nil {
+			return dst, err
+		}
 	}
 	return append(dst, '}'), nil
 }

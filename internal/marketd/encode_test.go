@@ -46,8 +46,15 @@ func encodeBidRecord(seq int, client string, inst batch.Instance) ([]byte, error
 	})
 }
 
+// The outcome record's envelope carries the payments member, which
+// walRecord has no field for; its reference is packPairs.
 func encodeOutcomeRecord(rec OutcomeRecord) ([]byte, error) {
-	return json.Marshal(walRecord{Type: recOutcome, Seq: rec.Seq, Outcome: &rec})
+	return json.Marshal(struct {
+		Type     string         `json:"type"`
+		Seq      int            `json:"seq"`
+		Payments string         `json:"payments,omitempty"`
+		Outcome  *OutcomeRecord `json:"outcome"`
+	}{recOutcome, rec.Seq, packPairs(rec.Winners), &rec})
 }
 
 // encodeCheckpoint is the json.Marshal reference of appendCheckpoint.
@@ -288,7 +295,8 @@ func TestEncodeDifferential(t *testing.T) {
 
 // TestPeekEnvelope checks the allocation-free type/seq scan on every
 // record kind, including the pay record older logs carry, plus
-// rejection of malformed input.
+// rejection of malformed input. The end offset is just past the seq's
+// value, wherever the seq is.
 func TestPeekEnvelope(t *testing.T) {
 	inst := batch.Instance{
 		Bids: []core.Bid{{Client: 1, Price: 2.5, Theta: 0.5, Start: 1, End: 4, Rounds: 2}},
@@ -307,26 +315,28 @@ func TestPeekEnvelope(t *testing.T) {
 		payload []byte
 		typ     string
 		seq     int
+		seqLit  string // the envelope seq's literal, at its first occurrence
 	}{
-		{bidRec, recBid, 17},
-		{payRec, recPay, 18},
-		{ocRec, recOutcome, 19},
-		{[]byte(`{"outcome":{"seq":5,"type":"x"},"type":"outcome","seq":6}`), recOutcome, 6},
-		{[]byte(` { "a" : [1,{"seq":9}] , "seq" : -4 , "type" : "bid" } `), recBid, -4},
+		{bidRec, recBid, 17, `"seq":17`},
+		{payRec, recPay, 18, `"seq":18`},
+		{ocRec, recOutcome, 19, `"seq":19`},
+		{[]byte(`{"outcome":{"seq":5,"type":"x"},"type":"outcome","seq":6}`), recOutcome, 6, `"seq":6`},
+		{[]byte(` { "a" : [1,{"seq":9}] , "seq" : -4 , "type" : "bid" } `), recBid, -4, `-4`},
 	}
 	for _, c := range cases {
-		typ, seq, err := peekEnvelope(c.payload)
+		typ, seq, end, err := peekEnvelope(c.payload)
 		if err != nil {
 			t.Fatalf("peekEnvelope(%s): %v", c.payload, err)
 		}
-		if typ != c.typ || seq != c.seq {
-			t.Fatalf("peekEnvelope(%s) = (%q,%d), want (%q,%d)", c.payload, typ, seq, c.typ, c.seq)
+		wantEnd := bytes.Index(c.payload, []byte(c.seqLit)) + len(c.seqLit)
+		if typ != c.typ || seq != c.seq || end != wantEnd {
+			t.Fatalf("peekEnvelope(%s) = (%q,%d,%d), want (%q,%d,%d)", c.payload, typ, seq, end, c.typ, c.seq, wantEnd)
 		}
 	}
 	for _, bad := range []string{
 		``, `[]`, `{"type":"bid"}`, `{"seq":1}`, `{"type":`, `{"seq":"x","type":"bid"}`, `{bad}`,
 	} {
-		if _, _, err := peekEnvelope([]byte(bad)); err == nil {
+		if _, _, _, err := peekEnvelope([]byte(bad)); err == nil {
 			t.Fatalf("peekEnvelope(%q) accepted malformed input", bad)
 		}
 	}
@@ -413,11 +423,12 @@ func TestDecodeFieldTables(t *testing.T) {
 	}
 }
 
-// TestDecodeAllocGuard pins the allocations of the two hot decodes: a
-// 100-bid submit body, and a committed outcome record as replay meets
+// TestDecodeAllocGuard pins the allocations of the hot decodes: a
+// 100-bid submit body, and a committed outcome record as a read serves
 // it. Each must stay below what encoding/json allocates on the same
 // bytes and within a small bound of its own: the kept strings, one
-// growing slice per array and the outcome's pointer.
+// growing slice per array and the outcome's pointer. Replay's read of
+// the same record, its payments only, allocates at most once.
 func TestDecodeAllocGuard(t *testing.T) {
 	bids := make([]core.Bid, 100)
 	for i := range bids {
@@ -462,8 +473,18 @@ func TestDecodeAllocGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("allocs: 100-bid body %.0f (encoding/json %.0f), outcome record %.0f (encoding/json %.0f)",
-		bodyNew, bodyOld, recordNew, recordOld)
+	var scratch []byte
+	replayNew := testing.AllocsPerRun(100, func() {
+		_, seq, end, err := peekEnvelope(record)
+		if err == nil {
+			_, err = replayPayments(record, seq, end, &scratch)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs: 100-bid body %.0f (encoding/json %.0f), outcome record %.0f (encoding/json %.0f), its replay read %.0f",
+		bodyNew, bodyOld, recordNew, recordOld, replayNew)
 	if bodyNew >= bodyOld || recordNew >= recordOld {
 		t.Fatalf("decoding allocates no less than encoding/json on the same bytes")
 	}
@@ -481,5 +502,10 @@ func TestDecodeAllocGuard(t *testing.T) {
 	// winner's slot slice.
 	if recordNew > 4 {
 		t.Fatalf("decoding an outcome record allocates %.0f times; want at most 4", recordNew)
+	}
+	// Replay reads the payments member into the exact-length winner
+	// slice, decoding its base64 into a reused buffer.
+	if replayNew > 1 {
+		t.Fatalf("replay's read of an outcome record allocates %.0f times; want at most 1", replayNew)
 	}
 }

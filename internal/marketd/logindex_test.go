@@ -3,13 +3,18 @@ package marketd
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -537,5 +542,275 @@ func TestLateWaitTakesParkedRecord(t *testing.T) {
 	m.mu.Unlock()
 	if parked != maxParked || order != maxParked {
 		t.Fatalf("%d records parked (%d in order) after %d unwaited commits; want %d", parked, order, len(chunk), maxParked)
+	}
+}
+
+// appendCheckpointSegment rotates the market log in dir into a fresh
+// checkpoint segment holding payload, as a market's checkpoint would.
+func appendCheckpointSegment(t *testing.T, dir string, payload []byte) {
+	t.Helper()
+	log, _, err := wal.OpenDir(filepath.Join(dir, WALFileName), wal.DirOptions{}, nil)
+	if err == nil {
+		err = log.Rotate(true)
+	}
+	if err == nil {
+		_, err = log.Append(payload)
+	}
+	if err == nil {
+		err = log.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckpointDropsCommittedPending: a checkpoint that lists a
+// committed seq as pending, below its folded frontier or also located
+// as an outcome, is damaged; the market never writes one. Recovery
+// drops such a pending locator or embedded entry as a duplicate record,
+// a dup_record fault, as it drops a tail bid record whose seq has
+// committed. Kept, the seq would be re-solved on every restart and,
+// since commit drops the outcome of a committed seq, never leave the
+// pending set. Each case hand-writes a checkpoint over the log of five
+// committed auctions; the market recovers with one fault and drains to
+// the uninterrupted state with nothing pending.
+func TestCheckpointDropsCommittedPending(t *testing.T) {
+	ctx := context.Background()
+	insts := marketInstances(t, 5)
+	golden := goldenSnapshot(t, insts)
+	ledgerOf := func(n int) []ledgerEntry {
+		t.Helper()
+		m, err := Open(ctx, Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		for _, inst := range insts[:n] {
+			seq, err := m.Submit(ctx, "c", inst)
+			if err == nil {
+				_, err = m.Wait(ctx, seq)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		ledger := m.Ledger()
+		entries := make([]ledgerEntry, 0, len(ledger))
+		for _, c := range sortedKeys(ledger) {
+			entries = append(entries, ledgerEntry{Client: c, Payment: ledger[c]})
+		}
+		return entries
+	}
+
+	// One segment of the bid and outcome records of seqs 0–4, and where
+	// each one is.
+	src := t.TempDir()
+	runMarket(t, Config{Dir: src, Workers: 1}, insts)
+	bidAt, outcomeAt := map[int]frameRef{}, map[int]frameRef{}
+	l, _, err := wal.OpenDir(filepath.Join(src, WALFileName), wal.DirOptions{NoSync: true}, func(pos wal.Pos, payload []byte) error {
+		typ, seq, _, err := peekEnvelope(payload)
+		if typ == recBid {
+			bidAt[seq] = frameRef{Seq: seq, Seg: pos.Seg, Off: pos.Off}
+		} else {
+			outcomeAt[seq] = frameRef{Seq: seq, Seg: pos.Seg, Off: pos.Off}
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	located := func(seqs ...int) frameRefs {
+		var refs frameRefs
+		for _, seq := range seqs {
+			refs = append(refs, outcomeAt[seq])
+		}
+		return refs
+	}
+	cw, err := FromConfig(insts[3].Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name string
+		ckpt checkpointRecord
+	}{
+		{"pending locator below the folded frontier", checkpointRecord{
+			FoldedNext: 5, Ledger: ledgerOf(5), OutcomeAt: located(0, 1, 2, 3, 4), PendingAt: frameRefs{bidAt[2]},
+		}},
+		{"embedded pending entry below the folded frontier", checkpointRecord{
+			FoldedNext: 5, Ledger: ledgerOf(5), OutcomeAt: located(0, 1, 2, 3, 4),
+			Pending: []pendingEntry{{Seq: 3, Bids: insts[3].Bids, Cfg: &cw}},
+		}},
+		{"pending locator of an outcome past a gap", checkpointRecord{
+			FoldedNext: 3, Ledger: ledgerOf(3), OutcomeAt: located(0, 1, 2, 4), PendingAt: frameRefs{bidAt[3], bidAt[4]},
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			copyDir(t, src, dir)
+			rec := c.ckpt
+			rec.Type, rec.Seq = recCheckpoint, 5
+			payload, err := appendCheckpoint(nil, &rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendCheckpointSegment(t, dir, payload)
+
+			m, err := Open(ctx, Config{Dir: dir, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			for seq := 0; seq < 5; seq++ {
+				if _, err := m.Wait(ctx, seq); err != nil {
+					t.Fatalf("Wait(%d): %v", seq, err)
+				}
+			}
+			if next, committed, pending, _ := m.Counts(); next != 5 || committed != 5 || pending != 0 {
+				t.Fatalf("Counts() = next %d, committed %d, pending %d; want 5, 5 and 0", next, committed, pending)
+			}
+			if faults := m.RecoveredFaults(); faults != 1 {
+				t.Fatalf("RecoveredFaults() = %d, want 1 (the committed seq listed as pending)", faults)
+			}
+			if got := m.Snapshot(); !bytes.Equal(got, golden) {
+				t.Fatalf("recovery diverged:\n got %s\nwant %s", got, golden)
+			}
+		})
+	}
+}
+
+// packLocators is the reference locator list, built from encoding/binary
+// independently of the codec's row layouts: per locator, seq, segment
+// and offset as varints, all base64-encoded.
+func packLocators(refs []frameRef) string {
+	var raw []byte
+	for _, f := range refs {
+		raw = binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(raw, int64(f.Seq)), int64(f.Seg)), f.Off)
+	}
+	return base64.StdEncoding.EncodeToString(raw)
+}
+
+// TestPackedLocatorsUpgradeAndDowngrade pins the checkpoint's packed
+// locator lists to their reference layout and checks both directions of
+// the format change.
+//
+// Upgrade: a checkpoint as written before locators were packed, with
+// the locator lists as arrays of objects, restores as its packed form
+// does. The checkpoint fixture is reopened with seq 7's re-solve held
+// and killed right after seq 8's commit wrote a checkpoint that locates
+// outcomes 6 and 8 and pending seq 9. That checkpoint, rewritten with
+// object arrays as a newer checkpoint segment, decodes to the same
+// locators, and recovery from it drains to the fixture's golden state.
+//
+// Downgrade: the locator decoder of a binary from before packing, and
+// encoding/json decoding into locator objects, reject a packed list with
+// a type error, so such a binary refuses the checkpoint instead of
+// restoring an empty index.
+func TestPackedLocatorsUpgradeAndDowngrade(t *testing.T) {
+	dir := copyFixture(t, "checkpoint_market")
+	gate := make(chan struct{})
+	m, err := Open(context.Background(), Config{
+		Dir: dir, Workers: 2, CheckpointEvery: 1,
+		Observer: obs.ObserverFunc(func(e obs.Event) {
+			if e.Kind == obs.EvAuctionDequeued && e.Bid == 7 {
+				<-gate
+			}
+		}),
+		Crash: func(p string, seq int) bool { return p == CrashCheckpointWritten },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-m.Dead()
+	close(gate)
+	m.Close()
+
+	ckpt, size := newestCheckpoint(t, dir)
+	packed, err := appendCheckpoint(nil, &ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(packed) != size {
+		t.Fatalf("the newest checkpoint re-encodes to %d bytes, want its %d", len(packed), size)
+	}
+	for _, want := range []string{
+		`,"outcome_at":"` + packLocators(ckpt.OutcomeAt) + `"`,
+		`,"pending_at":"` + packLocators(ckpt.PendingAt) + `"`,
+	} {
+		if !bytes.Contains(packed, []byte(want)) {
+			t.Fatalf("checkpoint %s does not hold %s", packed, want)
+		}
+	}
+	if got := fmt.Sprint(refSeqs(ckpt.OutcomeAt), refSeqs(ckpt.PendingAt)); got != "[6 8] [9]" {
+		t.Fatalf("checkpoint locates outcomes and pending %s, want [6 8] [9]", got)
+	}
+
+	objects, err := json.Marshal(struct {
+		Type       string          `json:"type"`
+		Seq        int             `json:"seq"`
+		Base       int             `json:"base"`
+		FoldedNext int             `json:"folded_next"`
+		Ledger     []ledgerEntry   `json:"ledger,omitempty"`
+		Outcomes   []OutcomeRecord `json:"outcomes,omitempty"`
+		Pending    []pendingEntry  `json:"pending,omitempty"`
+		OutcomeAt  []frameRef      `json:"outcome_at,omitempty"`
+		PendingAt  []frameRef      `json:"pending_at,omitempty"`
+	}{ckpt.Type, ckpt.Seq, ckpt.Base, ckpt.FoldedNext, ckpt.Ledger, ckpt.Outcomes, ckpt.Pending, ckpt.OutcomeAt, ckpt.PendingAt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(objects, []byte(`"outcome_at":[{"seq":6,`)) {
+		t.Fatalf("older checkpoint form %s holds no locator objects", objects)
+	}
+	for _, payload := range [][]byte{objects, packed} {
+		rec, err := decodeCheckpoint(payload, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ref checkpointRecord
+		if err := json.Unmarshal(payload, &ref); err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []checkpointRecord{rec, ref} {
+			if !reflect.DeepEqual(got.OutcomeAt, ckpt.OutcomeAt) || !reflect.DeepEqual(got.PendingAt, ckpt.PendingAt) {
+				t.Fatalf("%s decodes to locators %v and %v, want %v and %v", payload, got.OutcomeAt, got.PendingAt, ckpt.OutcomeAt, ckpt.PendingAt)
+			}
+		}
+	}
+	appendCheckpointSegment(t, dir, objects)
+	m2, err := Open(context.Background(), Config{Dir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	for seq := 2; seq < 10; seq++ {
+		if _, err := m2.Wait(context.Background(), seq); err != nil {
+			t.Fatalf("Wait(%d): %v", seq, err)
+		}
+	}
+	if got, want := m2.Snapshot(), readFile(t, filepath.Join("testdata", "checkpoint_market.snapshot.json")); !bytes.Equal(got, want) {
+		t.Fatalf("recovery from locator objects diverged:\n got %s\nwant %s", got, want)
+	}
+
+	r := reader{p: packed}
+	var refs []frameRef
+	r.object("checkpointRecord", []string{"outcome_at"}, func(name string) {
+		if name == "outcome_at" {
+			decodeSlice(&r, &refs, "[]frameRef", r.frameRef)
+		} else {
+			r.skip()
+		}
+	})
+	if r.err == nil || !strings.Contains(r.err.Error(), "cannot decode string into []frameRef") {
+		t.Fatalf("the locator object decoder read %s with error %v; want a type error", packed, r.err)
+	}
+	var old struct {
+		OutcomeAt []frameRef `json:"outcome_at"`
+	}
+	var typeErr *json.UnmarshalTypeError
+	if err := json.Unmarshal(packed, &old); !errors.As(err, &typeErr) || typeErr.Value != "string" {
+		t.Fatalf("encoding/json read %s into locator objects with error %v; want a type error", packed, err)
 	}
 }

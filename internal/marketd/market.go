@@ -69,13 +69,17 @@
 //     bodies, exactly as encoding/json would. A logged submission's
 //     bids are one base64 string of packed binary rows rather than row
 //     objects, so logging a bid formats no float and a 100-bid record
-//     is about a third of its row-object size; logs written with row
-//     objects still replay. Recovery keeps each
-//     submission as a position until the log is scanned and reads and
-//     decodes only the ones still pending, so a restart decodes the
-//     checkpoint's ledger and locators, the payments of the tail's
-//     outcome records (in full only for the few still waiting past a
-//     sequence gap) and the survivors' bids, and nothing else.
+//     is about a third of its row-object size; an outcome record
+//     repeats its winners' clients and payments as packed pairs ahead
+//     of its body, and a checkpoint's locators are packed too. Logs
+//     written before any of these were packed still replay. Recovery
+//     keeps each submission as a position until the log is scanned and
+//     reads and decodes only the ones still pending, so a restart
+//     decodes the checkpoint's ledger and packed locators, the packed
+//     payments of the tail's outcome records (their bodies only where a
+//     record has no packed payments, and in full only for the few still
+//     waiting past a sequence gap) and the survivors' bids, and nothing
+//     else.
 package marketd
 
 import (
@@ -391,6 +395,7 @@ type recovery struct {
 	pend     map[int]wal.Pos
 	embedded map[int][]byte
 	late     map[int]wal.Pos
+	scratch  []byte // replayPayments' base64 buffer
 }
 
 // replayCommitted reports whether seq's outcome has turned up in the
@@ -412,19 +417,22 @@ func (m *Market) replayCommitted(rc *recovery, seq int) bool {
 // keyed by sequence number. When the directory has a valid checkpoint,
 // the wal layer starts replay there: the first record is the snapshot,
 // every later record the tail. Replay peeks each record's envelope and
-// decodes, of the tail's outcome records, only each one's seq and its
-// winners' clients and payments. The checkpoint restores the ledger and
-// the index of retained outcomes without decoding any of them. A
-// submission — a tail bid record or a pending locator of the checkpoint
-// — is kept as a position until the scan is over, and its bid record is
-// read and decoded only if no outcome arrived for it, so superseded
-// bids are never read twice or decoded; the pay records older logs
-// carry are skipped unread. Tail outcomes fold into the ledger once the
-// scan is over, in ascending sequence order as the live market folds
-// them; a folded one is kept as its position, and one still waiting
-// past a sequence gap is read back and decoded in full, as the
-// checkpoint's unfolded outcomes are. Runs before the consumer starts,
-// so no locking is needed.
+// reads, of the tail's outcome records, only each one's winners'
+// clients and payments, from the packed member the encoder writes right
+// after the seq, or from the body of a record without one. A pending
+// locator or entry of the checkpoint whose seq the checkpoint already
+// counts as committed is dropped as a duplicate. The checkpoint
+// restores the ledger and the index of retained outcomes without
+// decoding any of them. A submission — a tail bid record or a pending
+// locator of the checkpoint — is kept as a position until the scan is
+// over, and its bid record is read and decoded only if no outcome
+// arrived for it, so superseded bids are never read twice or decoded;
+// the pay records older logs carry are skipped unread. Tail outcomes
+// fold into the ledger once the scan is over, in ascending sequence
+// order as the live market folds them; a folded one is kept as its
+// position, and one still waiting past a sequence gap is read back and
+// decoded in full, as the checkpoint's unfolded outcomes are. Runs
+// before the consumer starts, so no locking is needed.
 func (m *Market) recover() (map[int]batch.Instance, error) {
 	rc := &recovery{
 		pend:     make(map[int]wal.Pos),
@@ -433,7 +441,7 @@ func (m *Market) recover() (map[int]batch.Instance, error) {
 	}
 	first := true
 	replay := func(pos wal.Pos, payload []byte) error {
-		typ, seq, err := peekEnvelope(payload)
+		typ, seq, end, err := peekEnvelope(payload)
 		if err != nil {
 			return err
 		}
@@ -465,14 +473,11 @@ func (m *Market) recover() (map[int]batch.Instance, error) {
 			}
 			// The fold reads only the payments; an outcome still past a gap
 			// after it is read back in full.
-			o, err := decodePayments(payload)
+			o, err := replayPayments(payload, seq, end, &rc.scratch)
 			if err != nil {
 				return err
 			}
-			if o == nil || o.Seq != seq {
-				return fmt.Errorf("marketd: outcome record %d without a body of that seq", seq)
-			}
-			m.outcomes[seq] = committed{rec: *o, at: pos}
+			m.outcomes[seq] = committed{rec: o, at: pos}
 			m.commitsSinceCkpt++
 			delete(rc.pend, seq)
 			delete(rc.embedded, seq)
@@ -561,7 +566,7 @@ func (m *Market) readRecord(typ string, seq int, at wal.Pos) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("marketd: reading %s %d: %w", typ, seq, err)
 	}
-	if got, gotSeq, err := peekEnvelope(payload); err != nil || got != typ || gotSeq != seq {
+	if got, gotSeq, _, err := peekEnvelope(payload); err != nil || got != typ || gotSeq != seq {
 		return nil, fmt.Errorf("marketd: frame at %+v is not the %s record of seq %d", at, typ, seq)
 	}
 	return payload, nil

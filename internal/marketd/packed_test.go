@@ -41,6 +41,18 @@ func packRows(bids []core.Bid) string {
 	return base64.StdEncoding.EncodeToString(raw)
 }
 
+// packPairs is the reference payments member, built from
+// encoding/binary independently of the codec's row layouts: per winner,
+// Client as a varint and Payment as little-endian float bits, all
+// base64-encoded.
+func packPairs(winners []WinnerRecord) string {
+	var raw []byte
+	for _, w := range winners {
+		raw = binary.LittleEndian.AppendUint64(binary.AppendVarint(raw, int64(w.Client)), math.Float64bits(w.Payment))
+	}
+	return base64.StdEncoding.EncodeToString(raw)
+}
+
 // bidsFromBytes reads raw as whole 80-byte records of ten 8-byte
 // fields, in core.Bid's order, with no check on the values: a way to
 // draw arbitrary bids from fuzz input.
@@ -436,5 +448,320 @@ func TestPackedUpgradeAndDowngrade(t *testing.T) {
 		if err := json.Unmarshal(payload, &old); !errors.As(err, &typeErr) || typeErr.Value != "string" {
 			t.Fatalf("encoding/json read %s into rows with error %v; want a type error", payload, err)
 		}
+	}
+}
+
+// winnersFromBytes reads raw as whole 16-byte records of a client
+// (int64) and a payment (float64 bits), with no check on the values: a
+// way to draw arbitrary winners from fuzz input. Each winner's other
+// members are filled from the same values, so the outcome body differs
+// from winner to winner.
+func winnersFromBytes(raw []byte) []WinnerRecord {
+	pairs := make([]struct {
+		Client  int64
+		Payment float64
+	}, len(raw)/16)
+	binary.Read(bytes.NewReader(raw), binary.LittleEndian, pairs)
+	winners := make([]WinnerRecord, len(pairs))
+	for i, p := range pairs {
+		winners[i] = WinnerRecord{
+			BidIndex: i, Client: int(p.Client), Index: i % 3, Price: 1 + float64(i)/7, Theta: 0.5,
+			Slots: []int{1, 1 + i%4}, Payment: p.Payment,
+		}
+	}
+	return winners
+}
+
+// winnerBytes is the inverse of winnersFromBytes on clients and payments.
+func winnerBytes(winners []WinnerRecord) []byte {
+	var raw []byte
+	for _, w := range winners {
+		raw = binary.LittleEndian.AppendUint64(raw, uint64(w.Client))
+		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(w.Payment))
+	}
+	return raw
+}
+
+// paymentsVerdict is what the payments member must decode s to: the
+// (client, payment) pairs when s is strict base64, without line breaks,
+// of whole pairs whose varint is the one binary.AppendVarint writes for
+// an int and whose payment is finite; else a rejection.
+func paymentsVerdict(s string) ([]WinnerRecord, bool) {
+	raw, err := base64.StdEncoding.Strict().DecodeString(s)
+	if err != nil || strings.ContainsAny(s, "\r\n") {
+		return nil, false
+	}
+	var winners []WinnerRecord
+	for len(raw) > 0 {
+		v, k := binary.Varint(raw)
+		if k <= 0 || !bytes.Equal(raw[:k], binary.AppendVarint(nil, v)) || int64(int(v)) != v || len(raw) < k+8 {
+			return nil, false
+		}
+		p := math.Float64frombits(binary.LittleEndian.Uint64(raw[k:]))
+		if math.IsInf(p, 0) || math.IsNaN(p) {
+			return nil, false
+		}
+		winners = append(winners, WinnerRecord{Client: int(v), Payment: p})
+		raw = raw[k+8:]
+	}
+	return winners, true
+}
+
+// samePayments requires got to hold want's clients and payments, the
+// payments bit for bit.
+func samePayments(t *testing.T, what string, got, want []WinnerRecord) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d winners, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Client != want[i].Client || math.Float64bits(got[i].Payment) != math.Float64bits(want[i].Payment) {
+			t.Fatalf("%s: winner %d is (%d, %v), want (%d, %v)", what, i, got[i].Client, got[i].Payment, want[i].Client, want[i].Payment)
+		}
+	}
+}
+
+// replayRead reads payload as replay does: the envelope, then the
+// payments.
+func replayRead(payload []byte) (OutcomeRecord, error) {
+	_, seq, end, err := peekEnvelope(payload)
+	if err != nil {
+		return OutcomeRecord{}, err
+	}
+	var scratch []byte
+	return replayPayments(payload, seq, end, &scratch)
+}
+
+// TestPackedPaymentsLayout pins the payments member to its reference
+// layout, extreme clients and hostile payments included: right after
+// the envelope's seq, the base64 of each winner's client as a varint
+// and payment as float bits. An outcome without winners has no member.
+// Replay reads the member alone: with the body's winners removed from
+// the record, it still folds the member's pairs.
+func TestPackedPaymentsLayout(t *testing.T) {
+	winners := []WinnerRecord{{Client: math.MaxInt, Payment: math.SmallestNonzeroFloat64}, {Client: math.MinInt, Payment: math.Copysign(0, -1)}}
+	for i, f := range hostileFloats {
+		winners = append(winners, WinnerRecord{Client: i - 3, Slots: []int{i}, Payment: f})
+	}
+	rec := OutcomeRecord{Seq: 12, Feasible: true, Tg: 3, Cost: 2, Winners: winners, Total: 1}
+	got, err := appendOutcomeRecord(nil, &rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := `{"type":"outcome","seq":12,"payments":"` + packPairs(winners) + `","outcome":{"seq":12,`
+	if !bytes.HasPrefix(got, []byte(prefix)) {
+		t.Fatalf("outcome record %s, want it to start %s", got, prefix)
+	}
+	read, err := replayRead(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePayments(t, "replay read", read.Winners, winners)
+
+	body := bytes.Index(got, []byte(`"winners":[`))
+	stripped := append(append([]byte(nil), got[:body]...), `"x":1}}`...)
+	if read, err = replayRead(stripped); err != nil {
+		t.Fatalf("replay read of %s: %v", stripped, err)
+	}
+	samePayments(t, "replay read without the body's winners", read.Winners, winners)
+
+	none, err := appendOutcomeRecord(nil, &OutcomeRecord{Seq: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"type":"outcome","seq":13,"outcome":{"seq":13,"feasible":false}}`; string(none) != want {
+		t.Fatalf("outcome without winners %s, want %s", none, want)
+	}
+	if read, err = replayRead(none); err != nil || read.Seq != 13 || read.Winners != nil {
+		t.Fatalf("replay read of %s = %+v, %v", none, read, err)
+	}
+}
+
+// FuzzPackedPayments holds the payments member to its contract. For an
+// outcome record built from arbitrary winners, the record encodes
+// exactly when every payment is finite, and then the replay read
+// returns each winner's client and payment bit for bit from the member,
+// and decodePayments, which is how a binary from before the member reads
+// the record, returns the same from the body. An arbitrary string in
+// the member (escaped as JSON) is accepted by the replay read exactly
+// when the encoding/binary oracle calls it canonical; an accepted string
+// yields the oracle's pairs and re-encodes to itself.
+func FuzzPackedPayments(f *testing.F) {
+	seed := func(winners []WinnerRecord) {
+		f.Add(winnerBytes(winners), packPairs(winners))
+	}
+	for _, rec := range differentialOutcomes() {
+		seed(rec.Winners)
+	}
+	for _, rec := range hostileOutcomes() {
+		seed(rec.Winners)
+	}
+	for i, p := range hostileFloats {
+		seed([]WinnerRecord{{Client: i, Payment: p}})
+	}
+	seed([]WinnerRecord{{Client: 1, Payment: math.NaN()}, {Client: 2, Payment: math.Inf(1)}})
+	// Damaged strings: truncated, padded, broken by a line break or a
+	// changed character, padded after non-zero trailing bits (a 10-byte
+	// pair ends in one byte and two pad characters); a pair cut short,
+	// with an overlong zero varint (0x80 0x00), a varint past 64 bits or
+	// a non-finite payment.
+	one := packPairs([]WinnerRecord{{Client: 300, Payment: 2.5}, {Client: -7, Payment: 1e21}})
+	pair, _ := base64.StdEncoding.DecodeString(packPairs([]WinnerRecord{{Client: 1, Payment: 0.5}}))
+	padded := packPairs([]WinnerRecord{{Client: 100, Payment: 1}})
+	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+	last := strings.IndexByte(alphabet, padded[len(padded)-3])
+	for _, member := range []string{
+		one[:len(one)-4], one + "AAAA", one[:8] + "\n" + one[8:], one[:8] + "\r\n" + one[8:], one[:9] + "A" + one[10:],
+		one + "==", "====", "AAAA", `AA\"AA`, `AAAA"`,
+		padded, padded[:len(padded)-3] + alphabet[last+1:last+2] + "==",
+		base64.StdEncoding.EncodeToString(pair[:len(pair)-1]),
+		base64.StdEncoding.EncodeToString(append([]byte{0x80, 0x00}, pair[1:]...)),
+		base64.StdEncoding.EncodeToString(append(bytes.Repeat([]byte{0xff}, 10), pair...)),
+		base64.StdEncoding.EncodeToString(binary.LittleEndian.AppendUint64([]byte{2}, math.Float64bits(math.Inf(-1)))),
+	} {
+		f.Add([]byte(nil), member)
+	}
+	for _, member := range hostileStrings {
+		f.Add([]byte(nil), member)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, member string) {
+		winners := winnersFromBytes(raw)
+		finite := true
+		for _, w := range winners {
+			finite = finite && !math.IsInf(w.Payment, 0) && !math.IsNaN(w.Payment)
+		}
+		rec := OutcomeRecord{Seq: 5, Feasible: len(winners) > 0, Tg: 2, Winners: winners}
+		payload, err := appendOutcomeRecord(nil, &rec)
+		switch {
+		case !finite && err == nil:
+			t.Fatalf("a non-finite payment encoded: %s", payload)
+		case finite && err != nil:
+			t.Fatalf("finite payments failed to encode: %v", err)
+		case finite:
+			_, seq, end, err := peekEnvelope(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if member := bytes.HasPrefix(payload[end:], []byte(paymentsKey+`"`)); member != (len(winners) > 0) {
+				t.Fatalf("record %s has a payments member after seq: %v; want %v", payload, member, len(winners) > 0)
+			}
+			var scratch []byte
+			got, err := replayPayments(payload, seq, end, &scratch)
+			if err != nil {
+				t.Fatalf("replay read of %s: %v", payload, err)
+			}
+			samePayments(t, "replay read", got.Winners, winners)
+			old, err := decodePayments(payload)
+			if err != nil || old == nil || old.Seq != 5 {
+				t.Fatalf("decodePayments(%s) = %v, %v", payload, old, err)
+			}
+			samePayments(t, "decodePayments", old.Winners, winners)
+		}
+
+		want, ok := paymentsVerdict(member)
+		record := []byte(`{"type":"outcome","seq":1` + paymentsKey)
+		record = appendJSONString(record, member)
+		record = append(record, `,"outcome":{"seq":1,"feasible":false}}`...)
+		got, err := replayRead(record)
+		if (err == nil) != ok {
+			t.Fatalf("payments member %q: replay read error %v, want accepted %v", member, err, ok)
+		}
+		if !ok {
+			return
+		}
+		samePayments(t, "replay read", got.Winners, want)
+		if again, err := appendRows(nil, paymentRow, got.Winners, paymentWords); err != nil || string(again) != `"`+member+`"` {
+			t.Fatalf("payments member %q re-encodes to %s (%v)", member, again, err)
+		}
+	})
+}
+
+// TestPaymentsUpgrade reopens a log whose tail holds outcome records
+// without a payments member and keeps writing it with the member, then
+// kills the market mid-tail. The checkpoint fixture's tail holds seq 6's
+// outcome record from before the member; reopened, the market re-solves
+// seqs 7–9 and commits them with the member, four more instances are
+// logged as seqs 10–13, and the market is killed right after seq 11
+// commits. The next recovery folds seqs 6–11 from the tail, from both
+// kinds of outcome record, re-queues seqs 12 and 13, and drains to the
+// state of a copy of the fixture run through the same submissions
+// without a kill.
+func TestPaymentsUpgrade(t *testing.T) {
+	ctx := context.Background()
+	extra := marketInstances(t, 14)[10:]
+	drain := func(m *Market, upTo int) []byte {
+		t.Helper()
+		for seq := 2; seq < upTo; seq++ {
+			if _, err := m.Wait(ctx, seq); err != nil {
+				t.Fatalf("Wait(%d): %v", seq, err)
+			}
+		}
+		return m.Snapshot()
+	}
+
+	ref, err := Open(ctx, Config{Dir: copyFixture(t, "checkpoint_market"), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(ref, 10)
+	if _, err := ref.SubmitBatch(ctx, "c", extra); err != nil {
+		t.Fatal(err)
+	}
+	want := drain(ref, 14)
+	ref.Close()
+
+	dir := copyFixture(t, "checkpoint_market")
+	m1, err := Open(ctx, Config{
+		Dir: dir, Workers: 1,
+		Crash: func(p string, seq int) bool { return p == CrashPostCommit && seq == 11 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(m1, 10)
+	// The kill may race the batch's enqueue, which then errs; all four
+	// bid records are durably logged either way.
+	if seqs, err := m1.SubmitBatch(ctx, "c", extra); fmt.Sprint(seqs) != "[10 11 12 13]" {
+		t.Fatalf("SubmitBatch = %v, %v; want seqs 10–13", seqs, err)
+	}
+	<-m1.Dead()
+	m1.Close()
+
+	var tail []byte
+	segs, err := filepath.Glob(filepath.Join(dir, "market-*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range segs {
+		tail = append(tail, readFile(t, seg)...)
+	}
+	legacy := bytes.Count(tail, []byte(`{"type":"outcome","seq":6,"outcome":`))
+	var packed []int
+	for seq := 6; seq < 14; seq++ {
+		if bytes.Contains(tail, []byte(fmt.Sprintf(`{"type":"outcome","seq":%d%s"`, seq, paymentsKey))) {
+			packed = append(packed, seq)
+		}
+	}
+	t.Logf("outcome records with a payments member: seqs %v", packed)
+	if legacy != 1 || len(packed) == 0 {
+		t.Fatalf("tail holds %d outcome records of seq 6 without a payments member and members for seqs %v; want 1 and some of 7–11", legacy, packed)
+	}
+
+	var recovered []obs.Event
+	m2, err := Open(ctx, Config{Dir: dir, Workers: 1, Observer: obs.ObserverFunc(func(e obs.Event) {
+		if e.Kind == obs.EvMarketRecovered {
+			recovered = append(recovered, e)
+		}
+	})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	// Retained at recovery: seqs 2–11, all folded. Re-queued: 12 and 13.
+	if len(recovered) != 1 || recovered[0].Value != 10 || recovered[0].Round != 2 || !recovered[0].OK {
+		t.Fatalf("market_recovered events %+v, want one with Value 10, Round 2 and no fault", recovered)
+	}
+	if got := drain(m2, 14); !bytes.Equal(got, want) {
+		t.Fatalf("recovery over outcome records with and without payments diverged:\n got %s\nwant %s", got, want)
 	}
 }

@@ -1,8 +1,6 @@
 package marketd
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -160,70 +158,29 @@ type walRecord struct {
 	Cfg    *ConfigWire `json:"cfg,omitempty"`
 	Solver string      `json:"solver,omitempty"`
 
-	// recOutcome field.
+	// recOutcome field. An outcome record with winners also holds a
+	// "payments" member between seq and the body, each winner's packed
+	// client and payment, which only replay reads (replayPayments).
+	// walRecord has no field for it, so decodeRecord and encoding/json
+	// skip it.
 	Outcome *OutcomeRecord `json:"outcome,omitempty"`
 }
 
 // packedBids is the bid rows of a bid record and of a checkpoint's
-// pending entry. On the wire they are one JSON string: the base64
-// (standard alphabet, padded) of every bid's ten fields in declaration
-// order, the five ints as zigzag varints (encoding/binary's
-// AppendVarint) and the five floats as little-endian 8-byte IEEE-754
-// bits. A small auction's row is 45 bytes against about 190 as a JSON
-// object, and no float is formatted or parsed. Logs written before rows
-// were packed hold an array of row objects under the same key; decoding
-// reads both, and a string only when it is the canonical encoding of
-// whole rows: minimal varints, finite floats and ints that fit an int.
-// The methods make encoding/json read and write the same form, so it
-// stays the reference the append encoder and the reader are tested
-// against.
+// pending entry, packed (packed.go): each bid's ten fields in
+// declaration order, the five ints as varints and the five floats as
+// their bits. A small auction's row is 45 bytes against about 190 as a
+// JSON object, and no float is formatted or parsed. Logs written before
+// rows were packed hold an array of row objects under the same key;
+// decoding reads both. The methods make encoding/json read and write
+// the same form, so it stays the reference the append encoder and the
+// reader are tested against.
 type packedBids []core.Bid
-
-// maxRowBytes bounds one packed row: five varints and five floats.
-const maxRowBytes = 5*binary.MaxVarintLen64 + 5*8
-
-// floatWord marks the fields of a packed row that hold a float's bits;
-// the others hold an int.
-var floatWord = [10]bool{2: true, 3: true, 4: true, 8: true, 9: true}
-
-// bidWords is b's fields in declaration order, ints as int64 and floats
-// as their bits.
-func bidWords(b *core.Bid) [10]uint64 {
-	return [10]uint64{
-		uint64(b.Client), uint64(b.Index),
-		math.Float64bits(b.Price), math.Float64bits(b.TrueCost), math.Float64bits(b.Theta),
-		uint64(b.Start), uint64(b.End), uint64(b.Rounds),
-		math.Float64bits(b.CompTime), math.Float64bits(b.CommTime),
-	}
-}
-
-// wordsBid is the bid whose fields w holds; the inverse of bidWords.
-func wordsBid(w *[10]uint64) core.Bid {
-	return core.Bid{
-		Client: int(int64(w[0])), Index: int(int64(w[1])),
-		Price: math.Float64frombits(w[2]), TrueCost: math.Float64frombits(w[3]), Theta: math.Float64frombits(w[4]),
-		Start: int(int64(w[5])), End: int(int64(w[6])), Rounds: int(int64(w[7])),
-		CompTime: math.Float64frombits(w[8]), CommTime: math.Float64frombits(w[9]),
-	}
-}
-
-// finiteBits reports whether a float's bits are neither an infinity
-// nor a NaN: its exponent is not all ones.
-func finiteBits(w uint64) bool { return w&(0x7ff<<52) != 0x7ff<<52 }
 
 // MarshalJSON writes the packed form; a non-finite float is an error.
 func (b packedBids) MarshalJSON() ([]byte, error) { return appendPackedBids(nil, b) }
 
 // UnmarshalJSON reads the packed form or, from older logs, the rows.
 func (b *packedBids) UnmarshalJSON(data []byte) error {
-	if len(data) == 0 || data[0] != '"' {
-		return json.Unmarshal(data, (*[]core.Bid)(b))
-	}
-	var scratch []byte
-	bids, err := unpackBids(data[1:len(data)-1], &scratch)
-	if err != nil {
-		return err
-	}
-	*b = bids
-	return nil
+	return unmarshalPacked(data, (*[]core.Bid)(b), bidRow, wordsBid)
 }
